@@ -50,29 +50,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # pairwise helpers
 
-def _pair_displacements(domain: Domain, x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    if domain.periodic:
-        diff = np.mod(diff + math.pi, TWO_PI) - math.pi
-        diff = np.where(diff == -math.pi, math.pi, diff)
-    return diff
+def _pair_phi(spec: KernelSpec, dist: np.ndarray, t: float, singular: bool, floor: float = 0.0):
+    """Kernel on the off-diagonal pair distances, with the nearest pair.
+
+    Returns (phi, dmin, pair); phi is zero on the diagonal, and the diagonal
+    of ``dist`` is overwritten with inf.  Under a singular kernel a pair at
+    or below ``floor`` counts as contact and raises CollisionError naming
+    it: floor 0 means exact coincidence, the stepper passes its guard.
+    """
+    dmin, pair = geometry.nearest_pair(dist)
+    if singular and dmin <= floor:
+        raise CollisionError(pair, t, dmin)
+    phi = kernels._evaluate_raw(spec, dist)
+    np.fill_diagonal(phi, 0.0)
+    return phi, dmin, pair
 
 
-def _pair_distances(domain: Domain, x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(_pair_displacements(domain, x), axis=-1)
-
-
-def _pair_phi(spec: KernelSpec, dist: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Kernel on off-diagonal pair distances; zero on the diagonal."""
-    n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    vals = dist[off]
-    if kernels.classify(spec) is not SingularityClass.SMOOTH and np.any(vals == 0.0):
-        i, j = np.argwhere(off & (dist == 0.0))[0]
-        raise CollisionError((i, j), t, 0.0)
-    phi = np.zeros_like(dist)
-    phi[off] = kernels._evaluate_raw(spec, vals)
-    return phi
+def _is_singular(spec: KernelSpec) -> bool:
+    return kernels.classify(spec) is not SingularityClass.SMOOTH
 
 
 def _weight_products(m: np.ndarray) -> np.ndarray:
@@ -97,8 +92,8 @@ def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
         raise ValueError(f"moment order must be positive, got {p}")
     v = np.asarray(state.v, dtype=float)
     speed = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
-    dist = _pair_distances(domain, np.asarray(state.x, dtype=float))
-    phi = _pair_phi(kernel, dist, getattr(state, "t", 0.0))
+    dist = geometry.pair_distances(domain, state.x)
+    phi, _, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), _is_singular(kernel))
     return float(p * np.sum(_weight_products(state.m) * speed**p * phi))
 
 
@@ -116,9 +111,14 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
     disp = x[:, None, :] - x[None, :, :]
-    dist = np.linalg.norm(disp, axis=-1)
     vdiff = v[:, None, :] - v[None, :, :]
-    speed = np.linalg.norm(vdiff, axis=-1)
+    dist, speed = np.linalg.norm(disp, axis=-1), np.linalg.norm(vdiff, axis=-1)
+    (g,) = _corrector_euclidean(disp, dist, vdiff, speed, _weight_products(state.m), r0, (power,))
+    return g
+
+
+def _corrector_euclidean(disp, dist, vdiff, speed, mm, r0, powers) -> list:
+    """Euclidean corrector for each power, sharing one directed-distance pass."""
     moving = speed > 0.0
     directed = np.zeros_like(speed)
     np.divide(
@@ -127,14 +127,12 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
         out=directed,
         where=moving,
     )
-    summand = np.where(
-        moving,
-        speed**power
-        * geometry.psi_euclidean(directed, r0)
-        * geometry.chi(dist, r0),
-        0.0,
-    )
-    return float(np.sum(_weight_products(state.m) * summand))
+    psi = geometry.psi_euclidean(directed, r0)
+    chi = geometry.chi(dist, r0)
+    return [
+        float(np.sum(mm * np.where(moving, speed**power * psi * chi, 0.0)))
+        for power in powers
+    ]
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -146,12 +144,16 @@ def corrector_circle(state, r0: float) -> float:
     """
     x = np.asarray(state.x, dtype=float).reshape(-1)
     v = np.asarray(state.v, dtype=float).reshape(-1)
-    xdiff = x[:, None] - x[None, :]  # chart difference, not minimal image
-    vdiff = v[:, None] - v[None, :]
+    return _corrector_circle(x, v[:, None] - v[None, :], _weight_products(state.m), r0)
+
+
+def _corrector_circle(x, vdiff, mm, r0) -> float:
+    """Circle corrector from chart positions x (N,) and velocity differences (N, N)."""
     sgn = np.sign(vdiff)
-    arc = np.mod(-xdiff * sgn, TWO_PI)
+    # chart difference, not minimal image
+    arc = np.mod(-(x[:, None] - x[None, :]) * sgn, TWO_PI)
     summand = np.where(sgn != 0.0, np.abs(vdiff) * geometry.psi_periodic(arc, r0), 0.0)
-    return float(np.sum(_weight_products(state.m) * summand))
+    return float(np.sum(mm * summand))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,13 @@ def _assemble_lyapunov(variant, a, b, c, n_eff, t, g, g3, v1, v2) -> float:
     return g + b * t * v2 + a * v2
 
 
+def _check_variant(variant: LyapunovVariant, domain: Domain) -> None:
+    if (variant in _CIRCLE_VARIANTS) != domain.periodic:
+        raise DomainMismatchError(
+            f"variant {variant.value} does not apply to domain {domain.kind}"
+        )
+
+
 def lyapunov(state, kernel: KernelSpec, domain: Domain, config: LyapunovConfig) -> float:
     """Assembled monotone functional for the configured variant.
 
@@ -236,16 +245,12 @@ def lyapunov(state, kernel: KernelSpec, domain: Domain, config: LyapunovConfig) 
     weights.
     """
     variant = config.variant
-    on_circle = variant in _CIRCLE_VARIANTS
-    if on_circle != domain.periodic:
-        raise DomainMismatchError(
-            f"variant {variant.value} does not apply to domain {domain.kind}"
-        )
+    _check_variant(variant, domain)
     n_eff = 1.0 / float(np.max(state.m))
     t = float(getattr(state, "t", 0.0))
     v1 = variation(state, 1)
     v2 = variation(state, 2)
-    if on_circle:
+    if domain.periodic:
         g = corrector_circle(state, kernel.r0)
         g3 = math.nan
     else:
@@ -319,16 +324,19 @@ def collision_potential(state, domain: Domain, beta: float, r0: float) -> float:
     """
     if beta < 2:
         raise UnsupportedQueryError("collision potential needs beta >= 2")
-    dist = _pair_distances(domain, np.asarray(state.x, dtype=float))
-    n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        i, j = np.argwhere(off & (dist == 0.0))[0]
-        raise CollisionError((i, j), getattr(state, "t", 0.0), 0.0)
-    capped = np.where(off, np.minimum(dist, r0), 1.0)
+    dist = geometry.pair_distances(domain, state.x)
+    dmin, pair = geometry.nearest_pair(dist)
+    if dmin == 0.0:
+        raise CollisionError(pair, getattr(state, "t", 0.0), 0.0)
+    return _collision_sum(dist, _weight_products(state.m), beta, r0)
+
+
+def _collision_sum(dist, mm, beta, r0) -> float:
+    """Collision potential from pair distances whose diagonal is masked."""
+    capped = np.minimum(dist, r0)
     vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
-    vals[~off] = 0.0
-    return float(np.sum(_weight_products(state.m) * vals))
+    np.fill_diagonal(vals, 0.0)
+    return float(np.sum(mm * vals))
 
 
 def cluster_energy(state, kernel: KernelSpec, domain: Domain, subset, c2: float = 1.0) -> float:
@@ -344,9 +352,8 @@ def cluster_energy(state, kernel: KernelSpec, domain: Domain, subset, c2: float 
         raise ValueError("subset must be nonempty")
     x = np.asarray(state.x, dtype=float)[idx]
     v = np.asarray(state.v, dtype=float)[idx]
-    dist = _pair_distances(domain, x)
-    d_star = float(np.max(dist))
-    if d_star == 0.0 and kernels.classify(kernel) is not SingularityClass.SMOOTH:
+    d_star = float(np.max(geometry.pair_distances(domain, x)))
+    if d_star == 0.0 and _is_singular(kernel):
         raise KernelDomainError(
             "collapsed subset: singular kernel integral from zero diameter diverges"
         )
@@ -426,12 +433,11 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
         raise InsufficientDataError("need at least two stored samples past T")
     m = states[0].m
     times = np.array([s.t for s in states])
+    singular = _is_singular(kernel)
     g = np.empty((len(states), m.size))
     for k, s in enumerate(states):
-        x = np.asarray(s.x, dtype=float)
         v = np.asarray(s.v, dtype=float)
-        dist = _pair_distances(domain, x)
-        phi = _pair_phi(kernel, dist, s.t)
+        phi, _, _ = _pair_phi(kernel, geometry.pair_distances(domain, s.x), s.t, singular)
         speed2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
         g[k] = (phi * speed2) @ m
     weights = np.zeros_like(times)
@@ -518,7 +524,7 @@ class DiagnosticsRecord:
 
 
 def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None) -> DiagnosticsRecord:
-    """Evaluate the full diagnostic row for one state."""
+    """Evaluate the full diagnostic row for one state, building each pair array once."""
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
     m = np.asarray(state.m, dtype=float)
@@ -527,30 +533,33 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
     mm = _weight_products(m)
     vdiff = v[:, None, :] - v[None, :, :]
     speed = np.linalg.norm(vdiff, axis=-1)
-    dist = _pair_distances(domain, x)
-    phi = _pair_phi(kernel, dist, t)
-    off = ~np.eye(n, dtype=bool)
+    disp = geometry.displacement(domain, x[:, None, :], x[None, :, :])
+    dist = np.linalg.norm(disp, axis=-1)
+    diameter = float(np.max(dist))
+    phi, dmin, _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
 
     v_moments = {p: float(np.sum(mm * speed**p)) for p in (1, 2, 4)}
     i_moments = {p: float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)}
 
     if domain.periodic:
-        g = corrector_circle(state, kernel.r0)
+        del disp  # the circle corrector reads chart positions; frees N^2 floats
+        g = _corrector_circle(x[:, 0], vdiff[:, :, 0], mm, kernel.r0)
         g3 = math.nan
     else:
-        g = corrector_euclidean(state, kernel.r0, power=1)
-        g3 = corrector_euclidean(state, kernel.r0, power=3)
+        g, g3 = _corrector_euclidean(disp, dist, vdiff, speed, mm, kernel.r0, (1, 3))
 
     lyap = math.nan
     if lyapunov_config is not None:
-        lyap = lyapunov(state, kernel, domain, lyapunov_config)
+        cfg = lyapunov_config
+        _check_variant(cfg.variant, domain)
+        n_eff = 1.0 / float(np.max(m))
+        lyap = float(_assemble_lyapunov(
+            cfg.variant, cfg.a, cfg.b, cfg.c, n_eff, t, g, g3, v_moments[1], v_moments[2]
+        ))
 
     coll = math.nan
-    if (
-        kernel.kind is kernels.KernelKind.SINGULAR_POWER
-        and kernel.beta >= 2.0
-    ):
-        coll = collision_potential(state, domain, kernel.beta, kernel.r0)
+    if kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
+        coll = _collision_sum(dist, mm, kernel.beta, kernel.r0)
 
     mom = m @ v / float(np.sum(m))
     return DiagnosticsRecord(
@@ -565,8 +574,8 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
         G3=g3,
         L=lyap,
         C=coll,
-        D=float(np.max(dist)),
-        dmin=float(np.min(dist[off])) if n > 1 else math.nan,
+        D=diameter,
+        dmin=dmin if n > 1 else math.nan,
         momentum=tuple(float(c) for c in mom),
         vdiam=float(np.max(speed)),
         I2_int=float(getattr(state, "diss2", math.nan)),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import diagnostics, kernels
+from . import diagnostics, geometry, kernels
 from .errors import CollisionError, StiffnessError
 from .geometry import TWO_PI, Domain
 from .kernels import KernelSpec, SingularityClass
@@ -91,16 +91,15 @@ class FlockState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Adaptive stepping parameters.
+    """Adaptive RK4 stepping parameters.
 
     d_guard defaults to 1e-9 for singular kernels and 0 for smooth ones when
-    left unset.  method is "rk4_adaptive" or "euler".
+    left unset; only singular kernels are guarded.
     """
 
     dt_max: float
     safety: float = 0.4
     d_guard: float | None = None
-    method: str = "rk4_adaptive"
 
     def __post_init__(self):
         if self.dt_max <= 0:
@@ -109,30 +108,28 @@ class StepperConfig:
             raise ValueError("safety must lie in (0, 1]")
         if self.d_guard is not None and self.d_guard < 0:
             raise ValueError("d_guard must be nonnegative")
-        if self.method not in ("rk4_adaptive", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     def resolved_guard(self, kernel: KernelSpec) -> float:
+        return self._guard(kernels.classify(kernel) is not SingularityClass.SMOOTH)
+
+    def _guard(self, singular: bool) -> float:
         if self.d_guard is not None:
             return self.d_guard
-        singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
         return 1e-9 if singular else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dt_max": self.dt_max,
-            "safety": self.safety,
-            "d_guard": self.d_guard,
-            "method": self.method,
-        }
+        return {"dt_max": self.dt_max, "safety": self.safety, "d_guard": self.d_guard}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepperConfig":
+        # older configs name the method; adaptive RK4 is the only one
+        method = d.get("method", "rk4_adaptive")
+        if method != "rk4_adaptive":
+            raise ValueError(f"unknown method {method!r}")
         return cls(
             dt_max=float(d["dt_max"]),
             safety=float(d.get("safety", 0.4)),
             d_guard=None if d.get("d_guard") is None else float(d["d_guard"]),
-            method=d.get("method", "rk4_adaptive"),
         )
 
 
@@ -145,28 +142,12 @@ class _StageEval(NamedTuple):
     stiff: float
 
 
-def _pair_dist(domain: Domain, x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    if domain.periodic:
-        diff = np.mod(diff + math.pi, TWO_PI) - math.pi
-    return np.linalg.norm(diff, axis=-1)
-
-
-def _forces(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool) -> _StageEval:
-    n = x.shape[0]
-    if n == 1:
-        return _StageEval(np.zeros_like(v), 0.0, math.inf, (0, 0), 0.0, 0.0)
-    dist = _pair_dist(domain, x)
-    off = ~np.eye(n, dtype=bool)
-    flat = dist[off]
-    k = int(np.argmin(flat))
-    dmin = float(flat[k])
-    pair_idx = np.argwhere(off)[k]
-    pair = (int(pair_idx[0]), int(pair_idx[1]))
-    if singular and dmin == 0.0:
-        raise CollisionError(pair, t, 0.0)
-    phi = np.zeros_like(dist)
-    phi[off] = kernels._evaluate_raw(kernel, flat)
+def _forces(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
+            floor: float = 0.0) -> _StageEval:
+    """Accelerations and step-size data; a singular pair at or below floor
+    raises CollisionError (see diagnostics._pair_phi)."""
+    dist = geometry.pair_distances(domain, x)
+    phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
 
     w = phi * m[None, :]
     accel = w @ v - v * w.sum(axis=1, keepdims=True)
@@ -199,12 +180,12 @@ def _propose_dt(cfg: StepperConfig, ev: _StageEval, singular: bool) -> float:
 def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None) -> FlockState:
     """One accepted adaptive step; never steps past dt_cap when given.
 
-    Rejects and halves whenever a stage (or the result) drives a pair below
-    the separation guard under a singular kernel; raises StiffnessError once
-    dt underflows.
+    Rejects and halves whenever a stage (or the result) drives a pair to or
+    below the separation guard under a singular kernel; raises
+    StiffnessError once dt underflows.
     """
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    guard = cfg.resolved_guard(kernel)
+    guard = cfg._guard(singular)
     x0, v0, m = state.x, state.v, state.m
     ev0 = _forces(x0, v0, m, kernel, domain, state.t, singular)
     dt = _propose_dt(cfg, ev0, singular)
@@ -215,8 +196,8 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
         if dt < _DT_FLOOR:
             raise StiffnessError(ev0.pair, state.t, ev0.dmin, dt)
         try:
-            result = _attempt(state, ev0, kernel, domain, dt, singular, guard, cfg.method)
-        except (_GuardReject, CollisionError):
+            result = _attempt(state, ev0, kernel, domain, dt, singular, guard)
+        except CollisionError:
             dt *= 0.5
             continue
         break
@@ -226,36 +207,12 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     return FlockState(t1, domain.wrap(x1), v1, m, state.diss2 + d2, state.diss2_root + d2r)
 
 
-class _GuardReject(Exception):
-    pass
-
-
-def _check_guard(x, domain: Domain, guard: float):
-    if guard <= 0.0:
-        return
-    dist = _pair_dist(domain, x)
-    n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if float(np.min(dist[off])) <= guard:
-        raise _GuardReject
-
-
-def _attempt(state, ev0, kernel, domain, dt, singular, guard, method):
+def _attempt(state, ev0, kernel, domain, dt, singular, guard):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
-    active_guard = guard if singular else 0.0
-
-    if method == "euler":
-        x1 = x0 + dt * v0
-        v1 = v0 + dt * ev0.accel
-        if singular:
-            _check_guard(x1, domain, active_guard)
-        return x1, v1, dt * ev0.i2, dt * math.sqrt(max(ev0.i2, 0.0))
 
     def stage(xs, vs):
-        if singular:
-            _check_guard(xs, domain, active_guard)
-        return _forces(xs, vs, m, kernel, domain, t, singular)
+        return _forces(xs, vs, m, kernel, domain, t, singular, guard)
 
     h = 0.5 * dt
     xb, vb = x0 + h * v0, v0 + h * ev0.accel
@@ -267,8 +224,11 @@ def _attempt(state, ev0, kernel, domain, dt, singular, guard, method):
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (ev0.accel + 2.0 * evb.accel + 2.0 * evc.accel + evd.accel)
-    if singular:
-        _check_guard(x1, domain, active_guard)
+    if singular and guard > 0.0:
+        # the end-of-step position is the one no stage has guarded
+        dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x1))
+        if dmin <= guard:
+            raise CollisionError(pair, t + dt, dmin)
 
     d2 = (dt / 6.0) * (ev0.i2 + 2.0 * evb.i2 + 2.0 * evc.i2 + evd.i2)
     roots = [math.sqrt(max(val, 0.0)) for val in (ev0.i2, evb.i2, evc.i2, evd.i2)]
@@ -325,10 +285,11 @@ class ObserverSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObserverSchedule":
-        if d["kind"] == "linear":
-            return cls(kind="linear", spacing=float(d.get("spacing", 1.0)))
+        kind = d["kind"]
+        if kind == "linear":
+            return cls(kind=kind, spacing=float(d.get("spacing", 1.0)))
         return cls(
-            kind="geometric",
+            kind=kind,
             t_first=float(d.get("t_first", 1.0)),
             factor=float(d.get("factor", 1.1)),
         )
@@ -422,13 +383,11 @@ def velocity_diameter(state: FlockState) -> float:
 
 
 def flock_diameter(state: FlockState, domain: Domain) -> float:
-    return float(np.max(_pair_dist(domain, state.x)))
+    return float(np.max(geometry.pair_distances(domain, state.x)))
 
 
 def min_separation(state: FlockState, domain: Domain) -> float:
-    dist = _pair_dist(domain, state.x)
-    off = ~np.eye(state.n, dtype=bool)
-    return float(np.min(dist[off])) if state.n > 1 else math.inf
+    return geometry.nearest_pair(geometry.pair_distances(domain, state.x))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The circle has circumference 2*pi and positions are kept on the chart
 [0, 2*pi).  Displacements use the minimal image with the seam convention
-that a separation of exactly pi maps to +pi.  The auxiliary cutoff and
+that a separation of exactly pi maps to +pi; ``displacement`` is the only
+minimal-image code in the package, and the pair distances of the stepper
+and of the diagnostics are all built from it.  The auxiliary cutoff and
 weight profiles (chi, psi) are the piecewise-linear shapes used by the
 corrector functionals.
 """
@@ -20,6 +22,8 @@ __all__ = [
     "circle",
     "TWO_PI",
     "displacement",
+    "pair_distances",
+    "nearest_pair",
     "directed_distance_euclidean",
     "directed_distance_circle",
     "chi",
@@ -81,8 +85,27 @@ def displacement(domain: Domain, x_i, x_j):
         return diff
     wrapped = np.mod(diff + math.pi, TWO_PI) - math.pi
     # seam: a separation of exactly pi is represented as +pi, not -pi
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
+    if np.ndim(wrapped) == 0:
+        return math.pi if wrapped == -math.pi else float(wrapped)
+    np.copyto(wrapped, math.pi, where=wrapped == -math.pi)
+    return wrapped
+
+
+def pair_distances(domain: Domain, x) -> np.ndarray:
+    """(N, N) distances |x_i - x_j| between the rows of the (N, d) positions x."""
+    x = np.asarray(x, dtype=float)
+    return np.linalg.norm(displacement(domain, x[:, None, :], x[None, :, :]), axis=-1)
+
+
+def nearest_pair(dist: np.ndarray):
+    """Smallest off-diagonal entry of a square distance array and its pair (i, j).
+
+    Overwrites the diagonal of ``dist`` with inf.  Ties go to the first pair
+    in row-major order; a single agent gives (inf, (0, 0)).
+    """
+    np.fill_diagonal(dist, math.inf)
+    i, j = divmod(int(np.argmin(dist)), dist.shape[0])
+    return float(dist[i, j]), (i, j)
 
 
 def directed_distance_euclidean(x_ij, v_ij) -> float:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ..diagnostics import LyapunovConfig, LyapunovVariant, write_csv
+from ..diagnostics import _CIRCLE_VARIANTS, LyapunovConfig, LyapunovVariant, write_csv
 from ..dynamics import (
     FlockState,
     ObserverSchedule,
@@ -34,11 +34,6 @@ _INITIAL_KINDS = (
     "two_cluster_circle",
     "vacuum_arc",
     "lattice_circle",
-)
-_CIRCLE_VARIANTS = (
-    LyapunovVariant.CIRCLE_I,
-    LyapunovVariant.CIRCLE_II,
-    LyapunovVariant.CIRCLE_III,
 )
 
 

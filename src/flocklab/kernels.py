@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import KernelDomainError, UnsupportedQueryError
 
@@ -261,6 +260,9 @@ def primitive_integral(spec: KernelSpec, r1: float, r2: float) -> float:
 
 
 def _quad_bounded(spec: KernelSpec, r1: float, r2: float) -> float:
+    # imported here: scipy.integrate takes most of the package's import time
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda r: float(_evaluate_raw(spec, np.asarray(r, dtype=float))),
         r1,

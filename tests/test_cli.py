@@ -43,6 +43,11 @@ def test_run_json_config(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     _, cols = read_csv(out)
     assert cols["t"][-1] == 1.0
+    bad = scenario("two-agent-smooth-collision").to_dict()
+    bad["observers"]["kind"] = "linaer"
+    cfg_path.write_text(json.dumps(bad))
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "linaer" in capsys.readouterr().err
 
 
 def test_run_unknown_config(capsys):

@@ -103,16 +103,6 @@ def test_rk4_fourth_order_convergence():
     assert min(orders) > 3.7
 
 
-def test_euler_single_step():
-    st = FlockState(0.0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
-    cfg = StepperConfig(dt_max=0.01, method="euler")
-    traj = integrate(st, FLAT, euclidean(1), cfg, 0.01,
-                     ObserverSchedule("linear", spacing=0.01))
-    end = traj.final_state
-    np.testing.assert_allclose(end.x[:, 0], [0.01, 1.0 - 0.01])
-    np.testing.assert_allclose(end.v[:, 0], [1.0 - 0.01, -1.0 + 0.01])
-
-
 def test_momentum_conserved():
     st = initial_state(euclidean(2), 16, seed=3, params={"box": 2.0, "sigma": 1.0})
     traj = integrate(st, FLAT, euclidean(2), StepperConfig(dt_max=0.1), 5.0,
@@ -200,10 +190,13 @@ def test_geometric_schedule():
     dict(kind="geometric", t_first=0.0),
     dict(kind="geometric", factor=1.0),
     dict(kind="chebyshev"),
+    dict(kind="linaer"),
 ])
 def test_schedule_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         ObserverSchedule(**kwargs)
+    with pytest.raises(ValueError):
+        ObserverSchedule.from_dict(kwargs)
 
 
 def test_schedule_roundtrip():
@@ -305,7 +298,13 @@ def test_initial_state_rejects_bad_requests(kwargs):
 ])
 def test_stepper_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
-        StepperConfig(**kwargs)
+        StepperConfig.from_dict(kwargs)
+
+
+def test_stepper_config_reads_configs_that_name_the_method():
+    cfg = StepperConfig.from_dict({"dt_max": 0.1, "method": "rk4_adaptive"})
+    assert cfg == StepperConfig(dt_max=0.1)
+    assert "method" not in cfg.to_dict()
 
 
 def test_integrate_rejects_dimension_mismatch():

@@ -15,6 +15,8 @@ from flocklab.geometry import (
     directed_distance_euclidean,
     displacement,
     euclidean,
+    nearest_pair,
+    pair_distances,
     psi_euclidean,
     psi_periodic,
 )
@@ -61,6 +63,23 @@ def test_displacement_circle_minimal_image():
     assert displacement(dom, 0.0, math.pi) == pytest.approx(math.pi)
     arr = displacement(dom, np.array([0.1, 6.0]), np.array([6.0, 0.1]))
     assert arr[0] == pytest.approx(0.1 - 6.0 + TWO_PI)
+
+
+def test_pair_distances_and_nearest_pair():
+    x = np.array([[0.1], [6.0], [2.0], [0.1 + math.pi]])
+    dist = pair_distances(circle(), x)
+    assert dist.shape == (4, 4)
+    assert dist[0, 1] == pytest.approx(0.1 - 6.0 + TWO_PI)
+    assert dist[0, 3] == pytest.approx(math.pi)
+    np.testing.assert_allclose(dist, dist.T, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(np.diag(dist), 0.0)
+    dmin, pair = nearest_pair(dist)
+    assert pair == (0, 1) and dmin == dist[0, 1]
+    assert np.all(np.isinf(np.diag(dist)))
+    # ties go to the first pair in row-major order
+    tied = pair_distances(euclidean(1), np.array([[0.0], [1.0], [2.0]]))
+    assert nearest_pair(tied) == (1.0, (0, 1))
+    assert nearest_pair(pair_distances(euclidean(2), np.zeros((1, 2)))) == (math.inf, (0, 0))
 
 
 def test_directed_distance_euclidean():

@@ -7,10 +7,14 @@ piecewise smooth).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flocklab
 from flocklab.errors import KernelDomainError, UnsupportedQueryError
 from flocklab.kernels import (
     KernelKind,
@@ -273,3 +277,13 @@ def test_spec_roundtrip():
     for spec in specs:
         assert KernelSpec.from_dict(spec.to_dict()) == spec
     assert KernelSpec.from_dict({"kind": "classical_cs"}) == KernelSpec(KernelKind.CLASSICAL_CS)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate dominates import time and only the quadrature fallback needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flocklab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, flocklab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

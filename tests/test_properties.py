@@ -1,0 +1,151 @@
+"""Exact invariants of the flow, checked on random states, weights and kernels.
+
+Momentum is conserved by a step, the variations V1, V2 and V4 do not grow
+across a step, every pairwise diagnostic is unchanged by a Galilean boost
+and by relabelling the agents, and an antipodal pair on the circle sits at
+separation +pi.  The round-off bounds are 1e-11 of the velocity scale for
+momentum and 1e-9 relative for the variations and the record columns.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from flocklab.diagnostics import LyapunovConfig, LyapunovVariant, compute_record
+from flocklab.dynamics import FlockState, StepperConfig, min_separation, momentum, step
+from flocklab.geometry import TWO_PI, circle, displacement, euclidean
+from flocklab.kernels import KernelKind, KernelSpec
+
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+DOMAINS = (circle(), euclidean(1), euclidean(2))
+
+# every column of a record that is a sum or extremum over pairs
+PAIR_COLUMNS = ("V1", "V2", "V4", "I1", "I2", "I4", "G", "G3", "L", "C", "D", "dmin",
+                "vdiam")
+
+MIN_SEPARATION = 0.05  # keeps singular kernels away from the guard in one step
+
+
+@st.composite
+def kernels(draw):
+    kind = draw(st.sampled_from(list(KernelKind)))
+    lam = draw(st.floats(0.5, 2.0))
+    r0 = draw(st.floats(0.2, 2.5))
+    if kind is KernelKind.SINGULAR_POWER:
+        beta = draw(st.sampled_from([0.0, 0.5, 1.5, 2.0, 2.5, 3.0]))
+    else:
+        beta = draw(st.floats(0.0, 3.0))
+    moll = None
+    if kind is KernelKind.LOCAL_MOLLIFIED:
+        moll = draw(st.sampled_from([0.0, 0.1 * r0, r0]))
+    return KernelSpec(kind, lam=lam, beta=beta, r0=r0, moll_width=moll)
+
+
+@st.composite
+def flocks(draw):
+    domain = draw(st.sampled_from(DOMAINS))
+    n = draw(st.integers(2, 6))
+    d = domain.dim
+    hi = TWO_PI if domain.periodic else 3.0
+    coord = st.floats(0.0, hi, exclude_max=True)
+    x = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    speed = st.floats(-2.0, 2.0)
+    v = np.array(draw(st.lists(st.lists(speed, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    m = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n)))
+    t = draw(st.floats(0.0, 5.0))
+    state = FlockState(t, x, v, m)
+    assume(min_separation(state, domain) > MIN_SEPARATION)
+    return domain, state
+
+
+def _lyapunov_config(draw, domain, kernel):
+    if domain.periodic:
+        variant = draw(st.sampled_from([LyapunovVariant.CIRCLE_I,
+                                        LyapunovVariant.CIRCLE_II,
+                                        LyapunovVariant.CIRCLE_III]))
+        return LyapunovConfig.defaults(variant, kernel)
+    return LyapunovConfig(draw(st.sampled_from([LyapunovVariant.EUCLIDEAN_V2,
+                                                LyapunovVariant.EUCLIDEAN_V4])))
+
+
+def _assert_columns_close(rec, other):
+    for name in PAIR_COLUMNS:
+        a, b = getattr(rec, name), getattr(other, name)
+        if math.isnan(a):
+            assert math.isnan(b), name
+        else:
+            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (name, a, b)
+
+
+@PROPERTY
+@given(flock=flocks(), kernel=kernels(), dt_max=st.floats(0.01, 0.5))
+def test_step_conserves_momentum(flock, kernel, dt_max):
+    domain, state = flock
+    after = step(state, kernel, domain, StepperConfig(dt_max=dt_max))
+    scale = 1.0 + float(np.max(np.abs(state.v)))
+    drift = np.max(np.abs(momentum(after) - momentum(state)))
+    assert drift <= 1e-11 * scale
+
+
+@PROPERTY
+@given(flock=flocks(), kernel=kernels(), dt_max=st.floats(0.01, 0.5))
+def test_step_does_not_increase_variations(flock, kernel, dt_max):
+    domain, state = flock
+    after = step(state, kernel, domain, StepperConfig(dt_max=dt_max))
+    before_rec = compute_record(state, kernel, domain)
+    after_rec = compute_record(after, kernel, domain)
+    for name in ("V1", "V2", "V4"):
+        v0, v1 = getattr(before_rec, name), getattr(after_rec, name)
+        assert v1 <= v0 * (1.0 + 1e-9) + 1e-20, (name, v0, v1)
+
+
+@PROPERTY
+@given(flock=flocks(), kernel=kernels(), data=st.data())
+def test_record_pair_columns_are_galilean_invariant(flock, kernel, data):
+    domain, state = flock
+    cfg = _lyapunov_config(data.draw, domain, kernel)
+    boost = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=domain.dim,
+                                        max_size=domain.dim)))
+    boosted = FlockState(state.t, state.x, state.v + boost, state.m)
+    _assert_columns_close(compute_record(state, kernel, domain, cfg),
+                          compute_record(boosted, kernel, domain, cfg))
+
+
+@PROPERTY
+@given(flock=flocks(), kernel=kernels(), data=st.data())
+def test_record_pair_columns_are_permutation_invariant(flock, kernel, data):
+    domain, state = flock
+    cfg = _lyapunov_config(data.draw, domain, kernel)
+    perm = np.array(data.draw(st.permutations(range(state.n))))
+    shuffled = FlockState(state.t, state.x[perm], state.v[perm], state.m[perm])
+    _assert_columns_close(compute_record(state, kernel, domain, cfg),
+                          compute_record(shuffled, kernel, domain, cfg))
+
+
+@PROPERTY
+@given(k=st.integers(0, 25), others=st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                                              max_size=4))
+def test_antipodal_pair_sits_at_plus_pi(k, others):
+    # k/8 + pi is exact because the last three mantissa bits of pi are zero
+    a = k / 8.0
+    b = a + math.pi
+    assert b - a == math.pi and b < TWO_PI
+    dom = circle()
+    assert displacement(dom, a, b) == math.pi
+    assert displacement(dom, b, a) == math.pi
+    x = np.array([a, b] + others)[:, None]
+    n = x.shape[0]
+    state = FlockState(0.0, x, np.zeros_like(x), np.full(n, 1.0 / n))
+    rec = compute_record(state, KernelSpec(KernelKind.CLASSICAL_CS, beta=0.5), dom)
+    assert rec.D == math.pi
