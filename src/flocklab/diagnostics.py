@@ -538,8 +538,12 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
     diameter = float(np.max(dist))
     phi, dmin, _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
 
-    v_moments = {p: float(np.sum(mm * speed**p)) for p in (1, 2, 4)}
-    i_moments = {p: float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)}
+    v_moments, i_moments = {}, {}
+    for p in (1, 2, 4):
+        weighted = mm * speed**p
+        v_moments[p] = float(np.sum(weighted))
+        i_moments[p] = float(p * np.sum(weighted * phi))
+        del weighted  # not alive while the next power is built
 
     if domain.periodic:
         del disp  # the circle corrector reads chart positions; frees N^2 floats

@@ -15,8 +15,6 @@ inherit the scheme's order.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from . import diagnostics, geometry, kernels
@@ -89,91 +87,85 @@ class FlockState:
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
 
 
+# Under a singular kernel a pair at or below this separation is a contact:
+# a step that brings one there is rejected and halved.  Smooth kernels have
+# no guard.
+_GUARD = 1e-9
+
+
 @dataclass(frozen=True)
 class StepperConfig:
-    """Adaptive RK4 stepping parameters.
-
-    d_guard defaults to 1e-9 for singular kernels and 0 for smooth ones when
-    left unset; only singular kernels are guarded.
-    """
+    """Adaptive RK4 stepping parameters: the largest step and the safety
+    factor of the approach and stiffness limits."""
 
     dt_max: float
     safety: float = 0.4
-    d_guard: float | None = None
 
     def __post_init__(self):
         if self.dt_max <= 0:
             raise ValueError("dt_max must be positive")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
-        if self.d_guard is not None and self.d_guard < 0:
-            raise ValueError("d_guard must be nonnegative")
-
-    def resolved_guard(self, kernel: KernelSpec) -> float:
-        return self._guard(kernels.classify(kernel) is not SingularityClass.SMOOTH)
-
-    def _guard(self, singular: bool) -> float:
-        if self.d_guard is not None:
-            return self.d_guard
-        return 1e-9 if singular else 0.0
 
     def to_dict(self) -> dict:
-        return {"dt_max": self.dt_max, "safety": self.safety, "d_guard": self.d_guard}
+        return {"dt_max": self.dt_max, "safety": self.safety}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepperConfig":
-        # older configs name the method; adaptive RK4 is the only one
+        # older configs name the method and carry an unset d_guard; adaptive
+        # RK4 and the fixed guard are the only choices
         method = d.get("method", "rk4_adaptive")
         if method != "rk4_adaptive":
             raise ValueError(f"unknown method {method!r}")
-        return cls(
-            dt_max=float(d["dt_max"]),
-            safety=float(d.get("safety", 0.4)),
-            d_guard=None if d.get("d_guard") is None else float(d["d_guard"]),
-        )
+        if d.get("d_guard") is not None:
+            raise ValueError(f"the separation guard is fixed at {_GUARD}, got {d['d_guard']!r}")
+        return cls(dt_max=float(d["dt_max"]), safety=float(d.get("safety", 0.4)))
 
 
-class _StageEval(NamedTuple):
-    accel: np.ndarray
-    i2: float
-    dmin: float
-    pair: tuple
-    umax: float
-    stiff: float
-
-
-def _forces(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
-            floor: float = 0.0) -> _StageEval:
-    """Accelerations and step-size data; a singular pair at or below floor
-    raises CollisionError (see diagnostics._pair_phi)."""
+def _pair_terms(x, v, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
+                floor: float = 0.0):
+    """Kernel phi and squared relative speed of every pair, and the nearest
+    pair; a singular pair at or below floor raises CollisionError (see
+    diagnostics._pair_phi)."""
     dist = geometry.pair_distances(domain, x)
     phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-
-    w = phi * m[None, :]
-    accel = w @ v - v * w.sum(axis=1, keepdims=True)
-
+    del dist  # freed before the speed arrays are built
     vsq = np.sum(v * v, axis=1)
     speed2 = np.maximum(vsq[:, None] + vsq[None, :] - 2.0 * (v @ v.T), 0.0)
-    mm = m[:, None] * m[None, :]
-    i2 = 2.0 * float(np.sum(mm * phi * speed2))
-    umax = math.sqrt(float(np.max(speed2)))
-    # symmetrized contraction-rate row sum bounds the fastest pair mode
-    stiff = float(np.max((phi * (m[None, :] + m[:, None])).sum(axis=1)))
-    return _StageEval(accel, i2, dmin, pair, umax, stiff)
+    return phi, speed2, dmin, pair
+
+
+def _accel(phi, v, m) -> np.ndarray:
+    """Accelerations of the weighted alignment law from the pair kernel phi."""
+    w = phi * m[None, :]
+    return w @ v - v * w.sum(axis=1, keepdims=True)
+
+
+def _forces(phi, speed2, v, m):
+    """Accelerations and the dissipation rate I2 from one evaluation's pair terms."""
+    return _accel(phi, v, m), 2.0 * float(np.sum(m[:, None] * m[None, :] * phi * speed2))
 
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    return _forces(state.x, state.v, state.m, kernel, domain, state.t, singular).accel
+    dist = geometry.pair_distances(domain, state.x)
+    phi, _, _ = diagnostics._pair_phi(kernel, dist, state.t, singular)
+    return _accel(phi, state.v, state.m)
 
 
-def _propose_dt(cfg: StepperConfig, ev: _StageEval, singular: bool) -> float:
+def _propose_dt(cfg: StepperConfig, phi, speed2, m, dmin: float, singular: bool) -> float:
+    """The step's dt from its first evaluation: dt_max, the approach limit
+    of the nearest pair under a singular kernel, and the stiffness limit."""
     dt = cfg.dt_max
-    if singular and ev.umax > 0.0 and math.isfinite(ev.dmin):
-        dt = min(dt, cfg.safety * ev.dmin / ev.umax)
-    if ev.stiff > 0.0:
-        dt = min(dt, cfg.safety / ev.stiff)
+    if singular and math.isfinite(dmin):
+        umax = math.sqrt(float(np.max(speed2)))
+        if umax > 0.0:
+            dt = min(dt, cfg.safety * dmin / umax)
+    # symmetrized contraction-rate row sum bounds the fastest pair mode
+    stiff = float(np.max((phi * (m[None, :] + m[:, None])).sum(axis=1)))
+    if stiff > 0.0:
+        dt = min(dt, cfg.safety / stiff)
     return dt
 
 
@@ -185,18 +177,19 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows.
     """
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    guard = cfg._guard(singular)
     x0, v0, m = state.x, state.v, state.m
-    ev0 = _forces(x0, v0, m, kernel, domain, state.t, singular)
-    dt = _propose_dt(cfg, ev0, singular)
+    phi, speed2, dmin, pair = _pair_terms(x0, v0, kernel, domain, state.t, singular)
+    first = _forces(phi, speed2, v0, m)
+    dt = _propose_dt(cfg, phi, speed2, m, dmin, singular)
+    del phi, speed2  # freed before the stages build theirs
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
 
     while True:
         if dt < _DT_FLOOR:
-            raise StiffnessError(ev0.pair, state.t, ev0.dmin, dt)
+            raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = _attempt(state, ev0, kernel, domain, dt, singular, guard)
+            result = _attempt(state, first, kernel, domain, dt, singular)
         except CollisionError:
             dt *= 0.5
             continue
@@ -207,31 +200,33 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     return FlockState(t1, domain.wrap(x1), v1, m, state.diss2 + d2, state.diss2_root + d2r)
 
 
-def _attempt(state, ev0, kernel, domain, dt, singular, guard):
+def _attempt(state, first, kernel, domain, dt, singular):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
 
     def stage(xs, vs):
-        return _forces(xs, vs, m, kernel, domain, t, singular, guard)
+        phi, speed2, _, _ = _pair_terms(xs, vs, kernel, domain, t, singular, _GUARD)
+        return _forces(phi, speed2, vs, m)
 
+    a0, i2a = first
     h = 0.5 * dt
-    xb, vb = x0 + h * v0, v0 + h * ev0.accel
-    evb = stage(xb, vb)
-    xc, vc = x0 + h * vb, v0 + h * evb.accel
-    evc = stage(xc, vc)
-    xd, vd = x0 + dt * vc, v0 + dt * evc.accel
-    evd = stage(xd, vd)
+    xb, vb = x0 + h * v0, v0 + h * a0
+    ab, i2b = stage(xb, vb)
+    xc, vc = x0 + h * vb, v0 + h * ab
+    ac, i2c = stage(xc, vc)
+    xd, vd = x0 + dt * vc, v0 + dt * ac
+    ad, i2d = stage(xd, vd)
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
-    v1 = v0 + (dt / 6.0) * (ev0.accel + 2.0 * evb.accel + 2.0 * evc.accel + evd.accel)
-    if singular and guard > 0.0:
+    v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
+    if singular:
         # the end-of-step position is the one no stage has guarded
         dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x1))
-        if dmin <= guard:
+        if dmin <= _GUARD:
             raise CollisionError(pair, t + dt, dmin)
 
-    d2 = (dt / 6.0) * (ev0.i2 + 2.0 * evb.i2 + 2.0 * evc.i2 + evd.i2)
-    roots = [math.sqrt(max(val, 0.0)) for val in (ev0.i2, evb.i2, evc.i2, evd.i2)]
+    d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
+    roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
     return x1, v1, d2, d2r
 
@@ -344,9 +339,10 @@ def integrate(
     cur.x = domain.wrap(cur.x)
     traj = Trajectory()
 
+    # a recorded state is never changed afterwards, so it is kept, not copied
     def record(s):
         traj.records.append(diagnostics.compute_record(s, kernel, domain, lyapunov_config))
-        traj.states.append(s.copy())
+        traj.states.append(s)
 
     record(cur)
     for target in observers.times(cur.t, horizon):
@@ -358,7 +354,7 @@ def integrate(
                 try:
                     record(cur)
                 except CollisionError:
-                    traj.states.append(cur.copy())
+                    traj.states.append(cur)
                 return traj
             if target - cur.t < 1e-12 * max(1.0, abs(target)):
                 cur.t = target

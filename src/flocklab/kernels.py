@@ -46,14 +46,12 @@ class SingularityClass(str, Enum):
 class KernelSpec:
     """Parameters of one radial kernel.
 
-    lam/Lam are the lower/upper strength constants (Lam is only used by the
-    power-sandwich consistency checks), beta the decay/singularity exponent,
-    r0 the range scale, and moll_width the ramp width of the local family.
+    lam is the strength constant, beta the decay/singularity exponent, r0
+    the range scale, and moll_width the ramp width of the local family.
     """
 
     kind: KernelKind
     lam: float = 1.0
-    Lam: float | None = None
     beta: float = 0.0
     r0: float = 1.0
     moll_width: float | None = None
@@ -62,10 +60,6 @@ class KernelSpec:
         object.__setattr__(self, "kind", KernelKind(self.kind))
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.Lam is None:
-            object.__setattr__(self, "Lam", float(self.lam))
-        if self.Lam < self.lam:
-            raise ValueError(f"Lam={self.Lam} must dominate lam={self.lam}")
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.r0 <= 0:
@@ -84,7 +78,6 @@ class KernelSpec:
         d = {
             "kind": self.kind.value,
             "lambda": self.lam,
-            "Lambda": self.Lam,
             "beta": self.beta,
             "r0": self.r0,
         }
@@ -94,10 +87,10 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
+        # older configs carry an upper constant "Lambda" that no result read
         return cls(
             kind=KernelKind(d["kind"]),
             lam=float(d.get("lambda", 1.0)),
-            Lam=None if d.get("Lambda") is None else float(d["Lambda"]),
             beta=float(d.get("beta", 0.0)),
             r0=float(d.get("r0", 1.0)),
             moll_width=None if d.get("moll_width") is None else float(d["moll_width"]),

@@ -19,6 +19,7 @@ from flocklab.dynamics import (
     min_separation,
     momentum,
     rhs,
+    step,
     velocity_diameter,
     flock_diameter,
 )
@@ -160,11 +161,27 @@ def test_slow_pair_under_strong_singularity_stalls():
     assert np.nanmin(dmin) == pytest.approx(4.0 / 9.0, abs=5e-3)
 
 
-def test_guard_resolution():
-    singular = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
-    assert StepperConfig(dt_max=0.1).resolved_guard(singular) == 1e-9
-    assert StepperConfig(dt_max=0.1).resolved_guard(FLAT) == 0.0
-    assert StepperConfig(dt_max=0.1, d_guard=1e-6).resolved_guard(FLAT) == 1e-6
+@pytest.mark.parametrize("gap, accepted", [(5e-10, False), (2e-9, True)])
+def test_singular_step_is_rejected_within_the_guard(gap, accepted):
+    # the kernel is too weak to bend the paths within one step, so the pair
+    # closes at speed 2 and the approach limit aims the step at separation gap
+    kern = KernelSpec(KernelKind.SINGULAR_POWER, lam=1e-12, beta=0.5)
+    cfg = StepperConfig(dt_max=1.0, safety=1.0 - gap)
+    dt = 0.5 * (1.0 - gap)
+    after = step(pair_state(x0=0.5, v0=-1.0), kern, euclidean(1), cfg)
+    assert after.t == (dt if accepted else 0.5 * dt)
+    assert min_separation(after, euclidean(1)) > 1e-9
+
+
+def test_smooth_pair_steps_through_coincidence():
+    met = FlockState(0.0, [[0.3], [0.3]], [[1.0], [-1.0]], [0.5, 0.5])
+    after = step(met, FLAT, euclidean(1), StepperConfig(dt_max=0.1))
+    assert after.t == 0.1 and after.x[0, 0] > after.x[1, 0]
+    # the mirrored pair closes by 4 while its relative speed decays as exp(-t)
+    traj = integrate(pair_state(x0=0.5, v0=-2.0), FLAT, euclidean(1),
+                     StepperConfig(dt_max=0.01), 5.0, ObserverSchedule("linear", spacing=1.0))
+    assert traj.error is None
+    assert traj.final_state.x[0, 0] < traj.final_state.x[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +312,7 @@ def test_initial_state_rejects_bad_requests(kwargs):
     dict(dt_max=0.1, safety=1.5),
     dict(dt_max=0.1, d_guard=-1.0),
     dict(dt_max=0.1, method="rk45"),
+    dict(dt_max=0.1, d_guard=1e-6),
 ])
 def test_stepper_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
@@ -305,6 +323,12 @@ def test_stepper_config_reads_configs_that_name_the_method():
     cfg = StepperConfig.from_dict({"dt_max": 0.1, "method": "rk4_adaptive"})
     assert cfg == StepperConfig(dt_max=0.1)
     assert "method" not in cfg.to_dict()
+
+
+def test_stepper_config_reads_configs_with_an_unset_guard():
+    cfg = StepperConfig.from_dict({"dt_max": 0.1, "d_guard": None})
+    assert cfg == StepperConfig(dt_max=0.1)
+    assert "d_guard" not in cfg.to_dict()
 
 
 def test_integrate_rejects_dimension_mismatch():

@@ -247,15 +247,11 @@ def test_local_mollified_sharp_indicator():
 def test_spec_defaults():
     spec = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=2.0)
     assert spec.moll_width == pytest.approx(0.2)
-    assert spec.Lam == spec.lam
-    wide = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, Lam=3.0, beta=1.0)
-    assert wide.Lam == 3.0
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(kind=KernelKind.CLASSICAL_CS, lam=0.0),
     dict(kind=KernelKind.CLASSICAL_CS, lam=-1.0),
-    dict(kind=KernelKind.CLASSICAL_CS, lam=2.0, Lam=1.0),
     dict(kind=KernelKind.CLASSICAL_CS, beta=-0.5),
     dict(kind=KernelKind.CLASSICAL_CS, r0=0.0),
     dict(kind=KernelKind.LOCAL_MOLLIFIED, r0=1.0, moll_width=1.5),
@@ -269,7 +265,7 @@ def test_spec_rejects_bad_parameters(kwargs):
 def test_spec_roundtrip():
     specs = [
         KernelSpec(KernelKind.CLASSICAL_CS, lam=1.5, beta=0.7),
-        KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, Lam=2.0, beta=2.5, r0=0.3),
+        KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.3),
         KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0, moll_width=0.25),
         KernelSpec(KernelKind.ANNULAR, lam=2.0, beta=1.0, r0=0.5),
         KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=1.0, beta=0.5, r0=1.0),
@@ -277,6 +273,14 @@ def test_spec_roundtrip():
     for spec in specs:
         assert KernelSpec.from_dict(spec.to_dict()) == spec
     assert KernelSpec.from_dict({"kind": "classical_cs"}) == KernelSpec(KernelKind.CLASSICAL_CS)
+
+
+def test_spec_reads_configs_with_an_upper_constant():
+    # "Lambda" never changed a result; older configs with any value still load
+    old = {"kind": "classical_cs", "lambda": 2.0, "Lambda": 1.0, "beta": 0.5}
+    spec = KernelSpec.from_dict(old)
+    assert spec == KernelSpec(KernelKind.CLASSICAL_CS, lam=2.0, beta=0.5)
+    assert "Lambda" not in spec.to_dict()
 
 
 def test_import_leaves_quadrature_unloaded():
