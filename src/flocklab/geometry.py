@@ -2,9 +2,10 @@
 
 The circle has circumference 2*pi and positions are kept on the chart
 [0, 2*pi).  Displacements use the minimal image with the seam convention
-that a separation of exactly pi maps to +pi; ``displacement`` is the only
-minimal-image code in the package, and the pair distances of the stepper
-and of the diagnostics are all built from it.  The auxiliary cutoff and
+that a separation of exactly pi maps to +pi.  The image is exactly
+antisymmetric off the seam, so pair distances are exactly symmetric;
+``displacement`` is the only minimal-image code in the package, and the
+pair distances of the stepper and of the diagnostics are all built from it.  The auxiliary cutoff and
 weight profiles (chi, psi) are the piecewise-linear shapes used by the
 corrector functionals.
 """
@@ -79,16 +80,20 @@ def displacement(domain: Domain, x_i, x_j):
     """Displacement x_i - x_j; on the circle the minimal image in (-pi, pi].
 
     Accepts scalars/vectors or stacked arrays; broadcasting follows numpy.
+    The minimal image is exactly antisymmetric: swapping x_i and x_j flips
+    the sign bit for bit, except at the seam, where both orders give +pi.
     """
     diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
     if not domain.periodic:
         return diff
-    wrapped = np.mod(diff + math.pi, TWO_PI) - math.pi
-    # seam: a separation of exactly pi is represented as +pi, not -pi
-    if np.ndim(wrapped) == 0:
-        return math.pi if wrapped == -math.pi else float(wrapped)
-    np.copyto(wrapped, math.pi, where=wrapped == -math.pi)
-    return wrapped
+    # fmod is exact and odd, and each shift by 2*pi is exact (Sterbenz); the
+    # strict and the inclusive bound put the seam at +pi.  diff is a fresh
+    # array, so the image is built in place.
+    wrapped = np.atleast_1d(diff)
+    np.fmod(wrapped, TWO_PI, out=wrapped)
+    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped > math.pi)
+    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return float(wrapped[0]) if np.ndim(diff) == 0 else wrapped
 
 
 def pair_distances(domain: Domain, x) -> np.ndarray:

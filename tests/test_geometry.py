@@ -71,7 +71,7 @@ def test_pair_distances_and_nearest_pair():
     assert dist.shape == (4, 4)
     assert dist[0, 1] == pytest.approx(0.1 - 6.0 + TWO_PI)
     assert dist[0, 3] == pytest.approx(math.pi)
-    np.testing.assert_allclose(dist, dist.T, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(dist, dist.T)
     np.testing.assert_array_equal(np.diag(dist), 0.0)
     dmin, pair = nearest_pair(dist)
     assert pair == (0, 1) and dmin == dist[0, 1]

@@ -2,8 +2,8 @@
 
 Momentum is conserved by a step, the variations V1, V2 and V4 do not grow
 across a step, every pairwise diagnostic is unchanged by a Galilean boost
-and by relabelling the agents, and an antipodal pair on the circle sits at
-separation +pi.  The round-off bounds are 1e-11 of the velocity scale for
+and by relabelling the agents, an antipodal pair on the circle sits at
+separation +pi, and off that seam the minimal image is exactly antisymmetric.  The round-off bounds are 1e-11 of the velocity scale for
 momentum and 1e-9 relative for the variations and the record columns.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flocklab.diagnostics import LyapunovConfig, LyapunovVariant, compute_record
 from flocklab.dynamics import FlockState, StepperConfig, min_separation, momentum, step
-from flocklab.geometry import TWO_PI, circle, displacement, euclidean
+from flocklab.geometry import TWO_PI, circle, displacement, euclidean, pair_distances
 from flocklab.kernels import KernelKind, KernelSpec
 
 PROPERTY = settings(
@@ -149,3 +149,17 @@ def test_antipodal_pair_sits_at_plus_pi(k, others):
     state = FlockState(0.0, x, np.zeros_like(x), np.full(n, 1.0 / n))
     rec = compute_record(state, KernelSpec(KernelKind.CLASSICAL_CS, beta=0.5), dom)
     assert rec.D == math.pi
+
+
+@PROPERTY
+@given(x=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=2, max_size=8))
+def test_minimal_image_is_antisymmetric(x):
+    dom = circle()
+    x = np.array(x)
+    ab, ba = displacement(dom, x[0], x[1]), displacement(dom, x[1], x[0])
+    assert ab == -ba or ab == ba == math.pi
+    disp = displacement(dom, x[:, None], x[None, :])
+    off_seam = disp != math.pi
+    np.testing.assert_array_equal(disp[off_seam], -disp.T[off_seam])
+    dist = pair_distances(dom, x[:, None])
+    np.testing.assert_array_equal(dist, dist.T)
