@@ -129,7 +129,6 @@ def _pair_terms(x, v, kernel: KernelSpec, domain: Domain, t: float, singular: bo
     diagnostics._pair_phi)."""
     dist = geometry.pair_distances(domain, x)
     phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-    del dist  # freed before the speed arrays are built
     vsq = np.sum(v * v, axis=1)
     speed2 = np.maximum(vsq[:, None] + vsq[None, :] - 2.0 * (v @ v.T), 0.0)
     return phi, speed2, dmin, pair

@@ -3,11 +3,11 @@
 The circle has circumference 2*pi and positions are kept on the chart
 [0, 2*pi).  Displacements use the minimal image with the seam convention
 that a separation of exactly pi maps to +pi.  The image is exactly
-antisymmetric off the seam, so pair distances are exactly symmetric;
+antisymmetric off the seam, so pair distances are exactly symmetric.
 ``displacement`` is the only minimal-image code in the package, and the
-pair distances of the stepper and of the diagnostics are all built from it.  The auxiliary cutoff and
-weight profiles (chi, psi) are the piecewise-linear shapes used by the
-corrector functionals.
+pair distances of the stepper and of the diagnostics are all built from
+it.  The auxiliary cutoff and weight profiles (chi, psi) are the
+piecewise-linear shapes used by the corrector functionals.
 """
 
 import math

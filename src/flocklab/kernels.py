@@ -87,7 +87,7 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        # older configs carry an upper constant "Lambda" that no result read
+        # a "Lambda" key in older configs is ignored: no result ever read it
         return cls(
             kind=KernelKind(d["kind"]),
             lam=float(d.get("lambda", 1.0)),

@@ -3,7 +3,8 @@
 Momentum is conserved by a step, the variations V1, V2 and V4 do not grow
 across a step, every pairwise diagnostic is unchanged by a Galilean boost
 and by relabelling the agents, an antipodal pair on the circle sits at
-separation +pi, and off that seam the minimal image is exactly antisymmetric.  The round-off bounds are 1e-11 of the velocity scale for
+separation +pi, and off that seam the minimal image is exactly
+antisymmetric.  The round-off bounds are 1e-11 of the velocity scale for
 momentum and 1e-9 relative for the variations and the record columns.
 """
 
