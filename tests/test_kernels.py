@@ -256,6 +256,7 @@ def test_spec_defaults():
     dict(kind=KernelKind.CLASSICAL_CS, r0=0.0),
     dict(kind=KernelKind.LOCAL_MOLLIFIED, r0=1.0, moll_width=1.5),
     dict(kind=KernelKind.ANNULAR, moll_width=0.1),
+    dict(kind=KernelKind.LOCAL_MOLLIFIED, r0=1.0, moll_width=-0.1),
 ])
 def test_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
