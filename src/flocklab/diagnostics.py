@@ -23,7 +23,7 @@ from .errors import (
     KernelDomainError,
     UnsupportedQueryError,
 )
-from .geometry import TWO_PI, Domain
+from .geometry import TWO_PI, VELOCITY_SPACE, Domain
 from .kernels import KernelSpec, SingularityClass
 
 __all__ = [
@@ -81,8 +81,7 @@ def variation(state, p: float) -> float:
     """Weighted p-th variation sum_{i,j} m_i m_j |v_i - v_j|^p."""
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
-    v = np.asarray(state.v, dtype=float)
-    speed = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
+    speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
     return float(np.sum(_weight_products(state.m) * speed**p))
 
 
@@ -90,8 +89,7 @@ def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
     """Kernel-weighted moment p * sum_{i,j} m_i m_j |v_i - v_j|^p phi(|x_i - x_j|)."""
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
-    v = np.asarray(state.v, dtype=float)
-    speed = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)
+    speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
     dist = geometry.pair_distances(domain, state.x)
     phi, _, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), _is_singular(kernel))
     return float(p * np.sum(_weight_products(state.m) * speed**p * phi))
@@ -110,23 +108,20 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
         raise ValueError("corrector power must be 1 or 3")
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
-    disp = x[:, None, :] - x[None, :, :]
-    vdiff = v[:, None, :] - v[None, :, :]
-    dist, speed = np.linalg.norm(disp, axis=-1), np.linalg.norm(vdiff, axis=-1)
-    (g,) = _corrector_euclidean(disp, dist, vdiff, speed, _weight_products(state.m), r0, (power,))
+    dist = geometry.pair_distances(geometry.euclidean(x.shape[1]), x)
+    speed = geometry.pair_distances(VELOCITY_SPACE, v)
+    (g,) = _corrector_euclidean(x, v, dist, speed, _weight_products(state.m), r0, (power,))
     return g
 
 
-def _corrector_euclidean(disp, dist, vdiff, speed, mm, r0, powers) -> list:
-    """Euclidean corrector for each power, sharing one directed-distance pass."""
+def _corrector_euclidean(x, v, dist, speed, mm, r0, powers) -> list:
+    """Euclidean corrector for each power, sharing one directed-distance pass
+    that sums -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time."""
     moving = speed > 0.0
     directed = np.zeros_like(speed)
-    np.divide(
-        -np.einsum("ijk,ijk->ij", disp, vdiff),
-        speed,
-        out=directed,
-        where=moving,
-    )
+    for k in range(x.shape[1]):
+        directed -= (x[:, None, k] - x[None, :, k]) * (v[:, None, k] - v[None, :, k])
+    np.divide(directed, speed, out=directed, where=moving)
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist, r0)
     return [
@@ -144,11 +139,12 @@ def corrector_circle(state, r0: float) -> float:
     """
     x = np.asarray(state.x, dtype=float).reshape(-1)
     v = np.asarray(state.v, dtype=float).reshape(-1)
-    return _corrector_circle(x, v[:, None] - v[None, :], _weight_products(state.m), r0)
+    return _corrector_circle(x, v, _weight_products(state.m), r0)
 
 
-def _corrector_circle(x, vdiff, mm, r0) -> float:
-    """Circle corrector from chart positions x (N,) and velocity differences (N, N)."""
+def _corrector_circle(x, v, mm, r0) -> float:
+    """Circle corrector from chart positions x (N,) and velocities v (N,)."""
+    vdiff = v[:, None] - v[None, :]
     sgn = np.sign(vdiff)
     # chart difference, not minimal image
     arc = np.mod(-(x[:, None] - x[None, :]) * sgn, TWO_PI)
@@ -186,8 +182,8 @@ class LyapunovConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", LyapunovVariant(self.variant))
         for name in ("a", "b", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # fails on nan
+                raise ValueError(f"constant {name} must be positive and finite")
 
     @classmethod
     def defaults(cls, variant, kernel: KernelSpec | None = None) -> "LyapunovConfig":
@@ -357,7 +353,7 @@ def cluster_energy(state, kernel: KernelSpec, domain: Domain, subset, c2: float 
         raise KernelDomainError(
             "collapsed subset: singular kernel integral from zero diameter diverges"
         )
-    v_star = float(np.sum(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1) ** 2))
+    v_star = float(np.sum(geometry.pair_square_sums(VELOCITY_SPACE, v)))
     if d_star <= 1.0:
         tail = kernels.primitive_integral(kernel, d_star, 1.0)
     else:
@@ -436,10 +432,8 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     singular = _is_singular(kernel)
     g = np.empty((len(states), m.size))
     for k, s in enumerate(states):
-        v = np.asarray(s.v, dtype=float)
         phi, _, _ = _pair_phi(kernel, geometry.pair_distances(domain, s.x), s.t, singular)
-        speed2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        g[k] = (phi * speed2) @ m
+        g[k] = (phi * geometry.pair_square_sums(VELOCITY_SPACE, s.v)) @ m
     weights = np.zeros_like(times)
     dt = np.diff(times)
     weights[:-1] += 0.5 * dt
@@ -448,14 +442,8 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     members = np.flatnonzero(F <= delta)
     complement_mass = float(np.sum(m[F > delta]))
     epsilon = float(np.dot(m, F))
-    last = trajectory.states[-1]
-    if members.size >= 2:
-        vm = np.asarray(last.v, dtype=float)[members]
-        spread = float(
-            np.max(np.linalg.norm(vm[:, None, :] - vm[None, :, :], axis=-1))
-        )
-    else:
-        spread = 0.0
+    vm = np.asarray(trajectory.states[-1].v, dtype=float)[members]
+    spread = math.sqrt(float(np.max(geometry.pair_square_sums(VELOCITY_SPACE, vm), initial=0.0)))
     return GoodSetReport(
         T=float(T),
         delta=float(delta),
@@ -531,10 +519,8 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
     t = float(getattr(state, "t", 0.0))
     n = x.shape[0]
     mm = _weight_products(m)
-    vdiff = v[:, None, :] - v[None, :, :]
-    speed = np.linalg.norm(vdiff, axis=-1)
-    disp = geometry.displacement(domain, x[:, None, :], x[None, :, :])
-    dist = np.linalg.norm(disp, axis=-1)
+    speed = geometry.pair_distances(VELOCITY_SPACE, v)
+    dist = geometry.pair_distances(domain, x)
     diameter = float(np.max(dist))
     phi, dmin, _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
 
@@ -546,11 +532,10 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
         del weighted  # not alive while the next power is built
 
     if domain.periodic:
-        del disp  # the circle corrector reads chart positions; frees N^2 floats
-        g = _corrector_circle(x[:, 0], vdiff[:, :, 0], mm, kernel.r0)
+        g = _corrector_circle(x[:, 0], v[:, 0], mm, kernel.r0)
         g3 = math.nan
     else:
-        g, g3 = _corrector_euclidean(disp, dist, vdiff, speed, mm, kernel.r0, (1, 3))
+        g, g3 = _corrector_euclidean(x, v, dist, speed, mm, kernel.r0, (1, 3))
 
     lyap = math.nan
     if lyapunov_config is not None:

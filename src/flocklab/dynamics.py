@@ -102,8 +102,8 @@ class StepperConfig:
     safety: float = 0.4
 
     def __post_init__(self):
-        if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+        if not 0 < self.dt_max < math.inf:  # fails on nan
+            raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
 
@@ -129,8 +129,7 @@ def _pair_terms(x, v, kernel: KernelSpec, domain: Domain, t: float, singular: bo
     diagnostics._pair_phi)."""
     dist = geometry.pair_distances(domain, x)
     phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-    vsq = np.sum(v * v, axis=1)
-    speed2 = np.maximum(vsq[:, None] + vsq[None, :] - 2.0 * (v @ v.T), 0.0)
+    speed2 = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v)
     return phi, speed2, dmin, pair
 
 
@@ -242,10 +241,10 @@ class ObserverSchedule:
     def __post_init__(self):
         if self.kind not in ("linear", "geometric"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "linear" and self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.kind == "geometric" and (self.t_first <= 0 or self.factor <= 1):
-            raise ValueError("geometric schedule needs t_first > 0 and factor > 1")
+        if not 0 < self.spacing < math.inf:  # fails on nan, which never ends times()
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not (0 < self.t_first < math.inf and 1 < self.factor < math.inf):
+            raise ValueError("geometric schedule needs finite t_first > 0 and factor > 1")
 
     def times(self, t0: float, horizon: float) -> list:
         if horizon < t0:
@@ -373,8 +372,7 @@ def momentum(state: FlockState) -> np.ndarray:
 
 
 def velocity_diameter(state: FlockState) -> float:
-    v = state.v
-    return float(np.max(np.linalg.norm(v[:, None, :] - v[None, :, :], axis=-1)))
+    return math.sqrt(float(np.max(geometry.pair_square_sums(geometry.VELOCITY_SPACE, state.v))))
 
 
 def flock_diameter(state: FlockState, domain: Domain) -> float:

@@ -4,10 +4,12 @@ The circle has circumference 2*pi and positions are kept on the chart
 [0, 2*pi).  Displacements use the minimal image with the seam convention
 that a separation of exactly pi maps to +pi.  The image is exactly
 antisymmetric off the seam, so pair distances are exactly symmetric.
-``displacement`` is the only minimal-image code in the package, and the
-pair distances of the stepper and of the diagnostics are all built from
-it.  The auxiliary cutoff and weight profiles (chi, psi) are the
-piecewise-linear shapes used by the corrector functionals.
+``displacement`` is the only minimal-image code in the package.  Every
+pair magnitude of the stepper and of the diagnostics, |x_i - x_j| and
+|v_i - v_j| alike, is built by ``pair_square_sums`` one component at a
+time, so no (N, N, d) array is formed.  The auxiliary cutoff and weight
+profiles (chi, psi) are the piecewise-linear shapes used by the corrector
+functionals.
 """
 
 import math
@@ -22,7 +24,9 @@ __all__ = [
     "euclidean",
     "circle",
     "TWO_PI",
+    "VELOCITY_SPACE",
     "displacement",
+    "pair_square_sums",
     "pair_distances",
     "nearest_pair",
     "directed_distance_euclidean",
@@ -96,10 +100,28 @@ def displacement(domain: Domain, x_i, x_j):
     return float(wrapped[0]) if np.ndim(diff) == 0 else wrapped
 
 
+# velocities differ plainly on every domain; displacement reads only ``periodic``
+VELOCITY_SPACE = Domain("euclidean")
+
+
+def pair_square_sums(domain: Domain, a) -> np.ndarray:
+    """(N, N) sums over components of (a_i - a_j)^2 for the rows of the (N, d) array a.
+
+    Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
+    for velocities), added one component at a time as ``np.linalg.norm`` adds them.
+    """
+    sums = None
+    for col in np.asarray(a, dtype=float).T:
+        sq = displacement(domain, col[:, None], col[None, :])
+        sq *= sq
+        sums = sq if sums is None else np.add(sums, sq, out=sums)
+    return sums
+
+
 def pair_distances(domain: Domain, x) -> np.ndarray:
     """(N, N) distances |x_i - x_j| between the rows of the (N, d) positions x."""
-    x = np.asarray(x, dtype=float)
-    return np.linalg.norm(displacement(domain, x[:, None, :], x[None, :, :]), axis=-1)
+    dist = pair_square_sums(domain, x)
+    return np.sqrt(dist, out=dist)
 
 
 def nearest_pair(dist: np.ndarray):

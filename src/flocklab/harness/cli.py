@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from ..diagnostics import read_csv
 from .acceptance import AcceptanceLab, run_acceptance, suite_names
 from .ratefit import RateModel, rate_fit
-from .scenarios import ScenarioConfig, scenario, scenario_names
+from .scenarios import ScenarioConfig, reseeded, scenario, scenario_names
 
 
 def _load_config(ref: str) -> ScenarioConfig:
@@ -22,7 +23,11 @@ def _load_config(ref: str) -> ScenarioConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    path = cfg.run_to_csv(path=args.out, seed=args.seed, horizon=args.horizon)
+    if args.seed is not None:
+        cfg = reseeded(cfg, args.seed)
+    if args.horizon is not None:
+        cfg = dataclasses.replace(cfg, horizon=args.horizon)
+    path = cfg.run_to_csv(path=args.out)
     print(path)
     return 0
 

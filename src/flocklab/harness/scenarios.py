@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ..diagnostics import _CIRCLE_VARIANTS, LyapunovConfig, LyapunovVariant, write_csv
+from ..diagnostics import LyapunovConfig, LyapunovVariant, _check_variant, write_csv
 from ..dynamics import (
     FlockState,
     ObserverSchedule,
@@ -83,12 +83,7 @@ class ScenarioConfig:
                 )
         object.__setattr__(self, "initial", init)
         if self.lyapunov is not None:
-            on_circle = self.lyapunov.variant in _CIRCLE_VARIANTS
-            if on_circle != self.domain.periodic:
-                raise ValueError(
-                    f"lyapunov variant {self.lyapunov.variant.value} does not "
-                    f"match domain {self.domain.kind}"
-                )
+            _check_variant(self.lyapunov.variant, self.domain)
             if (self.lyapunov.variant is LyapunovVariant.EUCLIDEAN_V4
                     and classify(self.kernel) is not SingularityClass.SMOOTH):
                 raise ValueError("the V4-based functional requires a smooth kernel")
@@ -141,50 +136,43 @@ class ScenarioConfig:
 
     # -- execution ----------------------------------------------------------
 
-    def build(self, seed: int | None = None) -> FlockState:
+    def build(self) -> FlockState:
         """Construct the seeded initial state."""
-        use_seed = self.initial["seed"] if seed is None else int(seed)
         return initial_state(
             self.domain,
             self.n,
             kind=self.initial["kind"],
-            seed=use_seed,
+            seed=self.initial["seed"],
             weight_mode=self.initial["weight_mode"],
             total_mass=self.initial["total_mass"],
             params=self.initial["params"],
         )
 
-    def run(self, seed: int | None = None, horizon: float | None = None,
-            record_steps: bool = False) -> Trajectory:
-        use_seed = self.initial["seed"] if seed is None else int(seed)
-        use_horizon = self.horizon if horizon is None else float(horizon)
-        state = self.build(use_seed)
+    def run(self, record_steps: bool = False) -> Trajectory:
         traj = integrate(
-            state,
+            self.build(),
             self.kernel,
             self.domain,
             self.stepper,
-            use_horizon,
+            self.horizon,
             self.observers,
             lyapunov_config=self.lyapunov,
             record_steps=record_steps,
         )
         traj.meta = {
             "scenario": self.name,
-            "seed": str(use_seed),
+            "seed": str(self.initial["seed"]),
             "mode": self.mode,
-            "horizon": repr(use_horizon),
+            "horizon": repr(self.horizon),
             "config_sha": self.config_hash(),
             "config": self.canonical_json(),
         }
         return traj
 
-    def run_to_csv(self, path: str | None = None, seed: int | None = None,
-                   horizon: float | None = None) -> str:
-        use_seed = self.initial["seed"] if seed is None else int(seed)
-        traj = self.run(seed=use_seed, horizon=horizon)
+    def run_to_csv(self, path: str | None = None) -> str:
+        traj = self.run()
         if path is None:
-            path = self.output or f"{self.name}-seed{use_seed}.csv"
+            path = self.output or f"{self.name}-seed{self.initial['seed']}.csv"
         write_csv(traj.records, path, traj.meta, self.domain.dim)
         return path
 

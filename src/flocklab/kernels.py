@@ -58,12 +58,12 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.r0 <= 0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
+        if not 0 < self.lam < math.inf:  # each check fails on nan
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 < self.r0 < math.inf:
+            raise ValueError(f"r0 must be positive and finite, got {self.r0}")
         if self.kind is KernelKind.LOCAL_MOLLIFIED:
             if self.moll_width is None:
                 object.__setattr__(self, "moll_width", 0.1 * self.r0)

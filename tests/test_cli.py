@@ -48,6 +48,26 @@ def test_run_json_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(bad))
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     assert "linaer" in capsys.readouterr().err
+    # json reads NaN; the schedule rejects it before times() could loop on it
+    bad = scenario("two-agent-smooth-collision").to_dict()
+    bad["observers"]["spacing"] = float("nan")
+    cfg_path.write_text(json.dumps(bad))
+    assert "NaN" in cfg_path.read_text()
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "spacing" in capsys.readouterr().err
+
+
+def test_run_header_config_reproduces_an_overridden_run(tmp_path):
+    first = tmp_path / "first.csv"
+    assert main(["run", "two-agent-smooth-collision", "--seed", "3", "--horizon", "0.5",
+                 "--out", str(first)]) == 0
+    meta, _ = read_csv(first)
+    assert (meta["seed"], meta["horizon"]) == ("3", "0.5")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(meta["config"])
+    again = tmp_path / "again.csv"
+    assert main(["run", str(cfg_path), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_run_unknown_config(capsys):

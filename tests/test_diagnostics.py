@@ -173,6 +173,8 @@ def test_lyapunov_config_defaults():
         LyapunovConfig.defaults(LyapunovVariant.CIRCLE_I, wide)
     with pytest.raises(ValueError):
         LyapunovConfig(LyapunovVariant.CIRCLE_I, a=0.0)
+    with pytest.raises(ValueError):
+        LyapunovConfig(LyapunovVariant.CIRCLE_I, a=math.nan)
 
 
 def test_lyapunov_constant_search():

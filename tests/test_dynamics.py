@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from flocklab import dynamics
 from flocklab.dynamics import (
     FlockState,
     ObserverSchedule,
@@ -129,6 +130,30 @@ def test_galilean_boost_commutes():
         np.testing.assert_allclose(sb.x, s.x + boost * s.t, atol=1e-10)
 
 
+def test_step_dissipation_is_galilean_invariant():
+    # an aligned flock far from rest: |v_i|^2 + |v_j|^2 - 2 v_i.v_j loses the
+    # spread to cancellation, the differences v_i - v_j do not
+    dom = euclidean(2)
+    kern = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.5)
+    st = initial_state(dom, 16, seed=5, params={"box": 1.0, "sigma": 1e-3})
+    boosted = FlockState(0.0, st.x, st.v + 1e3, st.m)
+    a = step(st, kern, dom, StepperConfig(dt_max=0.05))
+    b = step(boosted, kern, dom, StepperConfig(dt_max=0.05))
+    assert a.t == b.t
+    assert abs(b.diss2 - a.diss2) <= 1e-9 * a.diss2
+
+
+def test_stepper_dissipation_matches_the_records():
+    # both sum the same pair terms; once this flock aligns they are ~1e-29,
+    # where |v_i|^2 + |v_j|^2 - 2 v_i.v_j left ~1e-18 of rounding in the stepper
+    cfg = scenario("euclid-annular-fat-tail", horizon=200.0)
+    traj = cfg.run()
+    for s, rec in zip(traj.states, traj.records):
+        phi, speed2, _, _ = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t, False)
+        _, i2 = dynamics._forces(phi, speed2, s.v, s.m)
+        assert i2 == pytest.approx(rec.I2, rel=1e-12, abs=0.0), s.t
+
+
 def test_integration_is_deterministic():
     def run():
         st = initial_state(euclidean(2), 8, seed=11, params={"sigma": 1.0})
@@ -173,6 +198,17 @@ def test_singular_step_is_rejected_within_the_guard(gap, accepted):
     assert min_separation(after, euclidean(1)) > 1e-9
 
 
+def test_singular_step_is_rejected_at_its_end_position():
+    # the stages stay clear of the guard, but the full step would end the
+    # pair 9.0e-10 apart; only the end-of-step check halves it
+    kern = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
+    cfg = StepperConfig(dt_max=1.0, safety=1.0 - 1e-6)
+    dt = cfg.safety * 2e-6 / 2.0  # the approach limit of the pair
+    after = step(pair_state(x0=1e-6, v0=-1.0), kern, euclidean(1), cfg)
+    assert after.t == 0.5 * dt
+    assert min_separation(after, euclidean(1)) > 1e-9
+
+
 def test_smooth_pair_steps_through_coincidence():
     met = FlockState(0.0, [[0.3], [0.3]], [[1.0], [-1.0]], [0.5, 0.5])
     after = step(met, FLAT, euclidean(1), StepperConfig(dt_max=0.1))
@@ -208,8 +244,11 @@ def test_geometric_schedule():
     dict(kind="geometric", factor=1.0),
     dict(kind="chebyshev"),
     dict(kind="linaer"),
+    dict(kind="linear", spacing=math.nan),
+    dict(kind="geometric", factor=math.nan),
 ])
 def test_schedule_rejects_bad_parameters(kwargs):
+    # construction must fail: a nan spacing would make times() loop forever
     with pytest.raises(ValueError):
         ObserverSchedule(**kwargs)
     with pytest.raises(ValueError):
@@ -313,6 +352,7 @@ def test_initial_state_rejects_bad_requests(kwargs):
     dict(dt_max=0.1, d_guard=-1.0),
     dict(dt_max=0.1, method="rk45"),
     dict(dt_max=0.1, d_guard=1e-6),
+    dict(dt_max=math.nan),
 ])
 def test_stepper_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

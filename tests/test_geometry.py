@@ -8,6 +8,7 @@ import pytest
 from flocklab.errors import DomainMismatchError, UndefinedDirectionError
 from flocklab.geometry import (
     TWO_PI,
+    VELOCITY_SPACE,
     Domain,
     chi,
     circle,
@@ -17,6 +18,7 @@ from flocklab.geometry import (
     euclidean,
     nearest_pair,
     pair_distances,
+    pair_square_sums,
     psi_euclidean,
     psi_periodic,
 )
@@ -80,6 +82,20 @@ def test_pair_distances_and_nearest_pair():
     tied = pair_distances(euclidean(1), np.array([[0.0], [1.0], [2.0]]))
     assert nearest_pair(tied) == (1.0, (0, 1))
     assert nearest_pair(pair_distances(euclidean(2), np.zeros((1, 2)))) == (math.inf, (0, 0))
+
+
+@pytest.mark.parametrize("domain", [circle(), euclidean(2), euclidean(3)])
+def test_pair_square_sums_match_the_norm(domain):
+    # built one component at a time, the sums add in the order of a norm over
+    # the short last axis, so the distances equal it bit for bit
+    rng = np.random.default_rng(4)
+    x = domain.wrap(rng.uniform(0.0, TWO_PI, size=(9, domain.dim)))
+    disp = displacement(domain, x[:, None, :], x[None, :, :])
+    np.testing.assert_array_equal(pair_square_sums(domain, x), np.sum(disp**2, axis=-1))
+    np.testing.assert_array_equal(pair_distances(domain, x), np.linalg.norm(disp, axis=-1))
+    # velocities differ plainly, never through the minimal image
+    v = np.array([[0.0], [5.0]])
+    assert pair_square_sums(VELOCITY_SPACE, v)[0, 1] == 25.0
 
 
 def test_directed_distance_euclidean():

@@ -257,6 +257,9 @@ def test_spec_defaults():
     dict(kind=KernelKind.LOCAL_MOLLIFIED, r0=1.0, moll_width=1.5),
     dict(kind=KernelKind.ANNULAR, moll_width=0.1),
     dict(kind=KernelKind.LOCAL_MOLLIFIED, r0=1.0, moll_width=-0.1),
+    dict(kind=KernelKind.CLASSICAL_CS, lam=math.nan),
+    dict(kind=KernelKind.CLASSICAL_CS, beta=math.nan),
+    dict(kind=KernelKind.CLASSICAL_CS, r0=math.inf),
 ])
 def test_spec_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

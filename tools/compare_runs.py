@@ -10,11 +10,12 @@ It writes every record, every stored state (``t``, ``x``, ``v``, ``diss2``,
 as its exact hex form, so two checkouts can be compared without round-off.
 
 ``diff`` prints one line per run: whether the two dumps are bitwise equal,
-and the largest |a - b| / max(1, |a|) over the records, the positions x,
-the velocities v and the other state and error fields (a different error
-type or pair reads as inf).  Circle positions are compared through
-``geometry.displacement``, as an absolute difference, so a round-off step
-across the seam at 0 = 2*pi does not read as 2*pi.
+and the largest |a - b| / max(1, |a|) over the records, with the record
+column where it occurs, the positions x, the velocities v and the other
+state and error fields (a different error type or pair reads as inf).
+Circle positions are compared through ``geometry.displacement``, as an
+absolute difference, so a round-off step across the seam at 0 = 2*pi does
+not read as 2*pi.
 """
 
 import json
@@ -48,11 +49,14 @@ def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def _run(cfg, horizon, record_steps):
-    traj = cfg.run(horizon=horizon, record_steps=record_steps)
+def _run(cfg, record_steps):
+    from flocklab.diagnostics import DiagnosticsRecord
+
+    traj = cfg.run(record_steps=record_steps)
     err = traj.error
     return {
         "periodic": cfg.domain.periodic,
+        "columns": DiagnosticsRecord.column_names(cfg.domain.dim),
         "records": [_hex(rec.to_row()) for rec in traj.records],
         "states": [
             {"t": _hex(s.t), "x": _hex(s.x), "v": _hex(s.v),
@@ -71,9 +75,9 @@ def dump(path):
 
     runs = {}
     for name in scenario_names():
-        runs[name] = _run(scenario(name), HORIZONS[name], False)
+        runs[name] = _run(scenario(name, horizon=HORIZONS[name]), False)
         if name.startswith("torus-singular-"):
-            runs[name + "/steps"] = _run(scenario(name), STEP_HORIZON, True)
+            runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZON), True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(runs, fh)
 
@@ -83,45 +87,53 @@ def _floats(hexes):
 
 
 def _rel(a, b):
-    """Largest |a - b| / max(1, |a|), with nan equal to nan."""
+    """Largest |a - b| / max(1, |a|), with nan equal to nan, and its flat index."""
     if a.shape != b.shape:
-        return math.inf
+        return math.inf, None
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
-        return 0.0
-    return float(np.max(np.abs(a - b)[~same] / np.maximum(1.0, np.abs(a[~same]))))
+        return 0.0, None
+    where = np.flatnonzero(~same)
+    rel = np.abs(a[where] - b[where]) / np.maximum(1.0, np.abs(a[where]))
+    k = int(np.argmax(rel))
+    return float(rel[k]), int(where[k])
 
 
 def _compare(ra, rb):
-    """Largest relative difference of the records, x, v and the rest of two runs."""
+    """Largest relative difference of the records, x, v and the rest of two
+    runs, and the record column of the largest record difference."""
     from flocklab.geometry import circle, displacement
 
     worst = dict.fromkeys(("records", "x", "v", "other"), 0.0)
     if (len(ra["records"]) != len(rb["records"]) or len(ra["states"]) != len(rb["states"])
             or (ra["error"] is None) != (rb["error"] is None)):
-        return dict.fromkeys(worst, math.inf)
+        return dict.fromkeys(worst, math.inf), None
+    column = None
 
     def note(key, value):
         worst[key] = max(worst[key], value)
 
     for a, b in zip(ra["records"], rb["records"]):
-        note("records", _rel(_floats(a), _floats(b)))
+        value, k = _rel(_floats(a), _floats(b))
+        if value > worst["records"]:
+            worst["records"] = value
+            column = None if k is None else ra["columns"][k]
     for sa, sb in zip(ra["states"], rb["states"]):
-        note("v", _rel(_floats(sa["v"]), _floats(sb["v"])))
+        note("v", _rel(_floats(sa["v"]), _floats(sb["v"]))[0])
         for key in ("t", "diss2", "diss2_root"):
-            note("other", _rel(_floats(sa[key]), _floats(sb[key])))
+            note("other", _rel(_floats(sa[key]), _floats(sb[key]))[0])
         xa, xb = _floats(sa["x"]), _floats(sb["x"])
         if ra["periodic"] and xa.shape == xb.shape:
             note("x", float(np.max(np.abs(displacement(circle(), xa, xb)), initial=0.0)))
         else:
-            note("x", _rel(xa, xb))
+            note("x", _rel(xa, xb)[0])
     ea, eb = ra["error"], rb["error"]
     if ea is not None:
         if ea["type"] != eb["type"] or ea["pair"] != eb["pair"]:
             note("other", math.inf)
         for key in ("distance", "t"):
-            note("other", _rel(_floats(ea[key]), _floats(eb[key])))
-    return worst
+            note("other", _rel(_floats(ea[key]), _floats(eb[key]))[0])
+    return worst, column
 
 
 def diff(path_a, path_b):
@@ -138,9 +150,10 @@ def diff(path_a, path_b):
         equal = runs_a[name] == runs_b[name]
         equal_all &= equal
         verdict = "bitwise equal" if equal else "differs"
-        worst = _compare(runs_a[name], runs_b[name])
+        worst, column = _compare(runs_a[name], runs_b[name])
         print(f"{name:42s} {verdict:14s}"
-              + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
+              + "".join(f" {key} {value:.1e}" for key, value in worst.items())
+              + ("" if column is None else f" ({column})"))
     print("all runs bitwise equal" if equal_all else "some runs differ")
 
 
