@@ -7,10 +7,14 @@ variation moments, kernel-weighted dissipation, corrector functionals built
 from directed distances, assembled monotone (Lyapunov) functionals, collision
 potentials for strongly singular kernels, per-agent forward dissipation and
 the induced good sets, and the energy-balance residual.
+
+``DiagnosticsRecord``'s fields are the only list of record columns; the CSV
+rows and ``record_column`` derive from them.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,6 +26,7 @@ from .errors import (
     InsufficientDataError,
     KernelDomainError,
     UnsupportedQueryError,
+    check_keys,
 )
 from .geometry import TWO_PI, VELOCITY_SPACE, Domain
 from .kernels import KernelSpec, SingularityClass
@@ -36,11 +41,13 @@ __all__ = [
     "corrector_euclidean",
     "corrector_circle",
     "lyapunov",
+    "lyapunov_series",
     "collision_potential",
     "cluster_energy",
     "energy_residual",
     "good_set",
     "compute_record",
+    "record_column",
     "lyapunov_constant_search",
     "write_csv",
     "read_csv",
@@ -208,12 +215,8 @@ class LyapunovConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LyapunovConfig":
-        return cls(
-            variant=LyapunovVariant(d["variant"]),
-            a=float(d.get("a", 1.0)),
-            b=float(d.get("b", 1.0)),
-            c=float(d.get("c", 1.0)),
-        )
+        check_keys(d, ("variant", "a", "b", "c"), "lyapunov")
+        return cls(d["variant"], **{k: float(d[k]) for k in ("a", "b", "c") if k in d})
 
 
 def _assemble_lyapunov(variant, a, b, c, n_eff, t, g, g3, v1, v2) -> float:
@@ -261,6 +264,19 @@ def lyapunov(state, kernel: KernelSpec, domain: Domain, config: LyapunovConfig) 
     )
 
 
+def _lyapunov_columns(records):
+    """The columns the assembled functional reads: t, G, G3, V1 and V2."""
+    return [record_column(records, name) for name in ("t", "G", "G3", "V1", "V2")]
+
+
+def lyapunov_series(records, config: LyapunovConfig, n_eff: float) -> np.ndarray:
+    """The configured functional assembled along the records from their stored
+    corrector and variation columns."""
+    return _assemble_lyapunov(
+        config.variant, config.a, config.b, config.c, n_eff, *_lyapunov_columns(records)
+    )
+
+
 def lyapunov_constant_search(
     records,
     variant,
@@ -279,11 +295,7 @@ def lyapunov_constant_search(
     variant = LyapunovVariant(variant)
     if len(records) < 2:
         raise InsufficientDataError("need at least two records")
-    t = np.array([r.t for r in records])
-    g = np.array([r.G for r in records])
-    g3 = np.array([r.G3 for r in records])
-    v1 = np.array([r.V1 for r in records])
-    v2 = np.array([r.V2 for r in records])
+    columns = _lyapunov_columns(records)
     if a_grid is None:
         a_grid = np.geomspace(1e-2, 1e2, 17)
     if b_grid is None:
@@ -296,9 +308,7 @@ def lyapunov_constant_search(
     for a in np.atleast_1d(a_grid):
         for b in np.atleast_1d(b_grid) if uses_b else (1.0,):
             for c in np.atleast_1d(c_grid) if uses_c else (1.0,):
-                series = _assemble_lyapunov(
-                    variant, a, b, c, n_eff, t, g, g3, v1, v2
-                )
+                series = _assemble_lyapunov(variant, a, b, c, n_eff, *columns)
                 jumps = np.diff(series)
                 allowance = tol * (1.0 + abs(series[0]))
                 bad = jumps > allowance
@@ -372,13 +382,11 @@ def energy_residual(records) -> float:
     """
     if len(records) < 2:
         raise InsufficientDataError("need at least two records")
-    t = np.array([r.t for r in records])
-    v2 = np.array([r.V2 for r in records])
-    acc = np.array([r.I2_int for r in records])
+    t, v2, acc = (record_column(records, name) for name in ("t", "V2", "I2_int"))
     if np.all(np.isfinite(acc)):
         integ = acc - acc[0]
     else:
-        i2 = np.array([r.I2 for r in records])
+        i2 = record_column(records, "I2")
         if not np.all(np.isfinite(i2)):
             raise InsufficientDataError("dissipation series contains non-finite values")
         integ = np.concatenate(
@@ -482,33 +490,22 @@ class DiagnosticsRecord:
 
     @staticmethod
     def column_names(dim: int) -> list:
-        mom = [f"mom_{k}" for k in range(dim)]
-        return (
-            ["t", "V1", "V2", "V4", "I1", "I2", "I4", "G", "G3", "L", "C", "D", "dmin"]
-            + mom
-            + ["vdiam", "I2_int", "sqrtI2_int"]
-        )
+        """The CSV columns: the fields in order, momentum as mom_0..mom_{dim-1}."""
+        return [name for f in dataclasses.fields(DiagnosticsRecord)
+                for name in ([f"mom_{k}" for k in range(dim)] if f.name == "momentum"
+                             else [f.name])]
 
     def to_row(self) -> list:
-        return (
-            [
-                self.t,
-                self.V1,
-                self.V2,
-                self.V4,
-                self.I1,
-                self.I2,
-                self.I4,
-                self.G,
-                self.G3,
-                self.L,
-                self.C,
-                self.D,
-                self.dmin,
-            ]
-            + list(self.momentum)
-            + [self.vdiam, self.I2_int, self.sqrtI2_int]
-        )
+        return [value for f in dataclasses.fields(self)
+                for value in (self.momentum if f.name == "momentum" else [getattr(self, f.name)])]
+
+
+def record_column(records, name: str) -> np.ndarray:
+    """One column of a list of records; ``mom_k`` is momentum component k and
+    ``momentum`` the (records, d) array of all of them."""
+    if name.startswith("mom_"):
+        return record_column(records, "momentum")[:, int(name[4:])]
+    return np.array([getattr(r, name) for r in records])
 
 
 def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None) -> DiagnosticsRecord:

@@ -11,14 +11,20 @@ approach limiter and a minimum-separation guard that only engage for
 singular kernels.  The integrator also accumulates the dissipation integral
 (and its square root) as extra quadrature state so energy-balance residuals
 inherit the scheme's order.
+
+Initial data comes from one table of kind -> generator: ``check_initial``
+checks settings against it without drawing, ``initial_state`` dispatches on it.
 """
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import diagnostics, geometry, kernels
-from .errors import CollisionError, StiffnessError
+from .errors import CollisionError, StiffnessError, check_keys, integer
 from .geometry import TWO_PI, Domain
 from .kernels import KernelSpec, SingularityClass
 
@@ -34,6 +40,7 @@ __all__ = [
     "velocity_diameter",
     "flock_diameter",
     "min_separation",
+    "check_initial",
     "initial_state",
 ]
 
@@ -114,6 +121,7 @@ class StepperConfig:
     def from_dict(cls, d: dict) -> "StepperConfig":
         # older configs name the method and carry an unset d_guard; adaptive
         # RK4 and the fixed guard are the only choices
+        check_keys(d, ("dt_max", "safety", "method", "d_guard"), "stepper")
         method = d.get("method", "rk4_adaptive")
         if method != "rk4_adaptive":
             raise ValueError(f"unknown method {method!r}")
@@ -278,14 +286,10 @@ class ObserverSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObserverSchedule":
+        check_keys(d, ("kind", "spacing", "t_first", "factor"), "observers")
         kind = d["kind"]
-        if kind == "linear":
-            return cls(kind=kind, spacing=float(d.get("spacing", 1.0)))
-        return cls(
-            kind=kind,
-            t_first=float(d.get("t_first", 1.0)),
-            factor=float(d.get("factor", 1.1)),
-        )
+        keys = ("spacing",) if kind == "linear" else ("t_first", "factor")
+        return cls(kind, **{k: float(d[k]) for k in keys if k in d})
 
 
 @dataclass
@@ -302,13 +306,10 @@ class Trajectory:
         return self.states[-1]
 
     def t(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.column("t")
 
     def column(self, name: str) -> np.ndarray:
-        if name.startswith("mom_"):
-            k = int(name.split("_")[1])
-            return np.array([r.momentum[k] for r in self.records])
-        return np.array([getattr(r, name) for r in self.records])
+        return diagnostics.record_column(self.records, name)
 
 
 def integrate(
@@ -384,91 +385,136 @@ def min_separation(state: FlockState, domain: Domain) -> float:
 
 
 # ---------------------------------------------------------------------------
-# initial data
+# initial data: a generator draws x and v of n agents from rng, and its
+# keyword-only arguments, with their defaults, are the only list of its
+# kind's parameters (one without a default is required)
 
-def _weights(rng, n, mode, total_mass):
-    if mode == "uniform":
-        return np.full(n, total_mass / n)
-    if mode == "random":
-        raw = rng.uniform(0.5, 1.5, size=n)
-        return raw * (total_mass / raw.sum())
-    raise ValueError(f"unknown weight mode {mode!r}")
-
-
-def initial_state(
-    domain: Domain,
-    n: int,
-    kind: str = "uniform_gaussian",
-    seed: int = 0,
-    weight_mode: str = "uniform",
-    total_mass: float = 1.0,
-    params: dict | None = None,
-) -> FlockState:
-    """Seeded initial-data generator (numpy PCG64); deterministic per config."""
-    p = dict(params or {})
-    rng = np.random.default_rng(seed)
-    d = domain.dim
-
-    if kind == "uniform_gaussian":
-        if domain.periodic:
-            x = rng.uniform(0.0, TWO_PI, size=(n, 1))
-        else:
-            box = float(p.get("box", 1.0))
-            x = rng.uniform(0.0, box, size=(n, d))
-        sigma = float(p.get("sigma", 1.0))
-        v = rng.normal(0.0, sigma, size=(n, d))
-    elif kind == "two_agent_symmetric":
-        if n != 2 or domain.periodic:
-            raise ValueError("two_agent_symmetric needs n=2 on a Euclidean domain")
-        x0, v0 = float(p["x0"]), float(p["v0"])
-        x = np.zeros((2, d))
-        v = np.zeros((2, d))
-        x[0, 0], x[1, 0] = x0, -x0
-        v[0, 0], v[1, 0] = v0, -v0
-    elif kind == "parallel_lines":
-        if n != 2 or domain.periodic or d != 2:
-            raise ValueError("parallel_lines needs n=2 on the Euclidean plane")
-        sep = float(p.get("sep", 2.0))
-        x = np.array([[0.0, 0.0], [0.0, sep]])
-        v = np.array([[float(p.get("v1", 1.0)), 0.0], [float(p.get("v2", 0.5)), 0.0]])
-    elif kind == "two_cluster_circle":
-        if not domain.periodic:
-            raise ValueError("two_cluster_circle lives on the circle")
-        n1 = int(p.get("n1", n // 2))
-        width = float(p.get("width", 0.2))
-        dv = float(p.get("dv", 1.0))
-        sigma = float(p.get("sigma", 0.0))
-        c1 = float(p.get("center1", 0.5 * math.pi))
-        c2 = float(p.get("center2", 1.5 * math.pi))
-        x = np.concatenate(
-            [
-                c1 + width * (rng.uniform(-0.5, 0.5, size=n1)),
-                c2 + width * (rng.uniform(-0.5, 0.5, size=n - n1)),
-            ]
-        )[:, None]
-        v = np.concatenate(
-            [np.full(n1, 0.5 * dv), np.full(n - n1, -0.5 * dv)]
-        )[:, None]
-        if sigma > 0:
-            v = v + rng.normal(0.0, sigma, size=(n, 1))
-    elif kind == "vacuum_arc":
-        if not domain.periodic:
-            raise ValueError("vacuum_arc lives on the circle")
-        arc = float(p.get("arc", 0.5 * math.pi))
-        sigma = float(p.get("sigma", 1.0))
-        x = rng.uniform(0.0, arc, size=(n, 1))
-        v = rng.normal(0.0, sigma, size=(n, 1))
-    elif kind == "lattice_circle":
-        if not domain.periodic:
-            raise ValueError("lattice_circle lives on the circle")
-        jitter = float(p.get("jitter", 0.0))
-        sigma = float(p.get("sigma", 1.0))
-        x = (np.arange(n) * (TWO_PI / n))[:, None]
-        if jitter > 0:
-            x = x + rng.uniform(-jitter, jitter, size=(n, 1))
-        v = rng.normal(0.0, sigma, size=(n, 1))
+def _uniform_gaussian(rng, domain, n, *, box=1.0, sigma=1.0):
+    if domain.periodic:
+        x = rng.uniform(0.0, TWO_PI, size=(n, 1))
     else:
-        raise ValueError(f"unknown initial-data kind {kind!r}")
+        x = rng.uniform(0.0, box, size=(n, domain.dim))
+    return x, rng.normal(0.0, sigma, size=(n, domain.dim))
 
-    m = _weights(rng, n, weight_mode, total_mass)
+
+def _two_agent_symmetric(rng, domain, n, *, x0, v0):
+    if n != 2 or domain.periodic:
+        raise ValueError("two_agent_symmetric needs n=2 on a Euclidean domain")
+    x = np.zeros((2, domain.dim))
+    v = np.zeros((2, domain.dim))
+    x[:, 0], v[:, 0] = (x0, -x0), (v0, -v0)
+    return x, v
+
+
+def _parallel_lines(rng, domain, n, *, sep=2.0, v1=1.0, v2=0.5):
+    if n != 2 or domain.periodic or domain.dim != 2:
+        raise ValueError("parallel_lines needs n=2 on the Euclidean plane")
+    return np.array([[0.0, 0.0], [0.0, sep]]), np.array([[v1, 0.0], [v2, 0.0]])
+
+
+def _two_cluster_circle(rng, domain, n, *, n1=None, width=0.2, dv=1.0, sigma=0.0,
+                        center1=0.5 * math.pi, center2=1.5 * math.pi):
+    if not domain.periodic:
+        raise ValueError("two_cluster_circle lives on the circle")
+    n1 = n // 2 if n1 is None else integer("n1", n1)
+    x = np.concatenate([
+        center1 + width * rng.uniform(-0.5, 0.5, size=n1),
+        center2 + width * rng.uniform(-0.5, 0.5, size=n - n1),
+    ])[:, None]
+    v = np.concatenate([np.full(n1, 0.5 * dv), np.full(n - n1, -0.5 * dv)])[:, None]
+    if sigma > 0:
+        v = v + rng.normal(0.0, sigma, size=(n, 1))
+    return x, v
+
+
+def _vacuum_arc(rng, domain, n, *, arc=0.5 * math.pi, sigma=1.0):
+    if not domain.periodic:
+        raise ValueError("vacuum_arc lives on the circle")
+    return rng.uniform(0.0, arc, size=(n, 1)), rng.normal(0.0, sigma, size=(n, 1))
+
+
+def _lattice_circle(rng, domain, n, *, jitter=0.0, sigma=1.0):
+    if not domain.periodic:
+        raise ValueError("lattice_circle lives on the circle")
+    x = (np.arange(n) * (TWO_PI / n))[:, None]
+    if jitter > 0:
+        x = x + rng.uniform(-jitter, jitter, size=(n, 1))
+    return x, rng.normal(0.0, sigma, size=(n, 1))
+
+
+_INITIAL_KINDS = {
+    "uniform_gaussian": _uniform_gaussian,
+    "two_agent_symmetric": _two_agent_symmetric,
+    "parallel_lines": _parallel_lines,
+    "two_cluster_circle": _two_cluster_circle,
+    "vacuum_arc": _vacuum_arc,
+    "lattice_circle": _lattice_circle,
+}
+_PARAMETERS = {  # kind -> {parameter: default}, read once from the signatures
+    kind: {a.name: a.default for a in inspect.signature(gen).parameters.values()
+           if a.kind is a.KEYWORD_ONLY}
+    for kind, gen in _INITIAL_KINDS.items()
+}
+
+
+def _uniform_weights(rng, n, total_mass):
+    return np.full(n, total_mass / n)
+
+
+def _random_weights(rng, n, total_mass):
+    raw = rng.uniform(0.5, 1.5, size=n)
+    return raw * (total_mass / raw.sum())
+
+
+_WEIGHT_MODES = {"uniform": _uniform_weights, "random": _random_weights}
+
+_INITIAL_DEFAULTS = {"kind": "uniform_gaussian", "seed": 0, "params": {},
+                     "weight_mode": "uniform", "total_mass": 1.0}
+
+
+def _finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_initial(initial: dict) -> dict:
+    """Initial-data settings checked and completed with their defaults.
+
+    The keys are ``kind``, ``seed`` (a non-negative integer), ``params``
+    (finite numbers, named as the kind's generator names them),
+    ``weight_mode`` and ``total_mass``.  Raises ValueError naming the first
+    bad key or value; draws nothing from a generator.
+    """
+    check_keys(initial, _INITIAL_DEFAULTS, "initial")
+    init = {**_INITIAL_DEFAULTS, **initial}
+    kind = init["kind"]
+    if kind not in _INITIAL_KINDS:
+        raise ValueError(f"unknown initial-data kind {kind!r}; known: {', '.join(_INITIAL_KINDS)}")
+    init["seed"] = integer("seed", init["seed"])
+    if init["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {init['seed']}")
+    named = _PARAMETERS[kind]
+    params = init["params"]
+    check_keys(params, named, f"{kind} parameters")
+    for name, value in params.items():
+        _finite(f"{kind} parameter {name!r}", value)
+    for name, default in named.items():
+        if default is inspect.Parameter.empty and name not in params:
+            raise ValueError(f"{kind} needs the parameter {name!r}")
+    init["params"] = dict(params)
+    if init["weight_mode"] not in _WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode {init['weight_mode']!r}")
+    _finite("total_mass", init["total_mass"])
+    if init["total_mass"] <= 0:
+        raise ValueError(f"total_mass must be positive, got {init['total_mass']!r}")
+    return init
+
+
+def initial_state(domain: Domain, n: int, **initial) -> FlockState:
+    """Seeded initial state (numpy PCG64) from the settings ``check_initial``
+    reads; deterministic per settings."""
+    init = check_initial(initial)
+    rng = np.random.default_rng(init["seed"])
+    x, v = _INITIAL_KINDS[init["kind"]](rng, domain, n, **init["params"])
+    m = _WEIGHT_MODES[init["weight_mode"]](rng, n, init["total_mass"])
     return FlockState(0.0, domain.wrap(np.asarray(x, dtype=float)), v, m)

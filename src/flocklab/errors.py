@@ -1,4 +1,24 @@
-"""Typed error signals shared across the package."""
+"""Typed error signals shared across the package, and the two config checks
+(unknown keys, integral values) that every config section shares."""
+
+import numbers
+
+
+def check_keys(d, known, section: str) -> None:
+    """Reject a config section that is not a dict or names a key outside ``known``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be a mapping, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {section}; known: {', '.join(known)}")
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int: an integer or an integral float, never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class KernelDomainError(ValueError):

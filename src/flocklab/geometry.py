@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, UndefinedDirectionError
+from .errors import DomainMismatchError, UndefinedDirectionError, check_keys, integer
 
 __all__ = [
     "Domain",
@@ -69,7 +69,8 @@ class Domain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Domain":
-        return cls(kind=d["kind"], dim=int(d.get("dim", 1)))
+        check_keys(d, ("kind", "dim"), "domain")
+        return cls(kind=d["kind"], dim=integer("dim", d.get("dim", 1)))
 
 
 def euclidean(dim: int) -> Domain:

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diagnostics import compute_record, energy_residual, good_set, lyapunov_constant_search
-from ..diagnostics import _assemble_lyapunov
+from ..diagnostics import (
+    compute_record,
+    energy_residual,
+    good_set,
+    lyapunov_constant_search,
+    lyapunov_series,
+)
 from ..dynamics import StepperConfig, flock_diameter, velocity_diameter
 from ..errors import CollisionError, StiffnessError
 from .ratefit import (
@@ -82,7 +87,7 @@ class AcceptanceLab:
         cfg, traj = self.run("euclid-classical-smooth")
         out = []
 
-        mom = np.array([r.momentum for r in traj.records])
+        mom = traj.column("momentum")
         drift = np.max(np.linalg.norm(mom - mom[0], axis=1))
         scale = max(np.linalg.norm(mom[0]), 1e-30)
         ok = drift / scale <= 1e-9
@@ -325,14 +330,7 @@ class AcceptanceLab:
             variant = cfg.lyapunov.variant
             n_eff = 1.0 / float(np.max(traj.states[0].m))
             best = lyapunov_constant_search(traj.records, variant, n_eff)
-            series = _assemble_lyapunov(
-                variant, best.a, best.b, best.c, n_eff,
-                np.array([r.t for r in traj.records]),
-                np.array([r.G for r in traj.records]),
-                np.array([r.G3 for r in traj.records]),
-                np.array([r.V1 for r in traj.records]),
-                np.array([r.V2 for r in traj.records]),
-            )
+            series = lyapunov_series(traj.records, best, n_eff)
             tol = 1e-6 * (1.0 + abs(float(series[0])))
             jumps = np.diff(series)
             bad = int(np.count_nonzero(jumps > tol))

@@ -20,21 +20,15 @@ from ..dynamics import (
     ObserverSchedule,
     StepperConfig,
     Trajectory,
+    check_initial,
     initial_state,
     integrate,
 )
+from ..errors import check_keys, integer
 from ..geometry import Domain, circle, euclidean
 from ..kernels import KernelKind, KernelSpec, SingularityClass, classify
 
 _MODES = ("discrete", "lagrangian")
-_INITIAL_KINDS = (
-    "uniform_gaussian",
-    "two_agent_symmetric",
-    "parallel_lines",
-    "two_cluster_circle",
-    "vacuum_arc",
-    "lattice_circle",
-)
 
 
 @dataclass(frozen=True)
@@ -68,19 +62,10 @@ class ScenarioConfig:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise ValueError("horizon must be finite and nonnegative")
-        init = dict(self.initial)
-        kind = init.get("kind")
-        if kind not in _INITIAL_KINDS:
-            raise ValueError(f"unknown initial-data kind {kind!r}")
-        init.setdefault("seed", 0)
-        init.setdefault("params", {})
-        init.setdefault("weight_mode", "uniform")
-        init.setdefault("total_mass", 1.0)
-        if self.mode == "discrete":
-            if init["weight_mode"] != "uniform" or init["total_mass"] != 1.0:
-                raise ValueError(
-                    "discrete mode requires uniform weights with total mass 1"
-                )
+        init = check_initial(self.initial)
+        uniform = init["weight_mode"] == "uniform" and init["total_mass"] == 1.0
+        if self.mode == "discrete" and not uniform:
+            raise ValueError("discrete mode requires uniform weights with total mass 1")
         object.__setattr__(self, "initial", init)
         if self.lyapunov is not None:
             _check_variant(self.lyapunov.variant, self.domain)
@@ -97,13 +82,7 @@ class ScenarioConfig:
             "kernel": self.kernel.to_dict(),
             "n": self.n,
             "mode": self.mode,
-            "initial": {
-                "kind": self.initial["kind"],
-                "seed": self.initial["seed"],
-                "params": dict(self.initial["params"]),
-                "weight_mode": self.initial["weight_mode"],
-                "total_mass": self.initial["total_mass"],
-            },
+            "initial": {**self.initial, "params": dict(self.initial["params"])},
             "stepper": self.stepper.to_dict(),
             "horizon": self.horizon,
             "observers": self.observers.to_dict(),
@@ -113,14 +92,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        check_keys(d, [f.name for f in dataclasses.fields(cls)], "config")
         lyap = d.get("lyapunov")
         return cls(
             name=d["name"],
             domain=Domain.from_dict(d["domain"]),
             kernel=KernelSpec.from_dict(d["kernel"]),
-            n=int(d["n"]),
+            n=integer("n", d["n"]),
             mode=d["mode"],
-            initial=dict(d["initial"]),
+            initial=d["initial"],
             stepper=StepperConfig.from_dict(d["stepper"]),
             horizon=float(d["horizon"]),
             observers=ObserverSchedule.from_dict(d["observers"]),
@@ -138,15 +118,7 @@ class ScenarioConfig:
 
     def build(self) -> FlockState:
         """Construct the seeded initial state."""
-        return initial_state(
-            self.domain,
-            self.n,
-            kind=self.initial["kind"],
-            seed=self.initial["seed"],
-            weight_mode=self.initial["weight_mode"],
-            total_mass=self.initial["total_mass"],
-            params=self.initial["params"],
-        )
+        return initial_state(self.domain, self.n, **self.initial)
 
     def run(self, record_steps: bool = False) -> Trajectory:
         traj = integrate(
@@ -179,27 +151,21 @@ class ScenarioConfig:
 
 def reseeded(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
     """Copy of the config with the initial-data seed replaced."""
-    init = dict(cfg.initial)
-    init["seed"] = int(seed)
-    return dataclasses.replace(cfg, initial=init)
+    return dataclasses.replace(cfg, initial={**cfg.initial, "seed": seed})
 
 
 # ---------------------------------------------------------------------------
 # scenario library
 
-def _two_agent(name, kernel, x0, v0, dt_max, horizon, observers, safety=0.4):
+def _two_agent(name, kernel, x0, v0, dt_max, horizon, observers):
     return ScenarioConfig(
         name=name,
         domain=euclidean(1),
         kernel=kernel,
         n=2,
         mode="discrete",
-        initial={
-            "kind": "two_agent_symmetric",
-            "seed": 0,
-            "params": {"x0": x0, "v0": v0},
-        },
-        stepper=StepperConfig(dt_max=dt_max, safety=safety),
+        initial={"kind": "two_agent_symmetric", "params": {"x0": x0, "v0": v0}},
+        stepper=StepperConfig(dt_max=dt_max),
         horizon=horizon,
         observers=observers,
     )
@@ -266,11 +232,7 @@ def _lib_parallel_lines_r2():
         kernel=KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0),
         n=2,
         mode="discrete",
-        initial={
-            "kind": "parallel_lines",
-            "seed": 0,
-            "params": {"sep": 2.0, "v1": 1.0, "v2": 0.5},
-        },
+        initial={"kind": "parallel_lines", "params": {"sep": 2.0, "v1": 1.0, "v2": 0.5}},
         stepper=StepperConfig(dt_max=0.05),
         horizon=50.0,
         observers=ObserverSchedule("linear", spacing=1.0),
@@ -284,11 +246,7 @@ def _lib_euclid_classical_smooth():
         kernel=KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.5, r0=1.0),
         n=32,
         mode="discrete",
-        initial={
-            "kind": "uniform_gaussian",
-            "seed": 0,
-            "params": {"box": 2.0, "sigma": 1.0},
-        },
+        initial={"kind": "uniform_gaussian", "params": {"box": 2.0, "sigma": 1.0}},
         stepper=StepperConfig(dt_max=0.1),
         horizon=25.0,
         observers=ObserverSchedule("linear", spacing=0.25),
@@ -303,11 +261,7 @@ def _lib_euclid_annular_fat_tail():
         kernel=KernelSpec(KernelKind.ANNULAR, lam=2.0, beta=0.5, r0=0.5),
         n=32,
         mode="discrete",
-        initial={
-            "kind": "uniform_gaussian",
-            "seed": 0,
-            "params": {"box": 2.0, "sigma": 1.0},
-        },
+        initial={"kind": "uniform_gaussian", "params": {"box": 2.0, "sigma": 1.0}},
         stepper=StepperConfig(dt_max=0.25, safety=1.0),
         horizon=10000.0,
         observers=ObserverSchedule("geometric", t_first=1.0, factor=1.1),
@@ -326,11 +280,7 @@ def _lib_torus_local_ensemble():
         kernel=kernel,
         n=64,
         mode="discrete",
-        initial={
-            "kind": "uniform_gaussian",
-            "seed": 0,
-            "params": {"sigma": 0.001},
-        },
+        initial={"kind": "uniform_gaussian", "params": {"sigma": 0.001}},
         stepper=StepperConfig(dt_max=0.5, safety=0.8),
         horizon=10000.0,
         observers=ObserverSchedule("geometric", t_first=1.0, factor=1.1),
@@ -346,11 +296,7 @@ def _torus_singular(beta, variant):
         kernel=kernel,
         n=32,
         mode="discrete",
-        initial={
-            "kind": "lattice_circle",
-            "seed": 0,
-            "params": {"jitter": 0.05, "sigma": 0.5},
-        },
+        initial={"kind": "lattice_circle", "params": {"jitter": 0.05, "sigma": 0.5}},
         stepper=StepperConfig(dt_max=0.1),
         horizon=300.0,
         observers=ObserverSchedule("geometric", t_first=0.5, factor=1.15),
@@ -366,13 +312,7 @@ def _lib_lagrangian_torus_weighted():
         kernel=kernel,
         n=48,
         mode="lagrangian",
-        initial={
-            "kind": "uniform_gaussian",
-            "seed": 0,
-            "params": {"sigma": 1.0},
-            "weight_mode": "random",
-            "total_mass": 1.0,
-        },
+        initial={"kind": "uniform_gaussian", "params": {"sigma": 1.0}, "weight_mode": "random"},
         stepper=StepperConfig(dt_max=0.2),
         horizon=100.0,
         observers=ObserverSchedule("geometric", t_first=0.5, factor=1.2),
@@ -387,11 +327,7 @@ def _lib_vacuum_gap_torus():
         kernel=KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.3),
         n=48,
         mode="discrete",
-        initial={
-            "kind": "vacuum_arc",
-            "seed": 0,
-            "params": {"arc": 1.5 * math.pi, "sigma": 1.0},
-        },
+        initial={"kind": "vacuum_arc", "params": {"arc": 1.5 * math.pi, "sigma": 1.0}},
         stepper=StepperConfig(dt_max=0.2),
         horizon=200.0,
         observers=ObserverSchedule("geometric", t_first=0.5, factor=1.2),

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import KernelDomainError, UnsupportedQueryError
+from .errors import KernelDomainError, UnsupportedQueryError, check_keys
 
 __all__ = [
     "KernelKind",
@@ -88,6 +88,7 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
         # a "Lambda" key in older configs is ignored: no result ever read it
+        check_keys(d, ("kind", "lambda", "beta", "r0", "moll_width", "Lambda"), "kernel")
         return cls(
             kind=KernelKind(d["kind"]),
             lam=float(d.get("lambda", 1.0)),

@@ -106,3 +106,30 @@ def test_rates_bad_window(pair_csv, capsys):
 def test_accept_unknown_suite(capsys):
     assert main(["accept", "no-such-suite"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("initial", "seed"), 1.5),
+    (("initial", "seed"), True),
+    (("initial", "seed"), -1),
+    (("initial", "params", "sigmaa"), 5.0),
+    (("initial", "params", "sigma"), float("nan")),
+    (("initial", "weightmode"), "uniform"),
+    (("n",), 2.5),
+    (("domain", "dim"), 2.7),
+    (("kernel", "bta"), 3.0),
+], ids=["seed-fraction", "seed-bool", "seed-negative", "param-misspelt", "param-nan",
+        "initial-key-misspelt", "n-fraction", "dim-fraction", "kernel-key-misspelt"])
+def test_run_rejects_a_bad_config_in_one_line(tmp_path, capsys, path, value):
+    # refused before anything runs: one line naming the key, no traceback
+    cfg = scenario("euclid-classical-smooth", horizon=0.5).to_dict()
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert path[-1] in err[0]

@@ -345,6 +345,22 @@ def test_initial_state_rejects_bad_requests(kwargs):
         initial_state(**kwargs)
 
 
+@pytest.mark.parametrize("settings, named", [
+    (dict(seed=1.5), "seed"),
+    (dict(seed=True), "seed"),
+    (dict(seed=-1), "seed"),
+    (dict(params={"sigmaa": 5.0}), "sigmaa"),
+    (dict(params={"sigma": math.nan}), "sigma"),
+    (dict(params={"sigma": "1.0"}), "sigma"),
+    (dict(total_mass=0.0), "total_mass"),
+    (dict(kind="two_agent_symmetric", params={"x0": 1.0}), "v0"),
+], ids=["seed-fraction", "seed-bool", "seed-negative", "param-misspelt", "param-nan",
+        "param-string", "mass-zero", "param-missing"])
+def test_initial_state_rejects_bad_settings_by_name(settings, named):
+    with pytest.raises(ValueError, match=named):
+        initial_state(euclidean(1), 2, **settings)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(dt_max=0.0),
     dict(dt_max=0.1, safety=0.0),

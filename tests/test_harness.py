@@ -215,6 +215,42 @@ def test_scenario_validation():
         ScenarioConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("n",), 2.5),
+    (("n",), True),
+    (("domain", "dim"), 2.7),
+    (("domain", "dim"), True),
+    (("domain", "periodic"), False),
+    (("kernel", "bta"), 3.0),
+    (("stepper", "dtmax"), 0.1),
+    (("observers", "spacng"), 1.0),
+    (("lyapunov", "aa"), 1.0),
+    (("initial", "weightmode"), "uniform"),
+    (("horizn",), 1.0),
+], ids=["n-fraction", "n-bool", "dim-fraction", "dim-bool", "domain-key", "kernel-key",
+        "stepper-key", "observers-key", "lyapunov-key", "initial-key", "config-key"])
+def test_from_dict_rejects_values_it_would_drop_or_truncate(path, value):
+    d = scenario("euclid-classical-smooth").to_dict()
+    section = d
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ValueError, match=path[-1]):
+        ScenarioConfig.from_dict(d)
+
+
+def test_from_dict_normalises_integral_floats_and_reads_legacy_keys():
+    base = scenario("euclid-classical-smooth")
+    d = base.to_dict()
+    d["n"] = float(d["n"])
+    d["domain"]["dim"] = 2.0
+    d["initial"]["seed"] = 0.0
+    d["kernel"]["Lambda"] = 1.0
+    d["stepper"].update(method="rk4_adaptive", d_guard=None)
+    back = ScenarioConfig.from_dict(d)
+    assert back == base and back.config_hash() == base.config_hash()
+
+
 def test_build_is_deterministic():
     cfg = scenario("torus-local-ensemble")
     a, b = cfg.build(), cfg.build()

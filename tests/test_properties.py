@@ -4,8 +4,10 @@ Momentum is conserved by a step, the variations V1, V2 and V4 do not grow
 across a step, every pairwise diagnostic is unchanged by a Galilean boost
 and by relabelling the agents, an antipodal pair on the circle sits at
 separation +pi, and off that seam the minimal image is exactly
-antisymmetric.  The round-off bounds are 1e-11 of the velocity scale for
-momentum and 1e-9 relative for the variations and the record columns.
+antisymmetric.  Each public per-state diagnostic equals its record column
+bit for bit, so a diagnostic has one formula.  The round-off bounds are
+1e-11 of the velocity scale for momentum and 1e-9 relative for the
+variations and the record columns.
 """
 
 import math
@@ -14,8 +16,26 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from flocklab.diagnostics import LyapunovConfig, LyapunovVariant, compute_record
-from flocklab.dynamics import FlockState, StepperConfig, min_separation, momentum, step
+from flocklab.diagnostics import (
+    LyapunovConfig,
+    LyapunovVariant,
+    collision_potential,
+    compute_record,
+    corrector_circle,
+    corrector_euclidean,
+    dissipation,
+    lyapunov,
+    variation,
+)
+from flocklab.dynamics import (
+    FlockState,
+    StepperConfig,
+    flock_diameter,
+    min_separation,
+    momentum,
+    step,
+    velocity_diameter,
+)
 from flocklab.geometry import TWO_PI, circle, displacement, euclidean, pair_distances
 from flocklab.kernels import KernelKind, KernelSpec
 
@@ -132,6 +152,31 @@ def test_record_pair_columns_are_permutation_invariant(flock, kernel, data):
     shuffled = FlockState(state.t, state.x[perm], state.v[perm], state.m[perm])
     _assert_columns_close(compute_record(state, kernel, domain, cfg),
                           compute_record(shuffled, kernel, domain, cfg))
+
+
+@PROPERTY
+@given(flock=flocks(), kernel=kernels(), data=st.data())
+def test_public_diagnostics_equal_their_record_columns(flock, kernel, data):
+    domain, state = flock
+    cfg = _lyapunov_config(data.draw, domain, kernel)
+    rec = compute_record(state, kernel, domain, cfg)
+    expected = {"L": lyapunov(state, kernel, domain, cfg),
+                "D": flock_diameter(state, domain),
+                "vdiam": velocity_diameter(state),
+                "dmin": min_separation(state, domain)}
+    for p in (1, 2, 4):
+        expected[f"V{p}"] = variation(state, p)
+        expected[f"I{p}"] = dissipation(state, kernel, domain, p)
+    if domain.periodic:
+        expected["G"] = corrector_circle(state, kernel.r0)
+    else:
+        expected["G"] = corrector_euclidean(state, kernel.r0, power=1)
+        expected["G3"] = corrector_euclidean(state, kernel.r0, power=3)
+    if kernel.kind is KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
+        expected["C"] = collision_potential(state, domain, kernel.beta, kernel.r0)
+    for name, value in expected.items():
+        assert value == getattr(rec, name), (name, value, getattr(rec, name))
+    assert tuple(momentum(state)) == rec.momentum
 
 
 @PROPERTY

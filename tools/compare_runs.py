@@ -5,17 +5,23 @@
 
 ``dump`` runs all 13 library scenarios at the short horizons below, and the
 three ``torus-singular-*`` scenarios again with a record after every step.
-It writes every record, every stored state (``t``, ``x``, ``v``, ``diss2``,
-``diss2_root``) and the run's error (type, pair, distance, t), each float
-as its exact hex form, so two checkouts can be compared without round-off.
+It writes each run's canonical config JSON, every record, every stored
+state (``t``, ``x``, ``v``, ``diss2``, ``diss2_root``) and the run's error
+(type, pair, distance, t), and for the record-every-step runs the (a, b, c)
+that ``lyapunov_constant_search`` returns.  It also writes the x, v and m
+of ``initial_state`` for every initial-data kind at two seeds.  Each float
+is stored as its exact hex form, so two checkouts can be compared without
+round-off.
 
-``diff`` prints one line per run: whether the two dumps are bitwise equal,
-and the largest |a - b| / max(1, |a|) over the records, with the record
-column where it occurs, the positions x, the velocities v and the other
-state and error fields (a different error type or pair reads as inf).
+``diff`` prints one line per run: whether its records, states and error
+are bitwise equal, and the largest |a - b| / max(1, |a|) over the records,
+with the record column where it occurs, the positions x, the velocities v
+and the other state and error fields (a different error type or pair reads
+as inf), then whether the config JSON and the searched constants are equal.
 Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
-not read as 2*pi.
+not read as 2*pi.  One more line per initial state says whether x, v and m
+are bitwise equal.
 """
 
 import json
@@ -43,6 +49,28 @@ HORIZONS = {
     "vacuum-gap-torus": 200.0,
 }
 STEP_HORIZON = 0.5  # horizon of the torus-singular runs that record every step
+INITIAL_SEEDS = (0, 1)
+# (label, domain, n, settings) per initial-data kind, every parameter set
+# away from its default; the domain is "circle" or "euclidean<d>"
+INITIAL_CASES = (
+    ("uniform_gaussian-plane", "euclidean2", 16,
+     {"kind": "uniform_gaussian", "params": {"box": 2.0, "sigma": 0.5},
+      "weight_mode": "random", "total_mass": 2.0}),
+    ("uniform_gaussian-circle", "circle", 16,
+     {"kind": "uniform_gaussian", "params": {"sigma": 0.5}}),
+    ("two_agent_symmetric", "euclidean1", 2,
+     {"kind": "two_agent_symmetric", "params": {"x0": 0.7, "v0": -1.5}}),
+    ("parallel_lines", "euclidean2", 2,
+     {"kind": "parallel_lines", "params": {"sep": 1.5, "v1": 0.8, "v2": 0.3}}),
+    ("two_cluster_circle", "circle", 12,
+     {"kind": "two_cluster_circle", "weight_mode": "random",
+      "params": {"n1": 5, "width": 0.3, "dv": 1.2, "sigma": 0.1,
+                 "center1": 1.0, "center2": 4.0}}),
+    ("vacuum_arc", "circle", 12,
+     {"kind": "vacuum_arc", "params": {"arc": 2.0, "sigma": 0.7}}),
+    ("lattice_circle", "circle", 12,
+     {"kind": "lattice_circle", "params": {"jitter": 0.05, "sigma": 0.5}}),
+)
 
 
 def _hex(values):
@@ -50,11 +78,12 @@ def _hex(values):
 
 
 def _run(cfg, record_steps):
-    from flocklab.diagnostics import DiagnosticsRecord
+    from flocklab.diagnostics import DiagnosticsRecord, lyapunov_constant_search
 
     traj = cfg.run(record_steps=record_steps)
     err = traj.error
-    return {
+    run = {
+        "config": cfg.canonical_json(),
         "periodic": cfg.domain.periodic,
         "columns": DiagnosticsRecord.column_names(cfg.domain.dim),
         "records": [_hex(rec.to_row()) for rec in traj.records],
@@ -68,6 +97,24 @@ def _run(cfg, record_steps):
             "distance": _hex(err.distance), "t": _hex(err.t),
         },
     }
+    if record_steps:
+        n_eff = 1.0 / float(np.max(traj.states[0].m))
+        best = lyapunov_constant_search(traj.records, cfg.lyapunov.variant, n_eff)
+        run["constants"] = _hex([best.a, best.b, best.c])
+    return run
+
+
+def _initial_states():
+    from flocklab.dynamics import initial_state
+    from flocklab.geometry import circle, euclidean
+
+    out = {}
+    for label, domain, n, settings in INITIAL_CASES:
+        dom = circle() if domain == "circle" else euclidean(int(domain[len("euclidean"):]))
+        for seed in INITIAL_SEEDS:
+            st = initial_state(dom, n, seed=seed, **settings)
+            out[f"{label}/seed{seed}"] = {"x": _hex(st.x), "v": _hex(st.v), "m": _hex(st.m)}
+    return out
 
 
 def dump(path):
@@ -79,7 +126,7 @@ def dump(path):
         if name.startswith("torus-singular-"):
             runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZON), True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(runs, fh)
+        json.dump({"runs": runs, "initial": _initial_states()}, fh)
 
 
 def _floats(hexes):
@@ -136,25 +183,53 @@ def _compare(ra, rb):
     return worst, column
 
 
+def _split(run):
+    """A run's records, states and error apart from its config and constants."""
+    return {k: v for k, v in run.items() if k not in ("config", "constants")}
+
+
 def diff(path_a, path_b):
     with open(path_a, encoding="utf-8") as fh:
-        runs_a = json.load(fh)
+        dump_a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
-        runs_b = json.load(fh)
-    equal_all = True
+        dump_b = json.load(fh)
+    # bitwise equality of the runs, their configs, their constants and the initial states
+    same = dict.fromkeys(("runs", "configs", "constants", "initial states"), True)
+    runs_a, runs_b = dump_a["runs"], dump_b["runs"]
     for name in sorted(set(runs_a) | set(runs_b)):
         if name not in runs_a or name not in runs_b:
             print(f"{name:42s} missing from {path_a if name not in runs_a else path_b}")
-            equal_all = False
+            same["runs"] = False
             continue
-        equal = runs_a[name] == runs_b[name]
-        equal_all &= equal
+        ra, rb = runs_a[name], runs_b[name]
+        equal = _split(ra) == _split(rb)
+        same["runs"] &= equal
         verdict = "bitwise equal" if equal else "differs"
-        worst, column = _compare(runs_a[name], runs_b[name])
-        print(f"{name:42s} {verdict:14s}"
-              + "".join(f" {key} {value:.1e}" for key, value in worst.items())
-              + ("" if column is None else f" ({column})"))
-    print("all runs bitwise equal" if equal_all else "some runs differ")
+        worst, column = _compare(ra, rb)
+        line = (f"{name:42s} {verdict:14s}"
+                + "".join(f" {key} {value:.1e}" for key, value in worst.items())
+                + ("" if column is None else f" ({column})"))
+        same["configs"] &= ra["config"] == rb["config"]
+        line += " config " + ("equal" if ra["config"] == rb["config"] else "differs")
+        if "constants" in ra or "constants" in rb:
+            equal = ra.get("constants") == rb.get("constants")
+            same["constants"] &= equal
+            line += " constants " + ("equal" if equal else "differ")
+        print(line)
+    init_a, init_b = dump_a["initial"], dump_b["initial"]
+    for name in sorted(set(init_a) | set(init_b)):
+        if name not in init_a or name not in init_b:
+            print(f"initial/{name:34s} missing from {path_a if name not in init_a else path_b}")
+            same["initial states"] = False
+            continue
+        equal = init_a[name] == init_b[name]
+        same["initial states"] &= equal
+        worst = {key: _rel(_floats(init_a[name][key]), _floats(init_b[name][key]))[0]
+                 for key in ("x", "v", "m")}
+        print(f"initial/{name:34s} {'bitwise equal' if equal else 'differs':14s}"
+              + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
+    for what, equal in same.items():
+        print(f"{what}: {'all bitwise equal' if equal else 'some differ'}")
 
 
 def main(argv):
