@@ -27,6 +27,7 @@ from .errors import (
     KernelDomainError,
     UnsupportedQueryError,
     check_keys,
+    number,
 )
 from .geometry import TWO_PI, VELOCITY_SPACE, Domain
 from .kernels import KernelSpec, SingularityClass
@@ -216,7 +217,7 @@ class LyapunovConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "LyapunovConfig":
         check_keys(d, ("variant", "a", "b", "c"), "lyapunov")
-        return cls(d["variant"], **{k: float(d[k]) for k in ("a", "b", "c") if k in d})
+        return cls(d["variant"], **{k: number(k, d[k]) for k in ("a", "b", "c") if k in d})
 
 
 def _assemble_lyapunov(variant, a, b, c, n_eff, t, g, g3, v1, v2) -> float:

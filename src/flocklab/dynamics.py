@@ -12,6 +12,12 @@ singular kernels.  The integrator also accumulates the dissipation integral
 (and its square root) as extra quadrature state so energy-balance residuals
 inherit the scheme's order.
 
+The pair field of a step (kernel, accelerations, dissipation rate and
+stiffness row sums) is built on dense (N, N) arrays, the reference, except
+when the kernel has compact support and there are enough agents for a
+neighbour list to pay (see _neighbour_radius); then it is summed over the
+pairs within the support only.
+
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
 """
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, geometry, kernels
-from .errors import CollisionError, StiffnessError, check_keys, integer
+from .errors import CollisionError, StiffnessError, check_keys, integer, number, string
 from .geometry import TWO_PI, Domain
 from .kernels import KernelSpec, SingularityClass
 
@@ -127,40 +133,85 @@ class StepperConfig:
             raise ValueError(f"unknown method {method!r}")
         if d.get("d_guard") is not None:
             raise ValueError(f"the separation guard is fixed at {_GUARD}, got {d['d_guard']!r}")
-        return cls(dt_max=float(d["dt_max"]), safety=float(d.get("safety", 0.4)))
+        return cls(dt_max=number("dt_max", d["dt_max"]),
+                   safety=number("safety", d.get("safety", 0.4)))
 
 
-def _pair_terms(x, v, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
-                floor: float = 0.0):
-    """Kernel phi and squared relative speed of every pair, and the nearest
-    pair; a singular pair at or below floor raises CollisionError (see
-    diagnostics._pair_phi)."""
-    dist = geometry.pair_distances(domain, x)
-    phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-    speed2 = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v)
-    return phi, speed2, dmin, pair
+# From this many agents on, the stepper evaluates a compactly supported
+# kernel's pair field on a neighbour list instead of dense (N, N) arrays.
+# It is the smallest N of tools/pair_field_timing.py's table at which the
+# list is clearly faster on both domains; at N = 64 the two paths are about
+# even on the circle, and the library runs (at most 64 agents) stay on the
+# dense reference.
+_NEIGHBOUR_MIN_N = 128
 
 
-def _accel(phi, v, m) -> np.ndarray:
+def _neighbour_radius(kernel: KernelSpec, domain: Domain, n: int):
+    """The radius of the neighbour list the pair field is evaluated on, or
+    None for the dense reference: the list needs a kernel of compact
+    support, at least _NEIGHBOUR_MIN_N agents and, on the circle, a support
+    radius below pi."""
+    radius = kernels.support_radius(kernel)
+    bound = math.pi if domain.periodic else math.inf
+    return radius if n >= _NEIGHBOUR_MIN_N and radius < bound else None
+
+
+def _pair_kernel(x, kernel: KernelSpec, domain: Domain, t: float, singular: bool, radius,
+                 floor: float = 0.0):
+    """Kernel phi of the pairs, the nearest pair and the pair list.
+
+    Without a radius phi is the dense (N, N) array, the list is None and a
+    singular pair at or below floor raises CollisionError (see
+    diagnostics._pair_phi).  With one, phi is flat over the neighbour list
+    (i, j) and there is no nearest pair: only a singular kernel reads it,
+    and a singular kernel is never compactly supported.
+    """
+    if radius is None:
+        dist = geometry.pair_distances(domain, x)
+        phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
+        return phi, dmin, pair, None
+    i, j, dist = geometry.neighbour_pairs(domain, x, radius)
+    return kernels._evaluate_raw(kernel, dist), None, None, (i, j)
+
+
+def _pair_terms(x, v, kernel, domain, t, singular, radius, floor=0.0):
+    """``_pair_kernel`` with the squared relative speed of the same pairs."""
+    phi, dmin, pair, pairs = _pair_kernel(x, kernel, domain, t, singular, radius, floor)
+    speed2 = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v, pairs)
+    return phi, speed2, dmin, pair, pairs
+
+
+def _weights(m, pairs):
+    """m_i and m_j of the pairs: broadcast over (N, N), or gathered on the list."""
+    return (m[:, None], m[None, :]) if pairs is None else (m[pairs[0]], m[pairs[1]])
+
+
+def _accel(phi, v, m, pairs) -> np.ndarray:
     """Accelerations of the weighted alignment law from the pair kernel phi."""
-    w = phi * m[None, :]
-    return w @ v - v * w.sum(axis=1, keepdims=True)
+    if pairs is None:
+        w = phi * m[None, :]
+        return w @ v - v * w.sum(axis=1, keepdims=True)
+    i, j = pairs
+    w = phi * m[j]
+    return np.stack([np.bincount(i, weights=w * (col[j] - col[i]), minlength=len(m))
+                     for col in v.T], axis=1)
 
 
-def _forces(phi, speed2, v, m):
+def _forces(phi, speed2, v, m, pairs):
     """Accelerations and the dissipation rate I2 from one evaluation's pair terms."""
-    return _accel(phi, v, m), 2.0 * float(np.sum(m[:, None] * m[None, :] * phi * speed2))
+    mi, mj = _weights(m, pairs)
+    return _accel(phi, v, m, pairs), 2.0 * float(np.sum(mi * mj * phi * speed2))
 
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    dist = geometry.pair_distances(domain, state.x)
-    phi, _, _ = diagnostics._pair_phi(kernel, dist, state.t, singular)
-    return _accel(phi, state.v, state.m)
+    radius = _neighbour_radius(kernel, domain, state.n)
+    phi, _, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
+    return _accel(phi, state.v, state.m, pairs)
 
 
-def _propose_dt(cfg: StepperConfig, phi, speed2, m, dmin: float, singular: bool) -> float:
+def _propose_dt(cfg: StepperConfig, phi, speed2, m, dmin, singular: bool, pairs) -> float:
     """The step's dt from its first evaluation: dt_max, the approach limit
     of the nearest pair under a singular kernel, and the stiffness limit."""
     dt = cfg.dt_max
@@ -169,7 +220,13 @@ def _propose_dt(cfg: StepperConfig, phi, speed2, m, dmin: float, singular: bool)
         if umax > 0.0:
             dt = min(dt, cfg.safety * dmin / umax)
     # symmetrized contraction-rate row sum bounds the fastest pair mode
-    stiff = float(np.max((phi * (m[None, :] + m[:, None])).sum(axis=1)))
+    mi, mj = _weights(m, pairs)
+    terms = phi * (mj + mi)
+    if pairs is None:
+        rows = terms.sum(axis=1)
+    else:
+        rows = np.bincount(pairs[0], weights=terms, minlength=len(m))
+    stiff = float(np.max(rows))
     if stiff > 0.0:
         dt = min(dt, cfg.safety / stiff)
     return dt
@@ -183,19 +240,22 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows.
     """
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
+    radius = _neighbour_radius(kernel, domain, state.n)
     x0, v0, m = state.x, state.v, state.m
-    phi, speed2, dmin, pair = _pair_terms(x0, v0, kernel, domain, state.t, singular)
-    first = _forces(phi, speed2, v0, m)
-    dt = _propose_dt(cfg, phi, speed2, m, dmin, singular)
-    del phi, speed2  # freed before the stages build theirs
+    phi, speed2, dmin, pair, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
+    first = _forces(phi, speed2, v0, m, pairs)
+    dt = _propose_dt(cfg, phi, speed2, m, dmin, singular, pairs)
+    del phi, speed2, pairs  # freed before the stages build theirs
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
 
     while True:
         if dt < _DT_FLOOR:
+            if pair is None:  # the neighbour list keeps no nearest pair
+                dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x0))
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = _attempt(state, first, kernel, domain, dt, singular)
+            result = _attempt(state, first, kernel, domain, dt, singular, radius)
         except CollisionError:
             dt *= 0.5
             continue
@@ -206,13 +266,13 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     return FlockState(t1, domain.wrap(x1), v1, m, state.diss2 + d2, state.diss2_root + d2r)
 
 
-def _attempt(state, first, kernel, domain, dt, singular):
+def _attempt(state, first, kernel, domain, dt, singular, radius):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
 
     def stage(xs, vs):
-        phi, speed2, _, _ = _pair_terms(xs, vs, kernel, domain, t, singular, _GUARD)
-        return _forces(phi, speed2, vs, m)
+        phi, speed2, _, _, pairs = _pair_terms(xs, vs, kernel, domain, t, singular, radius, _GUARD)
+        return _forces(phi, speed2, vs, m, pairs)
 
     a0, i2a = first
     h = 0.5 * dt
@@ -287,9 +347,11 @@ class ObserverSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "ObserverSchedule":
         check_keys(d, ("kind", "spacing", "t_first", "factor"), "observers")
-        kind = d["kind"]
+        kind = string("kind", d["kind"])
         keys = ("spacing",) if kind == "linear" else ("t_first", "factor")
-        return cls(kind, **{k: float(d[k]) for k in keys if k in d})
+        # a key of the other kind would be dropped unread, so it is refused
+        check_keys(d, ("kind",) + keys, f"{kind} observers")
+        return cls(kind, **{k: number(k, d[k]) for k in keys if k in d})
 
 
 @dataclass
@@ -487,7 +549,7 @@ def check_initial(initial: dict) -> dict:
     """
     check_keys(initial, _INITIAL_DEFAULTS, "initial")
     init = {**_INITIAL_DEFAULTS, **initial}
-    kind = init["kind"]
+    kind = string("kind", init["kind"])
     if kind not in _INITIAL_KINDS:
         raise ValueError(f"unknown initial-data kind {kind!r}; known: {', '.join(_INITIAL_KINDS)}")
     init["seed"] = integer("seed", init["seed"])
@@ -502,7 +564,7 @@ def check_initial(initial: dict) -> dict:
         if default is inspect.Parameter.empty and name not in params:
             raise ValueError(f"{kind} needs the parameter {name!r}")
     init["params"] = dict(params)
-    if init["weight_mode"] not in _WEIGHT_MODES:
+    if string("weight_mode", init["weight_mode"]) not in _WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {init['weight_mode']!r}")
     _finite("total_mass", init["total_mass"])
     if init["total_mass"] <= 0:

@@ -1,5 +1,6 @@
-"""Typed error signals shared across the package, and the two config checks
-(unknown keys, integral values) that every config section shares."""
+"""Typed error signals shared across the package, and the config checks
+(unknown keys, integral values, numbers, strings) that every config section
+shares."""
 
 import numbers
 
@@ -19,6 +20,20 @@ def integer(name: str, value) -> int:
                                        or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def number(name: str, value) -> float:
+    """``value`` as a float: any real number, never a bool, a string or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def string(name: str, value) -> str:
+    """``value`` itself, which must be a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 class KernelDomainError(ValueError):

@@ -7,7 +7,8 @@ antisymmetric off the seam, so pair distances are exactly symmetric.
 ``displacement`` is the only minimal-image code in the package.  Every
 pair magnitude of the stepper and of the diagnostics, |x_i - x_j| and
 |v_i - v_j| alike, is built by ``pair_square_sums`` one component at a
-time, so no (N, N, d) array is formed.  The auxiliary cutoff and weight
+time, so no (N, N, d) array is formed; ``neighbour_pairs`` builds the same
+distances on the pairs within a radius only.  The auxiliary cutoff and weight
 profiles (chi, psi) are the piecewise-linear shapes used by the corrector
 functionals.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "displacement",
     "pair_square_sums",
     "pair_distances",
+    "neighbour_pairs",
     "nearest_pair",
     "directed_distance_euclidean",
     "directed_distance_circle",
@@ -105,15 +107,20 @@ def displacement(domain: Domain, x_i, x_j):
 VELOCITY_SPACE = Domain("euclidean")
 
 
-def pair_square_sums(domain: Domain, a) -> np.ndarray:
+def pair_square_sums(domain: Domain, a, pairs=None) -> np.ndarray:
     """(N, N) sums over components of (a_i - a_j)^2 for the rows of the (N, d) array a.
 
+    Given ``pairs``, a tuple (i, j) of index arrays, the sums of those pairs
+    only, as a flat array, each equal to its (N, N) entry bit for bit.
     Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
     for velocities), added one component at a time as ``np.linalg.norm`` adds them.
     """
     sums = None
     for col in np.asarray(a, dtype=float).T:
-        sq = displacement(domain, col[:, None], col[None, :])
+        if pairs is None:
+            sq = displacement(domain, col[:, None], col[None, :])
+        else:
+            sq = displacement(domain, col[pairs[0]], col[pairs[1]])
         sq *= sq
         sums = sq if sums is None else np.add(sums, sq, out=sums)
     return sums
@@ -123,6 +130,45 @@ def pair_distances(domain: Domain, x) -> np.ndarray:
     """(N, N) distances |x_i - x_j| between the rows of the (N, d) positions x."""
     dist = pair_square_sums(domain, x)
     return np.sqrt(dist, out=dist)
+
+
+def neighbour_pairs(domain: Domain, x, radius: float):
+    """Every ordered pair i != j with |x_i - x_j| < radius, as flat arrays (i, j, dist).
+
+    The distances equal those of ``pair_distances`` bit for bit.  Candidates
+    come from ``np.searchsorted`` windows on the positions sorted along
+    axis 0: each agent pairs with those after it up to +radius.  On the
+    circle the sort key is the wrapped position and the sorted keys repeat
+    shifted by 2*pi, so windows cross the seam; the positions themselves
+    need not be wrapped.  The windows are widened past the keys' round-off,
+    the candidates at or beyond the radius are dropped once their distances
+    are built, and each pair found is listed in both orders.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    key = domain.wrap(x[:, 0])
+    reach = radius + 1e-12 * (1.0 + float(np.max(np.abs(x[:, 0]), initial=0.0)))
+    if domain.periodic and 2.0 * reach >= math.pi:
+        # windows over half the circle would list most pairs anyway, and past
+        # pi they would find a pair both ways round: every pair is a candidate
+        a, b = np.triu_indices(n, 1)
+    else:
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        if domain.periodic:
+            sorted_key = np.concatenate((sorted_key, sorted_key + TWO_PI))
+            order = np.concatenate((order, order))
+        # the window of the agent at sorted position s is [s + 1, hi)
+        lo = np.arange(1, n + 1)
+        counts = np.searchsorted(sorted_key, sorted_key[:n] + reach, side="right") - lo
+        a = np.repeat(order[:n], counts)
+        start = np.cumsum(counts) - counts
+        b = order[np.arange(a.size) + np.repeat(lo - start, counts)]
+    dist = pair_square_sums(domain, x, (a, b))
+    np.sqrt(dist, out=dist)
+    near = np.flatnonzero(dist < radius)
+    a, b, dist = a[near], b[near], dist[near]
+    return np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((dist, dist))
 
 
 def nearest_pair(dist: np.ndarray):

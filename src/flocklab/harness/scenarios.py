@@ -24,7 +24,7 @@ from ..dynamics import (
     initial_state,
     integrate,
 )
-from ..errors import check_keys, integer
+from ..errors import check_keys, integer, number, string
 from ..geometry import Domain, circle, euclidean
 from ..kernels import KernelKind, KernelSpec, SingularityClass, classify
 
@@ -95,17 +95,17 @@ class ScenarioConfig:
         check_keys(d, [f.name for f in dataclasses.fields(cls)], "config")
         lyap = d.get("lyapunov")
         return cls(
-            name=d["name"],
+            name=string("name", d["name"]),
             domain=Domain.from_dict(d["domain"]),
             kernel=KernelSpec.from_dict(d["kernel"]),
             n=integer("n", d["n"]),
             mode=d["mode"],
             initial=d["initial"],
             stepper=StepperConfig.from_dict(d["stepper"]),
-            horizon=float(d["horizon"]),
+            horizon=number("horizon", d["horizon"]),
             observers=ObserverSchedule.from_dict(d["observers"]),
             lyapunov=None if lyap is None else LyapunovConfig.from_dict(lyap),
-            output=d.get("output"),
+            output=None if d.get("output") is None else string("output", d["output"]),
         )
 
     def canonical_json(self) -> str:

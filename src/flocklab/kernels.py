@@ -5,7 +5,8 @@ decay, kernels with a power singularity at zero range, compactly supported
 local kernels, annular kernels that vanish near zero range, and bounded
 kernels that are constant near zero range.  Each family exposes pointwise
 evaluation, a monotone fat-tail minorant (when one exists), exact or
-quadrature-based range integrals, and a singularity classification.
+quadrature-based range integrals, a singularity classification and the
+radius of its support.
 """
 
 import math
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import KernelDomainError, UnsupportedQueryError, check_keys
+from .errors import KernelDomainError, UnsupportedQueryError, check_keys, number
 
 __all__ = [
     "KernelKind",
@@ -25,6 +26,7 @@ __all__ = [
     "has_fat_tail",
     "primitive_integral",
     "classify",
+    "support_radius",
 ]
 
 
@@ -91,10 +93,11 @@ class KernelSpec:
         check_keys(d, ("kind", "lambda", "beta", "r0", "moll_width", "Lambda"), "kernel")
         return cls(
             kind=KernelKind(d["kind"]),
-            lam=float(d.get("lambda", 1.0)),
-            beta=float(d.get("beta", 0.0)),
-            r0=float(d.get("r0", 1.0)),
-            moll_width=None if d.get("moll_width") is None else float(d["moll_width"]),
+            lam=number("lambda", d.get("lambda", 1.0)),
+            beta=number("beta", d.get("beta", 0.0)),
+            r0=number("r0", d.get("r0", 1.0)),
+            moll_width=(None if d.get("moll_width") is None
+                        else number("moll_width", d["moll_width"])),
         )
 
 
@@ -119,6 +122,12 @@ def classify(spec: KernelSpec) -> SingularityClass:
             return SingularityClass.STRONG_SINGULAR
         return SingularityClass.INTEGRABLE_SINGULAR
     return SingularityClass.SMOOTH
+
+
+def support_radius(spec: KernelSpec) -> float:
+    """Range at and beyond which the kernel is exactly 0: r0 for the local
+    mollified family, inf for every other family."""
+    return spec.r0 if spec.kind is KernelKind.LOCAL_MOLLIFIED else math.inf
 
 
 def evaluate(spec: KernelSpec, r):

@@ -118,8 +118,13 @@ def test_accept_unknown_suite(capsys):
     (("n",), 2.5),
     (("domain", "dim"), 2.7),
     (("kernel", "bta"), 3.0),
+    (("stepper", "dt_max"), None),
+    (("initial", "kind"), ["two_agent_symmetric"]),
+    (("observers", "factor"), 7.0),
+    (("horizon",), "0.5"),
 ], ids=["seed-fraction", "seed-bool", "seed-negative", "param-misspelt", "param-nan",
-        "initial-key-misspelt", "n-fraction", "dim-fraction", "kernel-key-misspelt"])
+        "initial-key-misspelt", "n-fraction", "dim-fraction", "kernel-key-misspelt",
+        "dt_max-null", "kind-list", "observers-stray-key", "horizon-string"])
 def test_run_rejects_a_bad_config_in_one_line(tmp_path, capsys, path, value):
     # refused before anything runs: one line naming the key, no traceback
     cfg = scenario("euclid-classical-smooth", horizon=0.5).to_dict()

@@ -25,9 +25,9 @@ from flocklab.dynamics import (
     flock_diameter,
 )
 from flocklab.errors import CollisionError, StiffnessError
-from flocklab.geometry import TWO_PI, circle, euclidean
+from flocklab.geometry import TWO_PI, circle, displacement, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
-from flocklab.harness import scenario
+from flocklab.harness import scenario, scenario_names
 
 FLAT = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.0, r0=1.0)
 PLATEAU = KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=2.0, beta=1.0, r0=2.0)
@@ -149,8 +149,9 @@ def test_stepper_dissipation_matches_the_records():
     cfg = scenario("euclid-annular-fat-tail", horizon=200.0)
     traj = cfg.run()
     for s, rec in zip(traj.states, traj.records):
-        phi, speed2, _, _ = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t, False)
-        _, i2 = dynamics._forces(phi, speed2, s.v, s.m)
+        phi, speed2, _, _, pairs = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t,
+                                                        False, None)
+        _, i2 = dynamics._forces(phi, speed2, s.v, s.m, pairs)
         assert i2 == pytest.approx(rec.I2, rel=1e-12, abs=0.0), s.t
 
 
@@ -221,6 +222,74 @@ def test_smooth_pair_steps_through_coincidence():
 
 
 # ---------------------------------------------------------------------------
+# the neighbour-list pair field of a compactly supported kernel
+
+LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
+
+
+def _paths(monkeypatch, fn):
+    """fn() on the dense reference, then on the neighbour list at any N."""
+    out = []
+    for crossover in (math.inf, 1):
+        monkeypatch.setattr(dynamics, "_NEIGHBOUR_MIN_N", crossover)
+        out.append(fn())
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_neighbour_pair_field_matches_the_dense_reference(monkeypatch, domain, n):
+    st = initial_state(domain, n, seed=2, weight_mode="random")
+    dense, near = _paths(monkeypatch, lambda: rhs(st, LOCAL, domain))
+    assert _rel(near, dense) <= 1e-12
+    # dt_max this large leaves dt to the stiffness bound, and a step this long
+    # takes the stage positions around the circle and out of the unit box
+    cfg = StepperConfig(dt_max=100.0)
+    dense, near = _paths(monkeypatch, lambda: step(st, LOCAL, domain, cfg))
+    assert dense.t > 1.0 and near.t == pytest.approx(dense.t, rel=1e-12, abs=0.0)
+    moved = displacement(domain, near.x, dense.x)  # across the seam, not around the circle
+    assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(dense.x))
+    assert _rel(near.v, dense.v) <= 1e-12
+    assert near.diss2 == pytest.approx(dense.diss2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_neighbour_stiffness_error_names_the_dense_pair(monkeypatch, domain):
+    # the neighbour list keeps no nearest pair, so it is built densely for the error
+    st = initial_state(domain, 32, seed=4)
+    stiff = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1e20, r0=0.5)
+
+    def failure():
+        with pytest.raises(StiffnessError) as err:
+            step(st, stiff, domain, StepperConfig(dt_max=1.0))
+        return err.value
+
+    dense, near = _paths(monkeypatch, failure)
+    assert (near.pair, near.distance, near.t) == (dense.pair, dense.distance, dense.t)
+
+
+def test_neighbour_list_needs_compact_support_and_enough_agents():
+    big = dynamics._NEIGHBOUR_MIN_N
+    assert dynamics._neighbour_radius(LOCAL, circle(), big) == 0.1
+    assert dynamics._neighbour_radius(LOCAL, euclidean(2), big) == 0.1
+    assert dynamics._neighbour_radius(LOCAL, circle(), big - 1) is None
+    assert dynamics._neighbour_radius(FLAT, euclidean(2), big) is None
+    wide = KernelSpec(KernelKind.LOCAL_MOLLIFIED, r0=4.0)  # covers the whole circle
+    assert dynamics._neighbour_radius(wide, circle(), big) is None
+    assert dynamics._neighbour_radius(wide, euclidean(1), big) == 4.0
+
+
+def test_library_runs_stay_on_the_dense_reference():
+    for name in scenario_names():
+        cfg = scenario(name)
+        assert dynamics._neighbour_radius(cfg.kernel, cfg.domain, cfg.n) is None, name
+
+
+# ---------------------------------------------------------------------------
 # observer schedules
 
 def test_linear_schedule():
@@ -238,6 +307,9 @@ def test_geometric_schedule():
     assert sched.times(3.0, 10.0) == pytest.approx([4.0, 8.0, 10.0])
 
 
+_SCHEDULE_KEYS = {"linear": {"kind", "spacing"}, "geometric": {"kind", "t_first", "factor"}}
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(kind="linear", spacing=0.0),
     dict(kind="geometric", t_first=0.0),
@@ -246,8 +318,17 @@ def test_geometric_schedule():
     dict(kind="linaer"),
     dict(kind="linear", spacing=math.nan),
     dict(kind="geometric", factor=math.nan),
+    dict(kind="linear", spacing=0.5, factor=7.0),
+    dict(kind="geometric", factor=2.0, spacing=0.5),
 ])
 def test_schedule_rejects_bad_parameters(kwargs):
+    stray = set(kwargs) - _SCHEDULE_KEYS.get(kwargs["kind"], set(kwargs))
+    if stray:
+        # the constructor keeps every field, but a config naming a key that
+        # its kind never reads is refused, naming the key
+        with pytest.raises(ValueError, match=stray.pop()):
+            ObserverSchedule.from_dict(kwargs)
+        return
     # construction must fail: a nan spacing would make times() loop forever
     with pytest.raises(ValueError):
         ObserverSchedule(**kwargs)

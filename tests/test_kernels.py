@@ -24,6 +24,7 @@ from flocklab.kernels import (
     evaluate,
     has_fat_tail,
     primitive_integral,
+    support_radius,
     tail_minorant,
 )
 
@@ -295,3 +296,17 @@ def test_import_leaves_quadrature_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("moll_width", [0.0, 0.1, 0.5])
+def test_local_kernel_vanishes_from_its_support_radius(moll_width):
+    spec = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=2.0, r0=0.5, moll_width=moll_width)
+    r = support_radius(spec)
+    assert r == 0.5
+    assert evaluate(spec, np.array([r, r + 1e-12, 3.0])).tolist() == [0.0, 0.0, 0.0]
+    assert evaluate(spec, math.nextafter(r, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("kind", [k for k in KernelKind if k is not KernelKind.LOCAL_MOLLIFIED])
+def test_other_kernels_have_unbounded_support(kind):
+    assert support_radius(KernelSpec(kind, beta=1.0, r0=0.5)) == math.inf

@@ -1,0 +1,104 @@
+"""The command-line tools under tools/, run as a script runs them."""
+
+import copy
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from flocklab.harness import scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPARE_RUNS = ROOT / "tools" / "compare_runs.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def dump():
+    """A small dump in the format of ``compare_runs.py dump``: one run, one
+    run with searched constants, and every initial state."""
+    tool = _load(COMPARE_RUNS)
+    return {
+        "runs": {
+            "two-agent-smooth-collision": tool._run(
+                scenario("two-agent-smooth-collision", horizon=1.0), False),
+            "torus-singular-beta2/steps": tool._run(
+                scenario("torus-singular-beta2", horizon=0.02), True),
+        },
+        "initial": tool._initial_states(),
+    }
+
+
+def _nudge(hexes, k=0):
+    """The hex floats with entry k moved to the next float up."""
+    out = list(hexes)
+    out[k] = float(np.nextafter(float.fromhex(out[k]), np.inf)).hex()
+    return out
+
+
+def _record(d):
+    run = d["runs"]["two-agent-smooth-collision"]
+    run["records"][-1] = _nudge(run["records"][-1], 1)
+
+
+def _config(d):
+    run = d["runs"]["two-agent-smooth-collision"]
+    run["config"] = run["config"].replace('"seed":', '"seed": ')
+
+
+def _constants(d):
+    run = d["runs"]["torus-singular-beta2/steps"]
+    run["constants"] = _nudge(run["constants"])
+
+
+def _initial(d):
+    state = next(iter(d["initial"].values()))
+    state["v"] = _nudge(state["v"])
+
+
+def _missing(d):
+    del d["runs"]["two-agent-smooth-collision"]
+
+
+def _diff(tmp_path, a, b):
+    paths = []
+    for name, content in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(content))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(COMPARE_RUNS), "diff", *map(str, paths)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_compare_runs_diff_exits_0_on_equal_dumps(tmp_path, dump):
+    out = _diff(tmp_path, dump, dump)
+    assert out.returncode == 0, out.stderr
+    assert "runs: all bitwise equal" in out.stdout
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (_record, "runs: some differ"),
+    (_config, "configs: some differ"),
+    (_constants, "constants: some differ"),
+    (_initial, "initial states: some differ"),
+    (_missing, "runs: some differ"),
+], ids=["record", "config", "constants", "initial-state", "missing-run"])
+def test_compare_runs_diff_exits_1_on_any_difference(tmp_path, dump, change, verdict):
+    # a script can gate on the exit code: one changed float is enough
+    changed = copy.deepcopy(dump)
+    change(changed)
+    out = _diff(tmp_path, dump, changed)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert verdict in out.stdout

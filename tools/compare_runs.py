@@ -21,7 +21,8 @@ as inf), then whether the config JSON and the searched constants are equal.
 Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
 not read as 2*pi.  One more line per initial state says whether x, v and m
-are bitwise equal.
+are bitwise equal.  ``diff`` exits 1 when any run, config, constant or
+initial state differs or is missing from one dump, and 0 otherwise.
 """
 
 import json
@@ -230,13 +231,15 @@ def diff(path_a, path_b):
               + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
     for what, equal in same.items():
         print(f"{what}: {'all bitwise equal' if equal else 'some differ'}")
+    return all(same.values())
 
 
 def main(argv):
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
     elif len(argv) == 3 and argv[0] == "diff":
-        diff(argv[1], argv[2])
+        if not diff(argv[1], argv[2]):
+            sys.exit(1)
     else:
         sys.exit(__doc__)
 
