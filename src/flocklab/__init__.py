@@ -14,7 +14,6 @@ from .diagnostics import (
     GoodSetReport,
     LyapunovConfig,
     LyapunovVariant,
-    cluster_energy,
     collision_potential,
     compute_record,
     corrector_circle,
@@ -49,15 +48,12 @@ from .errors import (
     KernelDomainError,
     RateFitDataError,
     StiffnessError,
-    UndefinedDirectionError,
     UnsupportedQueryError,
 )
 from .geometry import (
     Domain,
     chi,
     circle,
-    directed_distance_circle,
-    directed_distance_euclidean,
     euclidean,
     psi_euclidean,
     psi_periodic,
@@ -82,7 +78,6 @@ from .kernels import (
     classify,
     evaluate,
     has_fat_tail,
-    primitive_integral,
     tail_minorant,
 )
 

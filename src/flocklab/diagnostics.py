@@ -10,6 +10,16 @@ the induced good sets, and the energy-balance residual.
 
 ``DiagnosticsRecord``'s fields are the only list of record columns; the CSV
 rows and ``record_column`` derive from them.
+
+``compute_record`` takes one of two paths, on the choice the stepper makes
+(``kernels._neighbour_radius``).  The reference builds each pair array of the
+record once as a dense (N, N) array.  On a state the stepper evaluates on a
+neighbour list (a compactly supported kernel, enough agents and, on the
+circle, a support radius below pi) no (N, N) array is formed: the kernel
+terms I_p are summed over the same neighbour list, and the other pair
+columns over row blocks of the upper triangle, equal to the reference up to
+summation order.  Every other function here, ``good_set`` and the per-state
+diagnostics among them, builds dense arrays.
 """
 
 import dataclasses
@@ -24,7 +34,6 @@ from .errors import (
     CollisionError,
     DomainMismatchError,
     InsufficientDataError,
-    KernelDomainError,
     UnsupportedQueryError,
     check_keys,
     number,
@@ -44,7 +53,6 @@ __all__ = [
     "lyapunov",
     "lyapunov_series",
     "collision_potential",
-    "cluster_energy",
     "energy_residual",
     "good_set",
     "compute_record",
@@ -123,19 +131,25 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
 
 
 def _corrector_euclidean(x, v, dist, speed, mm, r0, powers) -> list:
-    """Euclidean corrector for each power, sharing one directed-distance pass
-    that sums -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time."""
+    """Euclidean corrector for each power from the dense pair arrays."""
+    return [float(np.sum(mm * s))
+            for s in _euclidean_summands(x, x, v, v, dist, speed, r0, powers)]
+
+
+def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers) -> list:
+    """Summands |v_ij|^power psi(d_ij) chi(|x_ij|) of the Euclidean corrector
+    for each power, rows i of (xr, vr) against columns j of (xc, vc), from
+    their pair distances and speeds.  One directed-distance pass, shared by
+    the powers, sums -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at
+    a time; pairs with equal velocities give 0."""
     moving = speed > 0.0
     directed = np.zeros_like(speed)
-    for k in range(x.shape[1]):
-        directed -= (x[:, None, k] - x[None, :, k]) * (v[:, None, k] - v[None, :, k])
+    for k in range(xr.shape[1]):
+        directed -= (xr[:, None, k] - xc[None, :, k]) * (vr[:, None, k] - vc[None, :, k])
     np.divide(directed, speed, out=directed, where=moving)
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist, r0)
-    return [
-        float(np.sum(mm * np.where(moving, speed**power * psi * chi, 0.0)))
-        for power in powers
-    ]
+    return [np.where(moving, speed**power * psi * chi, 0.0) for power in powers]
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -152,12 +166,17 @@ def corrector_circle(state, r0: float) -> float:
 
 def _corrector_circle(x, v, mm, r0) -> float:
     """Circle corrector from chart positions x (N,) and velocities v (N,)."""
-    vdiff = v[:, None] - v[None, :]
+    return float(np.sum(mm * _circle_summand(x, x, v, v, r0)))
+
+
+def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
+    """Summand |v_i - v_j| psi(d_ij) of the circle corrector, rows i of the
+    chart positions and velocities (xr, vr) against columns j of (xc, vc)."""
+    vdiff = vr[:, None] - vc[None, :]
     sgn = np.sign(vdiff)
     # chart difference, not minimal image
-    arc = np.mod(-(x[:, None] - x[None, :]) * sgn, TWO_PI)
-    summand = np.where(sgn != 0.0, np.abs(vdiff) * geometry.psi_periodic(arc, r0), 0.0)
-    return float(np.sum(mm * summand))
+    arc = np.mod(-(xr[:, None] - xc[None, :]) * sgn, TWO_PI)
+    return np.where(sgn != 0.0, np.abs(vdiff) * geometry.psi_periodic(arc, r0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +308,16 @@ def lyapunov_constant_search(
 ):
     """Grid search for constants making the assembled functional descend.
 
-    Minimizes the number of increasing sample-to-sample increments (ties
-    broken by total positive increment), reusing the corrector/variation
-    series already stored on the records.
+    Each grid point (a, b, c) is scored by the number of sample-to-sample
+    increments above ``tol * (1 + |first value|)`` and then by their total,
+    and the lowest score wins.  Ties keep the first grid point in iteration
+    order: a outermost, then b, then c, each grid in its given order
+    (ascending by default).  So when the smallest constants already give no
+    increasing step, the result is the grid corner (a_grid[0], b_grid[0],
+    c_grid[0]), as on 4 of the 5 descent runs of the lyapunov acceptance
+    suite: it shows that some combination descends, not which.  b stays 1
+    for EUCLIDEAN_V4 and c stays 1 for every variant but CIRCLE_I.  The
+    corrector/variation series already stored on the records are reused.
     """
     variant = LyapunovVariant(variant)
     if len(records) < 2:
@@ -320,7 +346,7 @@ def lyapunov_constant_search(
 
 
 # ---------------------------------------------------------------------------
-# collision potential and cluster energy
+# collision potential
 
 def collision_potential(state, domain: Domain, beta: float, r0: float) -> float:
     """Pairwise proximity potential for strongly singular kernels.
@@ -344,32 +370,6 @@ def _collision_sum(dist, mm, beta, r0) -> float:
     vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
     np.fill_diagonal(vals, 0.0)
     return float(np.sum(mm * vals))
-
-
-def cluster_energy(state, kernel: KernelSpec, domain: Domain, subset, c2: float = 1.0) -> float:
-    """Connectivity energy sqrt(V*) + c2 * integral of the kernel from D* to 1.
-
-    V* is the raw (unweighted) squared velocity-difference sum over the
-    subset and D* its position diameter; the integral is signed, so subsets
-    wider than 1 subtract tail mass.  Collapsed subsets are rejected for
-    singular kernels.
-    """
-    idx = np.asarray(subset, dtype=int)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    x = np.asarray(state.x, dtype=float)[idx]
-    v = np.asarray(state.v, dtype=float)[idx]
-    d_star = float(np.max(geometry.pair_distances(domain, x)))
-    if d_star == 0.0 and _is_singular(kernel):
-        raise KernelDomainError(
-            "collapsed subset: singular kernel integral from zero diameter diverges"
-        )
-    v_star = float(np.sum(geometry.pair_square_sums(VELOCITY_SPACE, v)))
-    if d_star <= 1.0:
-        tail = kernels.primitive_integral(kernel, d_star, 1.0)
-    else:
-        tail = -kernels.primitive_integral(kernel, 1.0, d_star)
-    return math.sqrt(v_star) + c2 * tail
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +509,33 @@ def record_column(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records])
 
 
+# A record of a state whose pair field the stepper sums on a neighbour list
+# (kernels._neighbour_radius) is built without (N, N) arrays: the kernel terms
+# on the same list, every other pair column over blocks of this many rows
+# against the columns from the block's first row on.  Each block's arrays
+# stay in cache and at most this many rows times N.  Read off
+# tools/pair_field_timing.py's record rows.
+_RECORD_BLOCK = 64
+
+
 def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None) -> DiagnosticsRecord:
-    """Evaluate the full diagnostic row for one state, building each pair array once."""
+    """Evaluate the full diagnostic row for one state.
+
+    The pair columns come from dense (N, N) arrays, each built once, which
+    are the reference; on a state the stepper would evaluate on a neighbour
+    list they come from that list and from row blocks instead, equal to the
+    dense columns up to summation order (see _blocked_pair_columns).
+    """
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
     m = np.asarray(state.m, dtype=float)
     t = float(getattr(state, "t", 0.0))
     n = x.shape[0]
-    mm = _weight_products(m)
-    speed = geometry.pair_distances(VELOCITY_SPACE, v)
-    dist = geometry.pair_distances(domain, x)
-    diameter = float(np.max(dist))
-    phi, dmin, _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
-
-    v_moments, i_moments = {}, {}
-    for p in (1, 2, 4):
-        weighted = mm * speed**p
-        v_moments[p] = float(np.sum(weighted))
-        i_moments[p] = float(p * np.sum(weighted * phi))
-        del weighted  # not alive while the next power is built
-
-    if domain.periodic:
-        g = _corrector_circle(x[:, 0], v[:, 0], mm, kernel.r0)
-        g3 = math.nan
+    radius = kernels._neighbour_radius(kernel, domain, n)
+    if radius is None:
+        cols = _dense_pair_columns(x, v, m, kernel, domain, t)
     else:
-        g, g3 = _corrector_euclidean(x, v, dist, speed, mm, kernel.r0, (1, 3))
+        cols = _blocked_pair_columns(x, v, m, kernel, domain, radius)
 
     lyap = math.nan
     if lyapunov_config is not None:
@@ -541,35 +543,104 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
         _check_variant(cfg.variant, domain)
         n_eff = 1.0 / float(np.max(m))
         lyap = float(_assemble_lyapunov(
-            cfg.variant, cfg.a, cfg.b, cfg.c, n_eff, t, g, g3, v_moments[1], v_moments[2]
+            cfg.variant, cfg.a, cfg.b, cfg.c, n_eff, t, cols["G"], cols["G3"], cols["V1"],
+            cols["V2"]
         ))
-
-    coll = math.nan
-    if kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
-        coll = _collision_sum(dist, mm, kernel.beta, kernel.r0)
+    if n < 2:
+        cols["dmin"] = math.nan
 
     mom = m @ v / float(np.sum(m))
     return DiagnosticsRecord(
         t=t,
-        V1=v_moments[1],
-        V2=v_moments[2],
-        V4=v_moments[4],
-        I1=i_moments[1],
-        I2=i_moments[2],
-        I4=i_moments[4],
-        G=g,
-        G3=g3,
         L=lyap,
-        C=coll,
-        D=diameter,
-        dmin=dmin if n > 1 else math.nan,
         momentum=tuple(float(c) for c in mom),
-        vdiam=float(np.max(speed)),
         I2_int=float(getattr(state, "diss2", math.nan)),
         sqrtI2_int=float(getattr(state, "diss2_root", math.nan)),
+        **cols,
     )
 
 
+def _dense_pair_columns(x, v, m, kernel, domain, t) -> dict:
+    """The record's pair columns (V_p, I_p, G, G3, C, D, dmin, vdiam) from
+    dense (N, N) arrays."""
+    mm = _weight_products(m)
+    speed = geometry.pair_distances(VELOCITY_SPACE, v)
+    dist = geometry.pair_distances(domain, x)
+    cols = {"D": float(np.max(dist)), "vdiam": float(np.max(speed))}
+    phi, cols["dmin"], _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
+
+    for p in (1, 2, 4):
+        weighted = mm * speed**p
+        cols[f"V{p}"] = float(np.sum(weighted))
+        cols[f"I{p}"] = float(p * np.sum(weighted * phi))
+        del weighted  # not alive while the next power is built
+
+    if domain.periodic:
+        cols["G"] = _corrector_circle(x[:, 0], v[:, 0], mm, kernel.r0)
+        cols["G3"] = math.nan
+    else:
+        cols["G"], cols["G3"] = _corrector_euclidean(x, v, dist, speed, mm, kernel.r0, (1, 3))
+
+    cols["C"] = math.nan
+    if kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
+        cols["C"] = _collision_sum(dist, mm, kernel.beta, kernel.r0)
+    return cols
+
+
+def _blocked_pair_columns(x, v, m, kernel, domain, radius, block=_RECORD_BLOCK) -> dict:
+    """The record's pair columns without (N, N) arrays, for a kernel that
+    vanishes from ``radius`` on.
+
+    I1, I2 and I4 are summed over the neighbour list of that radius, where
+    the kernel is nonzero.  The rest are taken over blocks of ``block`` rows
+    i against the columns j from the block's first row on: every summand is
+    exactly symmetric in (i, j) and 0 at i = j, so the square block on the
+    diagonal, which holds both orders of its pairs, counts once and the
+    columns past it count twice.  A block is reduced as m_rows @ (S @ w).
+    Each summand is formed by the same elementwise operations as on the
+    dense arrays, so the columns differ from the dense ones only in the
+    order of summation; every summand is non-negative, so no sum cancels.
+    D, dmin and vdiam are exact.
+    """
+    i, j, near = geometry.neighbour_pairs(domain, x, radius)
+    phi = kernels._evaluate_raw(kernel, near)
+    speed = geometry.pair_square_sums(VELOCITY_SPACE, v, (i, j))
+    np.sqrt(speed, out=speed)
+    mm = m[i] * m[j]
+    cols = {f"I{p}": float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)}
+    del i, j, near, phi, speed, mm  # freed before the blocks are built
+
+    n = x.shape[0]
+    periodic = domain.periodic
+    names = ("V1", "V2", "V4", "G") + (() if periodic else ("G3",))
+    totals = dict.fromkeys(names, 0.0)
+    diameter, dmin, vdiam = 0.0, math.inf, 0.0
+    agents = np.arange(n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        pairs = (agents[a:b, None], agents[None, a:])
+        speed = geometry.pair_square_sums(VELOCITY_SPACE, v, pairs)
+        np.sqrt(speed, out=speed)
+        dist = geometry.pair_square_sums(domain, x, pairs)
+        np.sqrt(dist, out=dist)
+        diameter = max(diameter, float(np.max(dist)))
+        vdiam = max(vdiam, float(np.max(speed)))
+        np.fill_diagonal(dist[:, : b - a], math.inf)
+        dmin = min(dmin, float(np.min(dist)))
+        if periodic:
+            g = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
+        else:
+            g = _euclidean_summands(x[a:b], x[a:], v[a:b], v[a:], dist, speed, kernel.r0,
+                                    (1, 3))
+        w = m[a:].copy()
+        w[b - a:] *= 2.0
+        for name, summand in zip(names, [speed**p for p in (1, 2, 4)] + g):
+            totals[name] += float(m[a:b] @ (summand @ w))
+
+    cols.update(totals, D=diameter, dmin=dmin, vdiam=vdiam, C=math.nan)
+    if periodic:
+        cols["G3"] = math.nan
+    return cols
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 

@@ -15,8 +15,8 @@ inherit the scheme's order.
 The pair field of a step (kernel, accelerations, dissipation rate and
 stiffness row sums) is built on dense (N, N) arrays, the reference, except
 when the kernel has compact support and there are enough agents for a
-neighbour list to pay (see _neighbour_radius); then it is summed over the
-pairs within the support only.
+neighbour list to pay (see kernels._neighbour_radius, which the diagnostics
+records read too); then it is summed over the pairs within the support only.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -137,25 +137,6 @@ class StepperConfig:
                    safety=number("safety", d.get("safety", 0.4)))
 
 
-# From this many agents on, the stepper evaluates a compactly supported
-# kernel's pair field on a neighbour list instead of dense (N, N) arrays.
-# It is the smallest N of tools/pair_field_timing.py's table at which the
-# list is clearly faster on both domains; at N = 64 the two paths are about
-# even on the circle, and the library runs (at most 64 agents) stay on the
-# dense reference.
-_NEIGHBOUR_MIN_N = 128
-
-
-def _neighbour_radius(kernel: KernelSpec, domain: Domain, n: int):
-    """The radius of the neighbour list the pair field is evaluated on, or
-    None for the dense reference: the list needs a kernel of compact
-    support, at least _NEIGHBOUR_MIN_N agents and, on the circle, a support
-    radius below pi."""
-    radius = kernels.support_radius(kernel)
-    bound = math.pi if domain.periodic else math.inf
-    return radius if n >= _NEIGHBOUR_MIN_N and radius < bound else None
-
-
 def _pair_kernel(x, kernel: KernelSpec, domain: Domain, t: float, singular: bool, radius,
                  floor: float = 0.0):
     """Kernel phi of the pairs, the nearest pair and the pair list.
@@ -206,7 +187,7 @@ def _forces(phi, speed2, v, m, pairs):
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    radius = _neighbour_radius(kernel, domain, state.n)
+    radius = kernels._neighbour_radius(kernel, domain, state.n)
     phi, _, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
     return _accel(phi, state.v, state.m, pairs)
 
@@ -240,7 +221,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows.
     """
     singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
-    radius = _neighbour_radius(kernel, domain, state.n)
+    radius = kernels._neighbour_radius(kernel, domain, state.n)
     x0, v0, m = state.x, state.v, state.m
     phi, speed2, dmin, pair, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
     first = _forces(phi, speed2, v0, m, pairs)

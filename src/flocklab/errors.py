@@ -48,10 +48,6 @@ class DomainMismatchError(ValueError):
     """Operation applied to a state living on the wrong domain or dimension."""
 
 
-class UndefinedDirectionError(ValueError):
-    """Directed distance requested for a pair with zero relative velocity."""
-
-
 class InsufficientDataError(ValueError):
     """Series too short (or window empty) for the requested computation."""
 

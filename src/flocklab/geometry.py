@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, UndefinedDirectionError, check_keys, integer
+from .errors import DomainMismatchError, check_keys, integer
 
 __all__ = [
     "Domain",
@@ -31,8 +31,6 @@ __all__ = [
     "pair_distances",
     "neighbour_pairs",
     "nearest_pair",
-    "directed_distance_euclidean",
-    "directed_distance_circle",
     "chi",
     "psi_euclidean",
     "psi_periodic",
@@ -110,8 +108,10 @@ VELOCITY_SPACE = Domain("euclidean")
 def pair_square_sums(domain: Domain, a, pairs=None) -> np.ndarray:
     """(N, N) sums over components of (a_i - a_j)^2 for the rows of the (N, d) array a.
 
-    Given ``pairs``, a tuple (i, j) of index arrays, the sums of those pairs
-    only, as a flat array, each equal to its (N, N) entry bit for bit.
+    Given ``pairs``, a tuple (i, j) of index arrays that broadcast together,
+    the sums of those pairs only, shaped as the broadcast (flat for a pair
+    list, a block for rows i[:, None] against columns j[None, :]), each
+    equal to its (N, N) entry bit for bit.
     Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
     for velocities), added one component at a time as ``np.linalg.norm`` adds them.
     """
@@ -180,28 +180,6 @@ def nearest_pair(dist: np.ndarray):
     np.fill_diagonal(dist, math.inf)
     i, j = divmod(int(np.argmin(dist)), dist.shape[0])
     return float(dist[i, j]), (i, j)
-
-
-def directed_distance_euclidean(x_ij, v_ij) -> float:
-    """Signed distance -x_ij . v_ij / |v_ij| along the relative motion."""
-    x = np.asarray(x_ij, dtype=float)
-    v = np.asarray(v_ij, dtype=float)
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        raise UndefinedDirectionError("relative velocity is zero")
-    return float(-np.dot(x, v) / speed)
-
-
-def directed_distance_circle(x_i: float, x_j: float, v_sign: float) -> float:
-    """Arc length, in [0, 2*pi), traversed toward the partner at the given sign.
-
-    Positions are read on the common chart [0, 2*pi); the result is
-    -(x_i - x_j) * sign mod 2*pi and vanishes for coincident points.
-    """
-    if v_sign == 0.0:
-        raise UndefinedDirectionError("relative velocity sign is zero")
-    s = math.copysign(1.0, v_sign)
-    return float(np.mod(-(float(x_i) - float(x_j)) * s, TWO_PI))
 
 
 def chi(r, r0: float):

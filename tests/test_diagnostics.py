@@ -1,16 +1,16 @@
 """Variation moments, correctors, assembled functionals, good sets, CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flocklab import diagnostics
+from flocklab import diagnostics, kernels
 from flocklab.diagnostics import (
     DiagnosticsRecord,
     LyapunovConfig,
     LyapunovVariant,
-    cluster_energy,
     collision_potential,
     compute_record,
     corrector_circle,
@@ -24,15 +24,14 @@ from flocklab.diagnostics import (
     variation,
     write_csv,
 )
-from flocklab.dynamics import FlockState
+from flocklab.dynamics import FlockState, initial_state
 from flocklab.errors import (
     CollisionError,
     DomainMismatchError,
     InsufficientDataError,
-    KernelDomainError,
     UnsupportedQueryError,
 )
-from flocklab.geometry import circle, euclidean
+from flocklab.geometry import TWO_PI, circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 from flocklab.harness import scenario
 
@@ -199,7 +198,7 @@ def test_lyapunov_constant_search():
 
 
 # ---------------------------------------------------------------------------
-# collision potential and cluster energy
+# collision potential
 
 def test_collision_potential_values():
     st = FlockState(0.0, [[0.25], [-0.25]], [[0.0], [0.0]], [0.5, 0.5])
@@ -214,26 +213,6 @@ def test_collision_potential_values():
     touching = FlockState(0.0, [[1.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
     with pytest.raises(CollisionError):
         collision_potential(touching, dom, 3.0, 1.0)
-
-
-def test_cluster_energy_values():
-    kern = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.0, r0=1.0)
-    dom = euclidean(1)
-    quiet = FlockState(0.0, [[0.05], [-0.05]], [[0.2], [0.2]], [0.5, 0.5])
-    assert cluster_energy(quiet, kern, dom, [0, 1]) == pytest.approx(9.0)
-    moving = FlockState(0.0, [[0.05], [-0.05]], [[1.0], [-1.0]], [0.5, 0.5])
-    assert cluster_energy(moving, kern, dom, [0, 1]) == pytest.approx(math.sqrt(8.0) + 9.0)
-    # diameters past 1 subtract tail mass
-    wide = FlockState(0.0, [[1.0], [-1.0]], [[1.0], [-1.0]], [0.5, 0.5])
-    assert cluster_energy(wide, kern, dom, [0, 1]) == pytest.approx(math.sqrt(8.0) - 0.5)
-    with pytest.raises(ValueError):
-        cluster_energy(quiet, kern, dom, [])
-    collapsed = FlockState(0.0, [[1.0], [1.0], [5.0]], [[0.0], [0.0], [0.0]],
-                           [1 / 3, 1 / 3, 1 / 3])
-    with pytest.raises(KernelDomainError):
-        cluster_energy(collapsed, kern, dom, [0, 1])
-    # smooth kernels tolerate a collapsed subset
-    assert cluster_energy(collapsed, FLAT, dom, [0, 1]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +306,98 @@ def test_compute_record_collision_potential_column():
     kern = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=3.0, r0=1.0)
     rec = compute_record(approach_pair(), kern, euclidean(1))
     assert rec.C == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the blocked record of a compactly supported kernel
+
+LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+
+
+def _record_config(domain):
+    if domain.periodic:
+        return LyapunovConfig.defaults(LyapunovVariant.CIRCLE_I, LOCAL)
+    return LyapunovConfig(LyapunovVariant.EUCLIDEAN_V4)
+
+
+def _blocked_case(domain, n):
+    """Random weights, a close pair with equal velocities (which the
+    correctors leave out) and, on the circle, agents on both sides of the seam."""
+    st = initial_state(domain, n, seed=n, weight_mode="random")
+    x, v = st.x.copy(), st.v.copy()
+    if domain.periodic:
+        x[:6, 0] = [0.0, 1e-3, 0.04, TWO_PI - 1e-9, TWO_PI - 0.03, TWO_PI - 0.08]
+    else:
+        x[1] = x[0] + 0.01
+    v[1] = v[0]
+    return FlockState(0.5, x, v, st.m)
+
+
+def _dense_record(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_NEIGHBOUR_MIN_N", math.inf)
+        return compute_record(*args)
+
+
+def _spy_blocked(monkeypatch):
+    calls = []
+    blocked = diagnostics._blocked_pair_columns
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return blocked(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "_blocked_pair_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [128, 257, 512])
+@pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
+                         ids=["circle", "line", "plane"])
+def test_blocked_record_matches_the_dense_reference(monkeypatch, domain, n):
+    state = _blocked_case(domain, n)
+    calls = _spy_blocked(monkeypatch)
+    rec = compute_record(state, LOCAL, domain, _record_config(domain))
+    assert calls == [n]
+    ref = _dense_record(monkeypatch, state, LOCAL, domain, _record_config(domain))
+    names = DiagnosticsRecord.column_names(domain.dim)
+    for name, got, want in zip(names, rec.to_row(), ref.to_row()):
+        if math.isnan(want):
+            assert math.isnan(got), name
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+    assert ref.V1 > 0.0 and ref.I2 > 0.0 and ref.G > 0.0
+
+
+def test_record_takes_the_blocked_path_with_the_stepper(monkeypatch):
+    calls = _spy_blocked(monkeypatch)
+    small = initial_state(circle(), 64, seed=1, weight_mode="random")
+    rec = compute_record(small, LOCAL, circle())
+    assert np.array_equal(rec.to_row(), _dense_record(monkeypatch, small, LOCAL, circle()).to_row(),
+                          equal_nan=True)
+    singular = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.1)
+    lattice = initial_state(circle(), 256, kind="lattice_circle", seed=1)
+    assert math.isfinite(compute_record(lattice, singular, circle()).C)
+    assert calls == []
+    compute_record(initial_state(euclidean(2), 128, seed=1), LOCAL, euclidean(2))
+    assert calls == [128]
+
+
+def test_blocked_record_peak_memory(monkeypatch):
+    state = initial_state(circle(), 2048, seed=3)
+    cfg = _record_config(circle())
+
+    def peak(record):
+        tracemalloc.start()
+        try:
+            record(state, LOCAL, circle(), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak(compute_record)
+    dense = peak(lambda *args: _dense_record(monkeypatch, *args))
+    assert blocked < 0.25 * dense
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,4 +1,4 @@
-"""Domains, minimal-image displacement, directed distances, cutoff profiles."""
+"""Domains, minimal-image displacement, pair sums, neighbour lists, cutoff profiles."""
 
 import math
 
@@ -7,15 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flocklab.errors import DomainMismatchError, UndefinedDirectionError
+from flocklab.errors import DomainMismatchError
 from flocklab.geometry import (
     TWO_PI,
     VELOCITY_SPACE,
     Domain,
     chi,
     circle,
-    directed_distance_circle,
-    directed_distance_euclidean,
     displacement,
     euclidean,
     nearest_pair,
@@ -183,24 +181,6 @@ def test_neighbour_pairs_leave_out_a_pair_at_the_radius(domain):
     assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]
     assert dist.tolist() == [0.25, 0.25]
     assert len(neighbour_pairs(domain, x[:1], 0.5)[0]) == 0
-
-
-def test_directed_distance_euclidean():
-    # approaching pair: positive distance to closest approach
-    assert directed_distance_euclidean([3.0, 4.0], [0.0, 2.0]) == pytest.approx(-4.0)
-    assert directed_distance_euclidean([-1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    with pytest.raises(UndefinedDirectionError):
-        directed_distance_euclidean([1.0, 0.0], [0.0, 0.0])
-
-
-def test_directed_distance_circle():
-    assert directed_distance_circle(0.3, 6.0, 1.0) == pytest.approx(5.7)
-    assert directed_distance_circle(0.3, 6.0, -1.0) == pytest.approx(TWO_PI - 5.7)
-    assert directed_distance_circle(2.0, 2.0, 1.0) == 0.0
-    # only the sign of the relative velocity matters
-    assert directed_distance_circle(0.3, 6.0, 2.5) == directed_distance_circle(0.3, 6.0, 1.0)
-    with pytest.raises(UndefinedDirectionError):
-        directed_distance_circle(0.3, 6.0, 0.0)
 
 
 def test_chi_profile():

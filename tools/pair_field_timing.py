@@ -1,15 +1,20 @@
-"""Time one force evaluation of the stepper, dense against neighbour list.
+"""Time the stepper's force evaluation and the diagnostics record, dense
+against the neighbour-list paths.
 
     PYTHONPATH=src python3 tools/pair_field_timing.py
 
 One force evaluation is what each RK4 stage computes: the pair kernel, the
-squared relative speeds, the accelerations and the dissipation rate I2.
-The state is ``uniform_gaussian`` under the local mollified kernel with
-r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the circle,
-and in the plane on the unit box.  Each row prints the median µs per
-evaluation of both paths (``-`` where a path is not timed), and the
-tracemalloc peak of one evaluation in MB.  The dense path is not run past
-N = 2048, where its (N, N) arrays take most of the memory.
+squared relative speeds, the accelerations and the dissipation rate I2.  A
+record's pair columns are V_p, I_p, the correctors, D, dmin and vdiam; the
+blocked record takes I_p on the neighbour list and the rest over row blocks
+of ``diagnostics._RECORD_BLOCK`` agents.  The state is ``uniform_gaussian``
+under the local mollified kernel with r0 = 0.1, the kernel of perfbench's
+``large-n`` workload: on the circle, and in the plane on the unit box.  Each
+row prints the median µs per call of both paths (``-`` where a path is not
+timed), and the tracemalloc peak of one call in MB.  The dense force
+evaluation is not run past N = 2048, where its (N, N) arrays take most of the
+memory.  The last table times the blocked record at N = 2048 for several
+block sizes, the table the block size is read off.
 """
 
 import statistics
@@ -17,58 +22,91 @@ import sys
 import time
 import tracemalloc
 
-from flocklab import dynamics
+from flocklab import diagnostics, kernels
 from flocklab.dynamics import _forces, _pair_terms, initial_state
 from flocklab.geometry import circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 
 KERNEL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
-CASES = (  # (domain name, N, time the dense path)
+FORCE_CASES = (  # (domain name, N, time the dense path)
     [("circle", n, True) for n in (64, 128, 256, 1024, 2048)]
     + [("circle", n, False) for n in (8192, 16384)]
     + [("plane", n, True) for n in (64, 128, 256, 1024)]
 )
+RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (128, 256, 512, 1024, 2048)]
+BLOCKS = (16, 32, 64, 128, 256)
 BUDGET_S = 1.0  # time spent on each path of each row, after one warm-up call
 
 
-def _evaluate(state, domain, radius):
+def _setup(name, n):
+    domain = circle() if name == "circle" else euclidean(2)
+    return domain, initial_state(domain, n, kind="uniform_gaussian", seed=0)
+
+
+def _force(state, domain, radius):
     phi, speed2, _, _, pairs = _pair_terms(state.x, state.v, KERNEL, domain, state.t,
                                            False, radius)
     return _forces(phi, speed2, state.v, state.m, pairs)
 
 
-def _median_us(state, domain, radius):
-    _evaluate(state, domain, radius)
+def _dense_record(state, domain):
+    return diagnostics._dense_pair_columns(state.x, state.v, state.m, KERNEL, domain, state.t)
+
+
+def _blocked_record(state, domain, block=diagnostics._RECORD_BLOCK):
+    return diagnostics._blocked_pair_columns(state.x, state.v, state.m, KERNEL, domain,
+                                             KERNEL.r0, block)
+
+
+def _median_us(fn):
+    fn()
     times, start = [], time.perf_counter()
     while len(times) < 3 or (time.perf_counter() - start < BUDGET_S and len(times) < 200):
         t0 = time.perf_counter()
-        _evaluate(state, domain, radius)
+        fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1e6
 
 
-def _peak_mb(state, domain, radius):
+def _peak_mb(fn):
     tracemalloc.start()
     try:
-        _evaluate(state, domain, radius)
+        fn()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
 
+def _cells(fn):
+    return _median_us(fn), _peak_mb(fn)
+
+
+def _row(label, name, n, first, second):
+    (a_us, a_mb), (b_us, b_mb) = first, second
+    print(f"{label:7s} {name:7s} {n:6d} {_fmt(a_us, 11, 0)} {_fmt(b_us, 11, 0)} "
+          f"{_fmt(a_mb, 9, 1)} {_fmt(b_mb, 9, 1)}", flush=True)
+
+
 def main():
-    print(f"{'domain':7s} {'N':>6s} {'dense us':>11s} {'neighbour us':>13s} "
-          f"{'dense MB':>9s} {'neighbour MB':>13s}")
-    for name, n, dense in CASES:
-        domain = circle() if name == "circle" else euclidean(2)
-        state = initial_state(domain, n, kind="uniform_gaussian", seed=0)
-        cells = [(_median_us(state, domain, None), _peak_mb(state, domain, None))
-                 if dense else ("-", "-")]
-        cells.append((_median_us(state, domain, KERNEL.r0), _peak_mb(state, domain, KERNEL.r0)))
-        (d_us, d_mb), (n_us, n_mb) = cells
-        print(f"{name:7s} {n:6d} {_fmt(d_us, 11, 0)} {_fmt(n_us, 13, 0)} "
-              f"{_fmt(d_mb, 9, 1)} {_fmt(n_mb, 13, 1)}", flush=True)
-    print(f"stepper crossover: the neighbour list from N = {dynamics._NEIGHBOUR_MIN_N}")
+    print(f"{'':7s} {'domain':7s} {'N':>6s} {'dense us':>11s} {'list us':>11s} "
+          f"{'dense MB':>9s} {'list MB':>9s}")
+    for name, n, dense in FORCE_CASES:
+        domain, state = _setup(name, n)
+        _row("force", name, n,
+             _cells(lambda: _force(state, domain, None)) if dense else ("-", "-"),
+             _cells(lambda: _force(state, domain, KERNEL.r0)))
+    for name, n in RECORD_CASES:
+        domain, state = _setup(name, n)
+        _row("record", name, n, _cells(lambda: _dense_record(state, domain)),
+             _cells(lambda: _blocked_record(state, domain)))
+    print(f"neighbour list and blocked record from N = {kernels._NEIGHBOUR_MIN_N}, "
+          f"record blocks of {diagnostics._RECORD_BLOCK} rows")
+    print()
+    print(f"{'domain':7s} {'N':>6s} " + " ".join(f"{f'block {b} us':>13s}" for b in BLOCKS))
+    for name in ("circle", "plane"):
+        domain, state = _setup(name, 2048)
+        cells = [_median_us(lambda: _blocked_record(state, domain, b)) for b in BLOCKS]
+        print(f"{name:7s} {2048:6d} " + " ".join(_fmt(us, 13, 0) for us in cells), flush=True)
 
 
 def _fmt(value, width, digits):
