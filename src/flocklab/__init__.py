@@ -78,6 +78,7 @@ from .kernels import (
     classify,
     evaluate,
     has_fat_tail,
+    primitive_integral,
     tail_minorant,
 )
 

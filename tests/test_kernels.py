@@ -1,4 +1,10 @@
-"""Kernel families: pointwise values, classification, tails, support radius."""
+"""Kernel families: pointwise values, classification, tails, range integrals.
+
+Integrals are checked two ways: against frozen closed-form constants and
+against an independent composite-Simpson quadrature of the pointwise
+evaluator (split at the known breakpoints, since two families are only
+piecewise smooth).
+"""
 
 import math
 import os
@@ -17,9 +23,39 @@ from flocklab.kernels import (
     classify,
     evaluate,
     has_fat_tail,
+    primitive_integral,
     support_radius,
     tail_minorant,
 )
+
+
+def _breakpoints(spec):
+    if spec.kind is KernelKind.LOCAL_MOLLIFIED:
+        return (spec.r0 - spec.moll_width, spec.r0)
+    if spec.kind in (KernelKind.ANNULAR, KernelKind.CONSTANT_NEAR_ZERO):
+        return (spec.r0,)
+    return ()
+
+
+def _simpson(f, a, b, n=20000):
+    xs = np.linspace(a, b, 2 * n + 1)
+    ys = f(xs)
+    h = (b - a) / (2 * n)
+    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum())
+
+
+def quad_oracle(spec, r1, r2):
+    """Composite Simpson of evaluate(), piecewise across family breakpoints.
+
+    Pieces are inset by 1e-12 so a jump sitting exactly on a cut is sampled
+    from the correct side; the trimmed mass is far below the tolerance used.
+    """
+    cuts = sorted({r1, r2, *(b for b in _breakpoints(spec) if r1 < b < r2)})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a > 2e-12:
+            total += _simpson(lambda r: np.asarray(evaluate(spec, r)), a + 1e-12, b - 1e-12)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +168,78 @@ def test_tail_minorant_unsupported():
         tail_minorant(sp, -1.0)
 
 
+# ---------------------------------------------------------------------------
+# range integrals
+
+INTEGRALS = [
+    # (spec, r1, r2, frozen closed-form value)
+    (KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=1.0), 0.1, 1.0, math.log(10.0)),
+    (KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5), 0.01, 1.0, 1.8),
+    (KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=1.5), 1.0, 4.0, 1.0),
+    (KernelSpec(KernelKind.SINGULAR_POWER, lam=2.0, beta=0.0), 1.0, 3.0, 4.0),
+    (KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0), 0.0, 1.0, 0.95),
+    (KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0), 0.9, 1.0, 0.05),
+    (KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0), 0.92, 0.96, 0.0256),
+    (KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0), 1.0, 5.0, 0.0),
+    (KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=1.0, r0=0.5), 0.0, 0.5, 0.0),
+    (KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=1.0, r0=0.5), 0.5, 1.5, math.log(2.0)),
+    (KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=1.0, r0=0.5), 0.2, 0.6, math.log(1.1)),
+    (KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=0.5, r0=0.5), 0.5, 3.5, 2.0),
+    (KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=1.0), 0.0, 1.0, math.asinh(1.0)),
+    (KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=2.0), 0.0, 1.0, math.pi / 4.0),
+    (KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=2.0, beta=1.0, r0=2.0), 0.0, 2.0, 4.0),
+    (KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=2.0, beta=1.0, r0=2.0), 0.0, 3.0,
+     4.0 + 2.0 * math.asinh(1.0)),
+]
+
+
+@pytest.mark.parametrize("spec,r1,r2,expected", INTEGRALS)
+def test_primitive_integral_closed_forms(spec, r1, r2, expected):
+    got = primitive_integral(spec, r1, r2)
+    assert got == pytest.approx(expected, abs=1e-12, rel=1e-12)
+    assert got == pytest.approx(quad_oracle(spec, r1, r2), abs=1e-9)
+
+
+def test_primitive_integral_improper():
+    # integrable singularity: the improper value is the antiderivative limit
+    sp = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
+    assert primitive_integral(sp, 0.0, 1.0) == pytest.approx(2.0, abs=1e-14)
+    # strong singularity: explicit divergence marker
+    strong = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=1.5)
+    assert primitive_integral(strong, 0.0, 1.0) == math.inf
+    assert primitive_integral(KernelSpec(KernelKind.SINGULAR_POWER, beta=1.0), 0.0, 1.0) == math.inf
+
+
+def test_primitive_integral_additive():
+    rng = np.random.default_rng(7)
+    for spec in (
+        KernelSpec(KernelKind.SINGULAR_POWER, lam=1.3, beta=0.7),
+        KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=2.0, r0=1.5),
+        KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=1.2, r0=0.8),
+        KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.8),
+        KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=1.0, beta=1.4, r0=0.6),
+    ):
+        pts = np.sort(rng.uniform(0.05, 4.0, size=3))
+        a, b, c = pts
+        whole = primitive_integral(spec, a, c)
+        split = primitive_integral(spec, a, b) + primitive_integral(spec, b, c)
+        assert whole == pytest.approx(split, rel=1e-10, abs=1e-12)
+
+
+def test_primitive_integral_degenerate_and_invalid():
+    spec = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=1.0)
+    assert primitive_integral(spec, 0.7, 0.7) == 0.0
+    with pytest.raises(KernelDomainError):
+        primitive_integral(spec, -0.1, 1.0)
+    with pytest.raises(KernelDomainError):
+        primitive_integral(spec, 1.0, 0.5)
+
+
 def test_local_mollified_sharp_indicator():
     sharp = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=2.0, r0=1.0, moll_width=0.0)
     assert evaluate(sharp, 0.5) == 2.0
     assert evaluate(sharp, 1.0) == 0.0
+    assert primitive_integral(sharp, 0.5, 2.0) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +289,7 @@ def test_spec_reads_configs_with_an_upper_constant():
 
 
 def test_import_leaves_quadrature_unloaded():
-    # flocklab depends on numpy alone; scipy would dominate its import time
+    # scipy dominates import time and only the quadrature fallback loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(flocklab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, flocklab; "
