@@ -78,7 +78,6 @@ from .kernels import (
     classify,
     evaluate,
     has_fat_tail,
-    primitive_integral,
     tail_minorant,
 )
 

@@ -39,7 +39,7 @@ from .errors import (
     number,
 )
 from .geometry import TWO_PI, VELOCITY_SPACE, Domain
-from .kernels import KernelSpec, SingularityClass
+from .kernels import KernelSpec
 
 __all__ = [
     "LyapunovVariant",
@@ -67,23 +67,19 @@ __all__ = [
 # pairwise helpers
 
 def _pair_phi(spec: KernelSpec, dist: np.ndarray, t: float, singular: bool, floor: float = 0.0):
-    """Kernel on the off-diagonal pair distances, with the nearest pair.
+    """Kernel on the off-diagonal pair distances, with the smallest one.
 
-    Returns (phi, dmin, pair); phi is zero on the diagonal, and the diagonal
-    of ``dist`` is overwritten with inf.  Under a singular kernel a pair at
-    or below ``floor`` counts as contact and raises CollisionError naming
-    it: floor 0 means exact coincidence, the stepper passes its guard.
+    Returns (phi, dmin); phi is zero on the diagonal, and the diagonal of
+    ``dist`` is overwritten with inf.  Under a singular kernel a pair at or
+    below ``floor`` counts as contact and raises CollisionError naming it:
+    floor 0 means exact coincidence, the stepper passes its guard.
     """
     dmin, pair = geometry.nearest_pair(dist)
     if singular and dmin <= floor:
         raise CollisionError(pair, t, dmin)
     phi = kernels._evaluate_raw(spec, dist)
     np.fill_diagonal(phi, 0.0)
-    return phi, dmin, pair
-
-
-def _is_singular(spec: KernelSpec) -> bool:
-    return kernels.classify(spec) is not SingularityClass.SMOOTH
+    return phi, dmin
 
 
 def _weight_products(m: np.ndarray) -> np.ndarray:
@@ -107,7 +103,7 @@ def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
         raise ValueError(f"moment order must be positive, got {p}")
     speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
     dist = geometry.pair_distances(domain, state.x)
-    phi, _, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), _is_singular(kernel))
+    phi, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), kernels._is_singular(kernel))
     return float(p * np.sum(_weight_products(state.m) * speed**p * phi))
 
 
@@ -411,16 +407,6 @@ class GoodSetReport:
     epsilon: float
     member_velocity_spread: float
 
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "delta": self.delta,
-            "members": self.members.tolist(),
-            "complement_mass": self.complement_mass,
-            "epsilon": self.epsilon,
-            "member_velocity_spread": self.member_velocity_spread,
-        }
-
 
 def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: float) -> GoodSetReport:
     """Agents whose forward dissipation F(alpha, T) stays below delta.
@@ -438,10 +424,10 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
         raise InsufficientDataError("need at least two stored samples past T")
     m = states[0].m
     times = np.array([s.t for s in states])
-    singular = _is_singular(kernel)
+    singular = kernels._is_singular(kernel)
     g = np.empty((len(states), m.size))
     for k, s in enumerate(states):
-        phi, _, _ = _pair_phi(kernel, geometry.pair_distances(domain, s.x), s.t, singular)
+        phi, _ = _pair_phi(kernel, geometry.pair_distances(domain, s.x), s.t, singular)
         g[k] = (phi * geometry.pair_square_sums(VELOCITY_SPACE, s.v)) @ m
     weights = np.zeros_like(times)
     dt = np.diff(times)
@@ -567,7 +553,7 @@ def _dense_pair_columns(x, v, m, kernel, domain, t) -> dict:
     speed = geometry.pair_distances(VELOCITY_SPACE, v)
     dist = geometry.pair_distances(domain, x)
     cols = {"D": float(np.max(dist)), "vdiam": float(np.max(speed))}
-    phi, cols["dmin"], _ = _pair_phi(kernel, dist, t, _is_singular(kernel))
+    phi, cols["dmin"] = _pair_phi(kernel, dist, t, kernels._is_singular(kernel))
 
     for p in (1, 2, 4):
         weighted = mm * speed**p
@@ -688,7 +674,7 @@ def read_csv(path):
                 names = line.split(",")
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    if names is None:
+    if not rows:
         raise InsufficientDataError(f"no data rows in {path}")
     data = np.array(rows, dtype=float)
     return meta, {name: data[:, k] for k, name in enumerate(names)}

@@ -32,7 +32,7 @@ import numpy as np
 from . import diagnostics, geometry, kernels
 from .errors import CollisionError, StiffnessError, check_keys, integer, number, string
 from .geometry import TWO_PI, Domain
-from .kernels import KernelSpec, SingularityClass
+from .kernels import KernelSpec
 
 __all__ = [
     "FlockState",
@@ -139,27 +139,27 @@ class StepperConfig:
 
 def _pair_kernel(x, kernel: KernelSpec, domain: Domain, t: float, singular: bool, radius,
                  floor: float = 0.0):
-    """Kernel phi of the pairs, the nearest pair and the pair list.
+    """Kernel phi of the pairs, the smallest distance and the pair list.
 
     Without a radius phi is the dense (N, N) array, the list is None and a
     singular pair at or below floor raises CollisionError (see
     diagnostics._pair_phi).  With one, phi is flat over the neighbour list
-    (i, j) and there is no nearest pair: only a singular kernel reads it,
-    and a singular kernel is never compactly supported.
+    (i, j) and there is no smallest distance: only a singular kernel reads
+    it, and a singular kernel is never compactly supported.
     """
     if radius is None:
         dist = geometry.pair_distances(domain, x)
-        phi, dmin, pair = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-        return phi, dmin, pair, None
+        phi, dmin = diagnostics._pair_phi(kernel, dist, t, singular, floor)
+        return phi, dmin, None
     i, j, dist = geometry.neighbour_pairs(domain, x, radius)
-    return kernels._evaluate_raw(kernel, dist), None, None, (i, j)
+    return kernels._evaluate_raw(kernel, dist), None, (i, j)
 
 
 def _pair_terms(x, v, kernel, domain, t, singular, radius, floor=0.0):
     """``_pair_kernel`` with the squared relative speed of the same pairs."""
-    phi, dmin, pair, pairs = _pair_kernel(x, kernel, domain, t, singular, radius, floor)
+    phi, dmin, pairs = _pair_kernel(x, kernel, domain, t, singular, radius, floor)
     speed2 = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v, pairs)
-    return phi, speed2, dmin, pair, pairs
+    return phi, speed2, dmin, pairs
 
 
 def _weights(m, pairs):
@@ -186,9 +186,9 @@ def _forces(phi, speed2, v, m, pairs):
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
-    singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
+    singular = kernels._is_singular(kernel)
     radius = kernels._neighbour_radius(kernel, domain, state.n)
-    phi, _, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
+    phi, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
     return _accel(phi, state.v, state.m, pairs)
 
 
@@ -220,10 +220,10 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     below the separation guard under a singular kernel; raises
     StiffnessError once dt underflows.
     """
-    singular = kernels.classify(kernel) is not SingularityClass.SMOOTH
+    singular = kernels._is_singular(kernel)
     radius = kernels._neighbour_radius(kernel, domain, state.n)
     x0, v0, m = state.x, state.v, state.m
-    phi, speed2, dmin, pair, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
+    phi, speed2, dmin, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
     first = _forces(phi, speed2, v0, m, pairs)
     dt = _propose_dt(cfg, phi, speed2, m, dmin, singular, pairs)
     del phi, speed2, pairs  # freed before the stages build theirs
@@ -232,8 +232,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
 
     while True:
         if dt < _DT_FLOOR:
-            if pair is None:  # the neighbour list keeps no nearest pair
-                dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x0))
+            dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x0))
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
             result = _attempt(state, first, kernel, domain, dt, singular, radius)
@@ -252,7 +251,7 @@ def _attempt(state, first, kernel, domain, dt, singular, radius):
     t = state.t
 
     def stage(xs, vs):
-        phi, speed2, _, _, pairs = _pair_terms(xs, vs, kernel, domain, t, singular, radius, _GUARD)
+        phi, speed2, _, pairs = _pair_terms(xs, vs, kernel, domain, t, singular, radius, _GUARD)
         return _forces(phi, speed2, vs, m, pairs)
 
     a0, i2a = first

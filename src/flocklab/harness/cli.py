@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

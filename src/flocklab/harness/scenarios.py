@@ -26,7 +26,7 @@ from ..dynamics import (
 )
 from ..errors import check_keys, integer, number, string
 from ..geometry import Domain, circle, euclidean
-from ..kernels import KernelKind, KernelSpec, SingularityClass, classify
+from ..kernels import KernelKind, KernelSpec, _is_singular
 
 _MODES = ("discrete", "lagrangian")
 
@@ -70,7 +70,7 @@ class ScenarioConfig:
         if self.lyapunov is not None:
             _check_variant(self.lyapunov.variant, self.domain)
             if (self.lyapunov.variant is LyapunovVariant.EUCLIDEAN_V4
-                    and classify(self.kernel) is not SingularityClass.SMOOTH):
+                    and _is_singular(self.kernel)):
                 raise ValueError("the V4-based functional requires a smooth kernel")
 
     # -- serialization ------------------------------------------------------

@@ -4,11 +4,13 @@ Five closed-form families are supported, covering bounded kernels that only
 decay, kernels with a power singularity at zero range, compactly supported
 local kernels, annular kernels that vanish near zero range, and bounded
 kernels that are constant near zero range.  Each family exposes pointwise
-evaluation, a monotone fat-tail minorant (when one exists), exact or
-quadrature-based range integrals, a singularity classification and the
-radius of its support.  ``_neighbour_radius`` is the one choice, read by
-the stepper and the diagnostics records alike, of when pair sums run over a
-neighbour list instead of dense (N, N) arrays.
+evaluation, a monotone fat-tail minorant (when one exists), a singularity
+classification and the radius of its support.  Whether the tail is fat
+(infinite range integral) is decided in closed form, by the exponent, not by
+integrating.  ``_is_singular`` is the one test of whether a kernel blows up
+at contact, and ``_neighbour_radius`` the one choice, read by the stepper and
+the diagnostics records alike, of when pair sums run over a neighbour list
+instead of dense (N, N) arrays.
 """
 
 import math
@@ -26,7 +28,6 @@ __all__ = [
     "evaluate",
     "tail_minorant",
     "has_fat_tail",
-    "primitive_integral",
     "classify",
     "support_radius",
 ]
@@ -109,14 +110,6 @@ def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def _smoothstep_primitive(u):
-    """Antiderivative of _smoothstep with value 0 at u = 0."""
-    u = np.asarray(u, dtype=float)
-    core = np.clip(u, 0.0, 1.0)
-    val = core**3 - 0.5 * core**4
-    return np.where(u > 1.0, 0.5 + (u - 1.0), val)
-
-
 def classify(spec: KernelSpec) -> SingularityClass:
     """Behavior at zero range: only the singular power family can blow up."""
     if spec.kind is KernelKind.SINGULAR_POWER and spec.beta > 0:
@@ -124,6 +117,11 @@ def classify(spec: KernelSpec) -> SingularityClass:
             return SingularityClass.STRONG_SINGULAR
         return SingularityClass.INTEGRABLE_SINGULAR
     return SingularityClass.SMOOTH
+
+
+def _is_singular(spec: KernelSpec) -> bool:
+    """True when the kernel blows up at contact (any class but SMOOTH)."""
+    return classify(spec) is not SingularityClass.SMOOTH
 
 
 def support_radius(spec: KernelSpec) -> float:
@@ -160,8 +158,7 @@ def evaluate(spec: KernelSpec, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise KernelDomainError("kernel range must be nonnegative")
-    singular = classify(spec) is not SingularityClass.SMOOTH
-    if singular and np.any(arr == 0.0):
+    if _is_singular(spec) and np.any(arr == 0.0):
         raise KernelDomainError("singular kernel evaluated at zero separation")
     out = _evaluate_raw(spec, arr)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
@@ -222,77 +219,3 @@ def tail_minorant(spec: KernelSpec, r):
     else:  # pragma: no cover - excluded by has_fat_tail
         raise UnsupportedQueryError(f"unknown kernel kind {k}")
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
-
-
-def primitive_integral(spec: KernelSpec, r1: float, r2: float) -> float:
-    """Integral of the kernel over [r1, r2].
-
-    Closed forms where the family admits them, adaptive quadrature
-    (rel tol 1e-10) otherwise.  r1 = 0 is allowed: strongly singular kernels
-    return math.inf (explicit divergence marker), all others the improper
-    value.  Negative or reversed bounds are rejected.
-    """
-    r1, r2 = float(r1), float(r2)
-    if r1 < 0 or r2 < r1:
-        raise KernelDomainError(f"need 0 <= r1 <= r2, got [{r1}, {r2}]")
-    if r1 == r2:
-        return 0.0
-    if r1 == 0.0 and classify(spec) is SingularityClass.STRONG_SINGULAR:
-        return math.inf
-
-    k, lam, beta, r0 = spec.kind, spec.lam, spec.beta, spec.r0
-    if k is KernelKind.SINGULAR_POWER:
-        if beta == 0.0:
-            return lam * (r2 - r1)
-        if beta == 1.0:
-            return lam * math.log(r2 / r1)
-        # improper-at-zero case has beta < 1 here, where r^(1-beta) -> 0
-        lo = 0.0 if r1 == 0.0 else r1 ** (1.0 - beta)
-        return lam * (r2 ** (1.0 - beta) - lo) / (1.0 - beta)
-    if k is KernelKind.LOCAL_MOLLIFIED:
-        eps = spec.moll_width
-        plateau_hi = r0 - eps
-        flat = max(0.0, min(r2, plateau_hi) - min(r1, plateau_hi))
-        if eps == 0.0:
-            # sharp indicator on [0, r0)
-            return lam * flat
-        # ramp section via the smoothstep antiderivative in u = (r0 - r)/eps
-        u1 = (r0 - max(r1, plateau_hi)) / eps
-        u2 = (r0 - min(r2, r0)) / eps
-        ramp = 0.0
-        if u1 > u2:
-            ramp = eps * float(_smoothstep_primitive(u1) - _smoothstep_primitive(u2))
-        return lam * (flat + ramp)
-    if k is KernelKind.ANNULAR:
-        a = max(r1, r0)
-        if r2 <= r0:
-            return 0.0
-        # substitute s = 1 + r - r0
-        s1, s2 = 1.0 + a - r0, 1.0 + r2 - r0
-        if beta == 1.0:
-            return lam * math.log(s2 / s1)
-        return lam * (s2 ** (1.0 - beta) - s1 ** (1.0 - beta)) / (1.0 - beta)
-    if k is KernelKind.CLASSICAL_CS:
-        return _quad_bounded(spec, r1, r2)
-    if k is KernelKind.CONSTANT_NEAR_ZERO:
-        flat = max(0.0, min(r2, r0) - min(r1, r0))
-        tail = 0.0
-        if r2 > r0:
-            tail = _quad_bounded(spec, max(r1, r0), r2)
-        return lam * flat + tail
-    raise UnsupportedQueryError(f"unknown kernel kind {k}")
-
-
-def _quad_bounded(spec: KernelSpec, r1: float, r2: float) -> float:
-    # imported here: scipy.integrate takes most of the package's import time
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda r: float(_evaluate_raw(spec, np.asarray(r, dtype=float))),
-        r1,
-        r2,
-        epsabs=0.0,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return val

@@ -108,6 +108,24 @@ def test_accept_unknown_suite(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{dir}"],
+    ["rates", "{dir}"],
+    ["run", "two-agent-smooth-collision", "--horizon", "0.5", "--out", "{dir}"],
+    ["accept", "consistency", "--out", "{dir}"],
+    ["rates", "{header_only}"],
+], ids=["run-config-dir", "rates-csv-dir", "run-out-dir", "accept-out-dir",
+        "rates-header-only-csv"])
+def test_a_file_the_command_cannot_use_is_one_error_line(tmp_path, capsys, argv):
+    # exit 2 with one line, not a traceback
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("# scenario: none\nt,V2\n")
+    argv = [arg.format(dir=tmp_path, header_only=header_only) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 @pytest.mark.parametrize("path, value", [
     (("initial", "seed"), 1.5),
     (("initial", "seed"), True),

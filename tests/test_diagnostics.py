@@ -425,3 +425,7 @@ def test_csv_errors(tmp_path):
     bare.write_text("# only: meta\n")
     with pytest.raises(InsufficientDataError):
         read_csv(bare)
+    header = tmp_path / "header.csv"
+    header.write_text("# only: meta\nt,V2\n")
+    with pytest.raises(InsufficientDataError):
+        read_csv(header)

@@ -149,8 +149,8 @@ def test_stepper_dissipation_matches_the_records():
     cfg = scenario("euclid-annular-fat-tail", horizon=200.0)
     traj = cfg.run()
     for s, rec in zip(traj.states, traj.records):
-        phi, speed2, _, _, pairs = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t,
-                                                        False, None)
+        phi, speed2, _, pairs = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t,
+                                                     False, None)
         _, i2 = dynamics._forces(phi, speed2, s.v, s.m, pairs)
         assert i2 == pytest.approx(rec.I2, rel=1e-12, abs=0.0), s.t
 

@@ -44,8 +44,8 @@ def _setup(name, n):
 
 
 def _force(state, domain, radius):
-    phi, speed2, _, _, pairs = _pair_terms(state.x, state.v, KERNEL, domain, state.t,
-                                           False, radius)
+    phi, speed2, _, pairs = _pair_terms(state.x, state.v, KERNEL, domain, state.t,
+                                        False, radius)
     return _forces(phi, speed2, state.v, state.m, pairs)
 
 
