@@ -11,17 +11,18 @@ the induced good sets, and the energy-balance residual.
 ``DiagnosticsRecord``'s fields are the only list of record columns; the CSV
 rows and ``record_column`` derive from them.
 
-``compute_record`` takes one of two paths, on the choice the stepper makes
-(``kernels._neighbour_radius``).  The reference builds each pair array of the
-record once as a dense (N, N) array.  On a state the stepper evaluates on a
-neighbour list (a compactly supported kernel, enough agents and, on the
-circle, a support radius below pi) no (N, N) array is formed: the kernel
-terms I_p are summed over the same neighbour list, and the other pair
-columns over row blocks of the upper triangle, equal to the reference up to
-summation order.  Every other function here, ``good_set`` and the per-state
-diagnostics among them, builds dense arrays.
+``compute_record`` has one algorithm for every kernel and every N: each pair
+column is summed over blocks of rows against the columns from the block's
+first row on, as m_rows @ (S @ w), so no (N, N) array is formed and a flock
+of at most ``_RECORD_BLOCK`` agents is one block.  The public per-state
+diagnostics reduce the whole (N, N) summand by the same expression, so a
+one-block record equals them bit for bit.  Only the dissipation moments I_p
+of a state the stepper evaluates on a neighbour list
+(``kernels._neighbour_radius``) are summed over that list instead.
+``good_set`` builds dense arrays.
 """
 
+import collections
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ import numpy as np
 from . import geometry, kernels
 from .errors import (
     CollisionError,
+    CSVFormatError,
     DomainMismatchError,
     InsufficientDataError,
     UnsupportedQueryError,
@@ -82,8 +84,15 @@ def _pair_phi(spec: KernelSpec, dist: np.ndarray, t: float, singular: bool, floo
     return phi, dmin
 
 
-def _weight_products(m: np.ndarray) -> np.ndarray:
-    return m[:, None] * m[None, :]
+def _pair_sum(m_rows: np.ndarray, summand: np.ndarray, w: np.ndarray) -> float:
+    """sum_{i,j} m_i S_ij w_j as m_rows @ (S @ w), the one reduction of every pair
+    sum here: of whole (N, N) summands (w = m) and of a record's row blocks."""
+    return float(m_rows @ (summand @ w))
+
+
+def _fill_diagonal(block: np.ndarray, value: float) -> None:
+    """Set the i = j entries of rows against the columns from the first row on."""
+    np.fill_diagonal(block[:, : block.shape[0]], value)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ def variation(state, p: float) -> float:
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
     speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
-    return float(np.sum(_weight_products(state.m) * speed**p))
+    return _pair_sum(state.m, speed**p, state.m)
 
 
 def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
@@ -104,7 +113,7 @@ def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
     speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
     dist = geometry.pair_distances(domain, state.x)
     phi, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), kernels._is_singular(kernel))
-    return float(p * np.sum(_weight_products(state.m) * speed**p * phi))
+    return p * _pair_sum(state.m, speed**p * phi, state.m)
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +131,17 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
     v = np.asarray(state.v, dtype=float)
     dist = geometry.pair_distances(geometry.euclidean(x.shape[1]), x)
     speed = geometry.pair_distances(VELOCITY_SPACE, v)
-    (g,) = _corrector_euclidean(x, v, dist, speed, _weight_products(state.m), r0, (power,))
-    return g
+    (summand,) = _euclidean_summands(x, x, v, v, dist, speed, r0, (power,))
+    return _pair_sum(state.m, summand, state.m)
 
 
-def _corrector_euclidean(x, v, dist, speed, mm, r0, powers) -> list:
-    """Euclidean corrector for each power from the dense pair arrays."""
-    return [float(np.sum(mm * s))
-            for s in _euclidean_summands(x, x, v, v, dist, speed, r0, powers)]
-
-
-def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers) -> list:
+def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     """Summands |v_ij|^power psi(d_ij) chi(|x_ij|) of the Euclidean corrector
     for each power, rows i of (xr, vr) against columns j of (xc, vc), from
-    their pair distances and speeds.  One directed-distance pass, shared by
-    the powers, sums -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at
-    a time; pairs with equal velocities give 0."""
+    their pair distances and speeds, yielded one at a time.  One
+    directed-distance pass, shared by the powers, sums
+    -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time; pairs
+    with equal velocities give 0."""
     moving = speed > 0.0
     directed = np.zeros_like(speed)
     for k in range(xr.shape[1]):
@@ -145,7 +149,8 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers) -> list:
     np.divide(directed, speed, out=directed, where=moving)
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist, r0)
-    return [np.where(moving, speed**power * psi * chi, 0.0) for power in powers]
+    for power in powers:
+        yield np.where(moving, speed**power * psi * chi, 0.0)
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -157,12 +162,7 @@ def corrector_circle(state, r0: float) -> float:
     """
     x = np.asarray(state.x, dtype=float).reshape(-1)
     v = np.asarray(state.v, dtype=float).reshape(-1)
-    return _corrector_circle(x, v, _weight_products(state.m), r0)
-
-
-def _corrector_circle(x, v, mm, r0) -> float:
-    """Circle corrector from chart positions x (N,) and velocities v (N,)."""
-    return float(np.sum(mm * _circle_summand(x, x, v, v, r0)))
+    return _pair_sum(state.m, _circle_summand(x, x, v, v, r0), state.m)
 
 
 def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
@@ -231,7 +231,7 @@ class LyapunovConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LyapunovConfig":
-        check_keys(d, ("variant", "a", "b", "c"), "lyapunov")
+        check_keys(d, ("a", "b", "c"), "lyapunov", required=("variant",))
         return cls(d["variant"], **{k: number(k, d[k]) for k in ("a", "b", "c") if k in d})
 
 
@@ -357,15 +357,16 @@ def collision_potential(state, domain: Domain, beta: float, r0: float) -> float:
     dmin, pair = geometry.nearest_pair(dist)
     if dmin == 0.0:
         raise CollisionError(pair, getattr(state, "t", 0.0), 0.0)
-    return _collision_sum(dist, _weight_products(state.m), beta, r0)
+    return _pair_sum(state.m, _collision_summand(dist, beta, r0), state.m)
 
 
-def _collision_sum(dist, mm, beta, r0) -> float:
-    """Collision potential from pair distances whose diagonal is masked."""
+def _collision_summand(dist, beta, r0) -> np.ndarray:
+    """Summand min(d_ij, r0)^(2 - beta), or its logarithm at beta = 2, of the
+    collision potential from pair distances, 0 at i = j (see _fill_diagonal)."""
     capped = np.minimum(dist, r0)
     vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
-    np.fill_diagonal(vals, 0.0)
-    return float(np.sum(mm * vals))
+    _fill_diagonal(vals, 0.0)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +452,7 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
 
 
 # ---------------------------------------------------------------------------
-# per-sample records and CSV serialization
+# per-sample records
 
 @dataclass
 class DiagnosticsRecord:
@@ -495,33 +496,26 @@ def record_column(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records])
 
 
-# A record of a state whose pair field the stepper sums on a neighbour list
-# (kernels._neighbour_radius) is built without (N, N) arrays: the kernel terms
-# on the same list, every other pair column over blocks of this many rows
-# against the columns from the block's first row on.  Each block's arrays
-# stay in cache and at most this many rows times N.  Read off
-# tools/pair_field_timing.py's record rows.
+# Every record sums its pair columns over blocks of this many rows against
+# the columns from the block's first row on, so a block's arrays stay in
+# cache and a library flock (at most 64 agents) is one block.  Read off
+# tools/pair_field_timing.py's block sweep.
 _RECORD_BLOCK = 64
 
 
 def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostic row for one state.
 
-    The pair columns come from dense (N, N) arrays, each built once, which
-    are the reference; on a state the stepper would evaluate on a neighbour
-    list they come from that list and from row blocks instead, equal to the
-    dense columns up to summation order (see _blocked_pair_columns).
+    The pair columns come from one algorithm for every kernel and every N,
+    the row blocks of _pair_columns; with one block they equal the public
+    per-state diagnostics bit for bit.  A coincident pair under a singular
+    kernel raises CollisionError naming the pair geometry.nearest_pair names.
     """
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
     m = np.asarray(state.m, dtype=float)
     t = float(getattr(state, "t", 0.0))
-    n = x.shape[0]
-    radius = kernels._neighbour_radius(kernel, domain, n)
-    if radius is None:
-        cols = _dense_pair_columns(x, v, m, kernel, domain, t)
-    else:
-        cols = _blocked_pair_columns(x, v, m, kernel, domain, radius)
+    cols = _pair_columns(x, v, m, kernel, domain, t)
 
     lyap = math.nan
     if lyapunov_config is not None:
@@ -532,8 +526,6 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
             cfg.variant, cfg.a, cfg.b, cfg.c, n_eff, t, cols["G"], cols["G3"], cols["V1"],
             cols["V2"]
         ))
-    if n < 2:
-        cols["dmin"] = math.nan
 
     mom = m @ v / float(np.sum(m))
     return DiagnosticsRecord(
@@ -546,60 +538,31 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
     )
 
 
-def _dense_pair_columns(x, v, m, kernel, domain, t) -> dict:
-    """The record's pair columns (V_p, I_p, G, G3, C, D, dmin, vdiam) from
-    dense (N, N) arrays."""
-    mm = _weight_products(m)
-    speed = geometry.pair_distances(VELOCITY_SPACE, v)
-    dist = geometry.pair_distances(domain, x)
-    cols = {"D": float(np.max(dist)), "vdiam": float(np.max(speed))}
-    phi, cols["dmin"] = _pair_phi(kernel, dist, t, kernels._is_singular(kernel))
+def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
+    """The record's pair columns V_p, I_p, G, G3, C, D, dmin and vdiam.
 
-    for p in (1, 2, 4):
-        weighted = mm * speed**p
-        cols[f"V{p}"] = float(np.sum(weighted))
-        cols[f"I{p}"] = float(p * np.sum(weighted * phi))
-        del weighted  # not alive while the next power is built
-
-    if domain.periodic:
-        cols["G"] = _corrector_circle(x[:, 0], v[:, 0], mm, kernel.r0)
-        cols["G3"] = math.nan
-    else:
-        cols["G"], cols["G3"] = _corrector_euclidean(x, v, dist, speed, mm, kernel.r0, (1, 3))
-
-    cols["C"] = math.nan
-    if kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
-        cols["C"] = _collision_sum(dist, mm, kernel.beta, kernel.r0)
-    return cols
-
-
-def _blocked_pair_columns(x, v, m, kernel, domain, radius, block=_RECORD_BLOCK) -> dict:
-    """The record's pair columns without (N, N) arrays, for a kernel that
-    vanishes from ``radius`` on.
-
-    I1, I2 and I4 are summed over the neighbour list of that radius, where
-    the kernel is nonzero.  The rest are taken over blocks of ``block`` rows
-    i against the columns j from the block's first row on: every summand is
-    exactly symmetric in (i, j) and 0 at i = j, so the square block on the
-    diagonal, which holds both orders of its pairs, counts once and the
-    columns past it count twice.  A block is reduced as m_rows @ (S @ w).
-    Each summand is formed by the same elementwise operations as on the
-    dense arrays, so the columns differ from the dense ones only in the
-    order of summation; every summand is non-negative, so no sum cancels.
-    D, dmin and vdiam are exact.
+    Each is summed over blocks of ``block`` rows i against the columns j from
+    the block's first row on: every summand is exactly symmetric in (i, j)
+    and 0 at i = j, so the square block on the diagonal counts once and the
+    columns past it twice.  Each summand, the public diagnostics' one, is
+    reduced as m_rows @ (S @ w) before the next is formed.  I_p is summed on
+    the stepper's neighbour list where it has one (kernels._neighbour_radius).
     """
-    i, j, near = geometry.neighbour_pairs(domain, x, radius)
-    phi = kernels._evaluate_raw(kernel, near)
-    speed = geometry.pair_square_sums(VELOCITY_SPACE, v, (i, j))
-    np.sqrt(speed, out=speed)
-    mm = m[i] * m[j]
-    cols = {f"I{p}": float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)}
-    del i, j, near, phi, speed, mm  # freed before the blocks are built
-
     n = x.shape[0]
-    periodic = domain.periodic
-    names = ("V1", "V2", "V4", "G") + (() if periodic else ("G3",))
-    totals = dict.fromkeys(names, 0.0)
+    singular = kernels._is_singular(kernel)
+    radius = kernels._neighbour_radius(kernel, domain, n)
+    collision = kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0
+    cols = {"G3": math.nan, "C": math.nan}
+    if radius is not None:
+        i, j, near = geometry.neighbour_pairs(domain, x, radius)
+        phi = kernels._evaluate_raw(kernel, near)
+        speed = geometry.pair_square_sums(VELOCITY_SPACE, v, (i, j))
+        np.sqrt(speed, out=speed)
+        mm = m[i] * m[j]
+        cols.update({f"I{p}": float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)})
+        del i, j, near, phi, speed, mm  # freed before the blocks are built
+
+    sums = collections.defaultdict(float)
     diameter, dmin, vdiam = 0.0, math.inf, 0.0
     agents = np.arange(n)
     for a in range(0, n, block):
@@ -611,27 +574,46 @@ def _blocked_pair_columns(x, v, m, kernel, domain, radius, block=_RECORD_BLOCK) 
         np.sqrt(dist, out=dist)
         diameter = max(diameter, float(np.max(dist)))
         vdiam = max(vdiam, float(np.max(speed)))
-        np.fill_diagonal(dist[:, : b - a], math.inf)
-        dmin = min(dmin, float(np.min(dist)))
-        if periodic:
-            g = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
+        _fill_diagonal(dist, math.inf)
+        # a pair (i, j) with j < i is (j, i) of an earlier row, so the first
+        # block holding a coincident pair holds the first in row-major order
+        k = int(np.argmin(dist))
+        if singular and dist.flat[k] <= 0.0:
+            raise CollisionError(np.add(divmod(k, n - a), a), t, 0.0)
+        dmin = min(dmin, float(dist.flat[k]))
+        m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
+        phi = None
+        if radius is None:
+            phi = kernels._evaluate_raw(kernel, dist)
+            _fill_diagonal(phi, 0.0)
+        for p in (1, 2, 4):
+            power = speed**p
+            sums[f"V{p}"] += _pair_sum(m_rows, power, w)
+            if phi is not None:
+                sums[f"I{p}"] += p * _pair_sum(m_rows, power * phi, w)
+        del power, phi  # not alive while the correctors are built
+        if domain.periodic:
+            summands = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
         else:
-            g = _euclidean_summands(x[a:b], x[a:], v[a:b], v[a:], dist, speed, kernel.r0,
-                                    (1, 3))
-        w = m[a:].copy()
-        w[b - a:] *= 2.0
-        for name, summand in zip(names, [speed**p for p in (1, 2, 4)] + g):
-            totals[name] += float(m[a:b] @ (summand @ w))
+            summands = _euclidean_summands(x[a:b], x[a:], v[a:b], v[a:], dist, speed,
+                                           kernel.r0, (1, 3))
+        for name, summand in zip(("G", "G3"), summands):
+            sums[name] += _pair_sum(m_rows, summand, w)
+        if collision:
+            sums["C"] += _pair_sum(m_rows, _collision_summand(dist, kernel.beta, kernel.r0), w)
 
-    cols.update(totals, D=diameter, dmin=dmin, vdiam=vdiam, C=math.nan)
-    if periodic:
-        cols["G3"] = math.nan
+    cols.update(sums, D=diameter, dmin=dmin if n > 1 else math.nan, vdiam=vdiam)
     return cols
+
+
+# ---------------------------------------------------------------------------
+# CSV serialization
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_csv(records, path, header_meta=None, dim=None):
+def write_csv(records, path, header_meta=None):
     """Write sampled records with 17-significant-digit floats.
 
     Metadata (scenario hash, seed, kernel parameters, ...) goes into
@@ -640,12 +622,10 @@ def write_csv(records, path, header_meta=None, dim=None):
     """
     if not records:
         raise InsufficientDataError("no records to write")
-    if dim is None:
-        dim = len(records[0].momentum)
     lines = []
     for key, value in (header_meta or {}).items():
         lines.append(f"# {key}: {value}")
-    lines.append(",".join(DiagnosticsRecord.column_names(dim)))
+    lines.append(",".join(DiagnosticsRecord.column_names(len(records[0].momentum))))
     for rec in records:
         lines.append(",".join(_fmt(v) for v in rec.to_row()))
     text = "\n".join(lines) + "\n"
@@ -655,12 +635,13 @@ def write_csv(records, path, header_meta=None, dim=None):
 
 
 def read_csv(path):
-    """Read a trajectory CSV back into (meta dict, column dict of arrays)."""
+    """Read a trajectory CSV back into (meta dict, column dict of arrays);
+    a data row whose width differs from the header row's is a CSVFormatError."""
     meta = {}
     rows = []
     names = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -673,7 +654,11 @@ def read_csv(path):
             if names is None:
                 names = line.split(",")
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            tokens = line.split(",")
+            if len(tokens) != len(names):
+                raise CSVFormatError(f"{path}, line {lineno}: {len(tokens)} fields, "
+                                     f"the header row has {len(names)}")
+            rows.append([float(tok) for tok in tokens])
     if not rows:
         raise InsufficientDataError(f"no data rows in {path}")
     data = np.array(rows, dtype=float)

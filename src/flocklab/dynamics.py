@@ -15,8 +15,9 @@ inherit the scheme's order.
 The pair field of a step (kernel, accelerations, dissipation rate and
 stiffness row sums) is built on dense (N, N) arrays, the reference, except
 when the kernel has compact support and there are enough agents for a
-neighbour list to pay (see kernels._neighbour_radius, which the diagnostics
-records read too); then it is summed over the pairs within the support only.
+neighbour list to pay (see kernels._neighbour_radius, which a diagnostics
+record reads only for where it sums I_p); then it is summed over the pairs
+within the support only.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -127,7 +128,7 @@ class StepperConfig:
     def from_dict(cls, d: dict) -> "StepperConfig":
         # older configs name the method and carry an unset d_guard; adaptive
         # RK4 and the fixed guard are the only choices
-        check_keys(d, ("dt_max", "safety", "method", "d_guard"), "stepper")
+        check_keys(d, ("safety", "method", "d_guard"), "stepper", required=("dt_max",))
         method = d.get("method", "rk4_adaptive")
         if method != "rk4_adaptive":
             raise ValueError(f"unknown method {method!r}")
@@ -326,11 +327,11 @@ class ObserverSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObserverSchedule":
-        check_keys(d, ("kind", "spacing", "t_first", "factor"), "observers")
+        check_keys(d, ("spacing", "t_first", "factor"), "observers", required=("kind",))
         kind = string("kind", d["kind"])
         keys = ("spacing",) if kind == "linear" else ("t_first", "factor")
         # a key of the other kind would be dropped unread, so it is refused
-        check_keys(d, ("kind",) + keys, f"{kind} observers")
+        check_keys(d, keys, f"{kind} observers", required=("kind",))
         return cls(kind, **{k: number(k, d[k]) for k in keys if k in d})
 
 

@@ -1,17 +1,22 @@
 """Typed error signals shared across the package, and the config checks
-(unknown keys, integral values, numbers, strings) that every config section
-shares."""
+(unknown and missing keys, integral values, numbers, strings) that every
+config section shares."""
 
 import numbers
 
 
-def check_keys(d, known, section: str) -> None:
-    """Reject a config section that is not a dict or names a key outside ``known``."""
+def check_keys(d, known, section: str, required=()) -> None:
+    """Reject a config section that is not a dict, names a key outside
+    ``required`` and ``known`` (the optional keys), or lacks a required key."""
     if not isinstance(d, dict):
         raise ValueError(f"{section} must be a mapping, got {type(d).__name__}")
+    known = [*required, *known]
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {section}; known: {', '.join(known)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{section} needs the key {missing[0]!r}")
 
 
 def integer(name: str, value) -> int:
@@ -50,6 +55,10 @@ class DomainMismatchError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Series too short (or window empty) for the requested computation."""
+
+
+class CSVFormatError(ValueError):
+    """A trajectory CSV whose rows the reader cannot take as columns."""
 
 
 class RateFitDataError(ValueError):

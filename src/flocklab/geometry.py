@@ -69,7 +69,7 @@ class Domain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Domain":
-        check_keys(d, ("kind", "dim"), "domain")
+        check_keys(d, ("dim",), "domain", required=("kind",))
         return cls(kind=d["kind"], dim=integer("dim", d.get("dim", 1)))
 
 

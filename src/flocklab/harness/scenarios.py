@@ -92,7 +92,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        check_keys(d, [f.name for f in dataclasses.fields(cls)], "config")
+        fields = dataclasses.fields(cls)
+        check_keys(d, [f.name for f in fields if f.default is not dataclasses.MISSING], "config",
+                   [f.name for f in fields if f.default is dataclasses.MISSING])
         lyap = d.get("lyapunov")
         return cls(
             name=string("name", d["name"]),
@@ -145,7 +147,7 @@ class ScenarioConfig:
         traj = self.run()
         if path is None:
             path = self.output or f"{self.name}-seed{self.initial['seed']}.csv"
-        write_csv(traj.records, path, traj.meta, self.domain.dim)
+        write_csv(traj.records, path, traj.meta)
         return path
 
 

@@ -8,9 +8,9 @@ evaluation, a monotone fat-tail minorant (when one exists), a singularity
 classification and the radius of its support.  Whether the tail is fat
 (infinite range integral) is decided in closed form, by the exponent, not by
 integrating.  ``_is_singular`` is the one test of whether a kernel blows up
-at contact, and ``_neighbour_radius`` the one choice, read by the stepper and
-the diagnostics records alike, of when pair sums run over a neighbour list
-instead of dense (N, N) arrays.
+at contact, and ``_neighbour_radius`` the one choice of when the stepper's
+pair sums, and the dissipation moments I_p of a diagnostics record, run over
+a neighbour list (a record's other pair columns always run over row blocks).
 """
 
 import math
@@ -93,7 +93,8 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
         # a "Lambda" key in older configs is ignored: no result ever read it
-        check_keys(d, ("kind", "lambda", "beta", "r0", "moll_width", "Lambda"), "kernel")
+        check_keys(d, ("lambda", "beta", "r0", "moll_width", "Lambda"), "kernel",
+                   required=("kind",))
         return cls(
             kind=KernelKind(d["kind"]),
             lam=number("lambda", d.get("lambda", 1.0)),
@@ -132,10 +133,10 @@ def support_radius(spec: KernelSpec) -> float:
 
 # From this many agents on, pair sums of a compactly supported kernel run
 # over a neighbour list instead of dense (N, N) arrays, in the stepper and in
-# the diagnostics records alike.  It is the smallest N of
-# tools/pair_field_timing.py's table at which the list is clearly faster on
-# both domains; at N = 64 the two paths are about even on the circle, and the
-# library runs (at most 64 agents) stay on the dense reference.
+# the dissipation moments of the diagnostics records.  It is the smallest N
+# of tools/pair_field_timing.py's force table at which the list is clearly
+# faster on both domains; at N = 64 the two paths are about even on the
+# circle, and the library runs (at most 64 agents) stay on the dense reference.
 _NEIGHBOUR_MIN_N = 128
 
 

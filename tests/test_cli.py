@@ -114,13 +114,19 @@ def test_accept_unknown_suite(capsys):
     ["run", "two-agent-smooth-collision", "--horizon", "0.5", "--out", "{dir}"],
     ["accept", "consistency", "--out", "{dir}"],
     ["rates", "{header_only}"],
+    ["rates", "{short_row}"],
+    ["rates", "{long_row}"],
+    ["rates", "{ragged_rows}"],
 ], ids=["run-config-dir", "rates-csv-dir", "run-out-dir", "accept-out-dir",
-        "rates-header-only-csv"])
+        "rates-header-only-csv", "rates-short-row", "rates-long-row", "rates-ragged-rows"])
 def test_a_file_the_command_cannot_use_is_one_error_line(tmp_path, capsys, argv):
     # exit 2 with one line, not a traceback
-    header_only = tmp_path / "header.csv"
-    header_only.write_text("# scenario: none\nt,V2\n")
-    argv = [arg.format(dir=tmp_path, header_only=header_only) for arg in argv]
+    files = {"header_only": "", "short_row": "1,2\n", "long_row": "1,2,3\n",
+             "ragged_rows": "1\n1,2,3\n"}
+    for name, rows in files.items():
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("# scenario: none\nt,V2\n" + rows)
+    argv = [arg.format(dir=tmp_path, **files) for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -156,3 +162,21 @@ def test_run_rejects_a_bad_config_in_one_line(tmp_path, capsys, path, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert path[-1] in err[0]
+
+
+@pytest.mark.parametrize("path", [
+    ("n",), ("horizon",), ("domain", "kind"), ("kernel", "kind"), ("stepper", "dt_max"),
+    ("observers", "kind"), ("lyapunov", "variant"),
+], ids=lambda path: ".".join(path))
+def test_run_names_a_missing_config_key(tmp_path, capsys, path):
+    cfg = scenario("euclid-classical-smooth", horizon=0.5).to_dict()
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    name = path[0] if len(path) > 1 else "config"
+    assert err == [f"error: {name} needs the key {path[-1]!r}"]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flocklab import diagnostics, kernels
+from flocklab import geometry
 from flocklab.diagnostics import (
     DiagnosticsRecord,
     LyapunovConfig,
@@ -24,9 +24,16 @@ from flocklab.diagnostics import (
     variation,
     write_csv,
 )
-from flocklab.dynamics import FlockState, initial_state
+from flocklab.dynamics import (
+    FlockState,
+    flock_diameter,
+    initial_state,
+    min_separation,
+    velocity_diameter,
+)
 from flocklab.errors import (
     CollisionError,
+    CSVFormatError,
     DomainMismatchError,
     InsufficientDataError,
     UnsupportedQueryError,
@@ -309,9 +316,10 @@ def test_compute_record_collision_potential_column():
 
 
 # ---------------------------------------------------------------------------
-# the blocked record of a compactly supported kernel
+# records of many agents, summed over row blocks
 
 LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+SINGULAR = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.1)
 
 
 def _record_config(domain):
@@ -333,71 +341,96 @@ def _blocked_case(domain, n):
     return FlockState(0.5, x, v, st.m)
 
 
-def _dense_record(monkeypatch, *args):
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_NEIGHBOUR_MIN_N", math.inf)
-        return compute_record(*args)
-
-
-def _spy_blocked(monkeypatch):
-    calls = []
-    blocked = diagnostics._blocked_pair_columns
-
-    def spy(*args, **kwargs):
-        calls.append(len(args[0]))
-        return blocked(*args, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "_blocked_pair_columns", spy)
-    return calls
+def _public_columns(state, kernel, domain, cfg):
+    """The record's pair columns from the public per-state diagnostics,
+    each built on dense (N, N) arrays."""
+    cols = {"L": lyapunov(state, kernel, domain, cfg), "D": flock_diameter(state, domain),
+            "vdiam": velocity_diameter(state), "dmin": min_separation(state, domain)}
+    for p in (1, 2, 4):
+        cols[f"V{p}"] = variation(state, p)
+        cols[f"I{p}"] = dissipation(state, kernel, domain, p)
+    if domain.periodic:
+        cols["G"] = corrector_circle(state, kernel.r0)
+    else:
+        cols["G"] = corrector_euclidean(state, kernel.r0, power=1)
+        cols["G3"] = corrector_euclidean(state, kernel.r0, power=3)
+    return cols
 
 
 @pytest.mark.parametrize("n", [128, 257, 512])
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
-def test_blocked_record_matches_the_dense_reference(monkeypatch, domain, n):
+def test_blocked_record_matches_the_dense_reference(domain, n):
     state = _blocked_case(domain, n)
-    calls = _spy_blocked(monkeypatch)
-    rec = compute_record(state, LOCAL, domain, _record_config(domain))
-    assert calls == [n]
-    ref = _dense_record(monkeypatch, state, LOCAL, domain, _record_config(domain))
-    names = DiagnosticsRecord.column_names(domain.dim)
-    for name, got, want in zip(names, rec.to_row(), ref.to_row()):
-        if math.isnan(want):
-            assert math.isnan(got), name
-        else:
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
-    assert ref.V1 > 0.0 and ref.I2 > 0.0 and ref.G > 0.0
+    cfg = _record_config(domain)
+    rec = compute_record(state, LOCAL, domain, cfg)
+    ref = _public_columns(state, LOCAL, domain, cfg)
+    for name, want in ref.items():
+        assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+    assert math.isnan(rec.C) and math.isnan(rec.G3) == domain.periodic
+    assert ref["V1"] > 0.0 and ref["I2"] > 0.0 and ref["G"] > 0.0
 
 
 def test_record_takes_the_blocked_path_with_the_stepper(monkeypatch):
-    calls = _spy_blocked(monkeypatch)
+    # I_p is summed on the stepper's neighbour list exactly where the stepper
+    # sums its pair field there; a state of one block equals the public
+    # diagnostics bit for bit
+    calls = []
+    neighbour_pairs = geometry.neighbour_pairs
+
+    def spy(domain, x, radius):
+        calls.append((len(x), radius))
+        return neighbour_pairs(domain, x, radius)
+
+    monkeypatch.setattr(geometry, "neighbour_pairs", spy)
     small = initial_state(circle(), 64, seed=1, weight_mode="random")
-    rec = compute_record(small, LOCAL, circle())
-    assert np.array_equal(rec.to_row(), _dense_record(monkeypatch, small, LOCAL, circle()).to_row(),
-                          equal_nan=True)
-    singular = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.1)
+    cfg = _record_config(circle())
+    rec = compute_record(small, LOCAL, circle(), cfg)
+    for name, want in _public_columns(small, LOCAL, circle(), cfg).items():
+        assert getattr(rec, name) == want, name
     lattice = initial_state(circle(), 256, kind="lattice_circle", seed=1)
-    assert math.isfinite(compute_record(lattice, singular, circle()).C)
+    assert math.isfinite(compute_record(lattice, SINGULAR, circle()).I2)
     assert calls == []
     compute_record(initial_state(euclidean(2), 128, seed=1), LOCAL, euclidean(2))
-    assert calls == [128]
+    assert calls == [(128, LOCAL.r0)]
 
 
-def test_blocked_record_peak_memory(monkeypatch):
-    state = initial_state(circle(), 2048, seed=3)
-    cfg = _record_config(circle())
+def _lattice(n, copy=None):
+    """A circle lattice of n agents, agent copy[1] moved onto agent copy[0]."""
+    st = initial_state(circle(), n, kind="lattice_circle", seed=2, weight_mode="random")
+    if copy is not None:
+        st.x[copy[1]] = st.x[copy[0]]
+    return st
 
-    def peak(record):
+
+def test_blocked_record_names_the_first_coincident_pair():
+    # the pair lies in the second block of rows, its column in the fourth
+    state = _lattice(256, copy=(70, 200))
+    expected = geometry.nearest_pair(geometry.pair_distances(circle(), state.x))[1]
+    assert expected == (70, 200)
+    with pytest.raises(CollisionError) as err:
+        compute_record(state, SINGULAR, circle())
+    assert err.value.pair == expected and err.value.distance == 0.0
+
+
+def test_blocked_record_collision_potential():
+    state = _lattice(256)
+    rec = compute_record(state, SINGULAR, circle())
+    want = collision_potential(state, circle(), SINGULAR.beta, SINGULAR.r0)
+    assert rec.C == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rec.I2 == pytest.approx(dissipation(state, SINGULAR, circle(), 2), rel=1e-12, abs=0.0)
+
+
+def test_blocked_record_peak_memory():
+    n = 2048
+    for kernel, state in ((LOCAL, initial_state(circle(), n, seed=3)), (SINGULAR, _lattice(n))):
         tracemalloc.start()
         try:
-            record(state, LOCAL, circle(), cfg)
-            return tracemalloc.get_traced_memory()[1]
+            compute_record(state, kernel, circle(), _record_config(circle()))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    blocked = peak(compute_record)
-    dense = peak(lambda *args: _dense_record(monkeypatch, *args))
-    assert blocked < 0.25 * dense
+        assert peak < n * n * 8, kernel.kind  # one (N, N) float64 array
 
 
 def test_csv_roundtrip(tmp_path):
@@ -406,7 +439,7 @@ def test_csv_roundtrip(tmp_path):
         _balance_record(1.0, 1.5, 0.5),
     ]
     path = tmp_path / "run.csv"
-    write_csv(recs, path, header_meta={"scenario": "demo", "seed": "0"}, dim=1)
+    write_csv(recs, path, header_meta={"scenario": "demo", "seed": "0"})
     meta, cols = read_csv(path)
     assert meta == {"scenario": "demo", "seed": "0"}
     assert cols["V2"][0] == 2.0
@@ -414,7 +447,7 @@ def test_csv_roundtrip(tmp_path):
     assert math.isnan(cols["L"][0])
     # identical records give identical bytes
     other = tmp_path / "again.csv"
-    write_csv(recs, other, header_meta={"scenario": "demo", "seed": "0"}, dim=1)
+    write_csv(recs, other, header_meta={"scenario": "demo", "seed": "0"})
     assert path.read_bytes() == other.read_bytes()
 
 
@@ -429,3 +462,15 @@ def test_csv_errors(tmp_path):
     header.write_text("# only: meta\nt,V2\n")
     with pytest.raises(InsufficientDataError):
         read_csv(header)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("1,2,3\n1,2\n", 4),
+    ("1,2,3\n1,2,3,4\n", 4),
+    ("1,2\n1,2,3,4\n", 3),
+], ids=["short", "long", "ragged"])
+def test_read_csv_refuses_a_row_of_another_width(tmp_path, rows, line):
+    path = tmp_path / "rows.csv"
+    path.write_text("# scenario: none\nt,V2,V4\n" + rows)
+    with pytest.raises(CSVFormatError, match=f"line {line}:"):
+        read_csv(path)

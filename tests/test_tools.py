@@ -15,6 +15,7 @@ from flocklab.harness import scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 COMPARE_RUNS = ROOT / "tools" / "compare_runs.py"
+PAIR_FIELD_TIMING = ROOT / "tools" / "pair_field_timing.py"
 
 
 def _load(path):
@@ -102,3 +103,24 @@ def test_compare_runs_diff_exits_1_on_any_difference(tmp_path, dump, change, ver
     out = _diff(tmp_path, dump, changed)
     assert out.returncode == 1, out.stdout + out.stderr
     assert verdict in out.stdout
+
+
+def test_pair_field_timing_helpers_run(monkeypatch, capsys):
+    # each helper once at N = 128, so a renamed name the tool reaches fails here
+    tool = _load(PAIR_FIELD_TIMING)
+    monkeypatch.setattr(tool, "BUDGET_S", 0.0)
+    for name in ("circle", "plane"):
+        domain, state = tool._setup(name, 128)
+        acc, i2 = tool._force(state, domain, None)
+        assert np.allclose(tool._force(state, domain, tool.KERNEL.r0)[0], acc, rtol=0, atol=1e-12)
+        assert tool._record(state, domain)["I2"] == pytest.approx(i2, rel=1e-12)
+        assert tool._record(state, domain, 16)["V2"] == pytest.approx(
+            tool._record(state, domain)["V2"], rel=1e-12)
+        assert tool._median_us(lambda: tool._record(state, domain)) > 0.0
+        assert tool._peak_mb(lambda: tool._record(state, domain)) > 0.0
+        tool._row("record", name, 128, tool._cells(lambda: tool._record(state, domain)))
+        tool._row("force", name, 128, ("-", "-"),
+                  tool._cells(lambda: tool._force(state, domain, None)))
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and all(row.split()[2] == "128" for row in rows)
+    assert "-" in rows[1].split()

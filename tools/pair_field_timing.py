@@ -1,20 +1,22 @@
-"""Time the stepper's force evaluation and the diagnostics record, dense
-against the neighbour-list paths.
+"""Time the stepper's force evaluation, dense against the neighbour list, and
+the diagnostics record.
 
     PYTHONPATH=src python3 tools/pair_field_timing.py
 
 One force evaluation is what each RK4 stage computes: the pair kernel, the
 squared relative speeds, the accelerations and the dissipation rate I2.  A
-record's pair columns are V_p, I_p, the correctors, D, dmin and vdiam; the
-blocked record takes I_p on the neighbour list and the rest over row blocks
-of ``diagnostics._RECORD_BLOCK`` agents.  The state is ``uniform_gaussian``
-under the local mollified kernel with r0 = 0.1, the kernel of perfbench's
-``large-n`` workload: on the circle, and in the plane on the unit box.  Each
-row prints the median µs per call of both paths (``-`` where a path is not
-timed), and the tracemalloc peak of one call in MB.  The dense force
-evaluation is not run past N = 2048, where its (N, N) arrays take most of the
-memory.  The last table times the blocked record at N = 2048 for several
-block sizes, the table the block size is read off.
+record's pair columns are V_p, I_p, the correctors, D, dmin and vdiam, each
+summed over row blocks of ``diagnostics._RECORD_BLOCK`` agents; from
+N = ``kernels._NEIGHBOUR_MIN_N`` on, I_p is summed on the neighbour list.
+The state is ``uniform_gaussian`` under the local mollified kernel with
+r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the circle, and
+in the plane on the unit box.  Each force row prints the median µs per call
+of both paths (``-`` where a path is not timed), and the tracemalloc peak of
+one call in MB; each record row the same of the one record algorithm.  The
+dense force evaluation is not run past N = 2048, where its (N, N) arrays take
+most of the memory.  The last table
+times the record at N = 2048 for several block sizes, the table the block
+size is read off.
 """
 
 import statistics
@@ -33,7 +35,7 @@ FORCE_CASES = (  # (domain name, N, time the dense path)
     + [("circle", n, False) for n in (8192, 16384)]
     + [("plane", n, True) for n in (64, 128, 256, 1024)]
 )
-RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (128, 256, 512, 1024, 2048)]
+RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (64, 128, 256, 512, 1024, 2048)]
 BLOCKS = (16, 32, 64, 128, 256)
 BUDGET_S = 1.0  # time spent on each path of each row, after one warm-up call
 
@@ -49,13 +51,8 @@ def _force(state, domain, radius):
     return _forces(phi, speed2, state.v, state.m, pairs)
 
 
-def _dense_record(state, domain):
-    return diagnostics._dense_pair_columns(state.x, state.v, state.m, KERNEL, domain, state.t)
-
-
-def _blocked_record(state, domain, block=diagnostics._RECORD_BLOCK):
-    return diagnostics._blocked_pair_columns(state.x, state.v, state.m, KERNEL, domain,
-                                             KERNEL.r0, block)
+def _record(state, domain, block=diagnostics._RECORD_BLOCK):
+    return diagnostics._pair_columns(state.x, state.v, state.m, KERNEL, domain, state.t, block)
 
 
 def _median_us(fn):
@@ -81,10 +78,10 @@ def _cells(fn):
     return _median_us(fn), _peak_mb(fn)
 
 
-def _row(label, name, n, first, second):
-    (a_us, a_mb), (b_us, b_mb) = first, second
-    print(f"{label:7s} {name:7s} {n:6d} {_fmt(a_us, 11, 0)} {_fmt(b_us, 11, 0)} "
-          f"{_fmt(a_mb, 9, 1)} {_fmt(b_mb, 9, 1)}", flush=True)
+def _row(label, name, n, *cells):
+    """One table row: the µs of each cell, then the MB of each."""
+    print(f"{label:7s} {name:7s} {n:6d} " + " ".join(_fmt(us, 11, 0) for us, _ in cells)
+          + " " + " ".join(_fmt(mb, 9, 1) for _, mb in cells), flush=True)
 
 
 def main():
@@ -95,17 +92,18 @@ def main():
         _row("force", name, n,
              _cells(lambda: _force(state, domain, None)) if dense else ("-", "-"),
              _cells(lambda: _force(state, domain, KERNEL.r0)))
+    print()
+    print(f"{'':7s} {'domain':7s} {'N':>6s} {'us':>11s} {'MB':>9s}")
     for name, n in RECORD_CASES:
         domain, state = _setup(name, n)
-        _row("record", name, n, _cells(lambda: _dense_record(state, domain)),
-             _cells(lambda: _blocked_record(state, domain)))
-    print(f"neighbour list and blocked record from N = {kernels._NEIGHBOUR_MIN_N}, "
+        _row("record", name, n, _cells(lambda: _record(state, domain)))
+    print(f"neighbour list from N = {kernels._NEIGHBOUR_MIN_N}, "
           f"record blocks of {diagnostics._RECORD_BLOCK} rows")
     print()
     print(f"{'domain':7s} {'N':>6s} " + " ".join(f"{f'block {b} us':>13s}" for b in BLOCKS))
     for name in ("circle", "plane"):
         domain, state = _setup(name, 2048)
-        cells = [_median_us(lambda: _blocked_record(state, domain, b)) for b in BLOCKS]
+        cells = [_median_us(lambda: _record(state, domain, b)) for b in BLOCKS]
         print(f"{name:7s} {2048:6d} " + " ".join(_fmt(us, 13, 0) for us in cells), flush=True)
 
 
