@@ -16,10 +16,8 @@ column is summed over blocks of rows against the columns from the block's
 first row on, as m_rows @ (S @ w), so no (N, N) array is formed and a flock
 of at most ``_RECORD_BLOCK`` agents is one block.  The public per-state
 diagnostics reduce the whole (N, N) summand by the same expression, so a
-one-block record equals them bit for bit.  Only the dissipation moments I_p
-of a state the stepper evaluates on a neighbour list
-(``kernels._neighbour_radius``) are summed over that list instead.
-``good_set`` builds dense arrays.
+one-block record equals them bit for bit.  A record reads nothing of how the
+stepper sums its pair field.  ``good_set`` builds dense arrays.
 """
 
 import collections
@@ -150,7 +148,7 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist, r0)
     for power in powers:
-        yield np.where(moving, speed**power * psi * chi, 0.0)
+        yield speed**power * psi * chi
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -172,7 +170,7 @@ def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
     sgn = np.sign(vdiff)
     # chart difference, not minimal image
     arc = np.mod(-(xr[:, None] - xc[None, :]) * sgn, TWO_PI)
-    return np.where(sgn != 0.0, np.abs(vdiff) * geometry.psi_periodic(arc, r0), 0.0)
+    return np.abs(vdiff) * geometry.psi_periodic(arc, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +543,12 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
     the block's first row on: every summand is exactly symmetric in (i, j)
     and 0 at i = j, so the square block on the diagonal counts once and the
     columns past it twice.  Each summand, the public diagnostics' one, is
-    reduced as m_rows @ (S @ w) before the next is formed.  I_p is summed on
-    the stepper's neighbour list where it has one (kernels._neighbour_radius).
+    reduced as m_rows @ (S @ w) before the next is formed.
     """
     n = x.shape[0]
     singular = kernels._is_singular(kernel)
-    radius = kernels._neighbour_radius(kernel, domain, n)
     collision = kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0
     cols = {"G3": math.nan, "C": math.nan}
-    if radius is not None:
-        i, j, near = geometry.neighbour_pairs(domain, x, radius)
-        phi = kernels._evaluate_raw(kernel, near)
-        speed = geometry.pair_square_sums(VELOCITY_SPACE, v, (i, j))
-        np.sqrt(speed, out=speed)
-        mm = m[i] * m[j]
-        cols.update({f"I{p}": float(p * np.sum(mm * speed**p * phi)) for p in (1, 2, 4)})
-        del i, j, near, phi, speed, mm  # freed before the blocks are built
-
     sums = collections.defaultdict(float)
     diameter, dmin, vdiam = 0.0, math.inf, 0.0
     agents = np.arange(n)
@@ -582,15 +569,12 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
             raise CollisionError(np.add(divmod(k, n - a), a), t, 0.0)
         dmin = min(dmin, float(dist.flat[k]))
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
-        phi = None
-        if radius is None:
-            phi = kernels._evaluate_raw(kernel, dist)
-            _fill_diagonal(phi, 0.0)
+        phi = kernels._evaluate_raw(kernel, dist)
+        _fill_diagonal(phi, 0.0)
         for p in (1, 2, 4):
             power = speed**p
             sums[f"V{p}"] += _pair_sum(m_rows, power, w)
-            if phi is not None:
-                sums[f"I{p}"] += p * _pair_sum(m_rows, power * phi, w)
+            sums[f"I{p}"] += p * _pair_sum(m_rows, power * phi, w)
         del power, phi  # not alive while the correctors are built
         if domain.periodic:
             summands = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
@@ -636,7 +620,8 @@ def write_csv(records, path, header_meta=None):
 
 def read_csv(path):
     """Read a trajectory CSV back into (meta dict, column dict of arrays);
-    a data row whose width differs from the header row's is a CSVFormatError."""
+    a data row whose width differs from the header row's, or that holds a
+    token that is not a number, is a CSVFormatError."""
     meta = {}
     rows = []
     names = None
@@ -658,7 +643,10 @@ def read_csv(path):
             if len(tokens) != len(names):
                 raise CSVFormatError(f"{path}, line {lineno}: {len(tokens)} fields, "
                                      f"the header row has {len(names)}")
-            rows.append([float(tok) for tok in tokens])
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError as err:
+                raise CSVFormatError(f"{path}, line {lineno}: {err}") from None
     if not rows:
         raise InsufficientDataError(f"no data rows in {path}")
     data = np.array(rows, dtype=float)

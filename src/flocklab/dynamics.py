@@ -15,9 +15,8 @@ inherit the scheme's order.
 The pair field of a step (kernel, accelerations, dissipation rate and
 stiffness row sums) is built on dense (N, N) arrays, the reference, except
 when the kernel has compact support and there are enough agents for a
-neighbour list to pay (see kernels._neighbour_radius, which a diagnostics
-record reads only for where it sums I_p); then it is summed over the pairs
-within the support only.
+neighbour list to pay (``_neighbour_radius``, the one place that choice is
+made); then it is summed over the pairs within the support only.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -138,6 +137,25 @@ class StepperConfig:
                    safety=number("safety", d.get("safety", 0.4)))
 
 
+# From this many agents on, the pair field of a compactly supported kernel
+# is summed over a neighbour list instead of dense (N, N) arrays.  It is the
+# smallest N of tools/pair_field_timing.py's force table at which the list is
+# clearly faster on both domains; at N = 64 the two paths are about even on
+# the circle, and the library runs (at most 64 agents) stay on the dense
+# reference.
+_NEIGHBOUR_MIN_N = 128
+
+
+def _neighbour_radius(spec: KernelSpec, domain: Domain, n: int):
+    """The radius of the neighbour list the pair field of n agents on
+    ``domain`` is summed on, or None for the dense reference: the list needs
+    a kernel of compact support, at least _NEIGHBOUR_MIN_N agents and, on the
+    circle, a support radius below pi."""
+    radius = kernels.support_radius(spec)
+    bound = math.pi if domain.periodic else math.inf
+    return radius if n >= _NEIGHBOUR_MIN_N and radius < bound else None
+
+
 def _pair_kernel(x, kernel: KernelSpec, domain: Domain, t: float, singular: bool, radius,
                  floor: float = 0.0):
     """Kernel phi of the pairs, the smallest distance and the pair list.
@@ -188,7 +206,7 @@ def _forces(phi, speed2, v, m, pairs):
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
     singular = kernels._is_singular(kernel)
-    radius = kernels._neighbour_radius(kernel, domain, state.n)
+    radius = _neighbour_radius(kernel, domain, state.n)
     phi, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
     return _accel(phi, state.v, state.m, pairs)
 
@@ -222,7 +240,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows.
     """
     singular = kernels._is_singular(kernel)
-    radius = kernels._neighbour_radius(kernel, domain, state.n)
+    radius = _neighbour_radius(kernel, domain, state.n)
     x0, v0, m = state.x, state.v, state.m
     phi, speed2, dmin, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
     first = _forces(phi, speed2, v0, m, pairs)

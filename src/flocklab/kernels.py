@@ -8,9 +8,7 @@ evaluation, a monotone fat-tail minorant (when one exists), a singularity
 classification and the radius of its support.  Whether the tail is fat
 (infinite range integral) is decided in closed form, by the exponent, not by
 integrating.  ``_is_singular`` is the one test of whether a kernel blows up
-at contact, and ``_neighbour_radius`` the one choice of when the stepper's
-pair sums, and the dissipation moments I_p of a diagnostics record, run over
-a neighbour list (a record's other pair columns always run over row blocks).
+at contact.
 """
 
 import math
@@ -129,25 +127,6 @@ def support_radius(spec: KernelSpec) -> float:
     """Range at and beyond which the kernel is exactly 0: r0 for the local
     mollified family, inf for every other family."""
     return spec.r0 if spec.kind is KernelKind.LOCAL_MOLLIFIED else math.inf
-
-
-# From this many agents on, pair sums of a compactly supported kernel run
-# over a neighbour list instead of dense (N, N) arrays, in the stepper and in
-# the dissipation moments of the diagnostics records.  It is the smallest N
-# of tools/pair_field_timing.py's force table at which the list is clearly
-# faster on both domains; at N = 64 the two paths are about even on the
-# circle, and the library runs (at most 64 agents) stay on the dense reference.
-_NEIGHBOUR_MIN_N = 128
-
-
-def _neighbour_radius(spec: KernelSpec, domain, n: int):
-    """The radius of the neighbour list pair sums of n agents on ``domain``
-    are taken on, or None for the dense reference: the list needs a kernel
-    of compact support, at least _NEIGHBOUR_MIN_N agents and, on the circle,
-    a support radius below pi."""
-    radius = support_radius(spec)
-    bound = math.pi if domain.periodic else math.inf
-    return radius if n >= _NEIGHBOUR_MIN_N and radius < bound else None
 
 
 def evaluate(spec: KernelSpec, r):

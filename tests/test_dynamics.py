@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from flocklab import dynamics, kernels
+from flocklab import dynamics
 from flocklab.dynamics import (
     FlockState,
     ObserverSchedule,
@@ -235,7 +235,7 @@ def _paths(monkeypatch, fn):
     """fn() on the dense reference, then on the neighbour list at any N."""
     out = []
     for crossover in (math.inf, 1):
-        monkeypatch.setattr(kernels, "_NEIGHBOUR_MIN_N", crossover)
+        monkeypatch.setattr(dynamics, "_NEIGHBOUR_MIN_N", crossover)
         out.append(fn())
     return out
 
@@ -273,20 +273,20 @@ def test_neighbour_stiffness_error_names_the_dense_pair(monkeypatch, domain):
 
 
 def test_neighbour_list_needs_compact_support_and_enough_agents():
-    big = kernels._NEIGHBOUR_MIN_N
-    assert kernels._neighbour_radius(LOCAL, circle(), big) == 0.1
-    assert kernels._neighbour_radius(LOCAL, euclidean(2), big) == 0.1
-    assert kernels._neighbour_radius(LOCAL, circle(), big - 1) is None
-    assert kernels._neighbour_radius(FLAT, euclidean(2), big) is None
+    big = dynamics._NEIGHBOUR_MIN_N
+    assert dynamics._neighbour_radius(LOCAL, circle(), big) == 0.1
+    assert dynamics._neighbour_radius(LOCAL, euclidean(2), big) == 0.1
+    assert dynamics._neighbour_radius(LOCAL, circle(), big - 1) is None
+    assert dynamics._neighbour_radius(FLAT, euclidean(2), big) is None
     wide = KernelSpec(KernelKind.LOCAL_MOLLIFIED, r0=4.0)  # covers the whole circle
-    assert kernels._neighbour_radius(wide, circle(), big) is None
-    assert kernels._neighbour_radius(wide, euclidean(1), big) == 4.0
+    assert dynamics._neighbour_radius(wide, circle(), big) is None
+    assert dynamics._neighbour_radius(wide, euclidean(1), big) == 4.0
 
 
 def test_library_runs_stay_on_the_dense_reference():
     for name in scenario_names():
         cfg = scenario(name)
-        assert kernels._neighbour_radius(cfg.kernel, cfg.domain, cfg.n) is None, name
+        assert dynamics._neighbour_radius(cfg.kernel, cfg.domain, cfg.n) is None, name
 
 
 # ---------------------------------------------------------------------------

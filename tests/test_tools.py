@@ -124,3 +124,19 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 4 and all(row.split()[2] == "128" for row in rows)
     assert "-" in rows[1].split()
+
+
+def test_compare_runs_diff_scores_a_small_entry_against_its_own_size(tmp_path, dump):
+    # an entry below 1 moved by 1e-6 of its value reads as 1e-6, not as the
+    # absolute difference
+    changed = copy.deepcopy(dump)
+    run = changed["runs"]["two-agent-smooth-collision"]
+    record = run["records"][-1]
+    k = next(k for k, h in enumerate(record) if 0.0 < abs(float.fromhex(h)) < 0.1)
+    record[k] = (float.fromhex(record[k]) * (1.0 + 1e-6)).hex()
+    out = _diff(tmp_path, dump, changed)
+    assert out.returncode == 1, out.stdout + out.stderr
+    line = next(s for s in out.stdout.splitlines() if s.startswith("two-agent-smooth-collision"))
+    score = float(line.split(" records ")[1].split()[0])
+    assert score == pytest.approx(1e-6, rel=1e-3)
+    assert f"({run['columns'][k]})" in line

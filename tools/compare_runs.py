@@ -14,10 +14,11 @@ is stored as its exact hex form, so two checkouts can be compared without
 round-off.
 
 ``diff`` prints one line per run: whether its records, states and error
-are bitwise equal, and the largest |a - b| / max(1, |a|) over the records,
-with the record column where it occurs, the positions x, the velocities v
-and the other state and error fields (a different error type or pair reads
-as inf), then whether the config JSON and the searched constants are equal.
+are bitwise equal, and the largest relative difference
+|a - b| / max(|a|, |b|) over the records, with the record column where it
+occurs, the positions x, the velocities v and the other state and error
+fields (a different error type or pair reads as inf), then whether the
+config JSON and the searched constants are equal.
 Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
 not read as 2*pi.  One more line per initial state says whether x, v and m
@@ -135,14 +136,15 @@ def _floats(hexes):
 
 
 def _rel(a, b):
-    """Largest |a - b| / max(1, |a|), with nan equal to nan, and its flat index."""
+    """Largest |a - b| / max(|a|, |b|), with nan equal to nan, and its flat index;
+    a column far below 1 is scored relative to its own size."""
     if a.shape != b.shape:
         return math.inf, None
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
         return 0.0, None
     where = np.flatnonzero(~same)
-    rel = np.abs(a[where] - b[where]) / np.maximum(1.0, np.abs(a[where]))
+    rel = np.abs(a[where] - b[where]) / np.maximum(np.abs(a[where]), np.abs(b[where]))
     k = int(np.argmax(rel))
     return float(rel[k]), int(where[k])
 

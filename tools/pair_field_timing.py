@@ -6,8 +6,8 @@ the diagnostics record.
 One force evaluation is what each RK4 stage computes: the pair kernel, the
 squared relative speeds, the accelerations and the dissipation rate I2.  A
 record's pair columns are V_p, I_p, the correctors, D, dmin and vdiam, each
-summed over row blocks of ``diagnostics._RECORD_BLOCK`` agents; from
-N = ``kernels._NEIGHBOUR_MIN_N`` on, I_p is summed on the neighbour list.
+summed over row blocks of ``diagnostics._RECORD_BLOCK`` agents at every N.
+The stepper takes the neighbour list from N = ``dynamics._NEIGHBOUR_MIN_N`` on.
 The state is ``uniform_gaussian`` under the local mollified kernel with
 r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the circle, and
 in the plane on the unit box.  Each force row prints the median µs per call
@@ -24,7 +24,7 @@ import sys
 import time
 import tracemalloc
 
-from flocklab import diagnostics, kernels
+from flocklab import diagnostics, dynamics
 from flocklab.dynamics import _forces, _pair_terms, initial_state
 from flocklab.geometry import circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
@@ -97,7 +97,7 @@ def main():
     for name, n in RECORD_CASES:
         domain, state = _setup(name, n)
         _row("record", name, n, _cells(lambda: _record(state, domain)))
-    print(f"neighbour list from N = {kernels._NEIGHBOUR_MIN_N}, "
+    print(f"stepper neighbour list from N = {dynamics._NEIGHBOUR_MIN_N}, "
           f"record blocks of {diagnostics._RECORD_BLOCK} rows")
     print()
     print(f"{'domain':7s} {'N':>6s} " + " ".join(f"{f'block {b} us':>13s}" for b in BLOCKS))
