@@ -16,8 +16,8 @@ column is summed over blocks of rows against the columns from the block's
 first row on, as m_rows @ (S @ w), so no (N, N) array is formed and a flock
 of at most ``_RECORD_BLOCK`` agents is one block.  The public per-state
 diagnostics reduce the whole (N, N) summand by the same expression, so a
-one-block record equals them bit for bit.  A record reads nothing of how the
-stepper sums its pair field.  ``good_set`` builds dense arrays.
+one-block record equals them bit for bit.  A record reads nothing of the
+stepper's pair field.  ``good_set`` builds dense arrays.
 """
 
 import collections
@@ -88,9 +88,10 @@ def _pair_sum(m_rows: np.ndarray, summand: np.ndarray, w: np.ndarray) -> float:
     return float(m_rows @ (summand @ w))
 
 
-def _fill_diagonal(block: np.ndarray, value: float) -> None:
-    """Set the i = j entries of rows against the columns from the first row on."""
-    np.fill_diagonal(block[:, : block.shape[0]], value)
+def _fill_diagonal(block: np.ndarray, value: float, offset: int = 0) -> None:
+    """Set the i = j entries of a block of rows against columns that hold the
+    rows' own from column ``offset`` on: the entries (k, offset + k)."""
+    block.flat[offset::block.shape[1] + 1] = value
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +496,10 @@ def record_column(records, name: str) -> np.ndarray:
 
 
 # Every record sums its pair columns over blocks of this many rows against
-# the columns from the block's first row on, so a block's arrays stay in
-# cache and a library flock (at most 64 agents) is one block.  Read off
-# tools/pair_field_timing.py's block sweep.
+# the columns from the block's first row on, and the stepper its pair field
+# over blocks of this many rows against their column windows, so a block's
+# arrays stay in cache and a library flock (at most 64 agents) is one block.
+# Read off tools/pair_field_timing.py's block sweep.
 _RECORD_BLOCK = 64
 
 
@@ -551,13 +553,11 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
     cols = {"G3": math.nan, "C": math.nan}
     sums = collections.defaultdict(float)
     diameter, dmin, vdiam = 0.0, math.inf, 0.0
-    agents = np.arange(n)
     for a in range(0, n, block):
         b = min(a + block, n)
-        pairs = (agents[a:b, None], agents[None, a:])
-        speed = geometry.pair_square_sums(VELOCITY_SPACE, v, pairs)
+        speed = geometry.pair_square_sums(VELOCITY_SPACE, v[a:b], v[a:])
         np.sqrt(speed, out=speed)
-        dist = geometry.pair_square_sums(domain, x, pairs)
+        dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
         np.sqrt(dist, out=dist)
         diameter = max(diameter, float(np.max(dist)))
         vdiam = max(vdiam, float(np.max(speed)))

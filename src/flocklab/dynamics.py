@@ -13,10 +13,15 @@ singular kernels.  The integrator also accumulates the dissipation integral
 inherit the scheme's order.
 
 The pair field of a step (kernel, accelerations, dissipation rate and
-stiffness row sums) is built on dense (N, N) arrays, the reference, except
-when the kernel has compact support and there are enough agents for a
-neighbour list to pay (``_neighbour_radius``, the one place that choice is
-made); then it is summed over the pairs within the support only.
+stiffness row sums) has one algorithm for every kernel and every N: blocks
+of ``diagnostics._RECORD_BLOCK`` rows, each formed densely against the
+columns it can reach (``geometry._row_windows``).  Under a kernel of
+compact support the agents are sorted along axis 0 and a block reaches the
+window within the support radius of its keys; otherwise, and for a flock of
+at most one block, a block is whole rows in the agents' order, so a library
+flock is the dense (N, N) arithmetic.  The nearest pair (the approach limit,
+the separation guard and the StiffnessError pair) is a blocked row-major
+argmin, so a step forms no (N, N) array.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -137,96 +142,89 @@ class StepperConfig:
                    safety=number("safety", d.get("safety", 0.4)))
 
 
-# From this many agents on, the pair field of a compactly supported kernel
-# is summed over a neighbour list instead of dense (N, N) arrays.  It is the
-# smallest N of tools/pair_field_timing.py's force table at which the list is
-# clearly faster on both domains; at N = 64 the two paths are about even on
-# the circle, and the library runs (at most 64 agents) stay on the dense
-# reference.
-_NEIGHBOUR_MIN_N = 128
+def _block_nearest(dist, a):
+    """Smallest distance of the rows a, a + 1, ... against every agent and its
+    pair (i, j), the first in row-major order; sets the i = j entries to inf."""
+    diagnostics._fill_diagonal(dist, math.inf, a)
+    i, j = divmod(int(np.argmin(dist)), dist.shape[1])
+    return float(dist[i, j]), (a + i, j)
 
 
-def _neighbour_radius(spec: KernelSpec, domain: Domain, n: int):
-    """The radius of the neighbour list the pair field of n agents on
-    ``domain`` is summed on, or None for the dense reference: the list needs
-    a kernel of compact support, at least _NEIGHBOUR_MIN_N agents and, on the
-    circle, a support radius below pi."""
-    radius = kernels.support_radius(spec)
-    bound = math.pi if domain.periodic else math.inf
-    return radius if n >= _NEIGHBOUR_MIN_N and radius < bound else None
+def _nearest_pair(domain: Domain, x):
+    """Smallest distance between two agents at x and its pair, the one
+    geometry.nearest_pair names on the (N, N) distances, from row blocks
+    against every column."""
+    block = diagnostics._RECORD_BLOCK
+    near = (math.inf, (0, 0))
+    for a in range(0, x.shape[0], block):
+        dist = geometry.pair_square_sums(domain, x[a:a + block], x)
+        near = min(near, _block_nearest(np.sqrt(dist, out=dist), a))
+    return near
 
 
-def _pair_kernel(x, kernel: KernelSpec, domain: Domain, t: float, singular: bool, radius,
-                 floor: float = 0.0):
-    """Kernel phi of the pairs, the smallest distance and the pair list.
+def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
+                floor: float = 0.0, first: bool = False):
+    """Accelerations and the dissipation rate I2 of one force evaluation.
 
-    Without a radius phi is the dense (N, N) array, the list is None and a
-    singular pair at or below floor raises CollisionError (see
-    diagnostics._pair_phi).  With one, phi is flat over the neighbour list
-    (i, j) and there is no smallest distance: only a singular kernel reads
-    it, and a singular kernel is never compactly supported.
+    Each row block of geometry._row_windows is formed densely against its
+    column window and adds its rows' w @ v - v * rowsum(w), w = phi m_j, and
+    its share of I2 = 2 sum m_i m_j phi |v_i - v_j|^2.  Returns (acc, I2,
+    stiff, speed2, dmin).  With ``first``, stiff is the largest row sum of
+    phi (m_i + m_j) and, under a singular kernel, whose blocks are whole
+    rows, speed2 and dmin are the largest squared relative speed and the
+    smallest distance; otherwise these are 0, 0 and inf.
+
+    Under a singular kernel a pair at or below ``floor`` raises
+    CollisionError naming the nearest pair of the rows so far.  With floor 0,
+    coincidence, that is the pair geometry.nearest_pair names; the stages
+    pass the guard, and a step that trips it is retried whatever the pair.
     """
-    if radius is None:
-        dist = geometry.pair_distances(domain, x)
-        phi, dmin = diagnostics._pair_phi(kernel, dist, t, singular, floor)
-        return phi, dmin, None
-    i, j, dist = geometry.neighbour_pairs(domain, x, radius)
-    return kernels._evaluate_raw(kernel, dist), None, (i, j)
-
-
-def _pair_terms(x, v, kernel, domain, t, singular, radius, floor=0.0):
-    """``_pair_kernel`` with the squared relative speed of the same pairs."""
-    phi, dmin, pairs = _pair_kernel(x, kernel, domain, t, singular, radius, floor)
-    speed2 = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v, pairs)
-    return phi, speed2, dmin, pairs
-
-
-def _weights(m, pairs):
-    """m_i and m_j of the pairs: broadcast over (N, N), or gathered on the list."""
-    return (m[:, None], m[None, :]) if pairs is None else (m[pairs[0]], m[pairs[1]])
-
-
-def _accel(phi, v, m, pairs) -> np.ndarray:
-    """Accelerations of the weighted alignment law from the pair kernel phi."""
-    if pairs is None:
-        w = phi * m[None, :]
-        return w @ v - v * w.sum(axis=1, keepdims=True)
-    i, j = pairs
-    w = phi * m[j]
-    return np.stack([np.bincount(i, weights=w * (col[j] - col[i]), minlength=len(m))
-                     for col in v.T], axis=1)
-
-
-def _forces(phi, speed2, v, m, pairs):
-    """Accelerations and the dissipation rate I2 from one evaluation's pair terms."""
-    mi, mj = _weights(m, pairs)
-    return _accel(phi, v, m, pairs), 2.0 * float(np.sum(mi * mj * phi * speed2))
+    index, windows = geometry._row_windows(domain, x, kernels.support_radius(kernel),
+                                           diagnostics._RECORD_BLOCK)
+    acc = np.empty_like(v)
+    if index is not None:
+        x, v, m = x[index], v[index], m[index]
+    i2 = stiff = speed2 = 0.0
+    near = (math.inf, (0, 0))
+    for r0, r1, c0, c1 in windows:
+        vr, mr, vc, mc = v[r0:r1], m[r0:r1], v[c0:c1], m[c0:c1]
+        dist = geometry.pair_square_sums(domain, x[r0:r1], x[c0:c1])
+        np.sqrt(dist, out=dist)
+        if singular:  # makes the i = j distances inf, where a singular phi is 0
+            near = min(near, _block_nearest(dist, r0))
+            if near[0] <= floor:
+                raise CollisionError(near[1], t, near[0])
+        phi = kernels._evaluate_raw(kernel, dist)
+        if not singular:
+            diagnostics._fill_diagonal(phi, 0.0, r0 - c0)
+        speed = geometry.pair_square_sums(geometry.VELOCITY_SPACE, vr, vc)
+        w = phi * mc[None, :]
+        acc[slice(r0, r1) if index is None else index[r0:r1]] = (
+            w @ vc - vr * w.sum(axis=1, keepdims=True))
+        i2 += float(np.sum(mr[:, None] * mc[None, :] * phi * speed))
+        if first:
+            stiff = max(stiff, float(np.max((phi * (mc[None, :] + mr[:, None])).sum(axis=1))))
+            if singular:
+                speed2 = max(speed2, float(np.max(speed)))
+    return acc, 2.0 * i2, stiff, speed2, near[0]
 
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
-    singular = kernels._is_singular(kernel)
-    radius = _neighbour_radius(kernel, domain, state.n)
-    phi, _, pairs = _pair_kernel(state.x, kernel, domain, state.t, singular, radius)
-    return _accel(phi, state.v, state.m, pairs)
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t,
+                       kernels._is_singular(kernel))[0]
 
 
-def _propose_dt(cfg: StepperConfig, phi, speed2, m, dmin, singular: bool, pairs) -> float:
+def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
+                singular: bool) -> float:
     """The step's dt from its first evaluation: dt_max, the approach limit
     of the nearest pair under a singular kernel, and the stiffness limit."""
     dt = cfg.dt_max
     if singular and math.isfinite(dmin):
-        umax = math.sqrt(float(np.max(speed2)))
+        umax = math.sqrt(speed2)
         if umax > 0.0:
             dt = min(dt, cfg.safety * dmin / umax)
     # symmetrized contraction-rate row sum bounds the fastest pair mode
-    mi, mj = _weights(m, pairs)
-    terms = phi * (mj + mi)
-    if pairs is None:
-        rows = terms.sum(axis=1)
-    else:
-        rows = np.bincount(pairs[0], weights=terms, minlength=len(m))
-    stiff = float(np.max(rows))
     if stiff > 0.0:
         dt = min(dt, cfg.safety / stiff)
     return dt
@@ -240,21 +238,18 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows.
     """
     singular = kernels._is_singular(kernel)
-    radius = _neighbour_radius(kernel, domain, state.n)
-    x0, v0, m = state.x, state.v, state.m
-    phi, speed2, dmin, pairs = _pair_terms(x0, v0, kernel, domain, state.t, singular, radius)
-    first = _forces(phi, speed2, v0, m, pairs)
-    dt = _propose_dt(cfg, phi, speed2, m, dmin, singular, pairs)
-    del phi, speed2, pairs  # freed before the stages build theirs
+    a0, i2a, stiff, speed2, dmin = _pair_field(state.x, state.v, state.m, kernel, domain,
+                                               state.t, singular, first=True)
+    dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
 
     while True:
         if dt < _DT_FLOOR:
-            dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x0))
+            dmin, pair = _nearest_pair(domain, state.x)
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = _attempt(state, first, kernel, domain, dt, singular, radius)
+            result = _attempt(state, (a0, i2a), kernel, domain, dt, singular)
         except CollisionError:
             dt *= 0.5
             continue
@@ -262,16 +257,16 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
 
     x1, v1, d2, d2r = result
     t1 = state.t + dt
-    return FlockState(t1, domain.wrap(x1), v1, m, state.diss2 + d2, state.diss2_root + d2r)
+    return FlockState(t1, domain.wrap(x1), v1, state.m, state.diss2 + d2,
+                      state.diss2_root + d2r)
 
 
-def _attempt(state, first, kernel, domain, dt, singular, radius):
+def _attempt(state, first, kernel, domain, dt, singular):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
 
     def stage(xs, vs):
-        phi, speed2, _, pairs = _pair_terms(xs, vs, kernel, domain, t, singular, radius, _GUARD)
-        return _forces(phi, speed2, vs, m, pairs)
+        return _pair_field(xs, vs, m, kernel, domain, t, singular, _GUARD)[:2]
 
     a0, i2a = first
     h = 0.5 * dt
@@ -286,7 +281,7 @@ def _attempt(state, first, kernel, domain, dt, singular, radius):
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
     if singular:
         # the end-of-step position is the one no stage has guarded
-        dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, x1))
+        dmin, pair = _nearest_pair(domain, x1)
         if dmin <= _GUARD:
             raise CollisionError(pair, t + dt, dmin)
 
@@ -442,7 +437,7 @@ def flock_diameter(state: FlockState, domain: Domain) -> float:
 
 
 def min_separation(state: FlockState, domain: Domain) -> float:
-    return geometry.nearest_pair(geometry.pair_distances(domain, state.x))[0]
+    return _nearest_pair(domain, state.x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ antisymmetric off the seam, so pair distances are exactly symmetric.
 ``displacement`` is the only minimal-image code in the package.  Every
 pair magnitude of the stepper and of the diagnostics, |x_i - x_j| and
 |v_i - v_j| alike, is built by ``pair_square_sums`` one component at a
-time, so no (N, N, d) array is formed; ``neighbour_pairs`` builds the same
-distances on the pairs within a radius only.  The auxiliary cutoff and weight
-profiles (chi, psi) are the piecewise-linear shapes used by the corrector
-functionals.
+time, for a block of rows against a block of columns, so no (N, N, d)
+array is formed.  ``_row_windows`` gives the stepper its row blocks and,
+under a kernel of compact support, the column window of each.  The
+auxiliary cutoff and weight profiles (chi, psi) are the piecewise-linear
+shapes used by the corrector functionals.
 """
 
 import math
@@ -29,7 +30,6 @@ __all__ = [
     "displacement",
     "pair_square_sums",
     "pair_distances",
-    "neighbour_pairs",
     "nearest_pair",
     "chi",
     "psi_euclidean",
@@ -105,22 +105,20 @@ def displacement(domain: Domain, x_i, x_j):
 VELOCITY_SPACE = Domain("euclidean")
 
 
-def pair_square_sums(domain: Domain, a, pairs=None) -> np.ndarray:
-    """(N, N) sums over components of (a_i - a_j)^2 for the rows of the (N, d) array a.
+def pair_square_sums(domain: Domain, a, b=None) -> np.ndarray:
+    """Sums over components of (a_i - b_j)^2, rows i of the (N, d) array a
+    against rows j of the (M, d) array b (a itself when b is None), as (N, M).
 
-    Given ``pairs``, a tuple (i, j) of index arrays that broadcast together,
-    the sums of those pairs only, shaped as the broadcast (flat for a pair
-    list, a block for rows i[:, None] against columns j[None, :]), each
-    equal to its (N, N) entry bit for bit.
     Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
-    for velocities), added one component at a time as ``np.linalg.norm`` adds them.
+    for velocities), added one component at a time as ``np.linalg.norm``
+    adds them, so rows a[r0:r1] against b[c0:c1] are the same block of the
+    whole (N, M) array bit for bit.
     """
+    a = np.asarray(a, dtype=float)
+    b = a if b is None else np.asarray(b, dtype=float)
     sums = None
-    for col in np.asarray(a, dtype=float).T:
-        if pairs is None:
-            sq = displacement(domain, col[:, None], col[None, :])
-        else:
-            sq = displacement(domain, col[pairs[0]], col[pairs[1]])
+    for col_a, col_b in zip(a.T, b.T):
+        sq = displacement(domain, col_a[:, None], col_b[None, :])
         sq *= sq
         sums = sq if sums is None else np.add(sums, sq, out=sums)
     return sums
@@ -132,43 +130,44 @@ def pair_distances(domain: Domain, x) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def neighbour_pairs(domain: Domain, x, radius: float):
-    """Every ordered pair i != j with |x_i - x_j| < radius, as flat arrays (i, j, dist).
+def _row_windows(domain: Domain, x, radius: float, block: int):
+    """Row blocks of ``block`` agents and, for each, a window of columns that
+    holds every agent within ``radius`` of one of its rows.
 
-    The distances equal those of ``pair_distances`` bit for bit.  Candidates
-    come from ``np.searchsorted`` windows on the positions sorted along
-    axis 0: each agent pairs with those after it up to +radius.  On the
-    circle the sort key is the wrapped position and the sorted keys repeat
-    shifted by 2*pi, so windows cross the seam; the positions themselves
-    need not be wrapped.  The windows are widened past the keys' round-off,
-    the candidates at or beyond the radius are dropped once their distances
-    are built, and each pair found is listed in both orders.
+    Returns (index, windows): column k is agent index[k] (agent k when index
+    is None), and a window (r0, r1, c0, c1) is the rows r0:r1 of that axis
+    against its columns c0:c1, no agent twice, with r0:r1 inside c0:c1, so
+    the rows' own columns are the diagonal of the columns from r0 on.  The
+    row blocks cover every agent once.
+
+    Under an unbounded radius, or with at most one block of agents, the
+    agents keep their order and every window is whole rows.  Otherwise they
+    are sorted along axis 0, and a window spans the block's keys +- radius,
+    widened past the keys' round-off, found by ``np.searchsorted``.  On the
+    circle the keys are the wrapped positions, repeated at -2*pi, 0 and
+    +2*pi with the rows on the middle copy, so windows cross the seam; a
+    window that would span a full period takes the middle copy instead,
+    every agent once.
     """
-    x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    if n <= block or not radius < math.inf:
+        return None, [(a, min(a + block, n), 0, n) for a in range(0, n, block)]
     key = domain.wrap(x[:, 0])
-    reach = radius + 1e-12 * (1.0 + float(np.max(np.abs(x[:, 0]), initial=0.0)))
-    if domain.periodic and 2.0 * reach >= math.pi:
-        # windows over half the circle would list most pairs anyway, and past
-        # pi they would find a pair both ways round: every pair is a candidate
-        a, b = np.triu_indices(n, 1)
-    else:
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        if domain.periodic:
-            sorted_key = np.concatenate((sorted_key, sorted_key + TWO_PI))
-            order = np.concatenate((order, order))
-        # the window of the agent at sorted position s is [s + 1, hi)
-        lo = np.arange(1, n + 1)
-        counts = np.searchsorted(sorted_key, sorted_key[:n] + reach, side="right") - lo
-        a = np.repeat(order[:n], counts)
-        start = np.cumsum(counts) - counts
-        b = order[np.arange(a.size) + np.repeat(lo - start, counts)]
-    dist = pair_square_sums(domain, x, (a, b))
-    np.sqrt(dist, out=dist)
-    near = np.flatnonzero(dist < radius)
-    a, b, dist = a[near], b[near], dist[near]
-    return np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((dist, dist))
+    index = np.argsort(key, kind="stable")
+    key = key[index]
+    home = 0
+    if domain.periodic:
+        key = np.concatenate((key - TWO_PI, key, key + TWO_PI))
+        index = np.concatenate((index, index, index))
+        home = n
+    reach = radius + 1e-12 * (1.0 + float(np.max(np.abs(x[:, 0]))))
+    r0 = np.arange(home, home + n, block)
+    r1 = np.minimum(r0 + block, home + n)
+    c0 = np.searchsorted(key, key[r0] - reach, side="left")
+    c1 = np.searchsorted(key, key[r1 - 1] + reach, side="right")
+    wide = c1 - c0 > n
+    c0[wide], c1[wide] = home, home + n
+    return index, list(zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()))
 
 
 def nearest_pair(dist: np.ndarray):

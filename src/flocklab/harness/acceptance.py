@@ -234,7 +234,7 @@ class AcceptanceLab:
         out.append(CriterionResult(
             "torus-decay/logovert-amplitude-stable", ok,
             f"amplitude ratio last/previous decade {ratio:.3f} "
-            f"({last.amplitude:.4f}/{prev.amplitude:.4f}, need [0.5, 2])"))
+            f"({last.amplitude:.3e}/{prev.amplitude:.3e}, need [0.5, 2])"))
         return out
 
     # ------------------------------------------------------------------
@@ -383,7 +383,7 @@ class AcceptanceLab:
         out.append(CriterionResult(
             "good-set/spread-monotone", ok,
             "median member spread " +
-            " >= ".join(f"{med[d]:.4f} (delta={d:g})" for d in deltas)))
+            " >= ".join(f"{med[d]:.3e} (delta={d:g})" for d in deltas)))
         return out
 
     # ------------------------------------------------------------------

@@ -371,14 +371,9 @@ def test_blocked_record_matches_the_dense_reference(domain, n):
     assert ref["V1"] > 0.0 and ref["I2"] > 0.0 and ref["G"] > 0.0
 
 
-def test_record_takes_the_blocked_path_with_the_stepper(monkeypatch):
-    # a record sums every column, I_p included, over its own row blocks, also
-    # on states the stepper sums on a neighbour list; a state of one block
-    # equals the public diagnostics bit for bit
-    def spy(*args):
-        raise AssertionError("compute_record built a neighbour list")
-
-    monkeypatch.setattr(geometry, "neighbour_pairs", spy)
+def test_record_of_one_block_equals_the_public_diagnostics():
+    # a record sums every column, I_p included, over its own row blocks; a
+    # state of one block equals the public diagnostics bit for bit
     small = initial_state(circle(), 64, seed=1, weight_mode="random")
     cfg = _record_config(circle())
     rec = compute_record(small, LOCAL, circle(), cfg)

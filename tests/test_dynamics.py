@@ -6,11 +6,12 @@ range, where the relative dynamics is linear and exactly solvable.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flocklab import dynamics
+from flocklab import diagnostics, dynamics, geometry, kernels
 from flocklab.dynamics import (
     FlockState,
     ObserverSchedule,
@@ -149,9 +150,7 @@ def test_stepper_dissipation_matches_the_records():
     cfg = scenario("euclid-annular-fat-tail", horizon=200.0)
     traj = cfg.run()
     for s, rec in zip(traj.states, traj.records):
-        phi, speed2, _, pairs = dynamics._pair_terms(s.x, s.v, cfg.kernel, cfg.domain, s.t,
-                                                     False, None)
-        _, i2 = dynamics._forces(phi, speed2, s.v, s.m, pairs)
+        i2 = dynamics._pair_field(s.x, s.v, s.m, cfg.kernel, cfg.domain, s.t, False)[1]
         assert i2 == pytest.approx(rec.I2, rel=1e-12, abs=0.0), s.t
 
 
@@ -222,71 +221,120 @@ def test_smooth_pair_steps_through_coincidence():
 
 
 # ---------------------------------------------------------------------------
-# the neighbour-list pair field of a compactly supported kernel
+# the row-block pair field
 
 LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+SINGULAR = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
 
 
 def _rel(a, b):
     return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
 
 
-def _paths(monkeypatch, fn):
-    """fn() on the dense reference, then on the neighbour list at any N."""
-    out = []
-    for crossover in (math.inf, 1):
-        monkeypatch.setattr(dynamics, "_NEIGHBOUR_MIN_N", crossover)
+def _paths(monkeypatch, n, fn):
+    """fn() on the row blocks, then on the one-block reference (block >= n)."""
+    out = [fn()]
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "_RECORD_BLOCK", n)
         out.append(fn())
     return out
+
+
+def _assert_blocks_match_the_reference(monkeypatch, domain, kernel, n):
+    st = initial_state(domain, n, seed=2, weight_mode="random")
+    blocks, whole = _paths(monkeypatch, n, lambda: rhs(st, kernel, domain))
+    assert _rel(blocks, whole) <= 1e-12
+    # dt_max this large leaves dt to the stiffness or approach bound, and a
+    # step this long takes the stage positions around the circle and out of
+    # the unit box
+    cfg = StepperConfig(dt_max=100.0)
+    blocks, whole = _paths(monkeypatch, n, lambda: step(st, kernel, domain, cfg))
+    assert blocks.t == pytest.approx(whole.t, rel=1e-12, abs=0.0)
+    moved = displacement(domain, blocks.x, whole.x)  # across the seam, not around the circle
+    assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(whole.x))
+    assert _rel(blocks.v, whole.v) <= 1e-12
+    assert blocks.diss2 == pytest.approx(whole.diss2, rel=1e-12, abs=0.0)
+    return whole
 
 
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
 def test_neighbour_pair_field_matches_the_dense_reference(monkeypatch, domain, n):
-    st = initial_state(domain, n, seed=2, weight_mode="random")
-    dense, near = _paths(monkeypatch, lambda: rhs(st, LOCAL, domain))
-    assert _rel(near, dense) <= 1e-12
-    # dt_max this large leaves dt to the stiffness bound, and a step this long
-    # takes the stage positions around the circle and out of the unit box
-    cfg = StepperConfig(dt_max=100.0)
-    dense, near = _paths(monkeypatch, lambda: step(st, LOCAL, domain, cfg))
-    assert dense.t > 1.0 and near.t == pytest.approx(dense.t, rel=1e-12, abs=0.0)
-    moved = displacement(domain, near.x, dense.x)  # across the seam, not around the circle
-    assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(dense.x))
-    assert _rel(near.v, dense.v) <= 1e-12
-    assert near.diss2 == pytest.approx(dense.diss2, rel=1e-12, abs=0.0)
+    # past one block the local kernel's rows are sorted and take windows
+    assert _assert_blocks_match_the_reference(monkeypatch, domain, LOCAL, n).t > 1.0
 
 
 @pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
-def test_neighbour_stiffness_error_names_the_dense_pair(monkeypatch, domain):
-    # the neighbour list keeps no nearest pair, so it is built densely for the error
-    st = initial_state(domain, 32, seed=4)
+def test_singular_row_blocks_match_the_dense_reference(monkeypatch, domain):
+    # an unbounded kernel's blocks are whole rows in the agents' order
+    _assert_blocks_match_the_reference(monkeypatch, domain, SINGULAR, 256)
+
+
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_neighbour_stiffness_error_names_the_dense_pair(domain):
+    # the nearest pair lies in the third block of rows
+    st = initial_state(domain, 256, kind="uniform_gaussian", seed=4)
+    st.x[200] = st.x[150] + 1e-9
     stiff = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1e20, r0=0.5)
-
-    def failure():
-        with pytest.raises(StiffnessError) as err:
-            step(st, stiff, domain, StepperConfig(dt_max=1.0))
-        return err.value
-
-    dense, near = _paths(monkeypatch, failure)
-    assert (near.pair, near.distance, near.t) == (dense.pair, dense.distance, dense.t)
+    with pytest.raises(StiffnessError) as err:
+        step(st, stiff, domain, StepperConfig(dt_max=1.0))
+    dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, st.x))
+    assert pair == (150, 200)
+    assert (err.value.pair, err.value.distance, err.value.t) == (pair, dmin, 0.0)
 
 
-def test_neighbour_list_needs_compact_support_and_enough_agents():
-    big = dynamics._NEIGHBOUR_MIN_N
-    assert dynamics._neighbour_radius(LOCAL, circle(), big) == 0.1
-    assert dynamics._neighbour_radius(LOCAL, euclidean(2), big) == 0.1
-    assert dynamics._neighbour_radius(LOCAL, circle(), big - 1) is None
-    assert dynamics._neighbour_radius(FLAT, euclidean(2), big) is None
-    wide = KernelSpec(KernelKind.LOCAL_MOLLIFIED, r0=4.0)  # covers the whole circle
-    assert dynamics._neighbour_radius(wide, circle(), big) is None
-    assert dynamics._neighbour_radius(wide, euclidean(1), big) == 4.0
+def test_collision_names_the_nearest_pair_past_the_first_block():
+    # a near pair in the first block, two coincident pairs in the third: the
+    # first evaluation names the first coincident pair in row-major order
+    st = initial_state(circle(), 200, kind="lattice_circle", seed=1)
+    st.x[10] = st.x[11] + 1e-3
+    st.x[170] = st.x[130]
+    st.x[190] = st.x[180]
+    with pytest.raises(CollisionError) as err:
+        step(st, SINGULAR, circle(), StepperConfig(dt_max=0.1))
+    assert err.value.pair == (130, 170) and err.value.distance == 0.0
+
+
+@pytest.mark.parametrize("kernel, n, kind, limit_mb", [
+    (LOCAL, 8192, "uniform_gaussian", 16.0),
+    (SINGULAR, 1024, "lattice_circle", 8.0),
+], ids=["local-8192", "singular-1024"])
+def test_step_memory_is_bounded_by_the_block(kernel, n, kind, limit_mb):
+    # no (N, N) array: one takes 8 MB at N = 1024 and 512 MB at N = 8192
+    domain = circle()
+    st = initial_state(domain, n, kind=kind, seed=0)
+    tracemalloc.start()
+    try:
+        step(st, kernel, domain, StepperConfig(dt_max=0.01))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb
+
+
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_row_windows_need_compact_support_and_a_second_block(domain):
+    # otherwise every block is whole rows in the agents' order
+    block = diagnostics._RECORD_BLOCK
+    for kernel, n, natural in ((LOCAL, block + 1, False), (LOCAL, block, True),
+                               (SINGULAR, 4 * block, True), (FLAT, 4 * block, True)):
+        x = initial_state(domain, n, seed=1).x
+        index, windows = geometry._row_windows(domain, x, kernels.support_radius(kernel), block)
+        assert (index is None) == natural
+        if natural:
+            assert windows == [(a, min(a + block, n), 0, n) for a in range(0, n, block)]
 
 
 def test_library_runs_stay_on_the_dense_reference():
+    # a library flock is one block of whole rows in the agents' order: the
+    # dense (N, N) arithmetic
     for name in scenario_names():
         cfg = scenario(name)
-        assert dynamics._neighbour_radius(cfg.kernel, cfg.domain, cfg.n) is None, name
+        st = cfg.build()
+        index, windows = geometry._row_windows(cfg.domain, st.x,
+                                               kernels.support_radius(cfg.kernel),
+                                               diagnostics._RECORD_BLOCK)
+        assert index is None and windows == [(0, cfg.n, 0, cfg.n)], name
 
 
 # ---------------------------------------------------------------------------

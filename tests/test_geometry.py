@@ -1,4 +1,4 @@
-"""Domains, minimal-image displacement, pair sums, neighbour lists, cutoff profiles."""
+"""Domains, minimal-image displacement, pair sums, row windows, cutoff profiles."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from flocklab.errors import DomainMismatchError
 from flocklab.geometry import (
+    _row_windows,
     TWO_PI,
     VELOCITY_SPACE,
     Domain,
@@ -17,7 +18,6 @@ from flocklab.geometry import (
     displacement,
     euclidean,
     nearest_pair,
-    neighbour_pairs,
     pair_distances,
     pair_square_sums,
     psi_euclidean,
@@ -97,22 +97,28 @@ def test_pair_square_sums_match_the_norm(domain):
     # velocities differ plainly, never through the minimal image
     v = np.array([[0.0], [5.0]])
     assert pair_square_sums(VELOCITY_SPACE, v)[0, 1] == 25.0
-    # on listed pairs the sums are the (N, N) entries bit for bit
-    i, j = np.array([0, 3, 8, 8]), np.array([5, 3, 0, 2])
-    np.testing.assert_array_equal(pair_square_sums(domain, x, (i, j)),
-                                  pair_square_sums(domain, x)[i, j])
+    # rows against columns are the same block of the (N, N) sums bit for bit
+    np.testing.assert_array_equal(pair_square_sums(domain, x[3:7], x[2:]),
+                                  pair_square_sums(domain, x)[3:7, 2:])
 
 
-def _assert_dense_neighbours(domain, x, radius):
-    """neighbour_pairs gives exactly the dense pair set {(i, j): i != j,
-    dist < radius}, each pair once, with the dense distances bit for bit."""
-    i, j, dist = neighbour_pairs(domain, x, radius)
+def _assert_windows_hold_the_pairs(domain, x, radius, block):
+    """Every row block's window lists each agent at most once and every agent
+    within the radius of one of its rows, the block's own rows included; the
+    blocks cover every agent once."""
+    index, windows = _row_windows(domain, x, radius, block)
+    agents = np.arange(len(x)) if index is None else index
     dense = pair_distances(domain, x)
-    np.fill_diagonal(dense, math.inf)
-    pairs = list(zip(i.tolist(), j.tolist()))
-    assert len(set(pairs)) == len(pairs)
-    assert set(pairs) == set(zip(*(k.tolist() for k in np.nonzero(dense < radius))))
-    np.testing.assert_array_equal(dist, dense[i, j])
+    rows = []
+    for r0, r1, c0, c1 in windows:
+        assert c0 <= r0 < r1 <= c1 and r1 - r0 <= block
+        cols = agents[c0:c1].tolist()
+        assert len(set(cols)) == len(cols)
+        for i in agents[r0:r1].tolist():
+            rows.append(i)
+            assert set(np.flatnonzero(dense[i] < radius).tolist()) <= set(cols)
+    assert sorted(rows) == list(range(len(x)))
+    return index, windows
 
 
 # agents on the seam, on both sides of it and just off the chart, as stage
@@ -122,8 +128,8 @@ SEAM = (0.0, 5e-324, 1e-15, 0.02, -1e-15, -0.02, TWO_PI, TWO_PI - 1e-15,
 
 
 @st.composite
-def neighbourhoods(draw):
-    domain = draw(st.sampled_from((circle(), euclidean(1), euclidean(2))))
+def windowed_flocks(draw):
+    domain = draw(st.sampled_from((circle(), euclidean(1), euclidean(2), euclidean(3))))
     n = draw(st.integers(1, 30))
     if domain.periodic:
         coord = st.one_of(st.floats(-0.1, TWO_PI + 0.1), st.sampled_from(SEAM))
@@ -134,30 +140,27 @@ def neighbourhoods(draw):
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=3)):
         x[a] = x[b]  # coincident agents
-    radius = draw(st.floats(1e-3, 4.0))  # past pi on the circle every pair is in reach
+    # past pi on the circle a window would span the whole period
+    radius = draw(st.one_of(st.floats(1e-3, 4.0), st.just(math.inf)))
     if n > 1 and draw(st.booleans()):
-        # a pair exactly at the radius is out of reach
-        radius = float(pair_distances(domain, x)[0, 1]) or radius
-    return domain, x, radius
+        radius = float(pair_distances(domain, x)[0, 1]) or radius  # a pair at the radius
+    return domain, x, radius, draw(st.integers(1, 8))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=neighbourhoods())
-def test_neighbour_pairs_are_the_dense_pairs_within_reach(case):
-    _assert_dense_neighbours(*case)
+@given(case=windowed_flocks())
+def test_row_windows_hold_every_pair_within_reach(case):
+    _assert_windows_hold_the_pairs(*case)
 
 
-def test_neighbour_pairs_cross_the_seam():
+def test_row_windows_cross_the_seam():
     # 0 and 3 straddle the seam from off the chart; 1 sits just past it
     x = np.array([[TWO_PI - 0.01], [0.02], [3.0], [-0.005], [TWO_PI - 0.01]])
-    i, j, dist = neighbour_pairs(circle(), x, 0.05)
-    near = {(a, b): d for a, b, d in zip(i.tolist(), j.tolist(), dist.tolist())}
-    for a, b in ((0, 1), (0, 3), (1, 3), (0, 4), (1, 4), (3, 4)):
-        assert near[a, b] == near[b, a]
-    assert len(near) == 12 and near[0, 4] == 0.0
-    assert near[0, 3] == pytest.approx(0.005, abs=1e-15)
-    _assert_dense_neighbours(circle(), x, 0.05)
+    index, windows = _assert_windows_hold_the_pairs(circle(), x, 0.05, 1)
+    assert windows[0][:2] == (5, 6)  # rows on the middle copy of the keys
+    reach = {int(index[r0]): set(index[c0:c1].tolist()) for r0, _, c0, c1 in windows}
+    assert reach[1] == {0, 1, 3, 4} and reach[2] == {2}
 
 
 @pytest.mark.parametrize("x, radius", [
@@ -165,22 +168,21 @@ def test_neighbour_pairs_cross_the_seam():
     ([0.10663577576717986, 6.439821082946766], 0.05),
     ([0.3684311544172296, 6.351616461596816], 0.3),
 ])
-def test_neighbour_pairs_keep_a_pair_the_wrapped_keys_put_out_of_reach(x, radius):
+def test_row_windows_keep_a_pair_the_wrapped_keys_put_out_of_reach(x, radius):
     # each pair lies just inside the radius, but its wrapped keys lie just
     # beyond it: the windows must be wider than the keys' round-off
     x = np.array(x)[:, None]
     assert pair_distances(circle(), x)[0, 1] < radius
-    _assert_dense_neighbours(circle(), x, radius)
+    _assert_windows_hold_the_pairs(circle(), x, radius, 1)
 
 
-@pytest.mark.parametrize("domain", [circle(), euclidean(2)])
-def test_neighbour_pairs_leave_out_a_pair_at_the_radius(domain):
-    x = np.zeros((3, domain.dim))
-    x[1, 0], x[2, 0] = 0.25, 0.75  # distances 0.25, 0.5 and 0.75 are exact
-    i, j, dist = neighbour_pairs(domain, x, 0.5)
-    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]
-    assert dist.tolist() == [0.25, 0.25]
-    assert len(neighbour_pairs(domain, x[:1], 0.5)[0]) == 0
+@pytest.mark.parametrize("radius", [3.0, math.pi, 4.0])
+def test_row_windows_take_a_full_period_once(radius):
+    # from about r0 = pi on a window would span the circle and list agents
+    # twice; it takes every agent once instead
+    x = np.linspace(0.0, TWO_PI, 12, endpoint=False)[:, None]
+    _, windows = _assert_windows_hold_the_pairs(circle(), x, radius, 3)
+    assert all(c1 - c0 == 12 for *_, c0, c1 in windows)
 
 
 def test_chi_profile():

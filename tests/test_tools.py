@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,19 +112,35 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
     monkeypatch.setattr(tool, "BUDGET_S", 0.0)
     for name in ("circle", "plane"):
         domain, state = tool._setup(name, 128)
-        acc, i2 = tool._force(state, domain, None)
-        assert np.allclose(tool._force(state, domain, tool.KERNEL.r0)[0], acc, rtol=0, atol=1e-12)
+        acc, i2 = tool._force(state, domain)
+        assert np.allclose(tool._force(state, domain, 128)[0], acc, rtol=0, atol=1e-12)
         assert tool._record(state, domain)["I2"] == pytest.approx(i2, rel=1e-12)
         assert tool._record(state, domain, 16)["V2"] == pytest.approx(
             tool._record(state, domain)["V2"], rel=1e-12)
         assert tool._median_us(lambda: tool._record(state, domain)) > 0.0
         assert tool._peak_mb(lambda: tool._record(state, domain)) > 0.0
         tool._row("record", name, 128, tool._cells(lambda: tool._record(state, domain)))
-        tool._row("force", name, 128, ("-", "-"),
-                  tool._cells(lambda: tool._force(state, domain, None)))
+        tool._row("force", name, 128, tool._cells(lambda: tool._force(state, domain)),
+                  ("-", "-"))
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 4 and all(row.split()[2] == "128" for row in rows)
     assert "-" in rows[1].split()
+    assert tool.diagnostics._RECORD_BLOCK == 64  # restored after each reference call
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_compare_runs_diff_scores_a_lost_finite_entry_as_the_worst(tmp_path, dump, value):
+    # |a - b| / max(|a|, |b|) is nan here; max() and > would drop it and read 0
+    changed = copy.deepcopy(dump)
+    run = changed["runs"]["two-agent-smooth-collision"]
+    record = run["records"][-1]
+    k = next(k for k, h in enumerate(record) if math.isfinite(float.fromhex(h)))
+    record[k] = value.hex()
+    out = _diff(tmp_path, dump, changed)
+    assert out.returncode == 1, out.stdout + out.stderr
+    line = next(s for s in out.stdout.splitlines() if s.startswith("two-agent-smooth-collision"))
+    assert line.split(" records ")[1].split()[0] == "inf"
+    assert f"({run['columns'][k]})" in line
 
 
 def test_compare_runs_diff_scores_a_small_entry_against_its_own_size(tmp_path, dump):

@@ -17,7 +17,8 @@ round-off.
 are bitwise equal, and the largest relative difference
 |a - b| / max(|a|, |b|) over the records, with the record column where it
 occurs, the positions x, the velocities v and the other state and error
-fields (a different error type or pair reads as inf), then whether the
+fields (a different error type or pair, and an inf or nan in place of
+another value, read as inf), then whether the
 config JSON and the searched constants are equal.
 Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
@@ -137,7 +138,8 @@ def _floats(hexes):
 
 def _rel(a, b):
     """Largest |a - b| / max(|a|, |b|), with nan equal to nan, and its flat index;
-    a column far below 1 is scored relative to its own size."""
+    a column far below 1 is scored relative to its own size, and an inf or nan
+    in place of another value scores inf, the worst."""
     if a.shape != b.shape:
         return math.inf, None
     same = (a == b) | (np.isnan(a) & np.isnan(b))
@@ -145,6 +147,7 @@ def _rel(a, b):
         return 0.0, None
     where = np.flatnonzero(~same)
     rel = np.abs(a[where] - b[where]) / np.maximum(np.abs(a[where]), np.abs(b[where]))
+    rel[np.isnan(rel)] = math.inf
     k = int(np.argmax(rel))
     return float(rel[k]), int(where[k])
 

@@ -1,22 +1,23 @@
-"""Time the stepper's force evaluation, dense against the neighbour list, and
-the diagnostics record.
+"""Time the stepper's force evaluation, on its row blocks against the
+one-block reference, and the diagnostics record.
 
     PYTHONPATH=src python3 tools/pair_field_timing.py
 
 One force evaluation is what each RK4 stage computes: the pair kernel, the
-squared relative speeds, the accelerations and the dissipation rate I2.  A
-record's pair columns are V_p, I_p, the correctors, D, dmin and vdiam, each
-summed over row blocks of ``diagnostics._RECORD_BLOCK`` agents at every N.
-The stepper takes the neighbour list from N = ``dynamics._NEIGHBOUR_MIN_N`` on.
-The state is ``uniform_gaussian`` under the local mollified kernel with
-r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the circle, and
-in the plane on the unit box.  Each force row prints the median µs per call
-of both paths (``-`` where a path is not timed), and the tracemalloc peak of
-one call in MB; each record row the same of the one record algorithm.  The
-dense force evaluation is not run past N = 2048, where its (N, N) arrays take
-most of the memory.  The last table
-times the record at N = 2048 for several block sizes, the table the block
-size is read off.
+squared relative speeds, the accelerations and the dissipation rate I2.
+The stepper sums it over row blocks of ``diagnostics._RECORD_BLOCK`` agents,
+each against its column window; the reference is one block of N rows, the
+dense (N, N) arithmetic.  A record's pair columns are V_p, I_p, the
+correctors, D, dmin and vdiam, each summed over row blocks of the same size
+at every N.  The state is ``uniform_gaussian`` under the local mollified
+kernel with r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the
+circle, and in the plane on the unit box.  Each force row prints the median
+µs per call of the row blocks and of the reference (``-`` where the
+reference is not timed), and the tracemalloc peak of one call in MB; each
+record row the same of the one record algorithm.  The reference is not run
+past N = 2048, where its (N, N) arrays take most of the memory.  The last
+table times the record at N = 2048 for several block sizes, the table the
+block size is read off.
 """
 
 import statistics
@@ -24,16 +25,16 @@ import sys
 import time
 import tracemalloc
 
-from flocklab import diagnostics, dynamics
-from flocklab.dynamics import _forces, _pair_terms, initial_state
+from flocklab import diagnostics
+from flocklab.dynamics import _pair_field, initial_state
 from flocklab.geometry import circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 
 KERNEL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
-FORCE_CASES = (  # (domain name, N, time the dense path)
+FORCE_CASES = (  # (domain name, N, time the one-block reference)
     [("circle", n, True) for n in (64, 128, 256, 1024, 2048)]
     + [("circle", n, False) for n in (8192, 16384)]
-    + [("plane", n, True) for n in (64, 128, 256, 1024)]
+    + [("plane", n, True) for n in (64, 128, 256, 1024, 2048)]
 )
 RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (64, 128, 256, 512, 1024, 2048)]
 BLOCKS = (16, 32, 64, 128, 256)
@@ -45,10 +46,15 @@ def _setup(name, n):
     return domain, initial_state(domain, n, kind="uniform_gaussian", seed=0)
 
 
-def _force(state, domain, radius):
-    phi, speed2, _, pairs = _pair_terms(state.x, state.v, KERNEL, domain, state.t,
-                                        False, radius)
-    return _forces(phi, speed2, state.v, state.m, pairs)
+def _force(state, domain, block=None):
+    """Accelerations and I2 of one evaluation on the stepper's row blocks, or
+    on blocks of ``block`` rows (block = N: the one-block reference)."""
+    stepper_block = diagnostics._RECORD_BLOCK
+    diagnostics._RECORD_BLOCK = block or stepper_block
+    try:
+        return _pair_field(state.x, state.v, state.m, KERNEL, domain, state.t, False)[:2]
+    finally:
+        diagnostics._RECORD_BLOCK = stepper_block
 
 
 def _record(state, domain, block=diagnostics._RECORD_BLOCK):
@@ -85,20 +91,18 @@ def _row(label, name, n, *cells):
 
 
 def main():
-    print(f"{'':7s} {'domain':7s} {'N':>6s} {'dense us':>11s} {'list us':>11s} "
-          f"{'dense MB':>9s} {'list MB':>9s}")
-    for name, n, dense in FORCE_CASES:
+    print(f"{'':7s} {'domain':7s} {'N':>6s} {'blocks us':>11s} {'one us':>11s} "
+          f"{'blocks MB':>9s} {'one MB':>9s}")
+    for name, n, reference in FORCE_CASES:
         domain, state = _setup(name, n)
-        _row("force", name, n,
-             _cells(lambda: _force(state, domain, None)) if dense else ("-", "-"),
-             _cells(lambda: _force(state, domain, KERNEL.r0)))
+        _row("force", name, n, _cells(lambda: _force(state, domain)),
+             _cells(lambda: _force(state, domain, n)) if reference else ("-", "-"))
     print()
     print(f"{'':7s} {'domain':7s} {'N':>6s} {'us':>11s} {'MB':>9s}")
     for name, n in RECORD_CASES:
         domain, state = _setup(name, n)
         _row("record", name, n, _cells(lambda: _record(state, domain)))
-    print(f"stepper neighbour list from N = {dynamics._NEIGHBOUR_MIN_N}, "
-          f"record blocks of {diagnostics._RECORD_BLOCK} rows")
+    print(f"stepper and record blocks of {diagnostics._RECORD_BLOCK} rows")
     print()
     print(f"{'domain':7s} {'N':>6s} " + " ".join(f"{f'block {b} us':>13s}" for b in BLOCKS))
     for name in ("circle", "plane"):
