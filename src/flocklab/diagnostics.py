@@ -14,10 +14,14 @@ rows and ``record_column`` derive from them.
 ``compute_record`` has one algorithm for every kernel and every N: each pair
 column is summed over blocks of rows against the columns from the block's
 first row on, as m_rows @ (S @ w), so no (N, N) array is formed and a flock
-of at most ``_RECORD_BLOCK`` agents is one block.  The public per-state
-diagnostics reduce the whole (N, N) summand by the same expression, so a
-one-block record equals them bit for bit.  A record reads nothing of the
-stepper's pair field.  ``good_set`` builds dense arrays.
+of at most ``_RECORD_BLOCK`` agents is one block.  A record forms each
+summand only where it can be nonzero: the kernel and the I_p summands within
+the kernel's support radius, the Euclidean correctors closer than 2*r0, each
+scattered into a block of zeros, so S and its reduction are unchanged bit
+for bit.  The public per-state diagnostics reduce the whole (N, N) summand
+by the same expression, so a one-block record equals them bit for bit.  A
+record reads nothing of the stepper's pair field.  ``good_set`` builds dense
+arrays.
 """
 
 import collections
@@ -38,7 +42,7 @@ from .errors import (
     check_keys,
     number,
 )
-from .geometry import TWO_PI, VELOCITY_SPACE, Domain
+from .geometry import VELOCITY_SPACE, Domain
 from .kernels import KernelSpec
 
 __all__ = [
@@ -137,19 +141,26 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
 def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     """Summands |v_ij|^power psi(d_ij) chi(|x_ij|) of the Euclidean corrector
     for each power, rows i of (xr, vr) against columns j of (xc, vc), from
-    their pair distances and speeds, yielded one at a time.  One
-    directed-distance pass, shared by the powers, sums
+    their pair distances and speeds, yielded one at a time.
+
+    chi, and with it each summand, is exactly 0 at and beyond 2*r0, so the
+    summands are formed only on the pairs closer than that and are 0
+    elsewhere.  One directed-distance pass, shared by the powers, sums
     -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time; pairs
     with equal velocities give 0."""
-    moving = speed > 0.0
+    near = np.flatnonzero(dist < 2.0 * r0)
+    i, j = np.divmod(near, dist.shape[1])
+    speed = speed.take(near)
     directed = np.zeros_like(speed)
     for k in range(xr.shape[1]):
-        directed -= (xr[:, None, k] - xc[None, :, k]) * (vr[:, None, k] - vc[None, :, k])
-    np.divide(directed, speed, out=directed, where=moving)
+        directed -= (xr[i, k] - xc[j, k]) * (vr[i, k] - vc[j, k])
+    np.divide(directed, speed, out=directed, where=speed > 0.0)
     psi = geometry.psi_euclidean(directed, r0)
-    chi = geometry.chi(dist, r0)
+    chi = geometry.chi(dist.take(near), r0)
     for power in powers:
-        yield speed**power * psi * chi
+        summand = np.zeros_like(dist)
+        summand.reshape(-1)[near] = speed**power * psi * chi
+        yield summand
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -168,10 +179,13 @@ def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
     """Summand |v_i - v_j| psi(d_ij) of the circle corrector, rows i of the
     chart positions and velocities (xr, vr) against columns j of (xc, vc)."""
     vdiff = vr[:, None] - vc[None, :]
-    sgn = np.sign(vdiff)
-    # chart difference, not minimal image
-    arc = np.mod(-(xr[:, None] - xc[None, :]) * sgn, TWO_PI)
-    return np.abs(vdiff) * geometry.psi_periodic(arc, r0)
+    # chart difference, not minimal image; xc - xr is -(xr - xc) bit for bit
+    arc = xc[None, :] - xr[:, None]
+    arc *= np.sign(vdiff)
+    psi = geometry.psi_periodic(geometry._mod_two_pi(arc), r0)
+    np.abs(vdiff, out=vdiff)
+    vdiff *= psi
+    return vdiff
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +583,18 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
             raise CollisionError(np.add(divmod(k, n - a), a), t, 0.0)
         dmin = min(dmin, float(dist.flat[k]))
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
-        phi = kernels._evaluate_raw(kernel, dist)
-        _fill_diagonal(phi, 0.0)
+        # phi, and with it each I_p summand, is 0 at and beyond the support
+        # radius and, as dist is inf there, on the diagonal: they are formed
+        # only inside, each into the same entries of one block of zeros
+        inside = np.flatnonzero(dist < kernels.support_radius(kernel))
+        phi = kernels._evaluate_raw(kernel, dist.take(inside))
+        dissipated = np.zeros_like(dist)
         for p in (1, 2, 4):
-            power = speed**p
+            power = speed**p if p > 1 else speed
             sums[f"V{p}"] += _pair_sum(m_rows, power, w)
-            sums[f"I{p}"] += p * _pair_sum(m_rows, power * phi, w)
-        del power, phi  # not alive while the correctors are built
+            dissipated.reshape(-1)[inside] = power.take(inside) * phi
+            sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
+        del power, dissipated  # not alive while the correctors are built
         if domain.periodic:
             summands = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
         else:

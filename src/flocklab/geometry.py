@@ -93,12 +93,20 @@ def displacement(domain: Domain, x_i, x_j):
         return diff
     # fmod is exact and odd, and each shift by 2*pi is exact (Sterbenz); the
     # strict and the inclusive bound put the seam at +pi.  diff is a fresh
-    # array, so the image is built in place.
+    # array, so the image is built in place.  fmod is the identity inside
+    # (-2*pi, 2*pi), where differences of chart positions lie, and is
+    # skipped there.  No entry takes both shifts, so they are one addition
+    # of -1, 0 or +1 periods; 0 periods is -0.0, which leaves a -0.0 be.
     wrapped = np.atleast_1d(diff)
-    np.fmod(wrapped, TWO_PI, out=wrapped)
-    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped > math.pi)
-    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    if wrapped.size and not -TWO_PI < wrapped.min() <= wrapped.max() < TWO_PI:
+        np.fmod(wrapped, TWO_PI, out=wrapped)
+    wrapped += -TWO_PI * _periods(wrapped > math.pi, wrapped <= -math.pi)
     return float(wrapped[0]) if np.ndim(diff) == 0 else wrapped
+
+
+def _periods(up, down) -> np.ndarray:
+    """up - down of two boolean arrays as int8: -1, 0 or +1 at each entry."""
+    return up.view(np.int8) - down.view(np.int8)
 
 
 # velocities differ plainly on every domain; displacement reads only ``periodic``
@@ -204,9 +212,30 @@ def psi_periodic(x, r0: float):
     slope r0/(pi - r0) across the far arc back to 2*r0 at 2*pi - r0."""
     if not 0 < r0 < math.pi:
         raise DomainMismatchError("need 0 < r0 < pi on the circle")
-    arr = np.asarray(x, dtype=float)
     # reduce to one period starting at -r0: y in [-r0, 2*pi - r0)
-    y = np.mod(arr + r0, TWO_PI) - r0
-    near = y <= r0
-    out = np.where(near, r0 - y, (y - r0) * (r0 / (math.pi - r0)))
-    return float(out) if np.ndim(x) == 0 else out
+    y = _mod_two_pi(np.atleast_1d(np.asarray(x, dtype=float) + r0))
+    y -= r0
+    # (r0 - y) times -slope is (y - r0) times slope bit for bit
+    factor = np.where(y <= r0, 1.0, -(r0 / (math.pi - r0)))
+    np.subtract(r0, y, out=y)
+    y *= factor
+    return float(y[0]) if np.ndim(x) == 0 else y
+
+
+def _mod_two_pi(z: np.ndarray) -> np.ndarray:
+    """z mod 2*pi in [0, 2*pi], in place on the float array z, equal to
+    np.mod(z, 2*pi) bit for bit.
+
+    np.mod is fmod plus 2*pi on a negative remainder, and +0.0 for a zero
+    one; adding 2*pi or +0.0 does both, at a fraction of np.mod's cost.
+    fmod is exact: z itself inside (-2*pi, 2*pi) and z - 2*pi, a subtraction
+    exact by Sterbenz's lemma, on [2*pi, 4*pi).  Chart differences and arcs
+    plus r0 lie inside (-2*pi, 4*pi); there the slow fmod is skipped and both
+    shifts are one addition of -1, 0 or +1 periods.
+    """
+    if z.size and -TWO_PI < z.min() <= z.max() < 2.0 * TWO_PI:
+        z += TWO_PI * _periods(z < 0.0, z >= TWO_PI)
+    else:
+        np.fmod(z, TWO_PI, out=z)
+        z += TWO_PI * (z < 0.0)
+    return z

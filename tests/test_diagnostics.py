@@ -8,6 +8,7 @@ import pytest
 
 from flocklab import geometry
 from flocklab.diagnostics import (
+    _euclidean_summands,
     DiagnosticsRecord,
     LyapunovConfig,
     LyapunovVariant,
@@ -357,7 +358,7 @@ def _public_columns(state, kernel, domain, cfg):
     return cols
 
 
-@pytest.mark.parametrize("n", [128, 257, 512])
+@pytest.mark.parametrize("n", [128, 130, 257, 512])
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
 def test_blocked_record_matches_the_dense_reference(domain, n):
@@ -421,6 +422,84 @@ def test_blocked_record_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8, kernel.kind  # one (N, N) float64 array
+
+
+# ---------------------------------------------------------------------------
+# summands formed only where they can be nonzero, against their full forms
+
+def _euclidean_reference(xr, xc, vr, vc, dist, speed, r0, power):
+    """The Euclidean corrector's summand formed on every pair."""
+    directed = np.zeros_like(speed)
+    for k in range(xr.shape[1]):
+        directed -= (xr[:, None, k] - xc[None, :, k]) * (vr[:, None, k] - vc[None, :, k])
+    np.divide(directed, speed, out=directed, where=speed > 0.0)
+    return speed**power * geometry.psi_euclidean(directed, r0) * geometry.chi(dist, r0)
+
+
+def _edge_state(domain):
+    """Agents 0, 1 and 2 at 0, r0 and 2*r0 along axis 0 (r0 = 0.1, so pairs
+    lie at exactly r0 and 2*r0), the rest at random; agents 0 and 1, and 5
+    and 6, share a velocity."""
+    rng = np.random.default_rng(domain.dim)
+    n = 40
+    x = rng.uniform(0.0, 1.0, size=(n, domain.dim))
+    x[:3] = 0.0
+    x[:3, 0] = [0.0, 0.1, 0.2]
+    v = rng.normal(size=(n, domain.dim))
+    v[1], v[6] = v[0], v[5]
+    m = rng.uniform(0.5, 1.5, n)
+    state = FlockState(0.25, x, v, m / m.sum())
+    dist = geometry.pair_distances(domain, state.x)
+    assert (dist == 0.1).any() and (dist == 0.2).any()
+    return state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_euclidean_summands_equal_their_full_form(dim):
+    # chi is 0 from 2*r0 on, so the summands formed below it are the full ones
+    state = _edge_state(euclidean(dim))
+    x, v = state.x, state.v
+    speed = geometry.pair_distances(geometry.VELOCITY_SPACE, v)
+    for r0 in (0.1, 0.05, 2.0):
+        for diagonal in (0.0, math.inf):  # the public correctors' and a record's
+            dist = geometry.pair_distances(euclidean(dim), x)
+            np.fill_diagonal(dist, diagonal)
+            summands = _euclidean_summands(x, x, v, v, dist, speed, r0, (1, 3))
+            for power, got in zip((1, 3), summands):
+                want = _euclidean_reference(x, x, v, v, dist, speed, r0, power)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # rows against the columns from the block's first row on
+    dist, k = geometry.pair_distances(euclidean(dim), x)[5:], 5
+    got = next(_euclidean_summands(x[k:], x, v[k:], v, dist, speed[k:], 0.1, (3,)))
+    want = _euclidean_reference(x[k:], x, v[k:], v, dist, speed[k:], 0.1, 3)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kernel", [
+    LOCAL,
+    KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=2.0, r0=0.1, moll_width=0.0),
+    KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.2, moll_width=0.2),
+    FLAT,
+], ids=["local", "sharp", "full-ramp", "flat"])
+@pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
+                         ids=["circle", "line", "plane"])
+def test_one_block_record_summands_equal_their_full_forms(domain, kernel):
+    # I_p, formed only where phi can be nonzero, equals the public
+    # dissipation, which evaluates phi on every pair; G and G3 equal the
+    # full Euclidean summands reduced the same way
+    state = _edge_state(domain)
+    rec = compute_record(state, kernel, domain)
+    for p in (1, 2, 4):
+        assert getattr(rec, f"I{p}") == dissipation(state, kernel, domain, p), p
+    assert rec.I2 > 0.0
+    if domain.periodic:
+        return
+    x, v, m = state.x, state.v, state.m
+    dist = geometry.pair_distances(domain, x)
+    speed = geometry.pair_distances(geometry.VELOCITY_SPACE, v)
+    for name, power in (("G", 1), ("G3", 3)):
+        want = _euclidean_reference(x, x, v, v, dist, speed, kernel.r0, power)
+        assert getattr(rec, name) == float(m @ (want @ m)), name
 
 
 def test_csv_roundtrip(tmp_path):

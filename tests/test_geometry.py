@@ -1,4 +1,5 @@
-"""Domains, minimal-image displacement, pair sums, row windows, cutoff profiles."""
+"""Domains, minimal-image displacement, pair sums, row windows, cutoff profiles,
+and the circle arithmetic against its np.mod form."""
 
 import math
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flocklab.diagnostics import _circle_summand
 from flocklab.errors import DomainMismatchError
 from flocklab.geometry import (
+    _mod_two_pi,
     _row_windows,
     TWO_PI,
     VELOCITY_SPACE,
@@ -235,3 +238,119 @@ def test_psi_periodic_slopes():
     far = np.linspace(r0 + 1e-6, TWO_PI - r0 - 1e-6, 51)
     d_far = np.gradient(psi_periodic(far, r0), far)
     np.testing.assert_allclose(d_far, r0 / (math.pi - r0), atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the circle arithmetic against the np.mod forms, bit for bit
+
+# signed zeros, multiples of 2*pi, and pairs k/8 and k/8 + pi (exact, as the
+# last three mantissa bits of pi are zero) whose differences are exactly +-pi
+SPECIAL_POSITIONS = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 2.0 * TWO_PI,
+                     -3.0 * TWO_PI, 0.375, 0.375 + math.pi, 2.5, 2.5 + math.pi,
+                     np.nextafter(TWO_PI, 0.0), np.nextafter(2.0 * TWO_PI, 0.0)]
+positions = st.lists(st.one_of(st.sampled_from(SPECIAL_POSITIONS),
+                               st.floats(-30.0, 30.0, allow_subnormal=False)),
+                     min_size=1, max_size=12)
+# equal velocities and signed zeros come up often
+velocities = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                       st.floats(-2.0, 2.0, allow_subnormal=False))
+BITWISE = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _psi_reference(x, r0):
+    """psi_periodic as np.mod and np.where form it."""
+    y = np.mod(np.asarray(x, dtype=float) + r0, TWO_PI) - r0
+    return np.where(y <= r0, r0 - y, (y - r0) * (r0 / (math.pi - r0)))
+
+
+def _circle_summand_reference(xr, xc, vr, vc, r0):
+    """|v_i - v_j| psi(-(x_i - x_j) sign(v_i - v_j) mod 2*pi) through np.mod."""
+    vdiff = vr[:, None] - vc[None, :]
+    arc = np.mod(-(xr[:, None] - xc[None, :]) * np.sign(vdiff), TWO_PI)
+    return np.abs(vdiff) * _psi_reference(arc, r0)
+
+
+def _displacement_reference(a, b):
+    """The minimal image with fmod on every entry and masked shifts."""
+    wrapped = np.atleast_1d(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    np.fmod(wrapped, TWO_PI, out=wrapped)
+    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped > math.pi)
+    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return wrapped
+
+
+@BITWISE
+@given(z=st.lists(st.one_of(st.sampled_from(SPECIAL_POSITIONS + [math.nan, math.inf]),
+                            st.floats(-40.0, 40.0)), max_size=12))
+def test_mod_two_pi_is_np_mod(z):
+    # inside (-2*pi, 4*pi) without fmod, elsewhere with it
+    z = np.array(z, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf mod 2*pi is nan
+        _assert_bitwise(_mod_two_pi(z.copy()), np.mod(z, TWO_PI))
+
+
+@BITWISE
+@given(x=positions, r0=st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+def test_psi_periodic_is_the_np_mod_form(x, r0):
+    x = np.array(x)
+    _assert_bitwise(psi_periodic(x, r0), _psi_reference(x, r0))
+    _assert_bitwise(psi_periodic(x[0], r0), _psi_reference(x[0], r0))
+    assert isinstance(psi_periodic(float(x[0]), r0), float)
+
+
+@BITWISE
+@given(x=positions, data=st.data(), r0=st.sampled_from([0.1, 0.5]))
+def test_circle_summand_is_the_np_mod_form(x, data, r0):
+    # unwrapped and negative positions, +-0.0, multiples of 2*pi, differences
+    # of exactly +-pi and equal velocities
+    x = np.array(x)
+    v = np.array(data.draw(st.lists(velocities, min_size=len(x), max_size=len(x))))
+    _assert_bitwise(_circle_summand(x, x, v, v, r0), _circle_summand_reference(x, x, v, v, r0))
+    k = len(x) // 2  # rows against a block of columns, as a record forms it
+    _assert_bitwise(_circle_summand(x[k:], x, v[k:], v, r0),
+                    _circle_summand_reference(x[k:], x, v[k:], v, r0))
+
+
+def test_circle_summand_covers_the_exact_cases():
+    # the differences the strategies aim at, each at least once
+    x = np.array([0.375, 0.375 + math.pi, 0.0, -0.0, TWO_PI, -TWO_PI, 7.0])
+    v = np.array([1.0, -1.0, 1.0, 1.0, 0.0, -0.0, 0.5])
+    assert (x[1] - x[0]) == math.pi and (x[0] - x[1]) == -math.pi
+    _assert_bitwise(_circle_summand(x, x, v, v, 0.5), _circle_summand_reference(x, x, v, v, 0.5))
+
+
+@BITWISE
+@given(a=positions, b=positions)
+def test_displacement_skips_fmod_only_where_it_is_the_identity(a, b):
+    a, b = np.array(a)[:, None], np.array(b)[None, :]
+    _assert_bitwise(displacement(circle(), a, b), _displacement_reference(a, b))
+
+
+@pytest.mark.parametrize("top", [np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0),
+                                 np.nextafter(2.0 * TWO_PI, 0.0)],
+                         ids=["under-2pi", "2pi", "over-2pi", "under-4pi"])
+def test_displacement_spanning_about_two_pi(top):
+    x = np.array([0.0, -0.0, 1e-300, math.pi, top - 1.0, top])
+    for a, b in ((x[:, None], x[None, :]), (x[None, :], x[:, None]), (-x[:, None], x[None, :])):
+        _assert_bitwise(displacement(circle(), a, b), _displacement_reference(a, b))
+    assert displacement(circle(), top, 0.0) == _displacement_reference(top, 0.0)[0]
+
+
+def test_displacement_of_empty_and_nan_blocks():
+    x = np.array([0.5, 4.0])
+    empty = np.zeros(0)
+    for a, b in ((empty[:, None], x[None, :]), (x[:, None], empty[None, :])):
+        got = displacement(circle(), a, b)
+        assert got.shape == _displacement_reference(a, b).shape and got.size == 0
+    assert pair_square_sums(circle(), np.zeros((0, 1)), x[:, None]).shape == (0, 2)
+    with_nan = np.array([0.5, math.nan, 4.0])
+    got = displacement(circle(), with_nan[:, None], x[None, :])
+    _assert_bitwise(got, _displacement_reference(with_nan[:, None], x[None, :]))
+    assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2]]).all()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flocklab import diagnostics, geometry
 from flocklab.harness import scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,17 +30,34 @@ def _load(path):
 @pytest.fixture(scope="module")
 def dump():
     """A small dump in the format of ``compare_runs.py dump``: one run, one
-    run with searched constants, and every initial state."""
+    run with searched constants, the multi-block runs and every initial
+    state."""
     tool = _load(COMPARE_RUNS)
-    return {
-        "runs": {
-            "two-agent-smooth-collision": tool._run(
-                scenario("two-agent-smooth-collision", horizon=1.0), False),
-            "torus-singular-beta2/steps": tool._run(
-                scenario("torus-singular-beta2", horizon=0.02), True),
-        },
-        "initial": tool._initial_states(),
+    runs = {
+        "two-agent-smooth-collision": tool._run(
+            scenario("two-agent-smooth-collision", horizon=1.0), False),
+        "torus-singular-beta2/steps": tool._run(
+            scenario("torus-singular-beta2", horizon=0.02), True),
     }
+    for name in tool.BLOCK_RUNS:
+        runs[name] = tool._run(tool._block_config(name), False)
+    return {"runs": runs, "initial": tool._initial_states()}
+
+
+def test_compare_runs_dump_covers_several_blocks(dump):
+    # the multi-block runs span several record blocks and step on the
+    # stepper's sorted column windows, which no library flock reaches
+    tool = _load(COMPARE_RUNS)
+    for name in tool.BLOCK_RUNS:
+        cfg = tool._block_config(name)
+        block = diagnostics._RECORD_BLOCK
+        assert cfg.n > 2 * block
+        index, windows = geometry._row_windows(cfg.domain, cfg.build().x, cfg.kernel.r0, block)
+        assert index is not None and any(c1 - c0 < cfg.n for *_, c0, c1 in windows)
+        run = dump["runs"][name]
+        times = [float.fromhex(rec[0]) for rec in run["records"]]
+        assert times == [0.0, tool.BLOCK_HORIZON] and run["error"] is None
+        assert json.loads(run["config"])["n"] == cfg.n
 
 
 def _nudge(hexes, k=0):
@@ -52,6 +70,11 @@ def _nudge(hexes, k=0):
 def _record(d):
     run = d["runs"]["two-agent-smooth-collision"]
     run["records"][-1] = _nudge(run["records"][-1], 1)
+
+
+def _block_record(d):
+    run = d["runs"]["blocks-plane-192"]
+    run["records"][0] = _nudge(run["records"][0], run["columns"].index("G3"))
 
 
 def _config(d):
@@ -92,11 +115,12 @@ def test_compare_runs_diff_exits_0_on_equal_dumps(tmp_path, dump):
 
 @pytest.mark.parametrize("change, verdict", [
     (_record, "runs: some differ"),
+    (_block_record, "runs: some differ"),
     (_config, "configs: some differ"),
     (_constants, "constants: some differ"),
     (_initial, "initial states: some differ"),
     (_missing, "runs: some differ"),
-], ids=["record", "config", "constants", "initial-state", "missing-run"])
+], ids=["record", "block-record", "config", "constants", "initial-state", "missing-run"])
 def test_compare_runs_diff_exits_1_on_any_difference(tmp_path, dump, change, verdict):
     # a script can gate on the exit code: one changed float is enough
     changed = copy.deepcopy(dump)
@@ -126,6 +150,22 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
     assert len(rows) == 4 and all(row.split()[2] == "128" for row in rows)
     assert "-" in rows[1].split()
     assert tool.diagnostics._RECORD_BLOCK == 64  # restored after each reference call
+
+
+def test_pair_field_timing_record_split(capsys):
+    # the split times the record's own steps: its sums are the record's
+    tool = _load(PAIR_FIELD_TIMING)
+    for name in ("circle", "plane"):
+        domain, state = tool._setup(name, 130)
+        seconds, sums = tool._record_split(state, tool.KERNEL, domain)
+        assert set(seconds) == set(tool.GROUPS) and all(s >= 0.0 for s in seconds.values())
+        record = tool._record(state, domain)
+        for column, value in sums.items():
+            assert value == record[column], column
+        assert set(record) - set(sums) == {"C"} | ({"G3"} if domain.periodic else set())
+    tool._split_table("circle", 130, budget_s=0.0)
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:]] == [*tool.GROUPS, "record"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -5,6 +5,9 @@
 
 ``dump`` runs all 13 library scenarios at the short horizons below, and the
 three ``torus-singular-*`` scenarios again with a record after every step.
+The library flocks are at most 64 agents, one row block, so it also runs
+two flocks shaped like perfbench's ``large-n`` at smaller N (``BLOCK_RUNS``):
+several record blocks, and the stepper's sorted column windows.
 It writes each run's canonical config JSON, every record, every stored
 state (``t``, ``x``, ``v``, ``diss2``, ``diss2_root``) and the run's error
 (type, pair, distance, t), and for the record-every-step runs the (a, b, c)
@@ -52,6 +55,14 @@ HORIZONS = {
     "vacuum-gap-torus": 200.0,
 }
 STEP_HORIZON = 0.5  # horizon of the torus-singular runs that record every step
+# (domain, N, initial-data params, Lyapunov variant) of each multi-block run:
+# uniform_gaussian under local_mollified with r0 = 0.1, five steps of 0.01
+# with records at the start and the end
+BLOCK_RUNS = {
+    "blocks-circle-256": ("circle", 256, {"sigma": 1.0}, "circle_i"),
+    "blocks-plane-192": ("euclidean2", 192, {"box": 1.0, "sigma": 1.0}, "euclidean_v4"),
+}
+BLOCK_HORIZON = 0.05
 INITIAL_SEEDS = (0, 1)
 # (label, domain, n, settings) per initial-data kind, every parameter set
 # away from its default; the domain is "circle" or "euclidean<d>"
@@ -107,13 +118,36 @@ def _run(cfg, record_steps):
     return run
 
 
+def _domain(name):
+    from flocklab.geometry import circle, euclidean
+
+    return circle() if name == "circle" else euclidean(int(name[len("euclidean"):]))
+
+
+def _block_config(name):
+    """The ScenarioConfig of one of BLOCK_RUNS."""
+    from flocklab.diagnostics import LyapunovConfig
+    from flocklab.dynamics import ObserverSchedule, StepperConfig
+    from flocklab.harness import ScenarioConfig
+    from flocklab.kernels import KernelKind, KernelSpec
+
+    domain, n, params, variant = BLOCK_RUNS[name]
+    kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+    return ScenarioConfig(
+        name=name, domain=_domain(domain), kernel=kernel, n=n, mode="discrete",
+        initial={"kind": "uniform_gaussian", "seed": 0, "params": params},
+        stepper=StepperConfig(dt_max=0.01), horizon=BLOCK_HORIZON,
+        observers=ObserverSchedule("linear", spacing=BLOCK_HORIZON),
+        lyapunov=LyapunovConfig.defaults(variant, kernel),
+    )
+
+
 def _initial_states():
     from flocklab.dynamics import initial_state
-    from flocklab.geometry import circle, euclidean
 
     out = {}
     for label, domain, n, settings in INITIAL_CASES:
-        dom = circle() if domain == "circle" else euclidean(int(domain[len("euclidean"):]))
+        dom = _domain(domain)
         for seed in INITIAL_SEEDS:
             st = initial_state(dom, n, seed=seed, **settings)
             out[f"{label}/seed{seed}"] = {"x": _hex(st.x), "v": _hex(st.v), "m": _hex(st.m)}
@@ -128,6 +162,8 @@ def dump(path):
         runs[name] = _run(scenario(name, horizon=HORIZONS[name]), False)
         if name.startswith("torus-singular-"):
             runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZON), True)
+    for name in BLOCK_RUNS:
+        runs[name] = _run(_block_config(name), False)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"runs": runs, "initial": _initial_states()}, fh)
 
