@@ -18,10 +18,11 @@ of at most ``_RECORD_BLOCK`` agents is one block.  A record forms each
 summand only where it can be nonzero: the kernel and the I_p summands within
 the kernel's support radius, the Euclidean correctors closer than 2*r0, each
 scattered into a block of zeros, so S and its reduction are unchanged bit
-for bit.  The public per-state diagnostics reduce the whole (N, N) summand
-by the same expression, so a one-block record equals them bit for bit.  A
-record reads nothing of the stepper's pair field.  ``good_set`` builds dense
-arrays.
+for bit.  A block with no pair beyond the support radius, as under a kernel
+of full support, evaluates the kernel on the whole block instead.  The
+public per-state diagnostics reduce the whole (N, N) summand by the same
+expression, so a one-block record equals them bit for bit.  A record reads
+nothing of the stepper's pair field.  ``good_set`` builds dense arrays.
 """
 
 import collections
@@ -573,7 +574,8 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
         np.sqrt(speed, out=speed)
         dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
         np.sqrt(dist, out=dist)
-        diameter = max(diameter, float(np.max(dist)))
+        reach = float(np.max(dist))
+        diameter = max(diameter, reach)
         vdiam = max(vdiam, float(np.max(speed)))
         _fill_diagonal(dist, math.inf)
         # a pair (i, j) with j < i is (j, i) of an earlier row, so the first
@@ -584,17 +586,27 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
         dmin = min(dmin, float(dist.flat[k]))
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
         # phi, and with it each I_p summand, is 0 at and beyond the support
-        # radius and, as dist is inf there, on the diagonal: they are formed
-        # only inside, each into the same entries of one block of zeros
-        inside = np.flatnonzero(dist < kernels.support_radius(kernel))
-        phi = kernels._evaluate_raw(kernel, dist.take(inside))
-        dissipated = np.zeros_like(dist)
+        # radius and on the diagonal.  Where some pair of the block lies
+        # outside, they are formed only inside (dist is inf on the diagonal),
+        # each into the same entries of one block of zeros; where none does,
+        # as under a kernel of full support, on the whole block.
+        radius = kernels.support_radius(kernel)
+        inside = np.flatnonzero(dist < radius) if reach >= radius else None
+        if inside is None:
+            phi = kernels._evaluate_raw(kernel, dist)
+            _fill_diagonal(phi, 0.0)
+        else:
+            phi = kernels._evaluate_raw(kernel, dist.take(inside))
+            dissipated = np.zeros_like(dist)
         for p in (1, 2, 4):
             power = speed**p if p > 1 else speed
             sums[f"V{p}"] += _pair_sum(m_rows, power, w)
-            dissipated.reshape(-1)[inside] = power.take(inside) * phi
+            if inside is None:
+                dissipated = power * phi
+            else:
+                dissipated.reshape(-1)[inside] = power.take(inside) * phi
             sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
-        del power, dissipated  # not alive while the correctors are built
+        del power, phi, dissipated  # not alive while the correctors are built
         if domain.periodic:
             summands = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
         else:

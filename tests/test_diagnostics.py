@@ -372,6 +372,20 @@ def test_blocked_record_matches_the_dense_reference(domain, n):
     assert ref["V1"] > 0.0 and ref["I2"] > 0.0 and ref["G"] > 0.0
 
 
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_blocked_record_with_a_block_wholly_inside_the_support(domain):
+    # the last block, agents 128 and 129 within r0 of each other, has no pair
+    # outside the support and forms phi on the whole block; the others form
+    # it only inside
+    state = _blocked_case(domain, 130)
+    state.x[128], state.x[129] = 1.0, 1.05
+    assert geometry.pair_distances(domain, state.x[128:]).max() < LOCAL.r0
+    cfg = _record_config(domain)
+    rec = compute_record(state, LOCAL, domain, cfg)
+    for name, want in _public_columns(state, LOCAL, domain, cfg).items():
+        assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
 def test_record_of_one_block_equals_the_public_diagnostics():
     # a record sums every column, I_p included, over its own row blocks; a
     # state of one block equals the public diagnostics bit for bit
@@ -479,8 +493,10 @@ def test_euclidean_summands_equal_their_full_form(dim):
     LOCAL,
     KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=2.0, r0=0.1, moll_width=0.0),
     KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.2, moll_width=0.2),
+    KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=3.0),
     FLAT,
-], ids=["local", "sharp", "full-ramp", "flat"])
+    SINGULAR,
+], ids=["local", "sharp", "full-ramp", "wide", "flat", "singular"])
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
 def test_one_block_record_summands_equal_their_full_forms(domain, kernel):

@@ -153,19 +153,23 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
 
 
 def test_pair_field_timing_record_split(capsys):
-    # the split times the record's own steps: its sums are the record's
+    # the split profiles the record itself: its parts add up to the record
     tool = _load(PAIR_FIELD_TIMING)
     for name in ("circle", "plane"):
         domain, state = tool._setup(name, 130)
-        seconds, sums = tool._record_split(state, tool.KERNEL, domain)
-        assert set(seconds) == set(tool.GROUPS) and all(s >= 0.0 for s in seconds.values())
-        record = tool._record(state, domain)
-        for column, value in sums.items():
-            assert value == record[column], column
-        assert set(record) - set(sums) == {"C"} | ({"G3"} if domain.periodic else set())
+        split = tool._record_split(state, domain)
+        helpers = [fn.__name__ for fn in tool._split_helpers(domain)]
+        assert list(split) == [*helpers, "rest", "record"]
+        assert split["_collision_summand"] == 0.0  # not called under the local kernel
+        parts = [split[part] for part in (*helpers, "rest")]
+        assert all(s >= 0.0 for s in parts) and split["record"] > 0.0
+        assert math.isclose(sum(parts), split["record"])
+        assert split["_pair_sum"] > 0.0 and split[helpers[2]] > 0.0
     tool._split_table("circle", 130, budget_s=0.0)
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows[1:]] == [*tool.GROUPS, "record"]
+    assert [row.split()[0] for row in rows[1:]] == [
+        "pair_square_sums", "_evaluate_raw", "_circle_summand", "_pair_sum",
+        "_collision_summand", "rest", "record"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

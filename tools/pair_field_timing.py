@@ -17,21 +17,23 @@ reference is not timed), and the tracemalloc peak of one call in MB; each
 record row the same of the one record algorithm.  The reference is not run
 past N = 2048, where its (N, N) arrays take most of the memory.  The next
 table times the record at N = 2048 for several block sizes, the table the
-block size is read off.  The last splits one circle record at N = 2048
-into its column groups, the record's row blocks step for step: the
-relative speeds, the distances with D and dmin, the kernel phi, V_p and
-I_p, the corrector G and the collision potential C (0 under this kernel),
-with each group's median ms and share over the timed records.
+block size is read off.  The last profiles one circle record at N = 2048
+with cProfile and splits it by the helpers of ``diagnostics._pair_columns``:
+``pair_square_sums`` forms the squared relative speeds and distances,
+``_evaluate_raw`` the kernel phi, ``_circle_summand`` the corrector's
+summand, ``_pair_sum`` every reduction m_rows @ (S @ w) and
+``_collision_summand`` the collision potential's (not called under this
+kernel); ``rest`` is the time in ``_pair_columns`` itself (the square
+roots, masks, powers and scatters).  Each row is the median ms and share
+of the record; the profiler adds its own small cost to each call.
 """
 
-import collections
-import math
+import cProfile
+import pstats
 import statistics
 import sys
 import time
 import tracemalloc
-
-import numpy as np
 
 from flocklab import diagnostics, geometry, kernels
 from flocklab.dynamics import _pair_field, initial_state
@@ -47,7 +49,6 @@ FORCE_CASES = (  # (domain name, N, time the one-block reference)
 RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (64, 128, 256, 512, 1024, 2048)]
 BLOCKS = (16, 32, 64, 128, 256)
 BUDGET_S = 1.0  # time spent on each path of each row, after one warm-up call
-GROUPS = ("speeds", "distances", "phi", "V_p/I_p", "correctors", "collision")
 
 
 def _setup(name, n):
@@ -70,76 +71,45 @@ def _record(state, domain, block=diagnostics._RECORD_BLOCK):
     return diagnostics._pair_columns(state.x, state.v, state.m, KERNEL, domain, state.t, block)
 
 
-def _record_split(state, kernel, domain, block=diagnostics._RECORD_BLOCK):
-    """Seconds per column group of one record, and its pair sums: the row
-    blocks of diagnostics._pair_columns step for step, each step timed into
-    its group.  The sums equal the record's bit for bit."""
-    x, v, m = state.x, state.v, state.m
-    n = x.shape[0]
-    seconds = dict.fromkeys(GROUPS, 0.0)
-    sums = collections.defaultdict(float)
-    clock = time.perf_counter()
+def _split_helpers(domain):
+    """The helpers of diagnostics._pair_columns that form its summands and
+    reduce them, on the circle or in the plane."""
+    corrector = diagnostics._circle_summand if domain.periodic else diagnostics._euclidean_summands
+    return (geometry.pair_square_sums, kernels._evaluate_raw, corrector, diagnostics._pair_sum,
+            diagnostics._collision_summand)
 
-    def lap(group):
-        nonlocal clock
-        now = time.perf_counter()
-        seconds[group] += now - clock
-        clock = now
 
-    for a in range(0, n, block):
-        b = min(a + block, n)
-        speed = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v[a:b], v[a:])
-        np.sqrt(speed, out=speed)
-        sums["vdiam"] = max(sums["vdiam"], float(np.max(speed)))
-        lap("speeds")
-        dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
-        np.sqrt(dist, out=dist)
-        sums["D"] = max(sums["D"], float(np.max(dist)))
-        diagnostics._fill_diagonal(dist, math.inf)
-        sums["dmin"] = min(sums.get("dmin", math.inf), float(dist.flat[int(np.argmin(dist))]))
-        m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
-        lap("distances")
-        inside = np.flatnonzero(dist < kernels.support_radius(kernel))
-        phi = kernels._evaluate_raw(kernel, dist.take(inside))
-        lap("phi")
-        dissipated = np.zeros_like(dist)
-        for p in (1, 2, 4):
-            power = speed**p if p > 1 else speed
-            sums[f"V{p}"] += diagnostics._pair_sum(m_rows, power, w)
-            dissipated.reshape(-1)[inside] = power.take(inside) * phi
-            sums[f"I{p}"] += p * diagnostics._pair_sum(m_rows, dissipated, w)
-        del power, dissipated
-        lap("V_p/I_p")
-        if domain.periodic:
-            summands = [diagnostics._circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0],
-                                                    kernel.r0)]
-        else:
-            summands = diagnostics._euclidean_summands(x[a:b], x[a:], v[a:b], v[a:], dist,
-                                                       speed, kernel.r0, (1, 3))
-        for name, summand in zip(("G", "G3"), summands):
-            sums[name] += diagnostics._pair_sum(m_rows, summand, w)
-        lap("correctors")
-        if kernel.kind is KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
-            sums["C"] += diagnostics._pair_sum(
-                m_rows, diagnostics._collision_summand(dist, kernel.beta, kernel.r0), w)
-        lap("collision")
-    return seconds, dict(sums)
+def _record_split(state, domain):
+    """Seconds of one record under cProfile: the cumulative time of each
+    helper of diagnostics._pair_columns, by name, the rest of _pair_columns
+    (the square roots, masks, powers and scatters) and the whole record."""
+    profile = cProfile.Profile()
+    profile.runcall(_record, state, domain)
+    stats = pstats.Stats(profile).stats
+
+    def seconds(fn):
+        code = fn.__code__
+        return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0, 0.0))[3]
+
+    split = {fn.__name__: seconds(fn) for fn in _split_helpers(domain)}
+    total = seconds(diagnostics._pair_columns)
+    split["rest"] = total - sum(split.values())
+    split["record"] = total
+    return split
 
 
 def _split_table(name, n, budget_s=BUDGET_S):
-    """Median ms and share of each column group over records timed for about
-    ``budget_s`` after one warm-up record, with the median record's ms."""
+    """Median ms of each part of one record, and its share of the record,
+    over records profiled for about ``budget_s`` after one warm-up record."""
     domain, state = _setup(name, n)
-    _record_split(state, KERNEL, domain)
+    _record(state, domain)
     runs, start = [], time.perf_counter()
     while len(runs) < 3 or (time.perf_counter() - start < budget_s and len(runs) < 50):
-        runs.append(_record_split(state, KERNEL, domain)[0])
-    medians = {group: statistics.median(run[group] for run in runs) * 1e3 for group in GROUPS}
-    total = statistics.median(sum(run.values()) for run in runs) * 1e3
-    print(f"{'group':11s} {'ms':>9s} {'share':>7s}   ({name}, N = {n})")
-    for group, ms in medians.items():
-        print(f"{group:11s} {ms:9.2f} {ms / total:7.1%}")
-    print(f"{'record':11s} {total:9.2f}", flush=True)
+        runs.append(_record_split(state, domain))
+    medians = {part: statistics.median(run[part] for run in runs) * 1e3 for part in runs[0]}
+    print(f"{'part':20s} {'ms':>9s} {'share':>7s}   ({name}, N = {n}, under cProfile)")
+    for part, ms in medians.items():
+        print(f"{part:20s} {ms:9.2f} {ms / medians['record']:7.1%}", flush=True)
 
 
 def _median_us(fn):
