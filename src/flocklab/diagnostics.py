@@ -307,6 +307,11 @@ def lyapunov_series(records, config: LyapunovConfig, n_eff: float) -> np.ndarray
     )
 
 
+# elements of one (grid point, record) array of the constant search: 2 MB,
+# so the few such temporaries of one chunk of grid points stay near 8 MB
+_SEARCH_ELEMENTS = 1 << 18
+
+
 def lyapunov_constant_search(
     records,
     variant,
@@ -328,6 +333,10 @@ def lyapunov_constant_search(
     suite: it shows that some combination descends, not which.  b stays 1
     for EUCLIDEAN_V4 and c stays 1 for every variant but CIRCLE_I.  The
     corrector/variation series already stored on the records are reused.
+
+    The grid points are scored in chunks of rows of one (grid point, record)
+    array each, by the same elementwise arithmetic as one point at a time,
+    and the totals are summed only for the rows tied at the lowest count.
     """
     variant = LyapunovVariant(variant)
     if len(records) < 2:
@@ -341,18 +350,33 @@ def lyapunov_constant_search(
         c_grid = np.geomspace(1e-3, 1e2, 11)
     uses_b = variant is not LyapunovVariant.EUCLIDEAN_V4
     uses_c = variant is LyapunovVariant.CIRCLE_I
-    best = None
-    for a in np.atleast_1d(a_grid):
-        for b in np.atleast_1d(b_grid) if uses_b else (1.0,):
-            for c in np.atleast_1d(c_grid) if uses_c else (1.0,):
-                series = _assemble_lyapunov(variant, a, b, c, n_eff, *columns)
-                jumps = np.diff(series)
-                allowance = tol * (1.0 + abs(series[0]))
-                bad = jumps > allowance
-                key = (int(np.count_nonzero(bad)), float(jumps[bad].sum()))
-                if best is None or key < best[0]:
-                    best = (key, LyapunovConfig(variant, a=a, b=b, c=c))
-    return best[1]
+    grids = (np.atleast_1d(a_grid),
+             np.atleast_1d(b_grid) if uses_b else np.ones(1),
+             np.atleast_1d(c_grid) if uses_c else np.ones(1))
+    points = [index.ravel() for index in np.indices([len(g) for g in grids])]
+    rows = max(1, _SEARCH_ELEMENTS // len(records))
+    best = None  # ((count, total), point)
+    for lo in range(0, points[0].size, rows):
+        chunk = [index[lo:lo + rows] for index in points]
+        a, b, c = (g[index, None] for g, index in zip(grids, chunk))
+        series = _assemble_lyapunov(variant, a, b, c, n_eff, *columns)
+        jumps = np.diff(series, axis=1)
+        bad = jumps > tol * (1.0 + np.abs(series[:, :1]))
+        counts = np.count_nonzero(bad, axis=1)
+        low = int(counts.min())
+        if best is not None and low > best[0][0]:
+            continue
+        for r in np.flatnonzero(counts == low):
+            key = (low, float(jumps[r][bad[r]].sum()))
+            if best is None or key < best[0]:
+                best = (key, [int(index[r]) for index in chunk])
+            if low == 0:  # (0, 0.0): no later point scores lower
+                break
+        if best[0][0] == 0:
+            break
+    i, j, k = best[1]
+    return LyapunovConfig(variant, a=grids[0][i], b=grids[1][j] if uses_b else 1.0,
+                          c=grids[2][k] if uses_c else 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,14 @@ flock is the dense (N, N) arithmetic.  The nearest pair (the approach limit,
 the separation guard and the StiffnessError pair) is a blocked row-major
 argmin, so a step forms no (N, N) array.
 
+Under a singular kernel the end-of-step guard is the next step's first
+evaluation ("first same as last"): ``_attempt`` evaluates the pair field at
+the wrapped end position with the guard as its contact floor, and the
+returned state carries that evaluation, keyed on its x, v and m, which are
+read-only.  The next ``step`` takes it off the state instead of evaluating
+again, so a stored state keeps nothing extra once it has been stepped.  A
+smooth kernel has no guard, and its states carry nothing.
+
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
 """
@@ -72,6 +80,8 @@ class FlockState:
     m: np.ndarray
     diss2: float = 0.0
     diss2_root: float = 0.0
+    # (x, v, m, evaluation) that step leaves for the next step; see _stepped
+    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t = float(self.t)
@@ -103,6 +113,23 @@ class FlockState:
 
     def copy(self) -> "FlockState":
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
+
+
+def _stepped(t, x, v, m, diss2, diss2_root, first):
+    """A step's result from the arrays the step has just made, without
+    ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
+    x, v and m are made read-only, so ``first``, the evaluation at them or
+    None, cannot go stale; the next step reads it only while the state
+    still holds these arrays."""
+    if m.flags.writeable:  # the caller's weights; every later state shares the copy
+        m = m.copy()
+    for arr in (x, v, m):
+        arr.flags.writeable = False
+    state = object.__new__(FlockState)
+    state.t, state.x, state.v, state.m = t, x, v, m
+    state.diss2, state.diss2_root = diss2, diss2_root
+    state._first = None if first is None else (x, v, m, first)
+    return state
 
 
 # Under a singular kernel a pair at or below this separation is a contact:
@@ -177,7 +204,8 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
     Under a singular kernel a pair at or below ``floor`` raises
     CollisionError naming the nearest pair of the rows so far.  With floor 0,
     coincidence, that is the pair geometry.nearest_pair names; the stages
-    pass the guard, and a step that trips it is retried whatever the pair.
+    and the end-of-step evaluation pass the guard, and a step that trips it
+    is retried whatever the pair.
     """
     index, windows = geometry._row_windows(domain, x, kernels.support_radius(kernel),
                                            diagnostics._RECORD_BLOCK)
@@ -230,16 +258,28 @@ def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
     return dt
 
 
+def _first_evaluation(state, kernel, domain, singular):
+    """The step's first evaluation: the one the previous step left on the
+    state, taken off it, when the state still holds the arrays it was made
+    at; otherwise a new one."""
+    carried, state._first = state._first, None
+    if carried is not None:
+        x, v, m, evaluation = carried
+        if x is state.x and v is state.v and m is state.m:
+            return evaluation
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, singular, first=True)
+
+
 def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None) -> FlockState:
     """One accepted adaptive step; never steps past dt_cap when given.
 
     Rejects and halves whenever a stage (or the result) drives a pair to or
     below the separation guard under a singular kernel; raises
-    StiffnessError once dt underflows.
+    StiffnessError once dt underflows, and ValueError when the result is not
+    finite.
     """
     singular = kernels._is_singular(kernel)
-    a0, i2a, stiff, speed2, dmin = _pair_field(state.x, state.v, state.m, kernel, domain,
-                                               state.t, singular, first=True)
+    a0, i2a, stiff, speed2, dmin = _first_evaluation(state, kernel, domain, singular)
     dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
@@ -255,10 +295,9 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
             continue
         break
 
-    x1, v1, d2, d2r = result
-    t1 = state.t + dt
-    return FlockState(t1, domain.wrap(x1), v1, state.m, state.diss2 + d2,
-                      state.diss2_root + d2r)
+    x1, v1, d2, d2r, last = result
+    return _stepped(state.t + dt, x1, v1, state.m, state.diss2 + d2,
+                    state.diss2_root + d2r, last)
 
 
 def _attempt(state, first, kernel, domain, dt, singular):
@@ -279,16 +318,18 @@ def _attempt(state, first, kernel, domain, dt, singular):
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
-    if singular:
-        # the end-of-step position is the one no stage has guarded
-        dmin, pair = _nearest_pair(domain, x1)
-        if dmin <= _GUARD:
-            raise CollisionError(pair, t + dt, dmin)
+    if not (np.isfinite(x1).all() and np.isfinite(v1).all()):
+        raise ValueError("positions and velocities must be finite")
+    x1 = domain.wrap(x1)
+    # the end-of-step position is the one no stage has guarded; under a
+    # singular kernel its guard is the next step's first evaluation
+    last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
+            if singular else None)
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
-    return x1, v1, d2, d2r
+    return x1, v1, d2, d2r, last
 
 
 @dataclass(frozen=True)

@@ -145,15 +145,20 @@ def evaluate(spec: KernelSpec, r):
 
 
 def _evaluate_raw(spec: KernelSpec, arr: np.ndarray) -> np.ndarray:
-    """Family formulas; assumes arr >= 0 and no singular zeros."""
+    """Family formulas; assumes arr >= 0.
+
+    Under a singular kernel the caller must exclude zero distances before the
+    call (``evaluate``'s KernelDomainError, the stepper's contact guard, the
+    record's CollisionError): a zero gives inf with a divide-by-zero warning.
+    An inf distance, as on the diagonal of a pair block, gives 0.
+    """
     k, lam, beta, r0 = spec.kind, spec.lam, spec.beta, spec.r0
     if k is KernelKind.CLASSICAL_CS:
         return lam * (1.0 + arr * arr) ** (-beta / 2.0)
     if k is KernelKind.SINGULAR_POWER:
         if beta == 0.0:
             return np.full_like(arr, lam)
-        with np.errstate(divide="ignore"):
-            return np.where(arr > 0, lam * arr ** (-beta), np.inf)
+        return lam * arr ** (-beta)
     if k is KernelKind.LOCAL_MOLLIFIED:
         eps = spec.moll_width
         if eps == 0.0:

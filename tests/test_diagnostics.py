@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flocklab import geometry
+from flocklab import diagnostics, geometry
 from flocklab.diagnostics import (
     _euclidean_summands,
     DiagnosticsRecord,
@@ -203,6 +203,117 @@ def test_lyapunov_constant_search():
     assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
     with pytest.raises(InsufficientDataError):
         lyapunov_constant_search(recs[:1], LyapunovVariant.EUCLIDEAN_V2, 4.0)
+
+
+def _search_records(n, noise, trend, g3=True, seed=3):
+    """n records of a decaying V2 around which G drifts by ``trend`` per unit
+    time, with relative noise of size ``noise`` on V1, V2 and G."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.05, 0.2, n))
+    v2 = np.exp(-0.5 * t) * (1.0 + noise * rng.standard_normal(n))
+    v1 = np.sqrt(v2) * (1.0 + noise * rng.standard_normal(n))
+    g = trend * t + noise * rng.standard_normal(n)
+    g3 = g + 0.1 * v2 if g3 else np.full(n, math.nan)
+    return [DiagnosticsRecord(t=a, V1=b, V2=c, V4=c * c, I1=0.0, I2=0.0, I4=0.0, G=d,
+                              G3=e, L=math.nan, C=math.nan, D=1.0, dmin=1.0,
+                              momentum=(0.0,), vdiam=1.0)
+            for a, b, c, d, e in zip(t, v1, v2, g, g3)]
+
+
+def _jump_records(n):
+    """n records on which every functional descends but for one jump of G and
+    G3 that no grid point offsets: every point counts one increasing step,
+    and the largest constants make it smallest."""
+    t = 3.0 + 0.1 * np.arange(n)  # t * exp(-t / 2) decreases past t = 2
+    v2 = np.exp(-0.5 * t)
+    g = np.where(np.arange(n) < n // 2, 0.0, 100.0)
+    return [DiagnosticsRecord(t=a, V1=math.sqrt(c), V2=c, V4=c * c, I1=0.0, I2=0.0, I4=0.0,
+                              G=d, G3=d, L=math.nan, C=math.nan, D=1.0, dmin=1.0,
+                              momentum=(0.0,), vdiam=1.0)
+            for a, c, d in zip(t, v2, g)]
+
+
+def _search_by_point(records, variant, n_eff, a_grid=None, b_grid=None, c_grid=None,
+                     tol=0.0):
+    """The constant search one grid point at a time, as first written, with
+    the winning key, the winner's place in the grid and the place of the
+    first point with the winner's count."""
+    columns = [np.array([getattr(r, k) for r in records]) for k in ("t", "G", "G3", "V1", "V2")]
+    a_grid = np.geomspace(1e-2, 1e2, 17) if a_grid is None else a_grid
+    b_grid = np.geomspace(1e-3, 1e2, 21) if b_grid is None else b_grid
+    c_grid = np.geomspace(1e-3, 1e2, 11) if c_grid is None else c_grid
+    uses_b = variant is not LyapunovVariant.EUCLIDEAN_V4
+    uses_c = variant is LyapunovVariant.CIRCLE_I
+    best, counts = None, []
+    for a in np.atleast_1d(a_grid):
+        for b in np.atleast_1d(b_grid) if uses_b else (1.0,):
+            for c in np.atleast_1d(c_grid) if uses_c else (1.0,):
+                series = diagnostics._assemble_lyapunov(variant, a, b, c, n_eff, *columns)
+                jumps = np.diff(series)
+                allowance = tol * (1.0 + abs(series[0]))
+                bad = jumps > allowance
+                key = (int(np.count_nonzero(bad)), float(jumps[bad].sum()))
+                counts.append(key[0])
+                if best is None or key < best[0]:
+                    best = (key, LyapunovConfig(variant, a=a, b=b, c=c), len(counts) - 1)
+    return best[1], best[0], best[2], counts.index(best[0][0])
+
+
+def _assert_search_by_point(records, variant, **kwargs):
+    """The array search equals the point-by-point one: the same a, b and c,
+    as hex and as type.  Returns the point-by-point key, winner and first tie."""
+    want, *rest = _search_by_point(records, variant, 4.0, **kwargs)
+    got = lyapunov_constant_search(records, variant, 4.0, **kwargs)
+    assert got.variant is want.variant
+    for name in ("a", "b", "c"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (float(a).hex(), type(a)) == (float(b).hex(), type(b)), name
+    return rest
+
+
+@pytest.mark.parametrize("variant", list(LyapunovVariant))
+def test_constant_search_equals_the_search_by_point(variant):
+    # ties at count 0: the first point that descends wins, past the corner
+    key, won, first = _assert_search_by_point(_search_records(30, 0.0, 0.02), variant)
+    assert key == (0, 0.0) and won == first > 0
+    # every point at count 1: the tie is broken by the total, for the last point
+    jump = _jump_records(30)
+    key, won, first = _assert_search_by_point(jump, variant)
+    assert key[0] == 1 and won > first == 0
+    _assert_search_by_point(jump, variant, tol=0.5)
+    # noisy series, whose lowest count is first reached past the corner
+    noisy = _search_records(30, 0.02, 0.0)
+    key, won, first = _assert_search_by_point(noisy, variant)
+    assert key[0] > 0 and first > 0
+    _assert_search_by_point(noisy, variant, tol=1e-3)
+    # a nan G3 (read only by euclidean_v4, whose every increment is then nan)
+    key = _assert_search_by_point(_search_records(30, 0.02, 0.0, g3=False), variant)[0]
+    assert key == (0, 0.0) if variant is LyapunovVariant.EUCLIDEAN_V4 else key[0] > 0
+    # list grids, ints among them, in no particular order, and a scalar
+    _assert_search_by_point(noisy, variant, a_grid=[2, 0.5, 1.0, 8],
+                            b_grid=[3.0, 0.01, 1], c_grid=[1.0, 0.2])
+    _assert_search_by_point(jump, variant, a_grid=4.0, b_grid=[0.5], c_grid=[2.0])
+
+
+@pytest.mark.parametrize("variant", list(LyapunovVariant))
+def test_constant_search_in_several_chunks(monkeypatch, variant):
+    # chunks of 3 grid points: a later chunk reaches a lower count than the
+    # first one, and a tie at count 1 is broken across chunks
+    monkeypatch.setattr(diagnostics, "_SEARCH_ELEMENTS", 3 * 30)
+    key, won, first = _assert_search_by_point(_search_records(30, 0.02, 0.0), variant)
+    assert key[0] > 0 and first // 3 > 0
+    key, won, first = _assert_search_by_point(_jump_records(30), variant)
+    assert key[0] == 1 and won // 3 > first // 3
+    key, won, first = _assert_search_by_point(_search_records(30, 0.0, 0.02), variant)
+    assert key == (0, 0.0) and won // 3 > 0
+
+
+def test_constant_search_of_many_records_needs_several_chunks():
+    records = _search_records(300, 0.005, 0.0)
+    rows = diagnostics._SEARCH_ELEMENTS // len(records)
+    assert rows < 17 * 21 * 11  # the circle_i grid
+    key, won, first = _assert_search_by_point(records, LyapunovVariant.CIRCLE_I)
+    assert key[0] > 0 and won // rows > 0
 
 
 # ---------------------------------------------------------------------------

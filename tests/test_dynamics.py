@@ -221,6 +221,97 @@ def test_smooth_pair_steps_through_coincidence():
 
 
 # ---------------------------------------------------------------------------
+# the end-of-step evaluation carried to the next step
+
+def _library_step(name):
+    """The library scenario's config and its initial state after one step."""
+    cfg = scenario(name)
+    return cfg, step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper)
+
+
+def _assert_same_state(a, b):
+    assert (a.t, a.diss2, a.diss2_root) == (b.t, b.diss2, b.diss2_root)
+    for name in ("x", "v", "m"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("name, carries", [("torus-singular-beta2.5", True),
+                                           ("torus-local-ensemble", False)])
+def test_a_carried_evaluation_steps_as_a_fresh_copy(name, carries):
+    # under a singular kernel the end-of-step guard is the next step's first
+    # evaluation; a smooth kernel has no guard and carries nothing
+    cfg, state = _library_step(name)
+    assert (state._first is not None) == carries
+    fresh = step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper)
+    _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper), fresh)
+    assert state._first is None
+    # a state given new velocities is evaluated again, not read off the old
+    state = _library_step(name)[1]
+    state.v = 0.5 * state.v
+    _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper),
+                       step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper))
+
+
+def test_stored_states_drop_the_carried_evaluation():
+    cfg = scenario("torus-singular-beta2.5", horizon=0.05)
+    traj = cfg.run(record_steps=True)
+    assert traj.error is None and len(traj.states) > 3
+    assert all(s._first is None for s in traj.states[:-1])
+    assert traj.final_state._first is not None
+
+
+def test_step_results_are_read_only():
+    state = _library_step("torus-singular-beta2.5")[1]
+    for name in ("x", "v", "m"):
+        with pytest.raises(ValueError):
+            getattr(state, name)[0] = 0.0
+    # the caller's state keeps its own writable arrays
+    cfg = scenario("torus-local-ensemble")
+    start = cfg.build()
+    after = step(start, cfg.kernel, cfg.domain, cfg.stepper)
+    assert after.m is not start.m and start.m.flags.writeable
+
+
+def test_a_singular_step_makes_four_distance_passes(monkeypatch):
+    # three stages and the end-of-step evaluation, which the next step reuses
+    cfg, state = _library_step("torus-singular-beta2.5")
+    passes = []
+    square_sums = geometry.pair_square_sums
+
+    def counted(domain, *args):
+        passes.append(domain)
+        return square_sums(domain, *args)
+
+    monkeypatch.setattr(geometry, "pair_square_sums", counted)
+    stiff, speed2, dmin = state._first[3][2:]
+    dt = dynamics._propose_dt(cfg.stepper, stiff, speed2, dmin, True)
+    after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
+    assert after.t == state.t + dt  # accepted as proposed, not retried
+    assert sum(d is cfg.domain for d in passes) == 4
+    passes.clear()
+    step(after.copy(), cfg.kernel, cfg.domain, cfg.stepper)  # nothing carried
+    assert sum(d is cfg.domain for d in passes) == 5
+
+
+@pytest.mark.parametrize("name", ["torus-singular-beta2.5", "euclid-classical-smooth"])
+def test_a_non_finite_step_raises_value_error(monkeypatch, name):
+    cfg = scenario(name, horizon=1.0)
+    pair_field = dynamics._pair_field
+
+    def poisoned(*args, **kwargs):
+        acc, *rest = pair_field(*args, **kwargs)
+        acc = acc.copy()
+        acc[0, 0] = math.nan
+        return (acc, *rest)
+
+    monkeypatch.setattr(dynamics, "_pair_field", poisoned)
+    with pytest.raises(ValueError, match="positions and velocities must be finite"):
+        step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper)
+    with pytest.raises(ValueError, match="positions and velocities must be finite"):
+        cfg.run()
+
+
+# ---------------------------------------------------------------------------
 # the row-block pair field
 
 LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)

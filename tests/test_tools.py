@@ -60,6 +60,21 @@ def test_compare_runs_dump_covers_several_blocks(dump):
         assert json.loads(run["config"])["n"] == cfg.n
 
 
+def test_compare_runs_dump_searches_every_variant():
+    # the record-every-step runs search the Lyapunov constants of all five
+    # variants; four steps of each scenario the older dumps lacked write
+    # their searched (a, b, c)
+    tool = _load(COMPARE_RUNS)
+    variants = {scenario(name).lyapunov.variant for name in tool.STEP_HORIZONS}
+    assert variants == set(diagnostics.LyapunovVariant)
+    for name in ("torus-local-ensemble", "euclid-classical-smooth", "euclid-annular-fat-tail"):
+        cfg = scenario(name)
+        run = tool._run(scenario(name, horizon=4 * cfg.stepper.dt_max), True)
+        assert len(run["records"]) >= 5 and run["error"] is None, name
+        constants = [float.fromhex(h) for h in run["constants"]]
+        assert len(constants) == 3 and min(constants) > 0.0, name
+
+
 def _nudge(hexes, k=0):
     """The hex floats with entry k moved to the next float up."""
     out = list(hexes)

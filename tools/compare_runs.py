@@ -3,8 +3,10 @@
     PYTHONPATH=<checkout>/src python3 tools/compare_runs.py dump OUT.json
     PYTHONPATH=src python3 tools/compare_runs.py diff A.json B.json
 
-``dump`` runs all 13 library scenarios at the short horizons below, and the
-three ``torus-singular-*`` scenarios again with a record after every step.
+``dump`` runs all 13 library scenarios at the short horizons below, and six
+of them again with a record after every step (``STEP_HORIZONS``): the three
+``torus-singular-*`` scenarios and one scenario of each other Lyapunov
+variant, so the constant search runs on all five variants.
 The library flocks are at most 64 agents, one row block, so it also runs
 two flocks shaped like perfbench's ``large-n`` at smaller N (``BLOCK_RUNS``):
 several record blocks, and the stepper's sorted column windows.
@@ -54,7 +56,16 @@ HORIZONS = {
     "lagrangian-torus-weighted": 100.0,
     "vacuum-gap-torus": 200.0,
 }
-STEP_HORIZON = 0.5  # horizon of the torus-singular runs that record every step
+# horizon of each run that records every step and searches the Lyapunov
+# constants, with the variant it searches
+STEP_HORIZONS = {
+    "torus-singular-beta2": 0.5,  # circle_ii
+    "torus-singular-beta2.5": 0.5,  # circle_iii
+    "torus-singular-beta3": 0.5,  # circle_iii
+    "torus-local-ensemble": 20.0,  # circle_i
+    "euclid-classical-smooth": 5.0,  # euclidean_v4
+    "euclid-annular-fat-tail": 20.0,  # euclidean_v2
+}
 # (domain, N, initial-data params, Lyapunov variant) of each multi-block run:
 # uniform_gaussian under local_mollified with r0 = 0.1, five steps of 0.01
 # with records at the start and the end
@@ -160,8 +171,8 @@ def dump(path):
     runs = {}
     for name in scenario_names():
         runs[name] = _run(scenario(name, horizon=HORIZONS[name]), False)
-        if name.startswith("torus-singular-"):
-            runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZON), True)
+        if name in STEP_HORIZONS:
+            runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZONS[name]), True)
     for name in BLOCK_RUNS:
         runs[name] = _run(_block_config(name), False)
     with open(path, "w", encoding="utf-8") as fh:
