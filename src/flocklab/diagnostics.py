@@ -542,19 +542,22 @@ def record_column(records, name: str) -> np.ndarray:
 _RECORD_BLOCK = 64
 
 
-def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None) -> DiagnosticsRecord:
+def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None, *,
+                   _singular=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostic row for one state.
 
     The pair columns come from one algorithm for every kernel and every N,
     the row blocks of _pair_columns; with one block they equal the public
     per-state diagnostics bit for bit.  A coincident pair under a singular
     kernel raises CollisionError naming the pair geometry.nearest_pair names.
+    ``_singular`` is the kernel's class when the caller has it (``integrate``
+    classifies once per run); None classifies here.
     """
     x = np.asarray(state.x, dtype=float)
     v = np.asarray(state.v, dtype=float)
     m = np.asarray(state.m, dtype=float)
     t = float(getattr(state, "t", 0.0))
-    cols = _pair_columns(x, v, m, kernel, domain, t)
+    cols = _pair_columns(x, v, m, kernel, domain, t, singular=_singular)
 
     lyap = math.nan
     if lyapunov_config is not None:
@@ -577,17 +580,19 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
     )
 
 
-def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK) -> dict:
+def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None) -> dict:
     """The record's pair columns V_p, I_p, G, G3, C, D, dmin and vdiam.
 
     Each is summed over blocks of ``block`` rows i against the columns j from
     the block's first row on: every summand is exactly symmetric in (i, j)
     and 0 at i = j, so the square block on the diagonal counts once and the
     columns past it twice.  Each summand, the public diagnostics' one, is
-    reduced as m_rows @ (S @ w) before the next is formed.
+    reduced as m_rows @ (S @ w) before the next is formed.  ``singular`` is
+    the kernel's class, found here when None.
     """
     n = x.shape[0]
-    singular = kernels._is_singular(kernel)
+    if singular is None:
+        singular = kernels._is_singular(kernel)
     collision = kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0
     cols = {"G3": math.nan, "C": math.nan}
     sums = collections.defaultdict(float)

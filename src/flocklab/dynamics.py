@@ -27,14 +27,35 @@ Under a singular kernel the end-of-step guard is the next step's first
 evaluation ("first same as last"): ``_attempt`` evaluates the pair field at
 the wrapped end position with the guard as its contact floor, and the
 returned state carries that evaluation, keyed on its x, v and m, which are
-read-only.  The next ``step`` takes it off the state instead of evaluating
-again, so a stored state keeps nothing extra once it has been stepped.  A
-smooth kernel has no guard, and its states carry nothing.
+read-only, and on the kernel and domain.  The next ``step`` under an equal
+kernel and domain takes it off the state instead of evaluating again, so a
+stored state keeps nothing extra once it has been stepped.
+
+A smooth kernel has no guard.  Under one of compact support the carry of a
+one-block flock holds a pair set instead (a Verlet list with a skin): the
+step's first dense pass also keeps the pairs closer than (1 + ``_SKIN``)
+times the support radius, when the block has at least
+``_PAIR_MIN_ENTRIES`` entries, the pairs are at most ``_PAIR_SHARE`` of
+them, and a step of dt_max at the fastest agent's speed stays within half
+the skin.  The later stages, and the first evaluations of the steps that
+follow, form the block's terms on those pairs alone and scatter them into a
+block of zeros, so every result is the dense one bit for bit.  A set is used
+while no agent can have moved half the skin since it was built: the stages
+of a step move an agent at most h |v0|, h |vb| and dt |vc| from the step's
+start, the step dt times its fastest stage, and each step adds a round-off
+slack of 1e-12 (1 + max |x|).  A stage past that bound is dense; a step
+past it carries no set, and the next step's first pass builds a new one.
+Singular kernels, kernels of full support and flocks of several blocks
+carry no set, nor does a block that stays dense.
+
+``integrate`` classifies the kernel once and hands the class to each
+``step`` and record.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
 """
 
+import functools
 import inspect
 import math
 import numbers
@@ -80,7 +101,8 @@ class FlockState:
     m: np.ndarray
     diss2: float = 0.0
     diss2_root: float = 0.0
-    # (x, v, m, evaluation) that step leaves for the next step; see _stepped
+    # (x, v, m, kernel, domain, evaluation, pairs) that step leaves for the
+    # next step; see _stepped
     _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,12 +137,13 @@ class FlockState:
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
 
 
-def _stepped(t, x, v, m, diss2, diss2_root, first):
+def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, first, pairs):
     """A step's result from the arrays the step has just made, without
     ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
     x, v and m are made read-only, so ``first``, the evaluation at them or
-    None, cannot go stale; the next step reads it only while the state
-    still holds these arrays."""
+    None, and ``pairs``, a pair set that holds at x or None, cannot go
+    stale; the next step reads them only while the state still holds these
+    arrays and steps under an equal kernel and domain."""
     if m.flags.writeable:  # the caller's weights; every later state shares the copy
         m = m.copy()
     for arr in (x, v, m):
@@ -128,7 +151,8 @@ def _stepped(t, x, v, m, diss2, diss2_root, first):
     state = object.__new__(FlockState)
     state.t, state.x, state.v, state.m = t, x, v, m
     state.diss2, state.diss2_root = diss2, diss2_root
-    state._first = None if first is None else (x, v, m, first)
+    state._first = (None if first is None and pairs is None
+                    else (x, v, m, kernel, domain, first, pairs))
     return state
 
 
@@ -189,17 +213,92 @@ def _nearest_pair(domain: Domain, x):
     return near
 
 
+# Under a kernel of compact support the first dense pass of a one-block
+# flock's step keeps the pairs closer than (1 + _SKIN) times the support
+# radius: the pair set.  The block keeps them only when they are at most
+# _PAIR_SHARE of its entries and it has at least _PAIR_MIN_ENTRIES, where
+# one stage on them saves what building them costs; otherwise it stays
+# dense.  Both are read off tools/pair_field_timing.py: in the share sweep at
+# N = 64 a build adds about 30 us to the first pass, and a stage saves about
+# 40 us at a share of 13% and 30 us at 18%; in the size sweep a stage saves
+# 10-24 us up to N = 24, 22-31 us against a 27-34 us build at N = 32 and
+# 47-50 us against 34-44 us at N = 48.
+_SKIN = 0.5
+_PAIR_SHARE = 0.15
+_PAIR_MIN_ENTRIES = 2048
+
+
+class _PairSet:
+    """The pairs of a one-block flock that may lie within the support radius.
+
+    Built by a step's first dense pass from its positions x: the block's
+    candidates, the pairs closer than (1 + _SKIN) times the radius, i = j
+    excepted (see _candidates).  ``moved`` bounds how far any agent has
+    moved since the build; the set holds every pair within the radius while
+    ``moved`` plus ``slack``, the round-off of the positions, is at most
+    ``half_skin``, by the triangle inequality (the minimal image's too).
+    """
+
+    __slots__ = ("block", "half_skin", "slack", "moved")
+
+    def __init__(self, block, half_skin, x):
+        self.block, self.half_skin = block, half_skin
+        self.slack = 1e-12 * (1.0 + float(np.max(np.abs(x))))
+        self.moved = 0.0
+
+    def holds(self, span: float) -> bool:
+        """Whether the set still holds every pair within the radius once each
+        agent has moved at most ``span`` further."""
+        return self.moved + span + self.slack <= self.half_skin
+
+
+def _candidates(dist, reach, m):
+    """The candidates of a one-block flock's (N, N) distances, the pairs
+    closer than reach off the diagonal, when they are at most _PAIR_SHARE of
+    the block: their flat positions in it, rows i and columns j, and the
+    weight terms m_j, m_i m_j and m_j + m_i the block forms for them.  None
+    otherwise."""
+    near = dist < reach
+    diagnostics._fill_diagonal(near, False)
+    flat = np.flatnonzero(near)
+    if flat.size > _PAIR_SHARE * near.size:
+        return None
+    rows, cols = np.divmod(flat, near.shape[1])
+    mi, mj = m[rows], m[cols]
+    return flat, rows, cols, mj, mi * mj, mj + mi
+
+
+def _scatter(shape, flat, values):
+    """A block of zeros with ``values`` at its flat positions ``flat``."""
+    out = np.zeros(shape)
+    out.reshape(-1)[flat] = values
+    return out
+
+
 def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
-                floor: float = 0.0, first: bool = False):
+                floor: float = 0.0, first: bool = False, pairs=None, dt_max: float = 0.0,
+                rate: bool = True):
     """Accelerations and the dissipation rate I2 of one force evaluation.
 
     Each row block of geometry._row_windows is formed densely against its
     column window and adds its rows' w @ v - v * rowsum(w), w = phi m_j, and
     its share of I2 = 2 sum m_i m_j phi |v_i - v_j|^2.  Returns (acc, I2,
-    stiff, speed2, dmin).  With ``first``, stiff is the largest row sum of
-    phi (m_i + m_j) and, under a singular kernel, whose blocks are whole
-    rows, speed2 and dmin are the largest squared relative speed and the
-    smallest distance; otherwise these are 0, 0 and inf.
+    stiff, speed2, dmin, pairs).  With ``first``, stiff is the largest row
+    sum of phi (m_i + m_j) and, under a singular kernel, whose blocks are
+    whole rows, speed2 and dmin are the largest squared relative speed and
+    the smallest distance; otherwise these are 0, 0 and inf.  Without
+    ``rate`` I2 is not formed and reads 0.
+
+    ``pairs``, a _PairSet that still holds at x, makes the one block form
+    the distances, phi, w, the I2 summands and the stiffness terms on its
+    candidates alone, each scattered into a block of zeros, and reduce them
+    as the dense block, so every result is the dense one bit for bit.  The
+    returned pairs are the set in use: that one, or with ``first`` under a
+    compact kernel that is not singular a set built from this dense pass, or
+    None.  A set is built only for a flock of one block of at least
+    _PAIR_MIN_ENTRIES entries, and only while a step of ``dt_max`` at the
+    fastest agent's speed stays within half the skin, so that it can serve
+    the step's own stages.
 
     Under a singular kernel a pair at or below ``floor`` raises
     CollisionError naming the nearest pair of the rows so far.  With floor 0,
@@ -207,40 +306,69 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
     and the end-of-step evaluation pass the guard, and a step that trips it
     is retried whatever the pair.
     """
-    index, windows = geometry._row_windows(domain, x, kernels.support_radius(kernel),
-                                           diagnostics._RECORD_BLOCK)
+    radius = kernels.support_radius(kernel)
+    index, windows = geometry._row_windows(domain, x, radius, diagnostics._RECORD_BLOCK)
+    half_skin = 0.5 * _SKIN * radius
+    build = (first and pairs is None and not singular and radius < math.inf
+             and len(windows) == 1 and x.shape[0] ** 2 >= _PAIR_MIN_ENTRIES
+             and dt_max * _top_speed(v) <= half_skin)
+    built = None
     acc = np.empty_like(v)
     if index is not None:
         x, v, m = x[index], v[index], m[index]
     i2 = stiff = speed2 = 0.0
     near = (math.inf, (0, 0))
     for r0, r1, c0, c1 in windows:
-        vr, mr, vc, mc = v[r0:r1], m[r0:r1], v[c0:c1], m[c0:c1]
-        dist = geometry.pair_square_sums(domain, x[r0:r1], x[c0:c1])
+        # the terms are formed on rows i against columns j, the whole block,
+        # or on the pairs (i[k], j[k]) of its candidates alone
+        block = None if pairs is None else pairs.block
+        if block is None:
+            i, j = slice(r0, r1), slice(c0, c1)
+            square_sums, form = geometry.pair_square_sums, _dense
+            mj = m[j]
+            mm = mplus = None  # formed below as m_i m_j and m_j + m_i if needed
+        else:
+            flat, i, j, mj, mm, mplus = block
+            square_sums = geometry._paired_square_sums
+            form = functools.partial(_scatter, (r1 - r0, c1 - c0), flat)
+        dist = square_sums(domain, x[i], x[j])
         np.sqrt(dist, out=dist)
         if singular:  # makes the i = j distances inf, where a singular phi is 0
             near = min(near, _block_nearest(dist, r0))
             if near[0] <= floor:
                 raise CollisionError(near[1], t, near[0])
+        if build:
+            built = _candidates(dist, radius * (1.0 + _SKIN), m)
         phi = kernels._evaluate_raw(kernel, dist)
-        if not singular:
+        if block is None and not singular:
             diagnostics._fill_diagonal(phi, 0.0, r0 - c0)
-        speed = geometry.pair_square_sums(geometry.VELOCITY_SPACE, vr, vc)
-        w = phi * mc[None, :]
+        w = form(phi * mj)
         acc[slice(r0, r1) if index is None else index[r0:r1]] = (
-            w @ vc - vr * w.sum(axis=1, keepdims=True))
-        i2 += float(np.sum(mr[:, None] * mc[None, :] * phi * speed))
+            w @ v[c0:c1] - v[r0:r1] * w.sum(axis=1, keepdims=True))
+        if rate:
+            speed = square_sums(geometry.VELOCITY_SPACE, v[i], v[j])
+            if mm is None:
+                mm = m[i, None] * mj
+            i2 += float(form(mm * phi * speed).sum())
         if first:
-            stiff = max(stiff, float(np.max((phi * (mc[None, :] + mr[:, None])).sum(axis=1))))
+            if mplus is None:
+                mplus = mj + m[i, None]
+            stiff = max(stiff, float(form(phi * mplus).sum(axis=1).max()))
             if singular:
-                speed2 = max(speed2, float(np.max(speed)))
-    return acc, 2.0 * i2, stiff, speed2, near[0]
+                speed2 = max(speed2, float(speed.max()))
+    if built is not None:
+        pairs = _PairSet(built, half_skin, x)
+    return acc, 2.0 * i2, stiff, speed2, near[0], pairs
+
+
+def _dense(block):
+    return block
 
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:
     """Accelerations of the weighted alignment law at the given state."""
     return _pair_field(state.x, state.v, state.m, kernel, domain, state.t,
-                       kernels._is_singular(kernel))[0]
+                       kernels._is_singular(kernel), rate=False)[0]
 
 
 def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
@@ -258,28 +386,35 @@ def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
     return dt
 
 
-def _first_evaluation(state, kernel, domain, singular):
+def _first_evaluation(state, kernel, domain, singular, dt_max):
     """The step's first evaluation: the one the previous step left on the
     state, taken off it, when the state still holds the arrays it was made
-    at; otherwise a new one."""
+    at and steps under an equal kernel and domain; otherwise a new one, on
+    the pair set the previous step left while that still holds."""
     carried, state._first = state._first, None
-    if carried is not None:
-        x, v, m, evaluation = carried
-        if x is state.x and v is state.v and m is state.m:
+    pairs = None
+    if (carried is not None and carried[0] is state.x and carried[1] is state.v
+            and carried[2] is state.m and carried[3:5] == (kernel, domain)):
+        evaluation, pairs = carried[5:]
+        if evaluation is not None:
             return evaluation
-    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, singular, first=True)
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, singular,
+                       first=True, pairs=pairs, dt_max=dt_max)
 
 
-def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None) -> FlockState:
+def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None,
+         *, _singular=None) -> FlockState:
     """One accepted adaptive step; never steps past dt_cap when given.
 
     Rejects and halves whenever a stage (or the result) drives a pair to or
     below the separation guard under a singular kernel; raises
     StiffnessError once dt underflows, and ValueError when the result is not
-    finite.
+    finite.  ``_singular`` is the kernel's class when the caller has it;
+    None classifies here.
     """
-    singular = kernels._is_singular(kernel)
-    a0, i2a, stiff, speed2, dmin = _first_evaluation(state, kernel, domain, singular)
+    singular = kernels._is_singular(kernel) if _singular is None else _singular
+    a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular,
+                                                            cfg.dt_max)
     dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
@@ -289,32 +424,51 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
             dmin, pair = _nearest_pair(domain, state.x)
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = _attempt(state, (a0, i2a), kernel, domain, dt, singular)
+            result = _attempt(state, (a0, i2a), pairs, kernel, domain, dt, singular)
         except CollisionError:
             dt *= 0.5
             continue
         break
 
-    x1, v1, d2, d2r, last = result
+    x1, v1, d2, d2r, last, span = result
+    if pairs is not None:
+        # x1 lies within dt times the fastest stage of x0, up to round-off
+        pairs.moved += span + pairs.slack
+        if not pairs.holds(0.0):
+            pairs = None
     return _stepped(state.t + dt, x1, v1, state.m, state.diss2 + d2,
-                    state.diss2_root + d2r, last)
+                    state.diss2_root + d2r, kernel, domain, last, pairs)
 
 
-def _attempt(state, first, kernel, domain, dt, singular):
+def _top_speed(v) -> float:
+    """An upper bound of the largest |v_i|: sqrt(d) times the largest |v_ik|,
+    the largest |v_i| itself on a line or the circle."""
+    return math.sqrt(v.shape[1]) * float(np.abs(v).max())
+
+
+def _attempt(state, first, pairs, kernel, domain, dt, singular):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
+    speeds = []  # of v0, vb, vc and vd, while a pair set is in use
 
-    def stage(xs, vs):
-        return _pair_field(xs, vs, m, kernel, domain, t, singular, _GUARD)[:2]
+    def stage(xs, vs, h, velocity):
+        # xs is x0 + h * velocity: no agent lies further than h * |velocity|
+        # from x0, so the set is used while it holds that far on
+        near = None
+        if pairs is not None:
+            speeds.append(_top_speed(velocity))
+            if pairs.holds(h * speeds[-1]):
+                near = pairs
+        return _pair_field(xs, vs, m, kernel, domain, t, singular, _GUARD, pairs=near)[:2]
 
     a0, i2a = first
     h = 0.5 * dt
     xb, vb = x0 + h * v0, v0 + h * a0
-    ab, i2b = stage(xb, vb)
+    ab, i2b = stage(xb, vb, h, v0)
     xc, vc = x0 + h * vb, v0 + h * ab
-    ac, i2c = stage(xc, vc)
+    ac, i2c = stage(xc, vc, h, vb)
     xd, vd = x0 + dt * vc, v0 + dt * ac
-    ad, i2d = stage(xd, vd)
+    ad, i2d = stage(xd, vd, dt, vc)
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
@@ -325,11 +479,13 @@ def _attempt(state, first, kernel, domain, dt, singular):
     # singular kernel its guard is the next step's first evaluation
     last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
             if singular else None)
+    # x1 - x0 is dt times a weighted mean of v0, vb, vc and vd
+    span = dt * max(*speeds, _top_speed(vd)) if pairs is not None else None
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
-    return x1, v1, d2, d2r, last
+    return x1, v1, d2, d2r, last, span
 
 
 @dataclass(frozen=True)
@@ -434,17 +590,19 @@ def integrate(
     cur = state.copy()
     cur.x = domain.wrap(cur.x)
     traj = Trajectory()
+    singular = kernels._is_singular(kernel)
 
     # a recorded state is never changed afterwards, so it is kept, not copied
     def record(s):
-        traj.records.append(diagnostics.compute_record(s, kernel, domain, lyapunov_config))
+        traj.records.append(diagnostics.compute_record(s, kernel, domain, lyapunov_config,
+                                                       _singular=singular))
         traj.states.append(s)
 
     record(cur)
     for target in observers.times(cur.t, horizon):
         while cur.t < target:
             try:
-                cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t)
+                cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t, _singular=singular)
             except (CollisionError, StiffnessError) as err:
                 traj.error = err
                 try:

@@ -124,9 +124,17 @@ def pair_square_sums(domain: Domain, a, b=None) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = a if b is None else np.asarray(b, dtype=float)
+    return _paired_square_sums(domain, a[:, None, :], b[None, :, :])
+
+
+def _paired_square_sums(domain: Domain, a, b) -> np.ndarray:
+    """Sums over the last axis of (a - b)^2, a and b broadcast against each
+    other: row k of the (P, d) array a against row k of b, as (P,).  Each
+    entry is the one ``pair_square_sums`` forms for the same two rows, bit
+    for bit."""
     sums = None
-    for col_a, col_b in zip(a.T, b.T):
-        sq = displacement(domain, col_a[:, None], col_b[None, :])
+    for k in range(a.shape[-1]):
+        sq = displacement(domain, a[..., k], b[..., k])
         sq *= sq
         sums = sq if sums is None else np.add(sums, sq, out=sums)
     return sums

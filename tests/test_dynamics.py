@@ -5,6 +5,7 @@ a mirrored pair under a kernel that is constant over the whole occupied
 range, where the relative dynamics is linear and exactly solvable.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -66,6 +67,44 @@ def test_rhs_uses_minimal_image_on_circle():
     assert acc[0, 0] == pytest.approx(-0.5)
     acc_flat = rhs(st, kern, euclidean(1))
     assert acc_flat[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["torus-singular-beta2.5", "torus-local-ensemble",
+                                  "euclid-classical-smooth", "blocks"])
+def test_rhs_forms_only_the_accelerations(monkeypatch, name):
+    # the accelerations of the stepper's pair field, bit for bit, without the
+    # relative speeds that only I2 reads
+    if name == "blocks":  # sorted row blocks and their column windows
+        domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+        st = initial_state(domain, 200, seed=1, weight_mode="random")
+    else:
+        cfg = scenario(name)
+        domain, kernel, st = cfg.domain, cfg.kernel, cfg.build()
+    singular = kernels._is_singular(kernel)
+    acc = dynamics._pair_field(st.x, st.v, st.m, kernel, domain, st.t, singular)[0]
+    passes = []
+    square_sums = geometry.pair_square_sums
+
+    def counted(domain, *args):
+        passes.append(domain)
+        return square_sums(domain, *args)
+
+    monkeypatch.setattr(geometry, "pair_square_sums", counted)
+    assert rhs(st, kernel, domain).tobytes() == acc.tobytes()
+    assert passes and geometry.VELOCITY_SPACE not in passes
+
+
+@pytest.mark.parametrize("name, horizon", [("torus-singular-beta2.5", 0.05),
+                                           ("torus-local-ensemble", 2.0)])
+def test_a_run_classifies_its_kernel_once(monkeypatch, name, horizon):
+    # not once per step or record: integrate hands the class to both
+    calls = []
+    classify = kernels.classify
+    monkeypatch.setattr(kernels, "classify", lambda spec: calls.append(spec) or classify(spec))
+    cfg = scenario(name, horizon=horizon)
+    del calls[:]
+    traj = cfg.run(record_steps=True)
+    assert len(traj.states) > 3 and calls == [cfg.kernel]
 
 
 def test_single_agent_is_inert():
@@ -235,21 +274,38 @@ def _assert_same_state(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-@pytest.mark.parametrize("name, carries", [("torus-singular-beta2.5", True),
-                                           ("torus-local-ensemble", False)])
-def test_a_carried_evaluation_steps_as_a_fresh_copy(name, carries):
+@pytest.mark.parametrize("name, evaluated", [("torus-singular-beta2.5", True),
+                                             ("torus-local-ensemble", False)])
+def test_a_carried_evaluation_steps_as_a_fresh_copy(name, evaluated):
     # under a singular kernel the end-of-step guard is the next step's first
-    # evaluation; a smooth kernel has no guard and carries nothing
+    # evaluation; a smooth kernel has no guard, and under a compact one the
+    # state carries its pair set instead
     cfg, state = _library_step(name)
-    assert (state._first is not None) == carries
+    x, v, m, kernel, domain, evaluation, pairs = state._first
+    assert x is state.x and v is state.v and m is state.m
+    assert kernel == cfg.kernel and domain == cfg.domain
+    assert (evaluation is not None) == evaluated and (pairs is None) == evaluated
     fresh = step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper)
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper), fresh)
     assert state._first is None
     # a state given new velocities is evaluated again, not read off the old
-    state = _library_step(name)[1]
+    cfg, state = _library_step(name)
     state.v = 0.5 * state.v
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper),
                        step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper))
+
+
+@pytest.mark.parametrize("name", ["torus-singular-beta2.5", "torus-local-ensemble"])
+def test_a_carry_is_dropped_under_another_kernel_or_domain(name):
+    # the evaluation or pair set was made under the kernel and domain of the
+    # step that left it: a stronger, wider kernel, or the same positions on
+    # a line, is evaluated again
+    cfg, _ = _library_step(name)
+    kernel = dataclasses.replace(cfg.kernel, lam=2.0 * cfg.kernel.lam, r0=5.0 * cfg.kernel.r0)
+    for kernel, domain in ((kernel, cfg.domain), (cfg.kernel, euclidean(1))):
+        state = _library_step(name)[1]
+        _assert_same_state(step(state, kernel, domain, cfg.stepper),
+                           step(state.copy(), kernel, domain, cfg.stepper))
 
 
 def test_stored_states_drop_the_carried_evaluation():
@@ -283,7 +339,7 @@ def test_a_singular_step_makes_four_distance_passes(monkeypatch):
         return square_sums(domain, *args)
 
     monkeypatch.setattr(geometry, "pair_square_sums", counted)
-    stiff, speed2, dmin = state._first[3][2:]
+    stiff, speed2, dmin = state._first[5][2:5]
     dt = dynamics._propose_dt(cfg.stepper, stiff, speed2, dmin, True)
     after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
     assert after.t == state.t + dt  # accepted as proposed, not retried
@@ -309,6 +365,119 @@ def test_a_non_finite_step_raises_value_error(monkeypatch, name):
         step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper)
     with pytest.raises(ValueError, match="positions and velocities must be finite"):
         cfg.run()
+
+
+# ---------------------------------------------------------------------------
+# the pair set of a compact kernel
+
+
+def _dense_step(monkeypatch, *args):
+    """The step with no block keeping its pairs: the dense pair field."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_PAIR_SHARE", -1.0)
+        return step(*args)
+
+
+def _carried_pairs(state):
+    return None if state._first is None else state._first[6]
+
+
+@pytest.mark.parametrize("name, carries", [("torus-local-ensemble", True),
+                                           ("parallel-lines-R2", False),
+                                           ("lagrangian-torus-weighted", False),
+                                           ("vacuum-gap-torus", False),
+                                           ("euclid-classical-smooth", False),
+                                           ("torus-singular-beta2.5", False)])
+def test_only_a_compact_kernel_with_few_pairs_carries_a_pair_set(name, carries):
+    # full support and singular kernels stay dense, and so do blocks too
+    # small to repay a set (2 x 2 here) and blocks whose candidates are not a
+    # small share of them (23% and 18% here, where the agents also outrun
+    # the skin)
+    cfg, state = _library_step(name)
+    assert (_carried_pairs(state) is not None) == carries
+
+
+def test_a_flock_of_several_blocks_carries_no_pair_set():
+    # its blocks are sorted along axis 0 and windowed, and stay dense
+    domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.05)
+    state = initial_state(domain, 96, seed=2, params={"sigma": 0.01})
+    cfg = StepperConfig(dt_max=0.01)
+    assert len(geometry._row_windows(domain, state.x, 0.05, diagnostics._RECORD_BLOCK)[1]) == 2
+    assert _carried_pairs(step(state, kernel, domain, cfg)) is None
+
+
+def test_a_flock_too_fast_for_its_skin_builds_no_pair_set(monkeypatch):
+    # a step of dt_max at the fastest agent's speed would move it past half
+    # the skin, so a set could not serve even the step's own stages
+    cfg = scenario("torus-local-ensemble")
+    start = cfg.build()
+    half_skin = 0.5 * dynamics._SKIN * cfg.kernel.r0
+    for factor, carries in ((0.99, True), (1.01, False)):
+        fast = FlockState(0.0, start.x, start.v, start.m)
+        fast.v *= factor * half_skin / (cfg.stepper.dt_max * float(np.max(np.abs(fast.v))))
+        after = step(fast, cfg.kernel, cfg.domain, cfg.stepper)
+        assert (_carried_pairs(after) is not None) == carries
+        _assert_same_state(after, _dense_step(monkeypatch, fast, cfg.kernel, cfg.domain,
+                                              cfg.stepper))
+
+
+def test_an_expired_pair_set_is_rebuilt(monkeypatch):
+    # each agent moves a tenth of the skin per step, so a set lasts a few
+    # steps, and the step after its last builds the next; each step matches
+    # the dense field
+    domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, TWO_PI, size=(48, 1))
+    v = np.full((48, 1), 0.05) + rng.normal(0.0, 1e-4, size=(48, 1))
+    cfg = StepperConfig(dt_max=0.1)
+    state = dense = FlockState(0.0, x, v, np.full(48, 1.0 / 48))
+    sets = []
+    for _ in range(16):
+        state = step(state, kernel, domain, cfg)
+        dense = _dense_step(monkeypatch, dense, kernel, domain, cfg)
+        _assert_same_state(state, dense)
+        sets.append(_carried_pairs(state))
+    used = [p for k, p in enumerate(sets) if p is not None and p not in sets[:k]]
+    assert len(used) >= 3 and sets.count(None) >= 2
+    assert max(p.moved for p in sets if p is not None) > 0.8 * used[0].half_skin
+
+
+def test_a_pair_set_is_dropped_with_the_positions_it_was_built_at():
+    # a state given new positions is evaluated on a new set
+    cfg, state = _library_step("torus-local-ensemble")
+    assert _carried_pairs(state) is not None
+    x = state.x.copy()
+    x[1] = x[0] + 0.5 * cfg.kernel.r0  # a pair that was never a candidate
+    state.x = x
+    _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper),
+                       step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper))
+
+
+def test_a_pair_set_leaves_room_for_round_off(monkeypatch):
+    # two agents a little beyond the candidate reach close at a speed that
+    # uses half the skin in two steps of dt 1, the budget's edge at the
+    # second step's last stage; far from 0 their positions round so that the
+    # pair ends inside the support there, and with a step kernel that changes
+    # the stage, so the set must not be used for it
+    skin, a = dynamics._SKIN, 1000.0
+    ulp = float(np.spacing(a))
+    for k in range(1, 2000):
+        r0 = 0.1 + k * 1e-5
+        b = a + math.ceil(r0 * (1.0 + skin) / ulp) * ulp
+        u = 0.25 * skin * r0
+        s = u + 2.0 * u + 2.0 * u + u  # the stepper's own arithmetic
+        closed = ((b + (1.0 / 6.0) * -s) - u) - ((a + (1.0 / 6.0) * s) + u)
+        if b - a >= r0 * (1.0 + skin) and closed < r0:
+            break
+    kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=r0, moll_width=0.0)
+    state = dense = FlockState(0.0, [[a], [b]], [[u], [-u]], [0.5, 0.5])
+    cfg = StepperConfig(dt_max=1.0)
+    monkeypatch.setattr(dynamics, "_PAIR_MIN_ENTRIES", 0)  # a set at N = 2
+    for _ in range(2):
+        state = step(state, kernel, euclidean(1), cfg)
+        dense = _dense_step(monkeypatch, dense, kernel, euclidean(1), cfg)
+        _assert_same_state(state, dense)
+    assert state.t == 2.0 and state.v[0, 0] < u  # the pair met in the last stage
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ separation +pi, and off that seam the minimal image is exactly
 antisymmetric.  Each public per-state diagnostic equals its record column
 bit for bit, so a diagnostic has one formula.  The round-off bounds are
 1e-11 of the velocity scale for momentum and 1e-9 relative for the
-variations and the record columns.
+variations and the record columns.  A compact-kernel flock steps on its
+carried pair set exactly as it steps from a copy, which carries nothing,
+and as it steps with every block dense.
 """
 
+import contextlib
 import math
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from flocklab import dynamics
 from flocklab.diagnostics import (
     LyapunovConfig,
     LyapunovVariant,
@@ -209,3 +213,71 @@ def test_minimal_image_is_antisymmetric(x):
     np.testing.assert_array_equal(disp[off_seam], -disp.T[off_seam])
     dist = pair_distances(dom, x[:, None])
     np.testing.assert_array_equal(dist, dist.T)
+
+
+# ---------------------------------------------------------------------------
+# the pair set of a compact kernel
+
+
+@contextlib.contextmanager
+def _pair_share(share, min_entries=dynamics._PAIR_MIN_ENTRIES):
+    """A block keeps its pairs up to this share and from ``min_entries`` on:
+    1.0 and 0 keep every one-block flock's, a negative share none, so the
+    step is the dense pair field."""
+    saved = dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES
+    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = share, min_entries
+    try:
+        yield
+    finally:
+        dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = saved
+
+
+def _same_state(a, b):
+    return ((a.t, a.diss2, a.diss2_root) == (b.t, b.diss2, b.diss2_root)
+            and all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in "xvm"))
+
+
+@st.composite
+def compact_flocks(draw):
+    """A local-kernel flock of one block or several, random weights, on the
+    circle with a cluster across the seam or not, and velocities that move
+    the fastest agent half the support radius, the skin, in dt_max."""
+    domain = draw(st.sampled_from((circle(), euclidean(2))))
+    n = draw(st.integers(2, 64) | st.integers(65, 140))
+    r0 = draw(st.floats(0.05, 0.6))
+    kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=draw(st.floats(0.5, 2.0)), r0=r0,
+                        moll_width=draw(st.sampled_from([0.0, 0.1, 1.0])) * r0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if domain.periodic:
+        x = rng.uniform(0.0, TWO_PI, size=(n, 1))
+        if draw(st.booleans()):
+            k = max(2, n // 4)
+            x[:k, 0] = np.mod(rng.uniform(-r0, r0, size=k), TWO_PI)
+    else:
+        x = rng.uniform(0.0, draw(st.floats(0.5, 4.0)), size=(n, 2))
+    cfg = StepperConfig(dt_max=draw(st.sampled_from([0.05, 0.5])), safety=0.8)
+    v = rng.normal(0.0, 1.0, size=(n, domain.dim))
+    v *= 0.5 * r0 / (cfg.dt_max * float(np.max(np.abs(v))))
+    m = rng.uniform(0.5, 1.5, size=n)
+    return domain, kernel, cfg, x, v, m / m.sum()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(flock=compact_flocks(), share=st.sampled_from([None, 1.0]))
+def test_a_carried_pair_set_steps_as_a_copy_and_as_the_dense_field(flock, share):
+    # a set is built while a step of dt_max moves no agent past half the
+    # skin: at a twentieth of the skin per step it lasts many steps, at 0.3 a
+    # few, at 0.45 the second step's stages pass its bound, and at 2 skins
+    # none is built
+    domain, kernel, cfg, x, v, m = flock
+    kept = (dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES) if share is None else (share, 0)
+    with _pair_share(*kept):
+        for skins in (0.05, 0.3, 0.45, 2.0):
+            state = dense = FlockState(0.0, x, skins * v, m)
+            for _ in range(5):
+                fresh = step(state.copy(), kernel, domain, cfg)
+                carried = step(state, kernel, domain, cfg)
+                with _pair_share(-1.0):
+                    dense = step(dense, kernel, domain, cfg)
+                assert _same_state(carried, fresh) and _same_state(carried, dense), skins
+                state = carried

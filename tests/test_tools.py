@@ -187,6 +187,38 @@ def test_pair_field_timing_record_split(capsys):
         "_collision_summand", "rest", "record"]
 
 
+def test_pair_field_timing_stage_tables(monkeypatch, capsys):
+    # a stage on the pair set is the dense stage bit for bit; the size
+    # sweep's N rise across the fewest entries that keep their pairs, and
+    # the share sweep's shares across the share at which blocks stay dense
+    tool = _load(PAIR_FIELD_TIMING)
+    monkeypatch.setattr(tool, "BUDGET_S", 0.0)
+    share, min_entries = tool.dynamics._PAIR_SHARE, tool.dynamics._PAIR_MIN_ENTRIES
+    for name, n in (("circle", tool.STAGE_N), ("plane", tool.STAGE_N), ("circle", 2)):
+        domain, state = tool._setup(name, n)
+        pairs = tool._pair_set(state, domain)
+        # restored after the build
+        assert (tool.dynamics._PAIR_SHARE, tool.dynamics._PAIR_MIN_ENTRIES) == (share, min_entries)
+        on_set, dense = tool._stage(state, domain, pairs=pairs), tool._stage(state, domain)
+        assert on_set[0].tobytes() == dense[0].tobytes() and on_set[1] == dense[1]
+        assert 0.0 <= tool._share(pairs, n) < share
+    tool._stage_tables()
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:3]] == ["circle", "plane"]
+    assert rows[3].startswith("size sweep")
+    sizes = rows[4:4 + len(tool.STAGE_SIZES)]
+    assert [int(row.split()[1]) for row in sizes] == list(tool.STAGE_SIZES)
+    assert tool.STAGE_SIZES[0] ** 2 < min_entries <= tool.STAGE_SIZES[-1] ** 2
+    assert rows[4 + len(sizes)].startswith("share sweep")
+    sweep = rows[5 + len(sizes):]
+    assert len(sweep) == len(tool.SHARE_RADII)
+    shares = [float(row.split()[3].rstrip("%")) / 100.0 for row in sweep]
+    assert shares == sorted(shares) and shares[0] < share < shares[-1]
+    assert all(len(row.split()) == 8 for row in rows[1:3] + sizes + sweep)
+    assert all(float(row.split()[4]) > 0.0 and float(row.split()[5]) > 0.0
+               for row in sizes + sweep)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_compare_runs_diff_scores_a_lost_finite_entry_as_the_worst(tmp_path, dump, value):
     # |a - b| / max(|a|, |b|) is nan here; max() and > would drop it and read 0

@@ -26,16 +26,34 @@ summand, ``_pair_sum`` every reduction m_rows @ (S @ w) and
 kernel); ``rest`` is the time in ``_pair_columns`` itself (the square
 roots, masks, powers and scatters).  Each row is the median ms and share
 of the record; the profiler adds its own small cost to each call.
+
+The last three tables time one RK4 stage of a one-block flock, as every
+library flock is: on the pair set a step's first dense pass builds (the
+pairs closer than (1 + ``dynamics._SKIN``) times r0, scattered into the
+block) against the dense block.  Each row prints the candidates' share of
+the block, the median µs of each stage, their ratio, and the µs that
+building the set adds to a step's first dense pass.  The first table is at
+N = 64 on the circle and in the plane at r0 = 0.1; the second, the size
+sweep, on the circle at r0 = 0.1 from N = 2 to 64; the third, the share
+sweep, on the circle at N = 64 for r0 from 0.05 to 1.2.
+``dynamics._PAIR_MIN_ENTRIES``, the fewest entries (N^2) of a block that
+keeps its pairs, is read off the size sweep: below it a stage on the set
+saves next to nothing, while a step on the set adds its budget checks and
+its builds.  ``dynamics._PAIR_SHARE``, the share above which a block stays
+dense, is read off the share sweep: up to it one stage on the set saves
+what the build costs.  The set is built here at every size and share.
 """
 
+import contextlib
 import cProfile
+import math
 import pstats
 import statistics
 import sys
 import time
 import tracemalloc
 
-from flocklab import diagnostics, geometry, kernels
+from flocklab import diagnostics, dynamics, geometry, kernels
 from flocklab.dynamics import _pair_field, initial_state
 from flocklab.geometry import circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
@@ -48,6 +66,9 @@ FORCE_CASES = (  # (domain name, N, time the one-block reference)
 )
 RECORD_CASES = [(name, n) for name in ("circle", "plane") for n in (64, 128, 256, 512, 1024, 2048)]
 BLOCKS = (16, 32, 64, 128, 256)
+STAGE_N = 64  # one block, as in every library flock
+STAGE_SIZES = (2, 4, 8, 16, 24, 32, 48, 64)  # N of the size sweep
+SHARE_RADII = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)  # r0 of the share sweep
 BUDGET_S = 1.0  # time spent on each path of each row, after one warm-up call
 
 
@@ -65,6 +86,72 @@ def _force(state, domain, block=None):
         return _pair_field(state.x, state.v, state.m, KERNEL, domain, state.t, False)[:2]
     finally:
         diagnostics._RECORD_BLOCK = stepper_block
+
+
+@contextlib.contextmanager
+def _every_block_kept():
+    """The pair set is built whatever the block's size and share."""
+    saved = dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES
+    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = 1.0, 0
+    try:
+        yield
+    finally:
+        dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = saved
+
+
+def _pair_set(state, domain, kernel=KERNEL):
+    """The pair set a step's first dense pass builds at the state, the block
+    kept whatever its size and share."""
+    with _every_block_kept():
+        return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
+                           first=True)[5]
+
+
+def _stage(state, domain, kernel=KERNEL, pairs=None):
+    """Accelerations and I2 of one RK4 stage: dense, or on the pair set."""
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
+                       pairs=pairs)[:2]
+
+
+def _first_pass(state, domain, kernel=KERNEL, build=True):
+    """A step's first dense pass, building its pair set or not (no set is
+    built when a step of dt_max = inf would outrun the skin)."""
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False, first=True,
+                       dt_max=0.0 if build else math.inf)
+
+
+def _share(pairs, n):
+    """The candidates' share of the entries of a set's (n, n) block."""
+    return pairs.block[0].size / n**2
+
+
+def _stage_row(name, kernel=KERNEL, n=STAGE_N):
+    """One row: the share, the µs of a stage on the pair set and of a dense
+    stage, their ratio, and the µs building the set adds to a first pass."""
+    domain, state = _setup(name, n)
+    pairs = _pair_set(state, domain, kernel)
+    on_set = _median_us(lambda: _stage(state, domain, kernel, pairs))
+    dense = _median_us(lambda: _stage(state, domain, kernel))
+    with _every_block_kept():
+        build = (_median_us(lambda: _first_pass(state, domain, kernel))
+                 - _median_us(lambda: _first_pass(state, domain, kernel, build=False)))
+    print(f"{name:7s} {n:6d} {kernel.r0:6.2f} {_share(pairs, n):7.1%} {on_set:9.1f} "
+          f"{dense:9.1f} {on_set / dense:7.2f} {build:9.1f}", flush=True)
+
+
+def _stage_tables():
+    print(f"{'domain':7s} {'N':>6s} {'r0':>6s} {'share':>7s} {'set us':>9s} {'dense us':>9s} "
+          f"{'ratio':>7s} {'build us':>9s}")
+    for name in ("circle", "plane"):
+        _stage_row(name)
+    print(f"size sweep, circle, r0 = {KERNEL.r0}; blocks keep their pairs from "
+          f"{dynamics._PAIR_MIN_ENTRIES} entries on")
+    for n in STAGE_SIZES:
+        _stage_row("circle", n=n)
+    print(f"share sweep, circle, N = {STAGE_N}; blocks keep their pairs at a share of at most "
+          f"{dynamics._PAIR_SHARE:.0%}")
+    for r0 in SHARE_RADII:
+        _stage_row("circle", KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=r0))
 
 
 def _record(state, domain, block=diagnostics._RECORD_BLOCK):
@@ -162,6 +249,8 @@ def main():
         print(f"{name:7s} {2048:6d} " + " ".join(_fmt(us, 13, 0) for us in cells), flush=True)
     print()
     _split_table("circle", 2048)
+    print()
+    _stage_tables()
 
 
 def _fmt(value, width, digits):
