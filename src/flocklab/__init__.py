@@ -14,17 +14,14 @@ from .diagnostics import (
     GoodSetReport,
     LyapunovConfig,
     LyapunovVariant,
-    collision_potential,
     compute_record,
     corrector_circle,
     corrector_euclidean,
-    dissipation,
     energy_residual,
     good_set,
     lyapunov,
     lyapunov_constant_search,
     read_csv,
-    variation,
     write_csv,
 )
 from .dynamics import (

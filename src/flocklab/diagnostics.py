@@ -19,10 +19,12 @@ summand only where it can be nonzero: the kernel and the I_p summands within
 the kernel's support radius, the Euclidean correctors closer than 2*r0, each
 scattered into a block of zeros, so S and its reduction are unchanged bit
 for bit.  A block with no pair beyond the support radius, as under a kernel
-of full support, evaluates the kernel on the whole block instead.  The
-public per-state diagnostics reduce the whole (N, N) summand by the same
-expression, so a one-block record equals them bit for bit.  A record reads
-nothing of the stepper's pair field.  ``good_set`` builds dense arrays.
+of full support, evaluates the kernel on the whole block instead.  A record
+reads nothing of the stepper's pair field.
+
+Each pair column has this one implementation: ``lyapunov`` and the two
+correctors read a record's columns, and ``good_set`` sums its forward
+dissipation on the same row blocks, so nothing here forms an (N, N) array.
 """
 
 import collections
@@ -39,7 +41,6 @@ from .errors import (
     CSVFormatError,
     DomainMismatchError,
     InsufficientDataError,
-    UnsupportedQueryError,
     check_keys,
     number,
 )
@@ -51,13 +52,10 @@ __all__ = [
     "LyapunovConfig",
     "DiagnosticsRecord",
     "GoodSetReport",
-    "variation",
-    "dissipation",
     "corrector_euclidean",
     "corrector_circle",
     "lyapunov",
     "lyapunov_series",
-    "collision_potential",
     "energy_residual",
     "good_set",
     "compute_record",
@@ -71,22 +69,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # pairwise helpers
 
-def _pair_phi(spec: KernelSpec, dist: np.ndarray, t: float, singular: bool, floor: float = 0.0):
-    """Kernel on the off-diagonal pair distances, with the smallest one.
-
-    Returns (phi, dmin); phi is zero on the diagonal, and the diagonal of
-    ``dist`` is overwritten with inf.  Under a singular kernel a pair at or
-    below ``floor`` counts as contact and raises CollisionError naming it:
-    floor 0 means exact coincidence, the stepper passes its guard.
-    """
-    dmin, pair = geometry.nearest_pair(dist)
-    if singular and dmin <= floor:
-        raise CollisionError(pair, t, dmin)
-    phi = kernels._evaluate_raw(spec, dist)
-    np.fill_diagonal(phi, 0.0)
-    return phi, dmin
-
-
 def _pair_sum(m_rows: np.ndarray, summand: np.ndarray, w: np.ndarray) -> float:
     """sum_{i,j} m_i S_ij w_j as m_rows @ (S @ w), the one reduction of every pair
     sum here: of whole (N, N) summands (w = m) and of a record's row blocks."""
@@ -99,44 +81,100 @@ def _fill_diagonal(block: np.ndarray, value: float, offset: int = 0) -> None:
     block.flat[offset::block.shape[1] + 1] = value
 
 
-# ---------------------------------------------------------------------------
-# variation and dissipation moments
-
-def variation(state, p: float) -> float:
-    """Weighted p-th variation sum_{i,j} m_i m_j |v_i - v_j|^p."""
-    if p <= 0:
-        raise ValueError(f"moment order must be positive, got {p}")
-    speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
-    return _pair_sum(state.m, speed**p, state.m)
+# Every record sums its pair columns over blocks of this many rows against
+# the columns from the block's first row on, and the stepper its pair field
+# over blocks of this many rows against their column windows, so a block's
+# arrays stay in cache and a library flock (at most 64 agents) is one block.
+# Read off tools/pair_field_timing.py's block sweep.
+_RECORD_BLOCK = 64
 
 
-def dissipation(state, kernel: KernelSpec, domain: Domain, p: float) -> float:
-    """Kernel-weighted moment p * sum_{i,j} m_i m_j |v_i - v_j|^p phi(|x_i - x_j|)."""
-    if p <= 0:
-        raise ValueError(f"moment order must be positive, got {p}")
-    speed = geometry.pair_distances(VELOCITY_SPACE, state.v)
-    dist = geometry.pair_distances(domain, state.x)
-    phi, _ = _pair_phi(kernel, dist, getattr(state, "t", 0.0), kernels._is_singular(kernel))
-    return p * _pair_sum(state.m, speed**p * phi, state.m)
+def _block_kernel(kernel, domain, x, a, b, t, singular):
+    """The distances of a row block, rows a:b of x against the rows from a
+    on, and the kernel on them: (dist, reach, dmin, phi, inside).
+
+    ``dist`` has inf at i = j, ``reach`` is its largest entry before that
+    and ``dmin`` its smallest pair distance.  Under a singular kernel a
+    coincident pair raises CollisionError naming the first in row-major
+    order: a pair (i, j) with j < i is (j, i) of an earlier row, so the
+    first block holding one holds the first.  phi, and with it each I_p
+    summand, is 0 at and beyond the support radius and at i = j.  Where
+    some pair of the block lies outside, phi is formed only on the flat
+    indices ``inside`` (dist is inf at i = j); where none does, as under a
+    kernel of full support, on the whole block with 0 at i = j, and
+    ``inside`` is None.
+    """
+    dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
+    np.sqrt(dist, out=dist)
+    reach = float(np.max(dist))
+    _fill_diagonal(dist, math.inf)
+    k = int(np.argmin(dist))
+    if singular and dist.flat[k] <= 0.0:
+        raise CollisionError(np.add(divmod(k, dist.shape[1]), a), t, 0.0)
+    radius = kernels.support_radius(kernel)
+    if reach < radius:
+        phi = kernels._evaluate_raw(kernel, dist)
+        _fill_diagonal(phi, 0.0)
+        return dist, reach, float(dist.flat[k]), phi, None
+    inside = np.flatnonzero(dist < radius)
+    return dist, reach, float(dist.flat[k]), kernels._evaluate_raw(kernel, dist.take(inside)), inside
+
+
+def _on_support(values, phi, inside, out=None):
+    """values * phi on the pairs phi was formed on (see _block_kernel): the
+    whole block, or the flat indices ``inside`` written into ``out``, a block
+    of zeros (made here when None) whose other entries stay 0."""
+    if inside is None:
+        return values * phi
+    if out is None:
+        out = np.zeros_like(values)
+    out.reshape(-1)[inside] = values.take(inside) * phi
+    return out
+
+
+def _diameter(domain: Domain, x) -> float:
+    """Largest distance between two rows of x, the max over row blocks
+    against every row; sqrt is monotone, so it is the largest entry of the
+    (N, N) distances bit for bit."""
+    tops = [np.max(geometry.pair_square_sums(domain, x[a:a + _RECORD_BLOCK], x))
+            for a in range(0, len(x), _RECORD_BLOCK)]
+    return math.sqrt(float(np.max(tops, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
 # correctors
 
 def corrector_euclidean(state, r0: float, power: int = 1) -> float:
-    """Directed-distance corrector sum m_i m_j |v_ij|^power psi(d_ij) chi(|x_ij|).
+    """Directed-distance corrector sum m_i m_j |v_ij|^power psi(d_ij) chi(|x_ij|),
+    the G (power 1) or G3 (power 3) column of the state's record.
 
     Pairs with zero relative velocity contribute nothing (their directed
     distance is undefined but the |v_ij| prefactor vanishes).
     """
     if power not in (1, 3):
         raise ValueError("corrector power must be 1 or 3")
-    x = np.asarray(state.x, dtype=float)
-    v = np.asarray(state.v, dtype=float)
-    dist = geometry.pair_distances(geometry.euclidean(x.shape[1]), x)
-    speed = geometry.pair_distances(VELOCITY_SPACE, v)
-    (summand,) = _euclidean_summands(x, x, v, v, dist, speed, r0, (power,))
-    return _pair_sum(state.m, summand, state.m)
+    domain = geometry.euclidean(np.shape(state.x)[1])
+    return _corrector_columns(state, r0, domain)["G" if power == 1 else "G3"]
+
+
+def corrector_circle(state, r0: float) -> float:
+    """Circle corrector sum m_i m_j |v_ij| psi(d_ij) with the periodic psi, the
+    G column of the state's record.
+
+    The directed arc d_ij = -(x_i - x_j) sign(v_i - v_j) mod 2*pi is the
+    contracting arc and is symmetric in (i, j); pairs with equal velocities
+    contribute nothing.
+    """
+    return _corrector_columns(state, r0, geometry.circle())["G"]
+
+
+def _corrector_columns(state, r0, domain) -> dict:
+    """The record's pair columns of a state under a local kernel of radius
+    r0, the range the correctors read from the kernel."""
+    x, v, m = (np.asarray(a, dtype=float) for a in (state.x, state.v, state.m))
+    kernel = KernelSpec(kernels.KernelKind.LOCAL_MOLLIFIED, r0=r0)
+    return _pair_columns(x, v, m, kernel, domain, float(getattr(state, "t", 0.0)),
+                         singular=False)
 
 
 def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
@@ -162,18 +200,6 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
         summand = np.zeros_like(dist)
         summand.reshape(-1)[near] = speed**power * psi * chi
         yield summand
-
-
-def corrector_circle(state, r0: float) -> float:
-    """Circle corrector sum m_i m_j |v_ij| psi(d_ij) with the periodic psi.
-
-    The directed arc d_ij = -(x_i - x_j) sign(v_i - v_j) mod 2*pi is the
-    contracting arc and is symmetric in (i, j); pairs with equal velocities
-    contribute nothing.
-    """
-    x = np.asarray(state.x, dtype=float).reshape(-1)
-    v = np.asarray(state.v, dtype=float).reshape(-1)
-    return _pair_sum(state.m, _circle_summand(x, x, v, v, r0), state.m)
 
 
 def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
@@ -268,30 +294,13 @@ def _check_variant(variant: LyapunovVariant, domain: Domain) -> None:
 
 
 def lyapunov(state, kernel: KernelSpec, domain: Domain, config: LyapunovConfig) -> float:
-    """Assembled monotone functional for the configured variant.
+    """Assembled monotone functional for the configured variant, the L column
+    of the state's record.
 
     The effective agent count is 1/max(m_i), which reduces to N for uniform
     weights.
     """
-    variant = config.variant
-    _check_variant(variant, domain)
-    n_eff = 1.0 / float(np.max(state.m))
-    t = float(getattr(state, "t", 0.0))
-    v1 = variation(state, 1)
-    v2 = variation(state, 2)
-    if domain.periodic:
-        g = corrector_circle(state, kernel.r0)
-        g3 = math.nan
-    else:
-        g = corrector_euclidean(state, kernel.r0, power=1)
-        g3 = (
-            corrector_euclidean(state, kernel.r0, power=3)
-            if variant is LyapunovVariant.EUCLIDEAN_V4
-            else math.nan
-        )
-    return float(
-        _assemble_lyapunov(variant, config.a, config.b, config.c, n_eff, t, g, g3, v1, v2)
-    )
+    return compute_record(state, kernel, domain, config).L
 
 
 def _lyapunov_columns(records):
@@ -382,22 +391,6 @@ def lyapunov_constant_search(
 # ---------------------------------------------------------------------------
 # collision potential
 
-def collision_potential(state, domain: Domain, beta: float, r0: float) -> float:
-    """Pairwise proximity potential for strongly singular kernels.
-
-    beta > 2: sum m_i m_j min(|x_ij|, r0)^(2-beta); beta = 2 uses the
-    logarithm of the truncated separation instead.  Coincident pairs are a
-    collision error and beta < 2 is unsupported.
-    """
-    if beta < 2:
-        raise UnsupportedQueryError("collision potential needs beta >= 2")
-    dist = geometry.pair_distances(domain, state.x)
-    dmin, pair = geometry.nearest_pair(dist)
-    if dmin == 0.0:
-        raise CollisionError(pair, getattr(state, "t", 0.0), 0.0)
-    return _pair_sum(state.m, _collision_summand(dist, beta, r0), state.m)
-
-
 def _collision_summand(dist, beta, r0) -> np.ndarray:
     """Summand min(d_ij, r0)^(2 - beta), or its logarithm at beta = 2, of the
     collision potential from pair distances, 0 at i = j (see _fill_diagonal)."""
@@ -464,10 +457,7 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     m = states[0].m
     times = np.array([s.t for s in states])
     singular = kernels._is_singular(kernel)
-    g = np.empty((len(states), m.size))
-    for k, s in enumerate(states):
-        phi, _ = _pair_phi(kernel, geometry.pair_distances(domain, s.x), s.t, singular)
-        g[k] = (phi * geometry.pair_square_sums(VELOCITY_SPACE, s.v)) @ m
+    g = np.array([_forward_rows(s.x, s.v, m, kernel, domain, s.t, singular) for s in states])
     weights = np.zeros_like(times)
     dt = np.diff(times)
     weights[:-1] += 0.5 * dt
@@ -476,8 +466,7 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     members = np.flatnonzero(F <= delta)
     complement_mass = float(np.sum(m[F > delta]))
     epsilon = float(np.dot(m, F))
-    vm = np.asarray(trajectory.states[-1].v, dtype=float)[members]
-    spread = math.sqrt(float(np.max(geometry.pair_square_sums(VELOCITY_SPACE, vm), initial=0.0)))
+    spread = _diameter(VELOCITY_SPACE, np.asarray(trajectory.states[-1].v, dtype=float)[members])
     return GoodSetReport(
         T=float(T),
         delta=float(delta),
@@ -487,6 +476,26 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
         epsilon=epsilon,
         member_velocity_spread=spread,
     )
+
+
+def _forward_rows(x, v, m, kernel, domain, t, singular) -> np.ndarray:
+    """sum_j m_j phi(|x_ij|) |v_i - v_j|^2 of every agent i of one state.
+
+    Summed over the record's row blocks: rows a:b against the columns from
+    a on add S @ m to their own rows and, S being symmetric, m_rows @ S to
+    the columns past the block.  A coincident pair under a singular kernel
+    raises CollisionError, as in a record.
+    """
+    n = len(x)
+    rows = np.zeros(n)
+    for a in range(0, n, _RECORD_BLOCK):
+        b = min(a + _RECORD_BLOCK, n)
+        _, _, _, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)
+        summand = _on_support(geometry.pair_square_sums(VELOCITY_SPACE, v[a:b], v[a:]),
+                              phi, inside)
+        rows[a:b] += summand @ m[a:]
+        rows[b:] += m[a:b] @ summand[:, b - a:]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +543,14 @@ def record_column(records, name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records])
 
 
-# Every record sums its pair columns over blocks of this many rows against
-# the columns from the block's first row on, and the stepper its pair field
-# over blocks of this many rows against their column windows, so a block's
-# arrays stay in cache and a library flock (at most 64 agents) is one block.
-# Read off tools/pair_field_timing.py's block sweep.
-_RECORD_BLOCK = 64
-
-
 def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=None, *,
                    _singular=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostic row for one state.
 
     The pair columns come from one algorithm for every kernel and every N,
-    the row blocks of _pair_columns; with one block they equal the public
-    per-state diagnostics bit for bit.  A coincident pair under a singular
-    kernel raises CollisionError naming the pair geometry.nearest_pair names.
+    the row blocks of _pair_columns.  A coincident pair under a singular
+    kernel raises CollisionError naming the first such pair in row-major
+    order.
     ``_singular`` is the kernel's class when the caller has it (``integrate``
     classifies once per run); None classifies here.
     """
@@ -586,9 +587,9 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None
     Each is summed over blocks of ``block`` rows i against the columns j from
     the block's first row on: every summand is exactly symmetric in (i, j)
     and 0 at i = j, so the square block on the diagonal counts once and the
-    columns past it twice.  Each summand, the public diagnostics' one, is
-    reduced as m_rows @ (S @ w) before the next is formed.  ``singular`` is
-    the kernel's class, found here when None.
+    columns past it twice.  Each summand is reduced as m_rows @ (S @ w)
+    before the next is formed.  ``singular`` is the kernel's class, found
+    here when None.
     """
     n = x.shape[0]
     if singular is None:
@@ -601,39 +602,16 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None
         b = min(a + block, n)
         speed = geometry.pair_square_sums(VELOCITY_SPACE, v[a:b], v[a:])
         np.sqrt(speed, out=speed)
-        dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
-        np.sqrt(dist, out=dist)
-        reach = float(np.max(dist))
+        dist, reach, near, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)
         diameter = max(diameter, reach)
         vdiam = max(vdiam, float(np.max(speed)))
-        _fill_diagonal(dist, math.inf)
-        # a pair (i, j) with j < i is (j, i) of an earlier row, so the first
-        # block holding a coincident pair holds the first in row-major order
-        k = int(np.argmin(dist))
-        if singular and dist.flat[k] <= 0.0:
-            raise CollisionError(np.add(divmod(k, n - a), a), t, 0.0)
-        dmin = min(dmin, float(dist.flat[k]))
+        dmin = min(dmin, near)
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
-        # phi, and with it each I_p summand, is 0 at and beyond the support
-        # radius and on the diagonal.  Where some pair of the block lies
-        # outside, they are formed only inside (dist is inf on the diagonal),
-        # each into the same entries of one block of zeros; where none does,
-        # as under a kernel of full support, on the whole block.
-        radius = kernels.support_radius(kernel)
-        inside = np.flatnonzero(dist < radius) if reach >= radius else None
-        if inside is None:
-            phi = kernels._evaluate_raw(kernel, dist)
-            _fill_diagonal(phi, 0.0)
-        else:
-            phi = kernels._evaluate_raw(kernel, dist.take(inside))
-            dissipated = np.zeros_like(dist)
+        dissipated = None
         for p in (1, 2, 4):
             power = speed**p if p > 1 else speed
             sums[f"V{p}"] += _pair_sum(m_rows, power, w)
-            if inside is None:
-                dissipated = power * phi
-            else:
-                dissipated.reshape(-1)[inside] = power.take(inside) * phi
+            dissipated = _on_support(power, phi, inside, dissipated)
             sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
         del power, phi, dissipated  # not alive while the correctors are built
         if domain.periodic:

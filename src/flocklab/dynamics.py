@@ -202,9 +202,9 @@ def _block_nearest(dist, a):
 
 
 def _nearest_pair(domain: Domain, x):
-    """Smallest distance between two agents at x and its pair, the one
-    geometry.nearest_pair names on the (N, N) distances, from row blocks
-    against every column."""
+    """Smallest distance between two agents at x and its pair, the first
+    such pair in row-major order (a single agent gives (inf, (0, 0))), from
+    row blocks against every column."""
     block = diagnostics._RECORD_BLOCK
     near = (math.inf, (0, 0))
     for a in range(0, x.shape[0], block):
@@ -302,9 +302,9 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
 
     Under a singular kernel a pair at or below ``floor`` raises
     CollisionError naming the nearest pair of the rows so far.  With floor 0,
-    coincidence, that is the pair geometry.nearest_pair names; the stages
-    and the end-of-step evaluation pass the guard, and a step that trips it
-    is retried whatever the pair.
+    coincidence, that is the first coincident pair in row-major order; the
+    stages and the end-of-step evaluation pass the guard, and a step that
+    trips it is retried whatever the pair.
     """
     radius = kernels.support_radius(kernel)
     index, windows = geometry._row_windows(domain, x, radius, diagnostics._RECORD_BLOCK)
@@ -628,11 +628,11 @@ def momentum(state: FlockState) -> np.ndarray:
 
 
 def velocity_diameter(state: FlockState) -> float:
-    return math.sqrt(float(np.max(geometry.pair_square_sums(geometry.VELOCITY_SPACE, state.v))))
+    return diagnostics._diameter(geometry.VELOCITY_SPACE, state.v)
 
 
 def flock_diameter(state: FlockState, domain: Domain) -> float:
-    return float(np.max(geometry.pair_distances(domain, state.x)))
+    return diagnostics._diameter(domain, state.x)
 
 
 def min_separation(state: FlockState, domain: Domain) -> float:

@@ -29,8 +29,6 @@ __all__ = [
     "VELOCITY_SPACE",
     "displacement",
     "pair_square_sums",
-    "pair_distances",
-    "nearest_pair",
     "chi",
     "psi_euclidean",
     "psi_periodic",
@@ -113,9 +111,9 @@ def _periods(up, down) -> np.ndarray:
 VELOCITY_SPACE = Domain("euclidean")
 
 
-def pair_square_sums(domain: Domain, a, b=None) -> np.ndarray:
+def pair_square_sums(domain: Domain, a, b) -> np.ndarray:
     """Sums over components of (a_i - b_j)^2, rows i of the (N, d) array a
-    against rows j of the (M, d) array b (a itself when b is None), as (N, M).
+    against rows j of the (M, d) array b, as (N, M).
 
     Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
     for velocities), added one component at a time as ``np.linalg.norm``
@@ -123,7 +121,7 @@ def pair_square_sums(domain: Domain, a, b=None) -> np.ndarray:
     whole (N, M) array bit for bit.
     """
     a = np.asarray(a, dtype=float)
-    b = a if b is None else np.asarray(b, dtype=float)
+    b = np.asarray(b, dtype=float)
     return _paired_square_sums(domain, a[:, None, :], b[None, :, :])
 
 
@@ -138,12 +136,6 @@ def _paired_square_sums(domain: Domain, a, b) -> np.ndarray:
         sq *= sq
         sums = sq if sums is None else np.add(sums, sq, out=sums)
     return sums
-
-
-def pair_distances(domain: Domain, x) -> np.ndarray:
-    """(N, N) distances |x_i - x_j| between the rows of the (N, d) positions x."""
-    dist = pair_square_sums(domain, x)
-    return np.sqrt(dist, out=dist)
 
 
 def _row_windows(domain: Domain, x, radius: float, block: int):
@@ -184,17 +176,6 @@ def _row_windows(domain: Domain, x, radius: float, block: int):
     wide = c1 - c0 > n
     c0[wide], c1[wide] = home, home + n
     return index, list(zip(r0.tolist(), r1.tolist(), c0.tolist(), c1.tolist()))
-
-
-def nearest_pair(dist: np.ndarray):
-    """Smallest off-diagonal entry of a square distance array and its pair (i, j).
-
-    Overwrites the diagonal of ``dist`` with inf.  Ties go to the first pair
-    in row-major order; a single agent gives (inf, (0, 0)).
-    """
-    np.fill_diagonal(dist, math.inf)
-    i, j = divmod(int(np.argmin(dist)), dist.shape[0])
-    return float(dist[i, j]), (i, j)
 
 
 def chi(r, r0: float):

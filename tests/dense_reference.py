@@ -1,0 +1,164 @@
+"""Dense (N, N) forms of the record's pair columns: an oracle for the tests.
+
+flocklab sums every pair column over row blocks (``diagnostics._pair_columns``)
+and ``good_set``'s forward dissipation over the same blocks.  Here each
+column is formed as one whole (N, N) summand S, from plain numpy forms
+(``np.mod`` on the circle, the Euclidean corrector on every pair, the kernel
+on every pair), and reduced as m @ (S @ m), the expression a record of one
+block uses.  So a record of at most 64 agents equals these bit for bit, and
+a larger one differs only in summation order.  Nothing in flocklab imports
+this module.
+"""
+
+import math
+
+import numpy as np
+
+from flocklab import geometry, kernels
+from flocklab.diagnostics import LyapunovVariant
+from flocklab.errors import CollisionError
+from flocklab.geometry import TWO_PI, VELOCITY_SPACE
+
+
+def pair_distances(domain, x) -> np.ndarray:
+    """(N, N) distances |x_i - x_j| between the rows of the (N, d) positions x."""
+    dist = geometry.pair_square_sums(domain, x, x)
+    return np.sqrt(dist, out=dist)
+
+
+def nearest_pair(dist: np.ndarray):
+    """Smallest off-diagonal entry of a square distance array and its pair (i, j).
+
+    Overwrites the diagonal of ``dist`` with inf.  Ties go to the first pair
+    in row-major order; a single agent gives (inf, (0, 0)).
+    """
+    np.fill_diagonal(dist, math.inf)
+    i, j = divmod(int(np.argmin(dist)), dist.shape[0])
+    return float(dist[i, j]), (i, j)
+
+
+def pair_phi(kernel, dist: np.ndarray, t: float) -> np.ndarray:
+    """The kernel on every off-diagonal pair distance, 0 on the diagonal (the
+    diagonal of ``dist`` is overwritten with inf).  Under a singular kernel a
+    coincident pair raises CollisionError naming the first in row-major order."""
+    dmin, pair = nearest_pair(dist)
+    if kernels._is_singular(kernel) and dmin <= 0.0:
+        raise CollisionError(pair, t, dmin)
+    phi = kernels._evaluate_raw(kernel, dist)
+    np.fill_diagonal(phi, 0.0)
+    return phi
+
+
+def _pair_sum(m, summand) -> float:
+    return float(m @ (summand @ m))
+
+
+def variation(state, p: float) -> float:
+    """Weighted p-th variation sum_{i,j} m_i m_j |v_i - v_j|^p."""
+    return _pair_sum(state.m, pair_distances(VELOCITY_SPACE, state.v) ** p)
+
+
+def dissipation(state, kernel, domain, p: float) -> float:
+    """Kernel-weighted moment p * sum_{i,j} m_i m_j |v_i - v_j|^p phi(|x_i - x_j|)."""
+    speed = pair_distances(VELOCITY_SPACE, state.v)
+    phi = pair_phi(kernel, pair_distances(domain, state.x), state.t)
+    return p * _pair_sum(state.m, speed**p * phi)
+
+
+def euclidean_summand(xr, xc, vr, vc, dist, speed, r0, power) -> np.ndarray:
+    """The Euclidean corrector's summand |v_ij|^power psi(d_ij) chi(|x_ij|)
+    formed on every pair, rows of (xr, vr) against rows of (xc, vc)."""
+    directed = np.zeros_like(speed)
+    for k in range(xr.shape[1]):
+        directed -= (xr[:, None, k] - xc[None, :, k]) * (vr[:, None, k] - vc[None, :, k])
+    np.divide(directed, speed, out=directed, where=speed > 0.0)
+    return speed**power * geometry.psi_euclidean(directed, r0) * geometry.chi(dist, r0)
+
+
+def corrector_euclidean(state, r0: float, power: int) -> float:
+    x, v = state.x, state.v
+    dist = pair_distances(geometry.euclidean(x.shape[1]), x)
+    speed = pair_distances(VELOCITY_SPACE, v)
+    return _pair_sum(state.m, euclidean_summand(x, x, v, v, dist, speed, r0, power))
+
+
+def psi_periodic(x, r0: float):
+    """psi_periodic as np.mod and np.where form it."""
+    y = np.mod(np.asarray(x, dtype=float) + r0, TWO_PI) - r0
+    return np.where(y <= r0, r0 - y, (y - r0) * (r0 / (math.pi - r0)))
+
+
+def circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
+    """|v_i - v_j| psi(-(x_i - x_j) sign(v_i - v_j) mod 2*pi) through np.mod."""
+    vdiff = vr[:, None] - vc[None, :]
+    arc = np.mod(-(xr[:, None] - xc[None, :]) * np.sign(vdiff), TWO_PI)
+    return np.abs(vdiff) * psi_periodic(arc, r0)
+
+
+def corrector_circle(state, r0: float) -> float:
+    x, v = state.x[:, 0], state.v[:, 0]
+    return _pair_sum(state.m, circle_summand(x, x, v, v, r0))
+
+
+def collision_potential(state, domain, beta: float, r0: float) -> float:
+    """sum m_i m_j min(|x_ij|, r0)^(2-beta), or the logarithm at beta = 2."""
+    dist = pair_distances(domain, state.x)
+    dmin, pair = nearest_pair(dist)
+    if dmin == 0.0:
+        raise CollisionError(pair, state.t, 0.0)
+    capped = np.minimum(dist, r0)
+    vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
+    np.fill_diagonal(vals, 0.0)
+    return _pair_sum(state.m, vals)
+
+
+def lyapunov(state, kernel, domain, config) -> float:
+    """The configured combination of corrector and variations, n_eff = 1/max(m)."""
+    a, b, c, t = config.a, config.b, config.c, state.t
+    n_eff = 1.0 / float(np.max(state.m))
+    v1, v2 = variation(state, 1), variation(state, 2)
+    if config.variant is LyapunovVariant.EUCLIDEAN_V2:
+        return corrector_euclidean(state, kernel.r0, 1) + a * v2 + b * n_eff * v1
+    if config.variant is LyapunovVariant.EUCLIDEAN_V4:
+        return corrector_euclidean(state, kernel.r0, 3) + a * v2
+    g = corrector_circle(state, kernel.r0)
+    if config.variant is LyapunovVariant.CIRCLE_I:
+        return g + 0.5 * c * n_eff * v1 + b * t * v2 + a * v2
+    return g + b * t * v2 + a * v2
+
+
+def columns(state, kernel, domain, config=None) -> dict:
+    """Every pair column of the state's record that the kernel, domain and
+    Lyapunov config define: V_p, I_p, G, G3 (in R^d), C (singular, beta >= 2),
+    L (with a config), D, vdiam and dmin."""
+    cols = {"D": float(np.max(pair_distances(domain, state.x))),
+            "vdiam": float(np.max(pair_distances(VELOCITY_SPACE, state.v))),
+            "dmin": nearest_pair(pair_distances(domain, state.x))[0]}
+    for p in (1, 2, 4):
+        cols[f"V{p}"] = variation(state, p)
+        cols[f"I{p}"] = dissipation(state, kernel, domain, p)
+    if domain.periodic:
+        cols["G"] = corrector_circle(state, kernel.r0)
+    else:
+        cols["G"] = corrector_euclidean(state, kernel.r0, 1)
+        cols["G3"] = corrector_euclidean(state, kernel.r0, 3)
+    if kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
+        cols["C"] = collision_potential(state, domain, kernel.beta, kernel.r0)
+    if config is not None:
+        cols["L"] = lyapunov(state, kernel, domain, config)
+    return cols
+
+
+def forward_dissipation(trajectory, kernel, domain, T: float) -> np.ndarray:
+    """good_set's F: the trapezoid over the stored samples from T on of
+    sum_j m_j phi(|x_ij|) |v_i - v_j|^2, every agent's row of the dense sum."""
+    states = [s for s in trajectory.states if s.t >= T]
+    m = states[0].m
+    g = np.array([(pair_phi(kernel, pair_distances(domain, s.x), s.t)
+                   * geometry.pair_square_sums(VELOCITY_SPACE, s.v, s.v)) @ m for s in states])
+    times = np.array([s.t for s in states])
+    weights = np.zeros_like(times)
+    dt = np.diff(times)
+    weights[:-1] += 0.5 * dt
+    weights[1:] += 0.5 * dt
+    return weights @ g

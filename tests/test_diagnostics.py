@@ -6,44 +6,37 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from flocklab import diagnostics, geometry
 from flocklab.diagnostics import (
     _euclidean_summands,
     DiagnosticsRecord,
     LyapunovConfig,
     LyapunovVariant,
-    collision_potential,
     compute_record,
     corrector_circle,
     corrector_euclidean,
-    dissipation,
     energy_residual,
     good_set,
     lyapunov,
     lyapunov_constant_search,
     read_csv,
-    variation,
     write_csv,
 )
-from flocklab.dynamics import (
-    FlockState,
-    flock_diameter,
-    initial_state,
-    min_separation,
-    velocity_diameter,
-)
+from flocklab.dynamics import FlockState, Trajectory, initial_state
 from flocklab.errors import (
     CollisionError,
     CSVFormatError,
     DomainMismatchError,
     InsufficientDataError,
-    UnsupportedQueryError,
 )
-from flocklab.geometry import TWO_PI, circle, euclidean
+from flocklab.geometry import TWO_PI, VELOCITY_SPACE, circle, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 from flocklab.harness import scenario
 
 FLAT = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.0, r0=1.0)
+LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+SINGULAR = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.1)
 
 
 def approach_pair():
@@ -51,52 +44,58 @@ def approach_pair():
 
 
 # ---------------------------------------------------------------------------
-# variation and dissipation
+# variation and dissipation: the record's V_p and I_p columns, and the oracle's
+
+def _columns(state, kernel, domain):
+    """The record's pair columns and the dense oracle's, which must agree."""
+    rec = compute_record(state, kernel, domain)
+    want = dense.columns(state, kernel, domain)
+    for name, value in want.items():
+        assert getattr(rec, name) == value, name
+    return rec
+
 
 def test_variation_pair():
-    st = approach_pair()
-    assert variation(st, 1) == pytest.approx(1.0)
-    assert variation(st, 2) == pytest.approx(2.0)
-    assert variation(st, 4) == pytest.approx(8.0)
+    rec = _columns(approach_pair(), FLAT, euclidean(1))
+    assert rec.V1 == pytest.approx(1.0)
+    assert rec.V2 == pytest.approx(2.0)
+    assert rec.V4 == pytest.approx(8.0)
 
 
 def test_variation_three_agents():
     st = FlockState(0.0, [[0.0], [1.0], [2.0]], [[0.0], [1.0], [2.0]],
                     [1 / 3, 1 / 3, 1 / 3])
-    assert variation(st, 2) == pytest.approx(4.0 / 3.0)
+    assert _columns(st, FLAT, euclidean(1)).V2 == pytest.approx(4.0 / 3.0)
 
 
 def test_variation_weighted():
     st = FlockState(0.0, [[0.5], [-0.5]], [[-1.0], [1.0]], [0.25, 0.75])
-    assert variation(st, 2) == pytest.approx(2 * 0.25 * 0.75 * 4.0)
-    with pytest.raises(ValueError):
-        variation(st, 0)
+    assert _columns(st, FLAT, euclidean(1)).V2 == pytest.approx(2 * 0.25 * 0.75 * 4.0)
 
 
 def test_dissipation_constant_kernel():
     # with phi == lam the kernel moment collapses to p * lam * V_p
-    st = approach_pair()
-    dom = euclidean(1)
-    assert dissipation(st, FLAT, dom, 1) == pytest.approx(1.0)
-    assert dissipation(st, FLAT, dom, 2) == pytest.approx(4.0)
-    assert dissipation(st, FLAT, dom, 4) == pytest.approx(32.0)
-    with pytest.raises(ValueError):
-        dissipation(st, FLAT, dom, -1)
+    rec = _columns(approach_pair(), FLAT, euclidean(1))
+    assert rec.I1 == pytest.approx(1.0)
+    assert rec.I2 == pytest.approx(4.0)
+    assert rec.I4 == pytest.approx(32.0)
 
 
 def test_dissipation_minimal_image():
     kern = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.5, moll_width=0.0)
     st = FlockState(0.0, [[0.1], [2.0 * math.pi - 0.1]], [[1.0], [-1.0]], [0.5, 0.5])
-    assert dissipation(st, kern, circle(), 2) == pytest.approx(4.0)
+    assert _columns(st, kern, circle()).I2 == pytest.approx(4.0)
     # read as Euclidean coordinates the pair is out of range
-    assert dissipation(st, kern, euclidean(1), 2) == 0.0
+    assert _columns(st, kern, euclidean(1)).I2 == 0.0
 
 
 def test_dissipation_collision_detected():
     sing = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
     st = FlockState(0.0, [[1.0], [1.0]], [[0.0], [1.0]], [0.5, 0.5])
     with pytest.raises(CollisionError):
-        dissipation(st, sing, euclidean(1), 2)
+        compute_record(st, sing, euclidean(1))
+    with pytest.raises(CollisionError):
+        dense.dissipation(st, sing, euclidean(1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def test_lyapunov_euclidean_assembly():
     dom = euclidean(1)
     g = corrector_euclidean(st, 2.0, 1)
     g3 = corrector_euclidean(st, 2.0, 3)
-    v1, v2 = variation(st, 1), variation(st, 2)
+    v1, v2 = dense.variation(st, 1), dense.variation(st, 2)
     n_eff = 1.0 / np.max(st.m)
     cfg2 = LyapunovConfig(LyapunovVariant.EUCLIDEAN_V2, a=0.5, b=0.25)
     assert lyapunov(st, kern, dom, cfg2) == pytest.approx(g + 0.5 * v2 + 0.25 * n_eff * v1)
@@ -147,7 +146,7 @@ def test_lyapunov_circle_assembly():
     kern = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=1.0)
     st = FlockState(2.0, [[0.0], [2.0]], [[1.0], [0.0]], [0.5, 0.5])
     g = corrector_circle(st, 1.0)
-    v1, v2 = variation(st, 1), variation(st, 2)
+    v1, v2 = dense.variation(st, 1), dense.variation(st, 2)
     got = lyapunov(st, kern, circle(),
                    LyapunovConfig(LyapunovVariant.CIRCLE_I, a=2.0, b=0.5, c=0.25))
     assert got == pytest.approx(g + 0.5 * 0.25 * 2.0 * v1 + 0.5 * 2.0 * v2 + 2.0 * v2)
@@ -319,19 +318,26 @@ def test_constant_search_of_many_records_needs_several_chunks():
 # ---------------------------------------------------------------------------
 # collision potential
 
+def _singular(beta):
+    return KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=beta, r0=1.0)
+
+
 def test_collision_potential_values():
+    # the record's C column under a singular kernel of exponent beta and range r0
     st = FlockState(0.0, [[0.25], [-0.25]], [[0.0], [0.0]], [0.5, 0.5])
     dom = euclidean(1)
-    assert collision_potential(st, dom, 3.0, 1.0) == pytest.approx(1.0)
-    assert collision_potential(st, dom, 2.0, 1.0) == pytest.approx(0.5 * math.log(0.5))
+    assert _columns(st, _singular(3.0), dom).C == pytest.approx(1.0)
+    assert _columns(st, _singular(2.0), dom).C == pytest.approx(0.5 * math.log(0.5))
     # separations beyond r0 are truncated at r0
     wide = FlockState(0.0, [[1.5], [-1.5]], [[0.0], [0.0]], [0.5, 0.5])
-    assert collision_potential(wide, dom, 3.0, 1.0) == pytest.approx(0.5)
-    with pytest.raises(UnsupportedQueryError):
-        collision_potential(st, dom, 1.9, 1.0)
+    assert _columns(wide, _singular(3.0), dom).C == pytest.approx(0.5)
+    # below beta = 2 there is no collision potential
+    assert math.isnan(compute_record(st, _singular(1.9), dom).C)
     touching = FlockState(0.0, [[1.0], [1.0]], [[0.0], [0.0]], [0.5, 0.5])
     with pytest.raises(CollisionError):
-        collision_potential(touching, dom, 3.0, 1.0)
+        compute_record(touching, _singular(3.0), dom)
+    with pytest.raises(CollisionError):
+        dense.collision_potential(touching, dom, 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +407,59 @@ def test_good_set_validation(vacuum_run):
         good_set(traj, cfg.kernel, cfg.domain, 1e9, 1.0)
 
 
+def test_good_set_of_one_block_equals_the_dense_oracle(vacuum_run):
+    # 48 agents, one row block: F is the dense row sum bit for bit
+    cfg, traj = vacuum_run
+    rep = good_set(traj, cfg.kernel, cfg.domain, 10.0, 1.0)
+    np.testing.assert_array_equal(rep.F, dense.forward_dissipation(traj, cfg.kernel,
+                                                                   cfg.domain, 10.0))
+
+
+def _sampled_flock(domain, n, times):
+    """Stored states of n agents at the given times: one set of random
+    weights, positions and velocities drawn afresh for each sample."""
+    m = initial_state(domain, n, seed=n, weight_mode="random").m
+    states = []
+    for k, t in enumerate(times):
+        st = initial_state(domain, n, seed=100 * n + k)
+        states.append(FlockState(t, st.x, st.v, m))
+    return Trajectory(states=states)
+
+
+@pytest.mark.parametrize("kernel", [LOCAL, SINGULAR], ids=["local", "singular"])
+@pytest.mark.parametrize("n", [130, 257])
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_good_set_of_several_blocks_matches_the_dense_oracle(domain, n, kernel):
+    # rows a:b add their own rows' sums and, transposed, the columns' past
+    # the block; only the summation order differs from the dense row sums
+    traj = _sampled_flock(domain, n, [0.0, 0.5, 1.5])
+    want = dense.forward_dissipation(traj, kernel, domain, 0.5)
+    rep = good_set(traj, kernel, domain, 0.5, float(np.median(want)))
+    np.testing.assert_allclose(rep.F, want, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(want) > n // 2
+    assert 0 < rep.members.size < n
+    vm = traj.states[-1].v[rep.members]
+    assert rep.member_velocity_spread == float(np.max(dense.pair_distances(VELOCITY_SPACE, vm)))
+
+
+def test_good_set_names_the_first_coincident_pair():
+    # under a singular kernel two coincident agents are a collision, named
+    # by the first such pair in row-major order: here in the second block of
+    # rows, at the second sample
+    traj = _sampled_flock(circle(), 200, [0.0, 1.0, 2.0])
+    x = traj.states[1].x
+    for i, j in ((70, 120), (100, 170), (150, 80)):
+        x[j] = x[i].copy()
+    with pytest.raises(CollisionError) as err:
+        good_set(traj, SINGULAR, circle(), 0.0, 1.0)
+    assert err.value.pair == (70, 120) and err.value.t == 1.0 and err.value.distance == 0.0
+    with pytest.raises(CollisionError) as dense_err:
+        dense.forward_dissipation(traj, SINGULAR, circle(), 0.0)
+    assert dense_err.value.pair == err.value.pair
+    # a smooth kernel has no collision
+    assert good_set(traj, LOCAL, circle(), 0.0, 1.0).F.shape == (200,)
+
+
 # ---------------------------------------------------------------------------
 # records and CSV
 
@@ -430,10 +489,6 @@ def test_compute_record_collision_potential_column():
 # ---------------------------------------------------------------------------
 # records of many agents, summed over row blocks
 
-LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
-SINGULAR = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=2.5, r0=0.1)
-
-
 def _record_config(domain):
     if domain.periodic:
         return LyapunovConfig.defaults(LyapunovVariant.CIRCLE_I, LOCAL)
@@ -453,22 +508,6 @@ def _blocked_case(domain, n):
     return FlockState(0.5, x, v, st.m)
 
 
-def _public_columns(state, kernel, domain, cfg):
-    """The record's pair columns from the public per-state diagnostics,
-    each built on dense (N, N) arrays."""
-    cols = {"L": lyapunov(state, kernel, domain, cfg), "D": flock_diameter(state, domain),
-            "vdiam": velocity_diameter(state), "dmin": min_separation(state, domain)}
-    for p in (1, 2, 4):
-        cols[f"V{p}"] = variation(state, p)
-        cols[f"I{p}"] = dissipation(state, kernel, domain, p)
-    if domain.periodic:
-        cols["G"] = corrector_circle(state, kernel.r0)
-    else:
-        cols["G"] = corrector_euclidean(state, kernel.r0, power=1)
-        cols["G3"] = corrector_euclidean(state, kernel.r0, power=3)
-    return cols
-
-
 @pytest.mark.parametrize("n", [128, 130, 257, 512])
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
@@ -476,7 +515,7 @@ def test_blocked_record_matches_the_dense_reference(domain, n):
     state = _blocked_case(domain, n)
     cfg = _record_config(domain)
     rec = compute_record(state, LOCAL, domain, cfg)
-    ref = _public_columns(state, LOCAL, domain, cfg)
+    ref = dense.columns(state, LOCAL, domain, cfg)
     for name, want in ref.items():
         assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
     assert math.isnan(rec.C) and math.isnan(rec.G3) == domain.periodic
@@ -490,21 +529,24 @@ def test_blocked_record_with_a_block_wholly_inside_the_support(domain):
     # it only inside
     state = _blocked_case(domain, 130)
     state.x[128], state.x[129] = 1.0, 1.05
-    assert geometry.pair_distances(domain, state.x[128:]).max() < LOCAL.r0
+    assert dense.pair_distances(domain, state.x[128:]).max() < LOCAL.r0
     cfg = _record_config(domain)
     rec = compute_record(state, LOCAL, domain, cfg)
-    for name, want in _public_columns(state, LOCAL, domain, cfg).items():
+    for name, want in dense.columns(state, LOCAL, domain, cfg).items():
         assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
 
 
 def test_record_of_one_block_equals_the_public_diagnostics():
     # a record sums every column, I_p included, over its own row blocks; a
-    # state of one block equals the public diagnostics bit for bit
+    # state of one block equals the dense oracle bit for bit, and so do the
+    # public corrector and functional, which read the record
     small = initial_state(circle(), 64, seed=1, weight_mode="random")
     cfg = _record_config(circle())
     rec = compute_record(small, LOCAL, circle(), cfg)
-    for name, want in _public_columns(small, LOCAL, circle(), cfg).items():
+    for name, want in dense.columns(small, LOCAL, circle(), cfg).items():
         assert getattr(rec, name) == want, name
+    assert corrector_circle(small, LOCAL.r0) == rec.G
+    assert lyapunov(small, LOCAL, circle(), cfg) == rec.L
     lattice = initial_state(circle(), 256, kind="lattice_circle", seed=1)
     assert math.isfinite(compute_record(lattice, SINGULAR, circle()).I2)
     for domain in (circle(), euclidean(2)):
@@ -522,7 +564,7 @@ def _lattice(n, copy=None):
 def test_blocked_record_names_the_first_coincident_pair():
     # the pair lies in the second block of rows, its column in the fourth
     state = _lattice(256, copy=(70, 200))
-    expected = geometry.nearest_pair(geometry.pair_distances(circle(), state.x))[1]
+    expected = dense.nearest_pair(dense.pair_distances(circle(), state.x))[1]
     assert expected == (70, 200)
     with pytest.raises(CollisionError) as err:
         compute_record(state, SINGULAR, circle())
@@ -532,9 +574,10 @@ def test_blocked_record_names_the_first_coincident_pair():
 def test_blocked_record_collision_potential():
     state = _lattice(256)
     rec = compute_record(state, SINGULAR, circle())
-    want = collision_potential(state, circle(), SINGULAR.beta, SINGULAR.r0)
+    want = dense.collision_potential(state, circle(), SINGULAR.beta, SINGULAR.r0)
     assert rec.C == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert rec.I2 == pytest.approx(dissipation(state, SINGULAR, circle(), 2), rel=1e-12, abs=0.0)
+    assert rec.I2 == pytest.approx(dense.dissipation(state, SINGULAR, circle(), 2),
+                                   rel=1e-12, abs=0.0)
 
 
 def test_blocked_record_peak_memory():
@@ -552,15 +595,6 @@ def test_blocked_record_peak_memory():
 # ---------------------------------------------------------------------------
 # summands formed only where they can be nonzero, against their full forms
 
-def _euclidean_reference(xr, xc, vr, vc, dist, speed, r0, power):
-    """The Euclidean corrector's summand formed on every pair."""
-    directed = np.zeros_like(speed)
-    for k in range(xr.shape[1]):
-        directed -= (xr[:, None, k] - xc[None, :, k]) * (vr[:, None, k] - vc[None, :, k])
-    np.divide(directed, speed, out=directed, where=speed > 0.0)
-    return speed**power * geometry.psi_euclidean(directed, r0) * geometry.chi(dist, r0)
-
-
 def _edge_state(domain):
     """Agents 0, 1 and 2 at 0, r0 and 2*r0 along axis 0 (r0 = 0.1, so pairs
     lie at exactly r0 and 2*r0), the rest at random; agents 0 and 1, and 5
@@ -574,7 +608,7 @@ def _edge_state(domain):
     v[1], v[6] = v[0], v[5]
     m = rng.uniform(0.5, 1.5, n)
     state = FlockState(0.25, x, v, m / m.sum())
-    dist = geometry.pair_distances(domain, state.x)
+    dist = dense.pair_distances(domain, state.x)
     assert (dist == 0.1).any() and (dist == 0.2).any()
     return state
 
@@ -584,19 +618,19 @@ def test_euclidean_summands_equal_their_full_form(dim):
     # chi is 0 from 2*r0 on, so the summands formed below it are the full ones
     state = _edge_state(euclidean(dim))
     x, v = state.x, state.v
-    speed = geometry.pair_distances(geometry.VELOCITY_SPACE, v)
+    speed = dense.pair_distances(geometry.VELOCITY_SPACE, v)
     for r0 in (0.1, 0.05, 2.0):
-        for diagonal in (0.0, math.inf):  # the public correctors' and a record's
-            dist = geometry.pair_distances(euclidean(dim), x)
+        for diagonal in (0.0, math.inf):  # the oracle's and a record's
+            dist = dense.pair_distances(euclidean(dim), x)
             np.fill_diagonal(dist, diagonal)
             summands = _euclidean_summands(x, x, v, v, dist, speed, r0, (1, 3))
             for power, got in zip((1, 3), summands):
-                want = _euclidean_reference(x, x, v, v, dist, speed, r0, power)
+                want = dense.euclidean_summand(x, x, v, v, dist, speed, r0, power)
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     # rows against the columns from the block's first row on
-    dist, k = geometry.pair_distances(euclidean(dim), x)[5:], 5
+    dist, k = dense.pair_distances(euclidean(dim), x)[5:], 5
     got = next(_euclidean_summands(x[k:], x, v[k:], v, dist, speed[k:], 0.1, (3,)))
-    want = _euclidean_reference(x[k:], x, v[k:], v, dist, speed[k:], 0.1, 3)
+    want = dense.euclidean_summand(x[k:], x, v[k:], v, dist, speed[k:], 0.1, 3)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -611,21 +645,21 @@ def test_euclidean_summands_equal_their_full_form(dim):
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
 def test_one_block_record_summands_equal_their_full_forms(domain, kernel):
-    # I_p, formed only where phi can be nonzero, equals the public
+    # I_p, formed only where phi can be nonzero, equals the dense
     # dissipation, which evaluates phi on every pair; G and G3 equal the
     # full Euclidean summands reduced the same way
     state = _edge_state(domain)
     rec = compute_record(state, kernel, domain)
     for p in (1, 2, 4):
-        assert getattr(rec, f"I{p}") == dissipation(state, kernel, domain, p), p
+        assert getattr(rec, f"I{p}") == dense.dissipation(state, kernel, domain, p), p
     assert rec.I2 > 0.0
     if domain.periodic:
         return
     x, v, m = state.x, state.v, state.m
-    dist = geometry.pair_distances(domain, x)
-    speed = geometry.pair_distances(geometry.VELOCITY_SPACE, v)
+    dist = dense.pair_distances(domain, x)
+    speed = dense.pair_distances(geometry.VELOCITY_SPACE, v)
     for name, power in (("G", 1), ("G3", 3)):
-        want = _euclidean_reference(x, x, v, v, dist, speed, kernel.r0, power)
+        want = dense.euclidean_summand(x, x, v, v, dist, speed, kernel.r0, power)
         assert getattr(rec, name) == float(m @ (want @ m)), name
 
 

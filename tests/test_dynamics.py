@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from flocklab import diagnostics, dynamics, geometry, kernels
 from flocklab.dynamics import (
     FlockState,
@@ -538,7 +539,7 @@ def test_neighbour_stiffness_error_names_the_dense_pair(domain):
     stiff = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1e20, r0=0.5)
     with pytest.raises(StiffnessError) as err:
         step(st, stiff, domain, StepperConfig(dt_max=1.0))
-    dmin, pair = geometry.nearest_pair(geometry.pair_distances(domain, st.x))
+    dmin, pair = dense.nearest_pair(dense.pair_distances(domain, st.x))
     assert pair == (150, 200)
     assert (err.value.pair, err.value.distance, err.value.t) == (pair, dmin, 0.0)
 
@@ -692,6 +693,18 @@ def test_bulk_observables():
     assert min_separation(st, euclidean(2)) == pytest.approx(5.0)
     solo = FlockState(0.0, [[0.0]], [[0.0]], [1.0])
     assert min_separation(solo, euclidean(1)) == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 64, 130, 257])
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_diameters_and_separation_are_the_dense_extrema(domain, n):
+    # each is an extremum over row blocks, so it is the dense one bit for bit
+    st = initial_state(domain, n, seed=n)
+    dist = dense.pair_distances(domain, st.x)
+    assert flock_diameter(st, domain) == float(np.max(dist))
+    assert velocity_diameter(st) == float(np.max(dense.pair_distances(
+        geometry.VELOCITY_SPACE, st.v)))
+    assert min_separation(st, domain) == dense.nearest_pair(dist)[0]
 
 
 def test_initial_state_determinism_and_weights():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from flocklab.diagnostics import _circle_summand
 from flocklab.errors import DomainMismatchError
 from flocklab.geometry import (
@@ -20,8 +21,6 @@ from flocklab.geometry import (
     circle,
     displacement,
     euclidean,
-    nearest_pair,
-    pair_distances,
     pair_square_sums,
     psi_euclidean,
     psi_periodic,
@@ -72,20 +71,22 @@ def test_displacement_circle_minimal_image():
 
 
 def test_pair_distances_and_nearest_pair():
+    # the dense oracle's forms, which the record tests compare against
     x = np.array([[0.1], [6.0], [2.0], [0.1 + math.pi]])
-    dist = pair_distances(circle(), x)
+    dist = dense.pair_distances(circle(), x)
     assert dist.shape == (4, 4)
     assert dist[0, 1] == pytest.approx(0.1 - 6.0 + TWO_PI)
     assert dist[0, 3] == pytest.approx(math.pi)
     np.testing.assert_array_equal(dist, dist.T)
     np.testing.assert_array_equal(np.diag(dist), 0.0)
-    dmin, pair = nearest_pair(dist)
+    dmin, pair = dense.nearest_pair(dist)
     assert pair == (0, 1) and dmin == dist[0, 1]
     assert np.all(np.isinf(np.diag(dist)))
     # ties go to the first pair in row-major order
-    tied = pair_distances(euclidean(1), np.array([[0.0], [1.0], [2.0]]))
-    assert nearest_pair(tied) == (1.0, (0, 1))
-    assert nearest_pair(pair_distances(euclidean(2), np.zeros((1, 2)))) == (math.inf, (0, 0))
+    tied = dense.pair_distances(euclidean(1), np.array([[0.0], [1.0], [2.0]]))
+    assert dense.nearest_pair(tied) == (1.0, (0, 1))
+    solo = dense.pair_distances(euclidean(2), np.zeros((1, 2)))
+    assert dense.nearest_pair(solo) == (math.inf, (0, 0))
 
 
 @pytest.mark.parametrize("domain", [circle(), euclidean(2), euclidean(3)])
@@ -95,14 +96,14 @@ def test_pair_square_sums_match_the_norm(domain):
     rng = np.random.default_rng(4)
     x = domain.wrap(rng.uniform(0.0, TWO_PI, size=(9, domain.dim)))
     disp = displacement(domain, x[:, None, :], x[None, :, :])
-    np.testing.assert_array_equal(pair_square_sums(domain, x), np.sum(disp**2, axis=-1))
-    np.testing.assert_array_equal(pair_distances(domain, x), np.linalg.norm(disp, axis=-1))
+    np.testing.assert_array_equal(pair_square_sums(domain, x, x), np.sum(disp**2, axis=-1))
+    np.testing.assert_array_equal(dense.pair_distances(domain, x), np.linalg.norm(disp, axis=-1))
     # velocities differ plainly, never through the minimal image
     v = np.array([[0.0], [5.0]])
-    assert pair_square_sums(VELOCITY_SPACE, v)[0, 1] == 25.0
+    assert pair_square_sums(VELOCITY_SPACE, v, v)[0, 1] == 25.0
     # rows against columns are the same block of the (N, N) sums bit for bit
     np.testing.assert_array_equal(pair_square_sums(domain, x[3:7], x[2:]),
-                                  pair_square_sums(domain, x)[3:7, 2:])
+                                  pair_square_sums(domain, x, x)[3:7, 2:])
 
 
 def _assert_windows_hold_the_pairs(domain, x, radius, block):
@@ -111,7 +112,7 @@ def _assert_windows_hold_the_pairs(domain, x, radius, block):
     blocks cover every agent once."""
     index, windows = _row_windows(domain, x, radius, block)
     agents = np.arange(len(x)) if index is None else index
-    dense = pair_distances(domain, x)
+    full = dense.pair_distances(domain, x)
     rows = []
     for r0, r1, c0, c1 in windows:
         assert c0 <= r0 < r1 <= c1 and r1 - r0 <= block
@@ -119,7 +120,7 @@ def _assert_windows_hold_the_pairs(domain, x, radius, block):
         assert len(set(cols)) == len(cols)
         for i in agents[r0:r1].tolist():
             rows.append(i)
-            assert set(np.flatnonzero(dense[i] < radius).tolist()) <= set(cols)
+            assert set(np.flatnonzero(full[i] < radius).tolist()) <= set(cols)
     assert sorted(rows) == list(range(len(x)))
     return index, windows
 
@@ -146,7 +147,7 @@ def windowed_flocks(draw):
     # past pi on the circle a window would span the whole period
     radius = draw(st.one_of(st.floats(1e-3, 4.0), st.just(math.inf)))
     if n > 1 and draw(st.booleans()):
-        radius = float(pair_distances(domain, x)[0, 1]) or radius  # a pair at the radius
+        radius = float(dense.pair_distances(domain, x)[0, 1]) or radius  # a pair at the radius
     return domain, x, radius, draw(st.integers(1, 8))
 
 
@@ -175,7 +176,7 @@ def test_row_windows_keep_a_pair_the_wrapped_keys_put_out_of_reach(x, radius):
     # each pair lies just inside the radius, but its wrapped keys lie just
     # beyond it: the windows must be wider than the keys' round-off
     x = np.array(x)[:, None]
-    assert pair_distances(circle(), x)[0, 1] < radius
+    assert dense.pair_distances(circle(), x)[0, 1] < radius
     _assert_windows_hold_the_pairs(circle(), x, radius, 1)
 
 
@@ -264,19 +265,6 @@ def _assert_bitwise(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _psi_reference(x, r0):
-    """psi_periodic as np.mod and np.where form it."""
-    y = np.mod(np.asarray(x, dtype=float) + r0, TWO_PI) - r0
-    return np.where(y <= r0, r0 - y, (y - r0) * (r0 / (math.pi - r0)))
-
-
-def _circle_summand_reference(xr, xc, vr, vc, r0):
-    """|v_i - v_j| psi(-(x_i - x_j) sign(v_i - v_j) mod 2*pi) through np.mod."""
-    vdiff = vr[:, None] - vc[None, :]
-    arc = np.mod(-(xr[:, None] - xc[None, :]) * np.sign(vdiff), TWO_PI)
-    return np.abs(vdiff) * _psi_reference(arc, r0)
-
-
 def _displacement_reference(a, b):
     """The minimal image with fmod on every entry and masked shifts."""
     wrapped = np.atleast_1d(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
@@ -300,8 +288,8 @@ def test_mod_two_pi_is_np_mod(z):
 @given(x=positions, r0=st.sampled_from([0.1, 0.5, 1.0, 3.0]))
 def test_psi_periodic_is_the_np_mod_form(x, r0):
     x = np.array(x)
-    _assert_bitwise(psi_periodic(x, r0), _psi_reference(x, r0))
-    _assert_bitwise(psi_periodic(x[0], r0), _psi_reference(x[0], r0))
+    _assert_bitwise(psi_periodic(x, r0), dense.psi_periodic(x, r0))
+    _assert_bitwise(psi_periodic(x[0], r0), dense.psi_periodic(x[0], r0))
     assert isinstance(psi_periodic(float(x[0]), r0), float)
 
 
@@ -312,10 +300,10 @@ def test_circle_summand_is_the_np_mod_form(x, data, r0):
     # of exactly +-pi and equal velocities
     x = np.array(x)
     v = np.array(data.draw(st.lists(velocities, min_size=len(x), max_size=len(x))))
-    _assert_bitwise(_circle_summand(x, x, v, v, r0), _circle_summand_reference(x, x, v, v, r0))
+    _assert_bitwise(_circle_summand(x, x, v, v, r0), dense.circle_summand(x, x, v, v, r0))
     k = len(x) // 2  # rows against a block of columns, as a record forms it
     _assert_bitwise(_circle_summand(x[k:], x, v[k:], v, r0),
-                    _circle_summand_reference(x[k:], x, v[k:], v, r0))
+                    dense.circle_summand(x[k:], x, v[k:], v, r0))
 
 
 def test_circle_summand_covers_the_exact_cases():
@@ -323,7 +311,7 @@ def test_circle_summand_covers_the_exact_cases():
     x = np.array([0.375, 0.375 + math.pi, 0.0, -0.0, TWO_PI, -TWO_PI, 7.0])
     v = np.array([1.0, -1.0, 1.0, 1.0, 0.0, -0.0, 0.5])
     assert (x[1] - x[0]) == math.pi and (x[0] - x[1]) == -math.pi
-    _assert_bitwise(_circle_summand(x, x, v, v, 0.5), _circle_summand_reference(x, x, v, v, 0.5))
+    _assert_bitwise(_circle_summand(x, x, v, v, 0.5), dense.circle_summand(x, x, v, v, 0.5))
 
 
 @BITWISE

@@ -4,8 +4,8 @@ Momentum is conserved by a step, the variations V1, V2 and V4 do not grow
 across a step, every pairwise diagnostic is unchanged by a Galilean boost
 and by relabelling the agents, an antipodal pair on the circle sits at
 separation +pi, and off that seam the minimal image is exactly
-antisymmetric.  Each public per-state diagnostic equals its record column
-bit for bit, so a diagnostic has one formula.  The round-off bounds are
+antisymmetric.  Each pair column of a record equals the dense oracle's
+(N, N) form of it bit for bit.  The round-off bounds are
 1e-11 of the velocity scale for momentum and 1e-9 relative for the
 variations and the record columns.  A compact-kernel flock steps on its
 carried pair set exactly as it steps from a copy, which carries nothing,
@@ -19,17 +19,15 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from flocklab import dynamics
 from flocklab.diagnostics import (
     LyapunovConfig,
     LyapunovVariant,
-    collision_potential,
     compute_record,
     corrector_circle,
     corrector_euclidean,
-    dissipation,
     lyapunov,
-    variation,
 )
 from flocklab.dynamics import (
     FlockState,
@@ -40,7 +38,7 @@ from flocklab.dynamics import (
     step,
     velocity_diameter,
 )
-from flocklab.geometry import TWO_PI, circle, displacement, euclidean, pair_distances
+from flocklab.geometry import TWO_PI, circle, displacement, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 
 PROPERTY = settings(
@@ -164,23 +162,20 @@ def test_public_diagnostics_equal_their_record_columns(flock, kernel, data):
     domain, state = flock
     cfg = _lyapunov_config(data.draw, domain, kernel)
     rec = compute_record(state, kernel, domain, cfg)
-    expected = {"L": lyapunov(state, kernel, domain, cfg),
-                "D": flock_diameter(state, domain),
-                "vdiam": velocity_diameter(state),
-                "dmin": min_separation(state, domain)}
-    for p in (1, 2, 4):
-        expected[f"V{p}"] = variation(state, p)
-        expected[f"I{p}"] = dissipation(state, kernel, domain, p)
-    if domain.periodic:
-        expected["G"] = corrector_circle(state, kernel.r0)
-    else:
-        expected["G"] = corrector_euclidean(state, kernel.r0, power=1)
-        expected["G3"] = corrector_euclidean(state, kernel.r0, power=3)
-    if kernel.kind is KernelKind.SINGULAR_POWER and kernel.beta >= 2.0:
-        expected["C"] = collision_potential(state, domain, kernel.beta, kernel.r0)
+    expected = dense.columns(state, kernel, domain, cfg)
     for name, value in expected.items():
         assert value == getattr(rec, name), (name, value, getattr(rec, name))
     assert tuple(momentum(state)) == rec.momentum
+    # the public functions read the record, or its row blocks
+    public = {"L": lyapunov(state, kernel, domain, cfg), "D": flock_diameter(state, domain),
+              "vdiam": velocity_diameter(state), "dmin": min_separation(state, domain)}
+    if domain.periodic:
+        public["G"] = corrector_circle(state, kernel.r0)
+    else:
+        public["G"] = corrector_euclidean(state, kernel.r0, power=1)
+        public["G3"] = corrector_euclidean(state, kernel.r0, power=3)
+    for name, value in public.items():
+        assert value == expected[name], (name, value, expected[name])
 
 
 @PROPERTY
@@ -211,7 +206,7 @@ def test_minimal_image_is_antisymmetric(x):
     disp = displacement(dom, x[:, None], x[None, :])
     off_seam = disp != math.pi
     np.testing.assert_array_equal(disp[off_seam], -disp.T[off_seam])
-    dist = pair_distances(dom, x[:, None])
+    dist = dense.pair_distances(dom, x[:, None])
     np.testing.assert_array_equal(dist, dist.T)
 
 

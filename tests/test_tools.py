@@ -248,3 +248,37 @@ def test_compare_runs_diff_scores_a_small_entry_against_its_own_size(tmp_path, d
     score = float(line.split(" records ")[1].split()[0])
     assert score == pytest.approx(1e-6, rel=1e-3)
     assert f"({run['columns'][k]})" in line
+
+
+def test_perfbench_tracer_binds_every_entry_point_and_restores_it(monkeypatch):
+    # perfbench/tracing.py wraps its entry points by name; each must still
+    # exist, and uninstall must put back every binding install replaced
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = []
+    for owner, attr, name, _ in tracing.ENTRY_POINTS:
+        assert callable(getattr(owner, attr, None)), (attr, name)
+        originals.append(getattr(owner, attr))
+    targets = [owner for owner, *_ in tracing.ENTRY_POINTS]
+    targets += [m for k, m in sys.modules.items()
+                if m is not None and (k == "flocklab" or k.startswith("flocklab."))]
+    bound = {(target, key): value for target in targets for key, value in vars(target).items()
+             if any(value is fn for fn in originals)}
+    assert len(bound) >= len(originals)
+    cfg = scenario("torus-singular-beta2.5")
+    state = cfg.build()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (target, key), value in bound.items():
+            assert getattr(target, key) is not value, key
+        diagnostics.lyapunov(state, cfg.kernel, cfg.domain, cfg.lyapunov)
+        diagnostics.corrector_circle(state, cfg.kernel.r0)
+    finally:
+        tracer.uninstall()
+    for (target, key), value in bound.items():
+        assert getattr(target, key) is value, key
+    names = [span[0] for span in tracer.spans if span[0].startswith("diagnostics.")]
+    assert names == ["diagnostics.lyapunov", "diagnostics.compute_record",
+                     "diagnostics.corrector"]

@@ -23,8 +23,9 @@ with cProfile and splits it by the helpers of ``diagnostics._pair_columns``:
 ``_evaluate_raw`` the kernel phi, ``_circle_summand`` the corrector's
 summand, ``_pair_sum`` every reduction m_rows @ (S @ w) and
 ``_collision_summand`` the collision potential's (not called under this
-kernel); ``rest`` is the time in ``_pair_columns`` itself (the square
-roots, masks, powers and scatters).  Each row is the median ms and share
+kernel); ``rest`` is the time in ``_pair_columns`` itself and in its
+block helpers ``_block_kernel`` and ``_on_support`` (the square roots,
+masks, powers and scatters).  Each row is the median ms and share
 of the record; the profiler adds its own small cost to each call.
 
 The last three tables time one RK4 stage of a one-block flock, as every
@@ -169,7 +170,8 @@ def _split_helpers(domain):
 def _record_split(state, domain):
     """Seconds of one record under cProfile: the cumulative time of each
     helper of diagnostics._pair_columns, by name, the rest of _pair_columns
-    (the square roots, masks, powers and scatters) and the whole record."""
+    and its block helpers (the square roots, masks, powers and scatters) and
+    the whole record."""
     profile = cProfile.Profile()
     profile.runcall(_record, state, domain)
     stats = pstats.Stats(profile).stats
