@@ -22,6 +22,16 @@ for bit.  A block with no pair beyond the support radius, as under a kernel
 of full support, evaluates the kernel on the whole block instead.  A record
 reads nothing of the stepper's pair field.
 
+The records of the states of one run are formed in chunks (``_records``):
+the states of a chunk, which share their weights, are stacked as (K, N, d)
+and each row block is one pass over the whole stack, so its numpy calls are
+paid once per chunk.  A chunk holds as many states as fit in
+``_RECORD_ELEMENTS`` stacked block elements.  Each state's sums are its own
+matrix-vector and dot products, its maxima and minima are taken per state,
+and the kernel is formed on the whole stack only when every state's block
+lies inside the support, so each record is the one its state gives alone
+bit for bit; ``compute_record`` is the chunk of one state.
+
 Each pair column has this one implementation: ``lyapunov`` and the two
 correctors read a record's columns, and ``good_set`` sums its forward
 dissipation on the same row blocks, so nothing here forms an (N, N) array.
@@ -69,16 +79,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # pairwise helpers
 
-def _pair_sum(m_rows: np.ndarray, summand: np.ndarray, w: np.ndarray) -> float:
-    """sum_{i,j} m_i S_ij w_j as m_rows @ (S @ w), the one reduction of every pair
-    sum here: of whole (N, N) summands (w = m) and of a record's row blocks."""
-    return float(m_rows @ (summand @ w))
+def _pair_sum(m_rows: np.ndarray, summand: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{i,j} m_i S_ij w_j of each summand of a stack (K, rows, cols), the
+    one reduction of every pair sum here, as (K,): m_rows @ (S @ w) for each
+    state, one matrix-vector product S @ w per array of the stack, then one
+    dot product of m_rows with each row of the result, the operations of
+    the one-state form bit for bit."""
+    return np.vecdot(m_rows, summand @ w)
 
 
 def _fill_diagonal(block: np.ndarray, value: float, offset: int = 0) -> None:
     """Set the i = j entries of a block of rows against columns that hold the
-    rows' own from column ``offset`` on: the entries (k, offset + k)."""
-    block.flat[offset::block.shape[1] + 1] = value
+    rows' own from column ``offset`` on, the entries (k, offset + k), of one
+    C-contiguous block or of each block of a C-contiguous stack."""
+    flat = block.reshape(*block.shape[:-2], -1)
+    flat[..., offset::block.shape[-1] + 1] = value
 
 
 # Every record sums its pair columns over blocks of this many rows against
@@ -88,44 +103,76 @@ def _fill_diagonal(block: np.ndarray, value: float, offset: int = 0) -> None:
 # Read off tools/pair_field_timing.py's block sweep.
 _RECORD_BLOCK = 64
 
+# Records of the states of one run are formed in chunks: the states of a
+# chunk are stacked, and each row block is one pass over the whole stack,
+# so its numpy calls are paid once per chunk, not once per state.  A chunk
+# holds as many states as fit in this many stacked block elements, counting
+# min(N, _RECORD_BLOCK) * N per state, and at least one.  Read off
+# tools/pair_field_timing.py's chunk sweep.
+_RECORD_ELEMENTS = 1 << 14
+
+
+def _chunk_states(n: int) -> int:
+    """How many states of N = n agents one chunk of records holds."""
+    return max(1, _RECORD_ELEMENTS // (min(n, _RECORD_BLOCK) * n))
+
+
+def _stacks(states):
+    """The states in chunks of _chunk_states(N), each as (x, v, t, chunk):
+    the positions and velocities stacked as (K, N, d) and the K times."""
+    size = _chunk_states(len(states[0].x))
+    for lo in range(0, len(states), size):
+        chunk = states[lo:lo + size]
+        yield (np.array([s.x for s in chunk], dtype=float),
+               np.array([s.v for s in chunk], dtype=float),
+               [float(getattr(s, "t", 0.0)) for s in chunk], chunk)
+
 
 def _block_kernel(kernel, domain, x, a, b, t, singular):
-    """The distances of a row block, rows a:b of x against the rows from a
-    on, and the kernel on them: (dist, reach, dmin, phi, inside).
+    """The distances of a row block of each state of a stack, rows a:b of
+    x[k] against the rows from a on, and the kernel on them: (dist, reach,
+    dmin, phi, inside), with reach and dmin of shape (K,).
 
-    ``dist`` has inf at i = j, ``reach`` is its largest entry before that
-    and ``dmin`` its smallest pair distance.  Under a singular kernel a
-    coincident pair raises CollisionError naming the first in row-major
-    order: a pair (i, j) with j < i is (j, i) of an earlier row, so the
-    first block holding one holds the first.  phi, and with it each I_p
-    summand, is 0 at and beyond the support radius and at i = j.  Where
-    some pair of the block lies outside, phi is formed only on the flat
-    indices ``inside`` (dist is inf at i = j); where none does, as under a
-    kernel of full support, on the whole block with 0 at i = j, and
-    ``inside`` is None.
+    ``dist`` has inf at i = j, ``reach`` is each state's largest entry
+    before that and ``dmin`` its smallest pair distance.  Under a singular
+    kernel a coincident pair raises CollisionError at the time t[k] of the
+    first state k holding one, naming its first pair in row-major order: a
+    pair (i, j) with j < i is (j, i) of an earlier row, so the first block
+    holding one holds the first, and the states before k are searched in the
+    blocks past this one first.  phi, and with it each I_p summand, is 0 at
+    and beyond the support radius.  Where some pair of the stack lies
+    outside, phi is formed only on the flat indices ``inside`` of the stack
+    (dist is inf at i = j); where none does, as under a kernel of full
+    support, on the whole stack, and ``inside`` is None.  phi at i = j is
+    then phi(inf), finite for every family (lam under a flat kernel), and
+    every summand it multiplies is 0 there.
     """
-    dist = geometry.pair_square_sums(domain, x[a:b], x[a:])
+    n = x.shape[1]
+    dist = geometry.pair_square_sums(domain, x[:, a:b], x[:, a:])
     np.sqrt(dist, out=dist)
-    reach = float(np.max(dist))
+    reach = dist.max(axis=(1, 2))
     _fill_diagonal(dist, math.inf)
-    k = int(np.argmin(dist))
-    if singular and dist.flat[k] <= 0.0:
-        raise CollisionError(np.add(divmod(k, dist.shape[1]), a), t, 0.0)
+    near = dist.min(axis=(1, 2))
+    if singular and near.min() <= 0.0:
+        first = int(np.flatnonzero(near <= 0.0)[0])
+        for c in range(b, n, b - a) if first else ():
+            _block_kernel(kernel, domain, x[:first], c, min(c + b - a, n), t, singular)
+        k = int(np.argmin(dist[first]))
+        raise CollisionError(np.add(divmod(k, dist.shape[2]), a), t[first], 0.0)
     radius = kernels.support_radius(kernel)
-    if reach < radius:
-        phi = kernels._evaluate_raw(kernel, dist)
-        _fill_diagonal(phi, 0.0)
-        return dist, reach, float(dist.flat[k]), phi, None
+    if reach.max() < radius:
+        return dist, reach, near, kernels._evaluate_raw(kernel, dist), None
     inside = np.flatnonzero(dist < radius)
-    return dist, reach, float(dist.flat[k]), kernels._evaluate_raw(kernel, dist.take(inside)), inside
+    return dist, reach, near, kernels._evaluate_raw(kernel, dist.take(inside)), inside
 
 
 def _on_support(values, phi, inside, out=None):
-    """values * phi on the pairs phi was formed on (see _block_kernel): the
-    whole block, or the flat indices ``inside`` written into ``out``, a block
-    of zeros (made here when None) whose other entries stay 0."""
+    """values * phi on the pairs phi was formed on (see _block_kernel), into
+    ``out`` when it is not None: on the whole stack, or on the flat indices
+    ``inside``, where ``out`` is a stack of zeros (made here when None) whose
+    other entries stay 0."""
     if inside is None:
-        return values * phi
+        return np.multiply(values, phi, out=out)
     if out is None:
         out = np.zeros_like(values)
     out.reshape(-1)[inside] = values.take(inside) * phi
@@ -154,7 +201,7 @@ def corrector_euclidean(state, r0: float, power: int = 1) -> float:
     if power not in (1, 3):
         raise ValueError("corrector power must be 1 or 3")
     domain = geometry.euclidean(np.shape(state.x)[1])
-    return _corrector_columns(state, r0, domain)["G" if power == 1 else "G3"]
+    return float(_corrector_columns(state, r0, domain)["G" if power == 1 else "G3"][0])
 
 
 def corrector_circle(state, r0: float) -> float:
@@ -165,22 +212,23 @@ def corrector_circle(state, r0: float) -> float:
     contracting arc and is symmetric in (i, j); pairs with equal velocities
     contribute nothing.
     """
-    return _corrector_columns(state, r0, geometry.circle())["G"]
+    return float(_corrector_columns(state, r0, geometry.circle())["G"][0])
 
 
 def _corrector_columns(state, r0, domain) -> dict:
-    """The record's pair columns of a state under a local kernel of radius
-    r0, the range the correctors read from the kernel."""
-    x, v, m = (np.asarray(a, dtype=float) for a in (state.x, state.v, state.m))
+    """The record's pair columns of a state, a stack of one, under a local
+    kernel of radius r0, the range the correctors read from the kernel."""
+    x, v, t, _ = next(_stacks([state]))
     kernel = KernelSpec(kernels.KernelKind.LOCAL_MOLLIFIED, r0=r0)
-    return _pair_columns(x, v, m, kernel, domain, float(getattr(state, "t", 0.0)),
+    return _pair_columns(x, v, np.asarray(state.m, dtype=float), kernel, domain, t,
                          singular=False)
 
 
 def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     """Summands |v_ij|^power psi(d_ij) chi(|x_ij|) of the Euclidean corrector
-    for each power, rows i of (xr, vr) against columns j of (xc, vc), from
-    their pair distances and speeds, yielded one at a time.
+    for each power, rows i of (xr[k], vr[k]) against columns j of (xc[k],
+    vc[k]) for each state k of a stack, from their pair distances and speeds
+    (K, rows, cols), yielded one at a time.
 
     chi, and with it each summand, is exactly 0 at and beyond 2*r0, so the
     summands are formed only on the pairs closer than that and are 0
@@ -188,11 +236,11 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time; pairs
     with equal velocities give 0."""
     near = np.flatnonzero(dist < 2.0 * r0)
-    i, j = np.divmod(near, dist.shape[1])
+    s, i, j = np.unravel_index(near, dist.shape)
     speed = speed.take(near)
     directed = np.zeros_like(speed)
-    for k in range(xr.shape[1]):
-        directed -= (xr[i, k] - xc[j, k]) * (vr[i, k] - vc[j, k])
+    for k in range(xr.shape[2]):
+        directed -= (xr[s, i, k] - xc[s, j, k]) * (vr[s, i, k] - vc[s, j, k])
     np.divide(directed, speed, out=directed, where=speed > 0.0)
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist.take(near), r0)
@@ -204,12 +252,16 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
 
 def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
     """Summand |v_i - v_j| psi(d_ij) of the circle corrector, rows i of the
-    chart positions and velocities (xr, vr) against columns j of (xc, vc)."""
-    vdiff = vr[:, None] - vc[None, :]
+    chart positions and velocities (xr, vr) against columns j of (xc, vc),
+    of one state or of each state of a stack (K, rows) against (K, cols)."""
+    vdiff = vr[..., :, None] - vc[..., None, :]
     # chart difference, not minimal image; xc - xr is -(xr - xc) bit for bit
-    arc = xc[None, :] - xr[:, None]
+    arc = xc[..., None, :] - xr[..., :, None]
     arc *= np.sign(vdiff)
-    psi = geometry.psi_periodic(geometry._mod_two_pi(arc), r0)
+    # psi_periodic of the arcs mod 2*pi, formed in place on them
+    arc = geometry._mod_two_pi(arc)
+    arc += r0
+    psi = geometry._psi_periodic_shifted(arc, r0)
     np.abs(vdiff, out=vdiff)
     vdiff *= psi
     return vdiff
@@ -393,9 +445,15 @@ def lyapunov_constant_search(
 
 def _collision_summand(dist, beta, r0) -> np.ndarray:
     """Summand min(d_ij, r0)^(2 - beta), or its logarithm at beta = 2, of the
-    collision potential from pair distances, 0 at i = j (see _fill_diagonal)."""
-    capped = np.minimum(dist, r0)
-    vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
+    collision potential from a stack of pair distances, formed in place on
+    ``dist``, 0 at i = j (see _fill_diagonal), where log(min(inf, r0)) is
+    not.  ``**=`` takes the same fast paths as ``**`` (the reciprocal at
+    beta = 3), so each entry is the one ``min(d, r0) ** (2 - beta)`` gives."""
+    vals = np.minimum(dist, r0, out=dist)
+    if beta == 2.0:
+        np.log(vals, out=vals)
+    else:
+        vals **= 2.0 - beta
     _fill_diagonal(vals, 0.0)
     return vals
 
@@ -447,7 +505,8 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     sum_beta m_beta phi(|x_ab|) |v_a - v_b|^2.  The report's epsilon is the
     mass-weighted total sum_a m_a F(a), which dominates delta times the
     complement mass (Chebyshev).  The velocity spread of the members is
-    evaluated at the last stored sample.
+    evaluated at the last stored sample.  The samples are summed in the
+    chunks of stacked states that records are formed in.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -457,7 +516,8 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
     m = states[0].m
     times = np.array([s.t for s in states])
     singular = kernels._is_singular(kernel)
-    g = np.array([_forward_rows(s.x, s.v, m, kernel, domain, s.t, singular) for s in states])
+    g = np.concatenate([_forward_rows(x, v, m, kernel, domain, t, singular)
+                        for x, v, t, _ in _stacks(states)])
     weights = np.zeros_like(times)
     dt = np.diff(times)
     weights[:-1] += 0.5 * dt
@@ -479,22 +539,23 @@ def good_set(trajectory, kernel: KernelSpec, domain: Domain, T: float, delta: fl
 
 
 def _forward_rows(x, v, m, kernel, domain, t, singular) -> np.ndarray:
-    """sum_j m_j phi(|x_ij|) |v_i - v_j|^2 of every agent i of one state.
+    """sum_j m_j phi(|x_ij|) |v_i - v_j|^2 of every agent i of each state of
+    a stack, x and v of shape (K, N, d) at the K times t, as (K, N).
 
     Summed over the record's row blocks: rows a:b against the columns from
     a on add S @ m to their own rows and, S being symmetric, m_rows @ S to
     the columns past the block.  A coincident pair under a singular kernel
     raises CollisionError, as in a record.
     """
-    n = len(x)
-    rows = np.zeros(n)
+    n = x.shape[1]
+    rows = np.zeros(x.shape[:2])
     for a in range(0, n, _RECORD_BLOCK):
         b = min(a + _RECORD_BLOCK, n)
         _, _, _, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)
-        summand = _on_support(geometry.pair_square_sums(VELOCITY_SPACE, v[a:b], v[a:]),
+        summand = _on_support(geometry.pair_square_sums(VELOCITY_SPACE, v[:, a:b], v[:, a:]),
                               phi, inside)
-        rows[a:b] += summand @ m[a:]
-        rows[b:] += m[a:b] @ summand[:, b - a:]
+        rows[:, a:b] += summand @ m[a:]
+        rows[:, b:] += m[a:b] @ summand[:, :, b - a:]
     return rows
 
 
@@ -535,6 +596,9 @@ class DiagnosticsRecord:
                 for value in (self.momentum if f.name == "momentum" else [getattr(self, f.name)])]
 
 
+_RECORD_FIELDS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+
+
 def record_column(records, name: str) -> np.ndarray:
     """One column of a list of records; ``mom_k`` is momentum component k and
     ``momentum`` the (records, d) array of all of them."""
@@ -547,82 +611,109 @@ def compute_record(state, kernel: KernelSpec, domain: Domain, lyapunov_config=No
                    _singular=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostic row for one state.
 
-    The pair columns come from one algorithm for every kernel and every N,
-    the row blocks of _pair_columns.  A coincident pair under a singular
-    kernel raises CollisionError naming the first such pair in row-major
-    order.
+    The record of a chunk of one state: the pair columns come from one
+    algorithm for every kernel and every N, the row blocks of _pair_columns.
+    A coincident pair under a singular kernel raises CollisionError naming
+    the first such pair in row-major order.
     ``_singular`` is the kernel's class when the caller has it (``integrate``
     classifies once per run); None classifies here.
     """
-    x = np.asarray(state.x, dtype=float)
-    v = np.asarray(state.v, dtype=float)
-    m = np.asarray(state.m, dtype=float)
-    t = float(getattr(state, "t", 0.0))
-    cols = _pair_columns(x, v, m, kernel, domain, t, singular=_singular)
+    return _records([state], kernel, domain, lyapunov_config, _singular)[0]
 
-    lyap = math.nan
-    if lyapunov_config is not None:
-        cfg = lyapunov_config
+
+def _records(states, kernel, domain, lyapunov_config, singular) -> list:
+    """The records of states of one run, which share their weights m, in
+    order, formed in chunks of stacked states (_stacks): each chunk's pair
+    columns are one _pair_columns call, and each record is the one
+    compute_record forms for its state alone, bit for bit.  A coincident
+    pair under a singular kernel raises the CollisionError of the first
+    state holding one.  ``singular`` is the kernel's class, found here when
+    None."""
+    if singular is None:
+        singular = kernels._is_singular(kernel)
+    cfg = lyapunov_config
+    if cfg is not None:
         _check_variant(cfg.variant, domain)
-        n_eff = 1.0 / float(np.max(m))
-        lyap = float(_assemble_lyapunov(
-            cfg.variant, cfg.a, cfg.b, cfg.c, n_eff, t, cols["G"], cols["G3"], cols["V1"],
-            cols["V2"]
-        ))
+    m = np.asarray(states[0].m, dtype=float)
+    records = []
+    for x, v, t, chunk in _stacks(states):
+        cols = _pair_columns(x, v, m, kernel, domain, t, singular=singular)
+        cols["L"] = math.nan if cfg is None else _assemble_lyapunov(
+            cfg.variant, cfg.a, cfg.b, cfg.c, 1.0 / float(np.max(m)), np.array(t), cols["G"],
+            cols["G3"], cols["V1"], cols["V2"])
+        # a column the chunk does not form is math.nan itself in every record
+        values = {name: [col] * len(chunk) if isinstance(col, float) else col.tolist()
+                  for name, col in cols.items()}
+        values.update(
+            t=t,
+            momentum=[tuple(mom) for mom in (m @ v / float(np.sum(m))).tolist()],
+            I2_int=[float(getattr(s, "diss2", math.nan)) for s in chunk],
+            sqrtI2_int=[float(getattr(s, "diss2_root", math.nan)) for s in chunk],
+        )
+        records.extend(DiagnosticsRecord(*row)
+                       for row in zip(*(values[name] for name in _RECORD_FIELDS)))
+    return records
 
-    mom = m @ v / float(np.sum(m))
-    return DiagnosticsRecord(
-        t=t,
-        L=lyap,
-        momentum=tuple(float(c) for c in mom),
-        I2_int=float(getattr(state, "diss2", math.nan)),
-        sqrtI2_int=float(getattr(state, "diss2_root", math.nan)),
-        **cols,
-    )
+
+def _speed_powers(speed):
+    """(p, speed**p) for p = 1, 2 and 4, each read before the next is made:
+    speed**4 is written over speed**2."""
+    yield 1, speed
+    power = speed**2
+    yield 2, power
+    yield 4, np.power(speed, 4, out=power)
 
 
 def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None) -> dict:
-    """The record's pair columns V_p, I_p, G, G3, C, D, dmin and vdiam.
+    """The record's pair columns V_p, I_p, G, G3, C, D, dmin and vdiam of
+    each state of a stack: x and v of shape (K, N, d) at the K times t, with
+    the weights m of shape (N,) that the states share, each column of shape
+    (K,), or math.nan where the kernel, domain or N does not define it.
 
     Each is summed over blocks of ``block`` rows i against the columns j from
     the block's first row on: every summand is exactly symmetric in (i, j)
     and 0 at i = j, so the square block on the diagonal counts once and the
-    columns past it twice.  Each summand is reduced as m_rows @ (S @ w)
-    before the next is formed.  ``singular`` is the kernel's class, found
-    here when None.
+    columns past it twice.  Each block is one pass over the whole stack, and
+    each summand is reduced as m_rows @ (S @ w) for each state before the
+    next is formed.  ``singular`` is the kernel's class, found here when
+    None.
     """
-    n = x.shape[0]
+    stack, n = x.shape[:2]
     if singular is None:
         singular = kernels._is_singular(kernel)
     collision = kernel.kind is kernels.KernelKind.SINGULAR_POWER and kernel.beta >= 2.0
     cols = {"G3": math.nan, "C": math.nan}
     sums = collections.defaultdict(float)
-    diameter, dmin, vdiam = 0.0, math.inf, 0.0
+    diameter, dmin, vdiam = np.zeros(stack), np.full(stack, math.inf), np.zeros(stack)
     for a in range(0, n, block):
         b = min(a + block, n)
-        speed = geometry.pair_square_sums(VELOCITY_SPACE, v[a:b], v[a:])
+        speed = geometry.pair_square_sums(VELOCITY_SPACE, v[:, a:b], v[:, a:])
         np.sqrt(speed, out=speed)
         dist, reach, near, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)
-        diameter = max(diameter, reach)
-        vdiam = max(vdiam, float(np.max(speed)))
-        dmin = min(dmin, near)
+        diameter = np.maximum(diameter, reach)
+        vdiam = np.maximum(vdiam, speed.max(axis=(1, 2)))
+        dmin = np.minimum(dmin, near)
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
+        if collision:  # formed in place on dist, which only the Euclidean correctors read later
+            sums["C"] += _pair_sum(m_rows, _collision_summand(
+                dist if domain.periodic else dist.copy(), kernel.beta, kernel.r0), w)
+        if domain.periodic:
+            del dist  # the circle corrector reads neither dist nor, after I_p, speed
         dissipated = None
-        for p in (1, 2, 4):
-            power = speed**p if p > 1 else speed
+        for p, power in _speed_powers(speed):
             sums[f"V{p}"] += _pair_sum(m_rows, power, w)
             dissipated = _on_support(power, phi, inside, dissipated)
             sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
         del power, phi, dissipated  # not alive while the correctors are built
         if domain.periodic:
-            summands = [_circle_summand(x[a:b, 0], x[a:, 0], v[a:b, 0], v[a:, 0], kernel.r0)]
+            del speed
+            summands = [_circle_summand(x[:, a:b, 0], x[:, a:, 0], v[:, a:b, 0], v[:, a:, 0],
+                                        kernel.r0)]
         else:
-            summands = _euclidean_summands(x[a:b], x[a:], v[a:b], v[a:], dist, speed,
+            summands = _euclidean_summands(x[:, a:b], x[:, a:], v[:, a:b], v[:, a:], dist, speed,
                                            kernel.r0, (1, 3))
         for name, summand in zip(("G", "G3"), summands):
             sums[name] += _pair_sum(m_rows, summand, w)
-        if collision:
-            sums["C"] += _pair_sum(m_rows, _collision_summand(dist, kernel.beta, kernel.r0), w)
 
     cols.update(sums, D=diameter, dmin=dmin if n > 1 else math.nan, vdiam=vdiam)
     return cols

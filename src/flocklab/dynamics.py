@@ -49,7 +49,9 @@ Singular kernels, kernels of full support and flocks of several blocks
 carry no set, nor does a block that stays dense.
 
 ``integrate`` classifies the kernel once and hands the class to each
-``step`` and record.
+``step`` and record.  It records the initial state at once and every later
+recorded state in chunks of stacked states (``diagnostics._records``), each
+record bit for bit the one its state gives alone.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -579,9 +581,19 @@ def integrate(
 
     Steps are capped so every observer time is hit exactly; collision or
     stiffness failures terminate the run early and are recorded on the
-    returned trajectory instead of propagating.  With ``record_steps`` a
-    record is taken after every accepted step (observer times still cap
-    the step so scheduled sample times are hit exactly).
+    returned trajectory instead of propagating, with a record of the state
+    the failed step started from unless that state is already the last one
+    recorded.  With ``record_steps`` a record is taken after every accepted
+    step (observer times still cap the step so scheduled sample times are
+    hit exactly).
+
+    The initial state is recorded at once, so a coincident pair under a
+    singular kernel raises before any step.  The later recorded states are
+    queued and recorded in chunks of stacked states
+    (``diagnostics._records``): when a chunk is full, before the error
+    record and at the end of the run.  The records and states keep their
+    order, and each record is the one ``compute_record`` forms for its
+    state alone, bit for bit.
     """
     if state.dim != domain.dim:
         raise ValueError(
@@ -593,22 +605,39 @@ def integrate(
     singular = kernels._is_singular(kernel)
 
     # a recorded state is never changed afterwards, so it is kept, not copied
+    chunk = diagnostics._chunk_states(cur.n)
+    queued = []
+
+    def flush():
+        if queued:
+            traj.records.extend(diagnostics._records(queued, kernel, domain, lyapunov_config,
+                                                     singular))
+            traj.states.extend(queued)
+            queued.clear()
+
     def record(s):
+        queued.append(s)
+        if len(queued) == chunk:
+            flush()
+
+    def record_now(s):
         traj.records.append(diagnostics.compute_record(s, kernel, domain, lyapunov_config,
                                                        _singular=singular))
         traj.states.append(s)
 
-    record(cur)
+    record_now(cur)
     for target in observers.times(cur.t, horizon):
         while cur.t < target:
             try:
                 cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t, _singular=singular)
             except (CollisionError, StiffnessError) as err:
                 traj.error = err
-                try:
-                    record(cur)
-                except CollisionError:
-                    traj.states.append(cur)
+                flush()
+                if traj.states[-1] is not cur:
+                    try:
+                        record_now(cur)
+                    except CollisionError:
+                        traj.states.append(cur)
                 return traj
             if target - cur.t < 1e-12 * max(1.0, abs(target)):
                 cur.t = target
@@ -616,6 +645,7 @@ def integrate(
                 record(cur)
         if not record_steps:
             record(cur)
+    flush()
     return traj
 
 

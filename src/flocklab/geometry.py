@@ -7,11 +7,12 @@ antisymmetric off the seam, so pair distances are exactly symmetric.
 ``displacement`` is the only minimal-image code in the package.  Every
 pair magnitude of the stepper and of the diagnostics, |x_i - x_j| and
 |v_i - v_j| alike, is built by ``pair_square_sums`` one component at a
-time, for a block of rows against a block of columns, so no (N, N, d)
-array is formed.  ``_row_windows`` gives the stepper its row blocks and,
-under a kernel of compact support, the column window of each.  The
-auxiliary cutoff and weight profiles (chi, psi) are the piecewise-linear
-shapes used by the corrector functionals.
+time, for a block of rows against a block of columns (of one state, or of
+each state of a stack of states), so no (N, N, d) array is formed.
+``_row_windows`` gives the stepper its row blocks and, under a kernel of
+compact support, the column window of each.  The auxiliary cutoff and
+weight profiles (chi, psi) are the piecewise-linear shapes used by the
+corrector functionals.
 """
 
 import math
@@ -113,16 +114,19 @@ VELOCITY_SPACE = Domain("euclidean")
 
 def pair_square_sums(domain: Domain, a, b) -> np.ndarray:
     """Sums over components of (a_i - b_j)^2, rows i of the (N, d) array a
-    against rows j of the (M, d) array b, as (N, M).
+    against rows j of the (M, d) array b, as (N, M); of a stack (K, N, d)
+    against a stack (K, M, d), each pair of arrays of the stack, as
+    (K, N, M).
 
     Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
     for velocities), added one component at a time as ``np.linalg.norm``
     adds them, so rows a[r0:r1] against b[c0:c1] are the same block of the
-    whole (N, M) array bit for bit.
+    whole (N, M) array bit for bit, and each array of a stack is the one
+    its own pair gives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _paired_square_sums(domain, a[:, None, :], b[None, :, :])
+    return _paired_square_sums(domain, a[..., :, None, :], b[..., None, :, :])
 
 
 def _paired_square_sums(domain: Domain, a, b) -> np.ndarray:
@@ -199,16 +203,22 @@ def psi_euclidean(x, r0: float):
 def psi_periodic(x, r0: float):
     """2*pi-periodic weight: slope -1 on [-r0, r0] (zero at r0), rising with
     slope r0/(pi - r0) across the far arc back to 2*r0 at 2*pi - r0."""
+    y = _psi_periodic_shifted(np.atleast_1d(np.asarray(x, dtype=float) + r0), r0)
+    return float(y[0]) if np.ndim(x) == 0 else y
+
+
+def _psi_periodic_shifted(y: np.ndarray, r0: float) -> np.ndarray:
+    """psi_periodic(x) from the float array y = x + r0, in place on y."""
     if not 0 < r0 < math.pi:
         raise DomainMismatchError("need 0 < r0 < pi on the circle")
     # reduce to one period starting at -r0: y in [-r0, 2*pi - r0)
-    y = _mod_two_pi(np.atleast_1d(np.asarray(x, dtype=float) + r0))
+    _mod_two_pi(y)
     y -= r0
     # (r0 - y) times -slope is (y - r0) times slope bit for bit
     factor = np.where(y <= r0, 1.0, -(r0 / (math.pi - r0)))
     np.subtract(r0, y, out=y)
     y *= factor
-    return float(y[0]) if np.ndim(x) == 0 else y
+    return y
 
 
 def _mod_two_pi(z: np.ndarray) -> np.ndarray:

@@ -593,6 +593,89 @@ def test_blocked_record_peak_memory():
 
 
 # ---------------------------------------------------------------------------
+# records of the states of one run, in chunks of stacked states
+
+def _run_states(domain, n, count=5):
+    """``count`` states of n agents sharing their weights, as the states of one
+    run do, at times 0, 0.5, 1, ...; state 1 is drawn into a cluster of
+    width 0.02, so under the local kernel its blocks lie inside the support
+    and the others' do not."""
+    states = _sampled_flock(domain, n, [0.5 * k for k in range(count)]).states
+    x = states[1].x
+    states[1].x = domain.wrap(x[0] + 0.02 * (x - x[0]) / max(1.0, np.abs(x - x[0]).max()))
+    return states
+
+
+def _rows(records):
+    return np.array([r.to_row() for r in records]).view(np.int64)
+
+
+@pytest.mark.parametrize("kernel", [LOCAL, KernelSpec(KernelKind.LOCAL_MOLLIFIED, r0=3.0),
+                                    FLAT, SINGULAR], ids=["local", "wide", "flat", "singular"])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 130])
+@pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
+                         ids=["circle", "line", "plane"])
+def test_records_in_chunks_equal_the_records_of_one_state(monkeypatch, domain, n, kernel):
+    # a chunk of K states is one pass over the stacked blocks; each record
+    # is the one its state gives alone, bit for bit, whether a chunk masks
+    # phi or forms it on the whole block, holds one state or all, or ends
+    # the run part full
+    states = _run_states(domain, n)
+    cfg = _record_config(domain)
+    alone = [compute_record(s, kernel, domain, cfg) for s in states]
+    assert [r.t for r in alone] == [s.t for s in states]
+    per_state = min(n, diagnostics._RECORD_BLOCK) * n
+    for size in (1, 2, len(states)):  # 5 states: 5 chunks, 2 + 2 + 1, one chunk
+        monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS", size * per_state)
+        assert diagnostics._chunk_states(n) == size
+        chunked = diagnostics._records(states, kernel, domain, cfg, None)
+        np.testing.assert_array_equal(_rows(chunked), _rows(alone))
+        # a column no record forms is math.nan itself, so rows compare equal
+        # as lists, as the consistency suite compares them
+        assert [r.to_row() for r in chunked] == [r.to_row() for r in alone]
+    if n > 1 and kernel is SINGULAR:
+        assert all(math.isfinite(r.C) for r in alone)
+    if not domain.periodic and n > 1:
+        assert any(r.G3 > 0.0 for r in alone)
+
+
+def test_chunk_sizes_follow_the_element_budget():
+    budget = diagnostics._RECORD_ELEMENTS
+    assert diagnostics._chunk_states(32) == budget // 1024
+    assert diagnostics._chunk_states(64) == budget // 4096
+    assert diagnostics._chunk_states(2048) == 1  # one state's blocks exceed the budget
+
+
+@pytest.mark.parametrize("n", [40, 130])
+def test_a_chunk_names_the_collision_of_its_first_colliding_state(monkeypatch, n):
+    # state 3 has a coincident pair in the first block of rows, state 2 one
+    # in a later block (when there is one): a chunk of all five raises what
+    # state 2 raises alone, not what the first block finds
+    states = _run_states(circle(), n)
+    pairs = {2: (n - 3, n - 1), 3: (0, 5)}
+    for k, (i, j) in pairs.items():
+        states[k].x[j] = states[k].x[i]
+    monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS", len(states) * n * n)
+    assert diagnostics._chunk_states(n) >= len(states)
+    with pytest.raises(CollisionError) as alone:
+        compute_record(states[2], SINGULAR, circle())
+    with pytest.raises(CollisionError) as chunk:
+        diagnostics._records(states, SINGULAR, circle(), None, None)
+    assert chunk.value.pair == alone.value.pair == pairs[2]
+    assert chunk.value.t == alone.value.t == states[2].t and chunk.value.distance == 0.0
+    # good_set sums on the same stacked blocks and names the same pair
+    with pytest.raises(CollisionError) as forward:
+        good_set(Trajectory(states=states), SINGULAR, circle(), 0.0, 1.0)
+    assert forward.value.pair == pairs[2] and forward.value.t == states[2].t
+    # a smooth kernel has no collision, and F is the one of each state alone
+    monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS", n * min(n, 64))
+    one = good_set(Trajectory(states=states), LOCAL, circle(), 0.0, 1.0).F
+    monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS", len(states) * n * n)
+    np.testing.assert_array_equal(good_set(Trajectory(states=states), LOCAL, circle(), 0.0,
+                                           1.0).F, one)
+
+
+# ---------------------------------------------------------------------------
 # summands formed only where they can be nonzero, against their full forms
 
 def _edge_state(domain):
@@ -615,7 +698,8 @@ def _edge_state(domain):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_euclidean_summands_equal_their_full_form(dim):
-    # chi is 0 from 2*r0 on, so the summands formed below it are the full ones
+    # chi is 0 from 2*r0 on, so the summands formed below it are the full ones;
+    # the summands take a stack of states, here of one
     state = _edge_state(euclidean(dim))
     x, v = state.x, state.v
     speed = dense.pair_distances(geometry.VELOCITY_SPACE, v)
@@ -623,15 +707,17 @@ def test_euclidean_summands_equal_their_full_form(dim):
         for diagonal in (0.0, math.inf):  # the oracle's and a record's
             dist = dense.pair_distances(euclidean(dim), x)
             np.fill_diagonal(dist, diagonal)
-            summands = _euclidean_summands(x, x, v, v, dist, speed, r0, (1, 3))
+            summands = _euclidean_summands(x[None], x[None], v[None], v[None], dist[None],
+                                           speed[None], r0, (1, 3))
             for power, got in zip((1, 3), summands):
                 want = dense.euclidean_summand(x, x, v, v, dist, speed, r0, power)
-                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                np.testing.assert_array_equal(got[0].view(np.int64), want.view(np.int64))
     # rows against the columns from the block's first row on
     dist, k = dense.pair_distances(euclidean(dim), x)[5:], 5
-    got = next(_euclidean_summands(x[k:], x, v[k:], v, dist, speed[k:], 0.1, (3,)))
+    got = next(_euclidean_summands(x[None, k:], x[None], v[None, k:], v[None], dist[None],
+                                   speed[None, k:], 0.1, (3,)))
     want = dense.euclidean_summand(x[k:], x, v[k:], v, dist, speed[k:], 0.1, 3)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(got[0].view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -640,19 +726,33 @@ def test_euclidean_summands_equal_their_full_form(dim):
     KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.2, moll_width=0.2),
     KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=3.0),
     FLAT,
+    KernelSpec(KernelKind.CLASSICAL_CS, lam=1.5, beta=1.5, r0=1.0),
     SINGULAR,
-], ids=["local", "sharp", "full-ramp", "wide", "flat", "singular"])
+    KernelSpec(KernelKind.SINGULAR_POWER, lam=2.0, beta=0.0, r0=0.1),
+    KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=0.0, r0=0.1),
+    KernelSpec(KernelKind.ANNULAR, lam=1.0, beta=1.0, r0=0.1),
+    KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=1.0, beta=0.0, r0=0.1),
+    KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=1.0, beta=2.0, r0=0.1),
+], ids=["local", "sharp", "full-ramp", "wide", "flat", "classical", "singular", "singular-0",
+        "annular-0", "annular", "near-zero-0", "near-zero"])
 @pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
                          ids=["circle", "line", "plane"])
 def test_one_block_record_summands_equal_their_full_forms(domain, kernel):
     # I_p, formed only where phi can be nonzero, equals the dense
-    # dissipation, which evaluates phi on every pair; G and G3 equal the
-    # full Euclidean summands reduced the same way
+    # dissipation, which evaluates phi on every pair and sets it to 0 at
+    # i = j; a record does not, and phi(inf) is lam under the beta = 0
+    # kernels, but every summand it multiplies is 0 there.  So every column
+    # of the record, and good_set's F, equal the dense oracle's bit for bit.
+    # G and G3 equal the full Euclidean summands reduced the same way
     state = _edge_state(domain)
-    rec = compute_record(state, kernel, domain)
+    rec = _columns(state, kernel, domain)
     for p in (1, 2, 4):
         assert getattr(rec, f"I{p}") == dense.dissipation(state, kernel, domain, p), p
     assert rec.I2 > 0.0
+    traj = Trajectory(states=[FlockState(state.t + k, domain.wrap(state.x + 0.01 * k),
+                                         (1.0 + k) * state.v, state.m) for k in range(3)])
+    np.testing.assert_array_equal(good_set(traj, kernel, domain, 0.0, 1.0).F,
+                                  dense.forward_dissipation(traj, kernel, domain, 0.0))
     if domain.periodic:
         return
     x, v, m = state.x, state.v, state.m

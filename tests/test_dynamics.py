@@ -218,6 +218,27 @@ def test_inbound_pair_under_integrable_singularity_collides():
     assert traj.states[-1].t == pytest.approx(traj.error.t)
 
 
+@pytest.mark.parametrize("record_steps, spacing, count", [(False, 1.0, 2), (False, 0.1, 6),
+                                                           (True, 1.0, 49)])
+def test_a_failed_run_records_its_last_state_once(record_steps, spacing, count):
+    # the pair meets at t = 0.5 and the step underflows there; the state the
+    # failed step started from is recorded once, after the queued records of
+    # the observer times before it, whether a step recorded it already or
+    # not, and every record is the one its state gives alone
+    kernel = KernelSpec(KernelKind.SINGULAR_POWER, lam=1e-9, beta=0.5)
+    state = FlockState(0.0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
+    traj = integrate(state, kernel, euclidean(1), StepperConfig(dt_max=0.1), 2.0,
+                     ObserverSchedule("linear", spacing=spacing), record_steps=record_steps)
+    assert isinstance(traj.error, StiffnessError)
+    assert traj.error.t == pytest.approx(0.5) and traj.states[-1].t == traj.error.t
+    assert len(traj.records) == len(traj.states) == count
+    assert all(a is not b for a, b in zip(traj.states, traj.states[1:]))
+    assert np.all(np.diff(traj.t()) > 0.0)
+    alone = [diagnostics.compute_record(s, kernel, euclidean(1)) for s in traj.states]
+    assert (np.array([r.to_row() for r in traj.records]).tobytes()
+            == np.array([r.to_row() for r in alone]).tobytes())
+
+
 def test_slow_pair_under_strong_singularity_stalls():
     traj = scenario("two-agent-strong-singular-approach").run()
     assert traj.error is None

@@ -18,6 +18,7 @@ from flocklab.harness import scenario
 ROOT = Path(__file__).resolve().parents[1]
 COMPARE_RUNS = ROOT / "tools" / "compare_runs.py"
 PAIR_FIELD_TIMING = ROOT / "tools" / "pair_field_timing.py"
+AB_TIMING = ROOT / "tools" / "ab_timing.py"
 
 
 def _load(path):
@@ -185,6 +186,44 @@ def test_pair_field_timing_record_split(capsys):
     assert [row.split()[0] for row in rows[1:]] == [
         "pair_square_sums", "_evaluate_raw", "_circle_summand", "_pair_sum",
         "_collision_summand", "rest", "record"]
+
+
+def test_pair_field_timing_chunk_sweep(monkeypatch, capsys):
+    # one row per scenario and chunk size, the budget set for each row so a
+    # chunk holds that many states, and restored after it
+    tool = _load(PAIR_FIELD_TIMING)
+    monkeypatch.setattr(tool, "BUDGET_S", 0.0)
+    monkeypatch.setattr(tool, "CHUNK_STEPS", 4)
+    monkeypatch.setattr(tool, "CHUNK_STATES", (1, 3))
+    budget = diagnostics._RECORD_ELEMENTS
+    with tool._chunks_of(3, 64):
+        assert diagnostics._chunk_states(64) == 3
+    tool._chunk_table()
+    assert diagnostics._RECORD_ELEMENTS == budget
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("chunk sweep: records of 4 stepped states")
+    cells = [row.split() for row in rows[2:]]
+    assert [(c[0], int(c[1]), int(c[2])) for c in cells] == [
+        (name, n, size) for name, n in zip(tool.CHUNK_SCENARIOS, (32, 64)) for size in (1, 3)]
+    assert all(float(c[3]) > 0.0 and float(c[4]) > 0.0 for c in cells)
+
+
+def test_ab_timing_of_one_checkout_against_itself():
+    # both sides run the same code: every pair is timed, neither side wins
+    # more pairs than were run, and the records are bitwise equal
+    out = subprocess.run([sys.executable, str(AB_TIMING), str(ROOT / "src"), str(ROOT / "src"),
+                          "--scenario", "torus-singular-beta2.5", "--record-steps",
+                          "--horizon", "0.01", "--pairs", "2"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == ("scenario torus-singular-beta2.5, horizon 0.01, record_steps True, "
+                        "2 pairs")
+    sides = {row.split()[0]: row.split()[1:] for row in lines[2:4]}
+    assert list(sides) == ["parent", "change"]
+    assert all(float(value) > 0.0 for row in sides.values() for value in row[:3])
+    assert sum(int(row[3]) for row in sides.values()) <= 2
+    assert lines[-1] == "records bitwise equal: yes"
 
 
 def test_pair_field_timing_stage_tables(monkeypatch, capsys):

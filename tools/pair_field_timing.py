@@ -28,6 +28,17 @@ block helpers ``_block_kernel`` and ``_on_support`` (the square roots,
 masks, powers and scatters).  Each row is the median ms and share
 of the record; the profiler adds its own small cost to each call.
 
+The chunk sweep times the records of the states of one run, formed in
+chunks of stacked states (``diagnostics._records``), against the number of
+states a chunk holds: the states of 32 steps of ``torus-singular-beta2.5``
+(N = 32, the shape of perfbench's ``singular-lyapunov``) and of
+``torus-local-ensemble`` (N = 64, ``local-ensemble``), as a run that
+records every step forms them.  Each row prints the median µs per state of
+recording all 32 and the tracemalloc peak in MB of recording one chunk.
+``diagnostics._RECORD_ELEMENTS``, the stacked block elements a chunk
+holds, is read off it: past a few states per chunk the µs per state level
+off while the peak keeps growing with the chunk.
+
 The last three tables time one RK4 stage of a one-block flock, as every
 library flock is: on the pair set a step's first dense pass builds (the
 pairs closer than (1 + ``dynamics._SKIN``) times r0, scattered into the
@@ -57,6 +68,7 @@ import tracemalloc
 from flocklab import diagnostics, dynamics, geometry, kernels
 from flocklab.dynamics import _pair_field, initial_state
 from flocklab.geometry import circle, euclidean
+from flocklab.harness import scenario
 from flocklab.kernels import KernelKind, KernelSpec
 
 KERNEL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
@@ -70,6 +82,9 @@ BLOCKS = (16, 32, 64, 128, 256)
 STAGE_N = 64  # one block, as in every library flock
 STAGE_SIZES = (2, 4, 8, 16, 24, 32, 48, 64)  # N of the size sweep
 SHARE_RADII = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)  # r0 of the share sweep
+CHUNK_SCENARIOS = ("torus-singular-beta2.5", "torus-local-ensemble")  # N = 32 and 64
+CHUNK_STATES = (1, 2, 4, 8, 16, 32)  # states per chunk of the chunk sweep
+CHUNK_STEPS = 32  # states recorded per timed call
 BUDGET_S = 1.0  # time spent on each path of each row, after one warm-up call
 
 
@@ -156,7 +171,53 @@ def _stage_tables():
 
 
 def _record(state, domain, block=diagnostics._RECORD_BLOCK):
-    return diagnostics._pair_columns(state.x, state.v, state.m, KERNEL, domain, state.t, block)
+    """The pair columns of one state, a stack of one."""
+    return diagnostics._pair_columns(state.x[None], state.v[None], state.m, KERNEL, domain,
+                                     [state.t], block)
+
+
+def _stepped_states(name, count):
+    """The library scenario and the states of its first ``count`` steps, as
+    a run that records every step records them."""
+    cfg = scenario(name)
+    state, states = cfg.build(), []
+    for _ in range(count):
+        state = dynamics.step(state, cfg.kernel, cfg.domain, cfg.stepper)
+        states.append(state)
+    return cfg, states
+
+
+@contextlib.contextmanager
+def _chunks_of(size, n):
+    """Record chunks of ``size`` states of n agents."""
+    saved = diagnostics._RECORD_ELEMENTS
+    diagnostics._RECORD_ELEMENTS = size * min(n, diagnostics._RECORD_BLOCK) * n
+    try:
+        yield
+    finally:
+        diagnostics._RECORD_ELEMENTS = saved
+
+
+def _chunk_row(cfg, states, size):
+    """One row of the chunk sweep: the median µs per state of recording all
+    the states in chunks of ``size``, and the MB of recording one chunk."""
+    def record(group):
+        return diagnostics._records(group, cfg.kernel, cfg.domain, cfg.lyapunov, None)
+
+    with _chunks_of(size, cfg.n):
+        us = _median_us(lambda: record(states)) / len(states)
+        mb = _peak_mb(lambda: record(states[:size]))
+    print(f"{cfg.name:24s} {cfg.n:4d} {size:7d} {us:10.1f} {mb:8.2f}", flush=True)
+
+
+def _chunk_table():
+    print(f"chunk sweep: records of {CHUNK_STEPS} stepped states; a chunk holds "
+          f"{diagnostics._RECORD_ELEMENTS} stacked block elements")
+    print(f"{'scenario':24s} {'N':>4s} {'states':>7s} {'us/state':>10s} {'MB':>8s}")
+    for name in CHUNK_SCENARIOS:
+        cfg, states = _stepped_states(name, CHUNK_STEPS)
+        for size in CHUNK_STATES:
+            _chunk_row(cfg, states, size)
 
 
 def _split_helpers(domain):
@@ -251,6 +312,8 @@ def main():
         print(f"{name:7s} {2048:6d} " + " ".join(_fmt(us, 13, 0) for us in cells), flush=True)
     print()
     _split_table("circle", 2048)
+    print()
+    _chunk_table()
     print()
     _stage_tables()
 
