@@ -34,19 +34,17 @@ stored state keeps nothing extra once it has been stepped.
 A smooth kernel has no guard.  Under one of compact support the carry of a
 one-block flock holds a pair set instead (a Verlet list with a skin): the
 step's first dense pass also keeps the pairs closer than (1 + ``_SKIN``)
-times the support radius, when the block has at least
-``_PAIR_MIN_ENTRIES`` entries, the pairs are at most ``_PAIR_SHARE`` of
-them, and a step of dt_max at the fastest agent's speed stays within half
-the skin.  The later stages, and the first evaluations of the steps that
-follow, form the block's terms on those pairs alone and scatter them into a
-block of zeros, so every result is the dense one bit for bit.  A set is used
-while no agent can have moved half the skin since it was built: the stages
-of a step move an agent at most h |v0|, h |vb| and dt |vc| from the step's
-start, the step dt times its fastest stage, and each step adds a round-off
-slack of 1e-12 (1 + max |x|).  A stage past that bound is dense; a step
-past it carries no set, and the next step's first pass builds a new one.
-Singular kernels, kernels of full support and flocks of several blocks
-carry no set, nor does a block that stays dense.
+times the support radius, and a copy of its positions, when the block has
+at least ``_PAIR_MIN_ENTRIES`` entries and the pairs are at most
+``_PAIR_SHARE`` of them.  The later stages, and the first evaluations of the
+steps that follow, form the block's terms on those pairs alone and scatter
+them into a block of zeros, so every result is the dense one bit for bit.
+The one validity test is Verlet's displacement test, made by ``_pair_field``
+at each evaluation: a set is used at positions x while no agent lies further
+than half the skin, less a round-off room, from where the set was built.
+Otherwise that evaluation is dense, and a step's first pass builds a new
+set.  Singular kernels, kernels of full support and flocks of several
+blocks carry no set, nor does a block that stays dense.
 
 ``integrate`` classifies the kernel once and hands the class to each
 ``step`` and record.  It records the initial state at once and every later
@@ -120,6 +118,8 @@ class FlockState:
             raise ValueError(
                 f"positions {self.x.shape} and velocities {self.v.shape} must both be (N, d)"
             )
+        if self.x.shape[0] < 1:
+            raise ValueError("a flock needs at least one agent")
         if self.m.shape != (self.x.shape[0],):
             raise ValueError(f"weights shape {self.m.shape} must be ({self.x.shape[0]},)")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
@@ -143,9 +143,9 @@ def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, first, pairs):
     """A step's result from the arrays the step has just made, without
     ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
     x, v and m are made read-only, so ``first``, the evaluation at them or
-    None, and ``pairs``, a pair set that holds at x or None, cannot go
-    stale; the next step reads them only while the state still holds these
-    arrays and steps under an equal kernel and domain."""
+    None, cannot go stale; the next step reads it, and ``pairs``, the pair
+    set of this step's first pass or None, only while the state still holds
+    these arrays and steps under an equal kernel and domain."""
     if m.flags.writeable:  # the caller's weights; every later state shares the copy
         m = m.copy()
     for arr in (x, v, m):
@@ -233,25 +233,26 @@ _PAIR_MIN_ENTRIES = 2048
 class _PairSet:
     """The pairs of a one-block flock that may lie within the support radius.
 
-    Built by a step's first dense pass from its positions x: the block's
-    candidates, the pairs closer than (1 + _SKIN) times the radius, i = j
-    excepted (see _candidates).  ``moved`` bounds how far any agent has
-    moved since the build; the set holds every pair within the radius while
-    ``moved`` plus ``slack``, the round-off of the positions, is at most
-    ``half_skin``, by the triangle inequality (the minimal image's too).
+    Built by a step's first dense pass: the block's candidates, the pairs
+    closer than (1 + _SKIN) times the radius at the positions x, i = j
+    excepted (see _candidates), and a copy of x.  By the triangle inequality
+    (the minimal image's too) the set holds every pair within the radius at
+    positions that move no agent further than half the skin from x, less a
+    round-off ``room`` of 1e-12 (1 + max |x|).  Measured on the raw
+    coordinates, an agent that crossed the circle's seam reads as 2 pi away.
     """
 
-    __slots__ = ("block", "half_skin", "slack", "moved")
+    __slots__ = ("block", "x", "room")
 
     def __init__(self, block, half_skin, x):
-        self.block, self.half_skin = block, half_skin
-        self.slack = 1e-12 * (1.0 + float(np.max(np.abs(x))))
-        self.moved = 0.0
+        self.block, self.x = block, x.copy()
+        self.room = half_skin - 1e-12 * (1.0 + float(np.max(np.abs(x))))
 
-    def holds(self, span: float) -> bool:
-        """Whether the set still holds every pair within the radius once each
-        agent has moved at most ``span`` further."""
-        return self.moved + span + self.slack <= self.half_skin
+    def holds(self, x) -> bool:
+        """Whether the set holds every pair within the radius at x: sqrt(d)
+        times the largest coordinate change bounds each agent's move."""
+        moved = x - self.x
+        return math.sqrt(x.shape[1]) * float(np.abs(moved, out=moved).max()) <= self.room
 
 
 def _candidates(dist, reach, m):
@@ -278,8 +279,7 @@ def _scatter(shape, flat, values):
 
 
 def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
-                floor: float = 0.0, first: bool = False, pairs=None, dt_max: float = 0.0,
-                rate: bool = True):
+                floor: float = 0.0, first: bool = False, pairs=None, rate: bool = True):
     """Accelerations and the dissipation rate I2 of one force evaluation.
 
     Each row block of geometry._row_windows is formed densely against its
@@ -291,16 +291,14 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
     the smallest distance; otherwise these are 0, 0 and inf.  Without
     ``rate`` I2 is not formed and reads 0.
 
-    ``pairs``, a _PairSet that still holds at x, makes the one block form
-    the distances, phi, w, the I2 summands and the stiffness terms on its
-    candidates alone, each scattered into a block of zeros, and reduce them
-    as the dense block, so every result is the dense one bit for bit.  The
-    returned pairs are the set in use: that one, or with ``first`` under a
-    compact kernel that is not singular a set built from this dense pass, or
-    None.  A set is built only for a flock of one block of at least
-    _PAIR_MIN_ENTRIES entries, and only while a step of ``dt_max`` at the
-    fastest agent's speed stays within half the skin, so that it can serve
-    the step's own stages.
+    ``pairs``, a _PairSet, is used only while it holds at x: then the one
+    block forms the distances, phi, w, the I2 summands and the stiffness
+    terms on its candidates alone, each scattered into a block of zeros, and
+    reduces them as the dense block, so every result is the dense one bit
+    for bit.  Otherwise the block is dense.  The returned pairs are the set
+    in use: that one, or with ``first`` under a compact kernel that is not
+    singular a set built from this dense pass, or None.  A set is built only
+    for a flock of one block of at least _PAIR_MIN_ENTRIES entries.
 
     Under a singular kernel a pair at or below ``floor`` raises
     CollisionError naming the nearest pair of the rows so far.  With floor 0,
@@ -310,10 +308,10 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
     """
     radius = kernels.support_radius(kernel)
     index, windows = geometry._row_windows(domain, x, radius, diagnostics._RECORD_BLOCK)
-    half_skin = 0.5 * _SKIN * radius
+    if pairs is not None and not pairs.holds(x):
+        pairs = None
     build = (first and pairs is None and not singular and radius < math.inf
-             and len(windows) == 1 and x.shape[0] ** 2 >= _PAIR_MIN_ENTRIES
-             and dt_max * _top_speed(v) <= half_skin)
+             and len(windows) == 1 and x.shape[0] ** 2 >= _PAIR_MIN_ENTRIES)
     built = None
     acc = np.empty_like(v)
     if index is not None:
@@ -359,7 +357,7 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
             if singular:
                 speed2 = max(speed2, float(speed.max()))
     if built is not None:
-        pairs = _PairSet(built, half_skin, x)
+        pairs = _PairSet(built, 0.5 * _SKIN * radius, x)
     return acc, 2.0 * i2, stiff, speed2, near[0], pairs
 
 
@@ -388,11 +386,11 @@ def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
     return dt
 
 
-def _first_evaluation(state, kernel, domain, singular, dt_max):
+def _first_evaluation(state, kernel, domain, singular):
     """The step's first evaluation: the one the previous step left on the
     state, taken off it, when the state still holds the arrays it was made
-    at and steps under an equal kernel and domain; otherwise a new one, on
-    the pair set the previous step left while that still holds."""
+    at and steps under an equal kernel and domain; otherwise a new one,
+    handed the pair set the previous step left."""
     carried, state._first = state._first, None
     pairs = None
     if (carried is not None and carried[0] is state.x and carried[1] is state.v
@@ -401,7 +399,7 @@ def _first_evaluation(state, kernel, domain, singular, dt_max):
         if evaluation is not None:
             return evaluation
     return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, singular,
-                       first=True, pairs=pairs, dt_max=dt_max)
+                       first=True, pairs=pairs)
 
 
 def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None,
@@ -415,8 +413,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     None classifies here.
     """
     singular = kernels._is_singular(kernel) if _singular is None else _singular
-    a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular,
-                                                            cfg.dt_max)
+    a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular)
     dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
@@ -432,45 +429,26 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
             continue
         break
 
-    x1, v1, d2, d2r, last, span = result
-    if pairs is not None:
-        # x1 lies within dt times the fastest stage of x0, up to round-off
-        pairs.moved += span + pairs.slack
-        if not pairs.holds(0.0):
-            pairs = None
+    x1, v1, d2, d2r, last = result
     return _stepped(state.t + dt, x1, v1, state.m, state.diss2 + d2,
                     state.diss2_root + d2r, kernel, domain, last, pairs)
-
-
-def _top_speed(v) -> float:
-    """An upper bound of the largest |v_i|: sqrt(d) times the largest |v_ik|,
-    the largest |v_i| itself on a line or the circle."""
-    return math.sqrt(v.shape[1]) * float(np.abs(v).max())
 
 
 def _attempt(state, first, pairs, kernel, domain, dt, singular):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
-    speeds = []  # of v0, vb, vc and vd, while a pair set is in use
 
-    def stage(xs, vs, h, velocity):
-        # xs is x0 + h * velocity: no agent lies further than h * |velocity|
-        # from x0, so the set is used while it holds that far on
-        near = None
-        if pairs is not None:
-            speeds.append(_top_speed(velocity))
-            if pairs.holds(h * speeds[-1]):
-                near = pairs
-        return _pair_field(xs, vs, m, kernel, domain, t, singular, _GUARD, pairs=near)[:2]
+    def stage(xs, vs):
+        return _pair_field(xs, vs, m, kernel, domain, t, singular, _GUARD, pairs=pairs)[:2]
 
     a0, i2a = first
     h = 0.5 * dt
     xb, vb = x0 + h * v0, v0 + h * a0
-    ab, i2b = stage(xb, vb, h, v0)
+    ab, i2b = stage(xb, vb)
     xc, vc = x0 + h * vb, v0 + h * ab
-    ac, i2c = stage(xc, vc, h, vb)
+    ac, i2c = stage(xc, vc)
     xd, vd = x0 + dt * vc, v0 + dt * ac
-    ad, i2d = stage(xd, vd, dt, vc)
+    ad, i2d = stage(xd, vd)
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
@@ -481,13 +459,11 @@ def _attempt(state, first, pairs, kernel, domain, dt, singular):
     # singular kernel its guard is the next step's first evaluation
     last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
             if singular else None)
-    # x1 - x0 is dt times a weighted mean of v0, vb, vc and vd
-    span = dt * max(*speeds, _top_speed(vd)) if pairs is not None else None
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
-    return x1, v1, d2, d2r, last, span
+    return x1, v1, d2, d2r, last
 
 
 @dataclass(frozen=True)
@@ -798,6 +774,8 @@ def check_initial(initial: dict) -> dict:
 def initial_state(domain: Domain, n: int, **initial) -> FlockState:
     """Seeded initial state (numpy PCG64) from the settings ``check_initial``
     reads; deterministic per settings."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     init = check_initial(initial)
     rng = np.random.default_rng(init["seed"])
     x, v = _INITIAL_KINDS[init["kind"]](rng, domain, n, **init["params"])

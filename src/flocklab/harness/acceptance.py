@@ -394,13 +394,7 @@ class AcceptanceLab:
         traj_d = cfg.run()
         traj_l = dataclasses.replace(cfg, mode="lagrangian").run()
 
-        rows_equal = (
-            len(traj_d.records) == len(traj_l.records)
-            and all(
-                a.to_row() == b.to_row()
-                for a, b in zip(traj_d.records, traj_l.records)
-            )
-        )
+        rows_equal = _same_records(traj_d.records, traj_l.records)
         states_equal = (
             len(traj_d.states) == len(traj_l.states)
             and all(
@@ -418,6 +412,15 @@ class AcceptanceLab:
             "consistency/lagrangian-uniform-bitwise", ok,
             f"records identical: {rows_equal}; states identical: {states_equal} "
             f"({len(traj_d.records)} samples)")]
+
+
+def _same_records(first: list, second: list) -> bool:
+    """Whether two runs' records are equal bit for bit: their rows' float64
+    bytes, so a nan column equals any nan of the same bits, whatever float
+    object holds it."""
+    return len(first) == len(second) and all(
+        np.array(a.to_row()).tobytes() == np.array(b.to_row()).tobytes()
+        for a, b in zip(first, second))
 
 
 SUITES = {

@@ -631,7 +631,7 @@ def test_records_in_chunks_equal_the_records_of_one_state(monkeypatch, domain, n
         chunked = diagnostics._records(states, kernel, domain, cfg, None)
         np.testing.assert_array_equal(_rows(chunked), _rows(alone))
         # a column no record forms is math.nan itself, so rows compare equal
-        # as lists, as the consistency suite compares them
+        # even as lists
         assert [r.to_row() for r in chunked] == [r.to_row() for r in alone]
     if n > 1 and kernel is SINGULAR:
         assert all(math.isfinite(r.C) for r in alone)

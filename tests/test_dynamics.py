@@ -413,8 +413,7 @@ def _carried_pairs(state):
 def test_only_a_compact_kernel_with_few_pairs_carries_a_pair_set(name, carries):
     # full support and singular kernels stay dense, and so do blocks too
     # small to repay a set (2 x 2 here) and blocks whose candidates are not a
-    # small share of them (23% and 18% here, where the agents also outrun
-    # the skin)
+    # small share of them (23% and 18% here)
     cfg, state = _library_step(name)
     assert (_carried_pairs(state) is not None) == carries
 
@@ -428,25 +427,27 @@ def test_a_flock_of_several_blocks_carries_no_pair_set():
     assert _carried_pairs(step(state, kernel, domain, cfg)) is None
 
 
-def test_a_flock_too_fast_for_its_skin_builds_no_pair_set(monkeypatch):
-    # a step of dt_max at the fastest agent's speed would move it past half
-    # the skin, so a set could not serve even the step's own stages
+def test_a_flock_too_fast_for_its_skin_steps_as_the_dense_field(monkeypatch):
+    # a step of dt_max at the fastest agent's speed moves it near or past
+    # half the skin, so a set is built and then dropped at a stage, or at
+    # the next first pass; each step matches the dense field
     cfg = scenario("torus-local-ensemble")
     start = cfg.build()
     half_skin = 0.5 * dynamics._SKIN * cfg.kernel.r0
-    for factor, carries in ((0.99, True), (1.01, False)):
-        fast = FlockState(0.0, start.x, start.v, start.m)
+    for factor in (0.99, 1.01, 4.0):
+        fast = dense = FlockState(0.0, start.x, start.v, start.m)
         fast.v *= factor * half_skin / (cfg.stepper.dt_max * float(np.max(np.abs(fast.v))))
-        after = step(fast, cfg.kernel, cfg.domain, cfg.stepper)
-        assert (_carried_pairs(after) is not None) == carries
-        _assert_same_state(after, _dense_step(monkeypatch, fast, cfg.kernel, cfg.domain,
-                                              cfg.stepper))
+        for _ in range(3):
+            fast = step(fast, cfg.kernel, cfg.domain, cfg.stepper)
+            dense = _dense_step(monkeypatch, dense, cfg.kernel, cfg.domain, cfg.stepper)
+            _assert_same_state(fast, dense)
+            assert _carried_pairs(fast) is not None
 
 
 def test_an_expired_pair_set_is_rebuilt(monkeypatch):
     # each agent moves a tenth of the skin per step, so a set lasts a few
-    # steps, and the step after its last builds the next; each step matches
-    # the dense field
+    # steps, and the first pass that finds an agent past half the skin
+    # builds the next; each step matches the dense field
     domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, TWO_PI, size=(48, 1))
@@ -459,9 +460,45 @@ def test_an_expired_pair_set_is_rebuilt(monkeypatch):
         dense = _dense_step(monkeypatch, dense, kernel, domain, cfg)
         _assert_same_state(state, dense)
         sets.append(_carried_pairs(state))
-    used = [p for k, p in enumerate(sets) if p is not None and p not in sets[:k]]
-    assert len(used) >= 3 and sets.count(None) >= 2
-    assert max(p.moved for p in sets if p is not None) > 0.8 * used[0].half_skin
+    distinct = len({id(p) for p in sets})
+    assert 3 <= distinct < len(sets)
+
+
+def test_an_agent_crossing_the_seam_rebuilds_the_pair_set(monkeypatch):
+    # moves are measured on the wrapped positions, so an agent that crossed
+    # the seam reads as 2 pi away and the next first pass builds a new set,
+    # which the slow flock then keeps; each step matches the dense field
+    domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+    x = np.random.default_rng(5).uniform(0.0, TWO_PI, size=(48, 1))
+    x[0, 0] = TWO_PI - 1e-6
+    cfg = StepperConfig(dt_max=0.1)
+    state = dense = FlockState(0.0, x, np.full((48, 1), 1e-3), np.full(48, 1.0 / 48))
+    sets = []
+    for _ in range(3):
+        state = step(state, kernel, domain, cfg)
+        dense = _dense_step(monkeypatch, dense, kernel, domain, cfg)
+        _assert_same_state(state, dense)
+        sets.append(_carried_pairs(state))
+        assert state.x[0, 0] < 1.0  # across the seam from the first step on
+    assert sets[1] is not sets[0] and sets[2] is sets[1]
+
+
+def test_a_pair_set_keeps_its_own_copy_of_the_positions(monkeypatch):
+    # the caller's initial state is writable: positions written into it
+    # after the step that built a set there must not change the moves the
+    # next step measures, here past half the skin, so that step builds anew
+    cfg = scenario("torus-local-ensemble")
+    start = cfg.build()
+    half_skin = 0.5 * dynamics._SKIN * cfg.kernel.r0
+    start.v *= 4.0 * half_skin / (cfg.stepper.dt_max * float(np.max(np.abs(start.v))))
+    after = step(start, cfg.kernel, cfg.domain, cfg.stepper)
+    built = _carried_pairs(after)
+    assert built is not None
+    start.x[:] = after.x
+    dense = _dense_step(monkeypatch, after.copy(), cfg.kernel, cfg.domain, cfg.stepper)
+    again = step(after, cfg.kernel, cfg.domain, cfg.stepper)
+    _assert_same_state(again, dense)
+    assert _carried_pairs(again) is not built
 
 
 def test_a_pair_set_is_dropped_with_the_positions_it_was_built_at():
@@ -696,6 +733,12 @@ def test_state_validation():
         FlockState(0.0, [[math.nan]], [[0.0]], [1.0])
 
 
+def test_a_state_of_no_agents_is_refused():
+    # it would construct, and then records and steps divide by zero
+    with pytest.raises(ValueError, match="at least one agent"):
+        FlockState(0.0, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
+
+
 def test_state_promotes_1d_and_copies():
     st = FlockState(0.0, [0.0, 1.0], [1.0, -1.0], [0.5, 0.5])
     assert st.x.shape == (2, 1)
@@ -766,6 +809,12 @@ def test_initial_state_kinds():
 def test_initial_state_rejects_bad_requests(kwargs):
     with pytest.raises(ValueError):
         initial_state(**kwargs)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_initial_state_refuses_a_flock_of_no_agents(n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        initial_state(circle(), n)
 
 
 @pytest.mark.parametrize("settings, named", [

@@ -1,5 +1,6 @@
 """Rate fitting, asymptotic checks, scenario library, acceptance plumbing."""
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from flocklab.harness import (
     tail_integral_check,
     windowed_rate_check,
 )
+from flocklab.harness.acceptance import _same_records
 from flocklab.kernels import KernelKind, KernelSpec
 
 
@@ -297,3 +299,17 @@ def test_acceptance_lab_caches_runs():
     assert first is again
     other = lab.run("parallel-lines-R2", horizon=6.0)
     assert other is not first
+
+
+def test_the_consistency_suite_compares_records_bit_for_bit():
+    # a nan column held by distinct float objects is equal bit for bit,
+    # though list equality, which tests identity first, calls it unequal
+    cfg = scenario("torus-local-ensemble", horizon=1.0)
+    records = cfg.run().records
+    assert math.isnan(records[0].G3)  # not formed on the circle
+    copies = [dataclasses.replace(r, G3=float("nan")) for r in records]
+    assert copies[0].to_row() != records[0].to_row()
+    assert _same_records(records, copies)
+    copies[-1] = dataclasses.replace(copies[-1], V2=math.nextafter(copies[-1].V2, math.inf))
+    assert not _same_records(records, copies)
+    assert not _same_records(records, records[:-1])

@@ -260,10 +260,10 @@ def compact_flocks(draw):
 @settings(PROPERTY, max_examples=30)
 @given(flock=compact_flocks(), share=st.sampled_from([None, 1.0]))
 def test_a_carried_pair_set_steps_as_a_copy_and_as_the_dense_field(flock, share):
-    # a set is built while a step of dt_max moves no agent past half the
-    # skin: at a twentieth of the skin per step it lasts many steps, at 0.3 a
-    # few, at 0.45 the second step's stages pass its bound, and at 2 skins
-    # none is built
+    # a set is used while no agent lies past half the skin from where it
+    # was built: at a twentieth of the skin per step it lasts many steps, at
+    # 0.3 a few, at 0.45 the second step's stages pass its bound, and at 2
+    # skins a set is built and then dropped at a stage
     domain, kernel, cfg, x, v, m = flock
     kept = (dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES) if share is None else (share, 0)
     with _pair_share(*kept):

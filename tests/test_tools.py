@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMPARE_RUNS = ROOT / "tools" / "compare_runs.py"
 PAIR_FIELD_TIMING = ROOT / "tools" / "pair_field_timing.py"
 AB_TIMING = ROOT / "tools" / "ab_timing.py"
+PERFBENCH_SELFTEST = ROOT / "perfbench" / "selftest.py"
 
 
 def _load(path):
@@ -321,3 +322,13 @@ def test_perfbench_tracer_binds_every_entry_point_and_restores_it(monkeypatch):
     names = [span[0] for span in tracer.spans if span[0].startswith("diagnostics.")]
     assert names == ["diagnostics.lyapunov", "diagnostics.compute_record",
                      "diagnostics.corrector"]
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's own contract, run from the root as its usage says:
+    # each workload at a tiny size passes its checks traced and untraced,
+    # the checks reject broken output and BENCHMARK.json names its metrics
+    out = subprocess.run([sys.executable, str(PERFBENCH_SELFTEST)], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "selftest: 0 failure(s)"

@@ -50,10 +50,10 @@ sweep, on the circle at r0 = 0.1 from N = 2 to 64; the third, the share
 sweep, on the circle at N = 64 for r0 from 0.05 to 1.2.
 ``dynamics._PAIR_MIN_ENTRIES``, the fewest entries (N^2) of a block that
 keeps its pairs, is read off the size sweep: below it a stage on the set
-saves next to nothing, while a step on the set adds its budget checks and
-its builds.  ``dynamics._PAIR_SHARE``, the share above which a block stays
-dense, is read off the share sweep: up to it one stage on the set saves
-what the build costs.  The set is built here at every size and share.
+saves next to nothing, while a step on the set adds its displacement tests
+and its builds.  ``dynamics._PAIR_SHARE``, the share above which a block
+stays dense, is read off the share sweep: up to it one stage on the set
+saves what the build costs.  The set is built here at every size and share.
 """
 
 import contextlib
@@ -105,10 +105,11 @@ def _force(state, domain, block=None):
 
 
 @contextlib.contextmanager
-def _every_block_kept():
-    """The pair set is built whatever the block's size and share."""
+def _blocks_kept(min_entries=0):
+    """The pair set is built whatever the block's share, for a block of at
+    least ``min_entries`` entries: by default of any size, at inf none."""
     saved = dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES
-    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = 1.0, 0
+    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = 1.0, min_entries
     try:
         yield
     finally:
@@ -118,7 +119,7 @@ def _every_block_kept():
 def _pair_set(state, domain, kernel=KERNEL):
     """The pair set a step's first dense pass builds at the state, the block
     kept whatever its size and share."""
-    with _every_block_kept():
+    with _blocks_kept():
         return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
                            first=True)[5]
 
@@ -130,10 +131,11 @@ def _stage(state, domain, kernel=KERNEL, pairs=None):
 
 
 def _first_pass(state, domain, kernel=KERNEL, build=True):
-    """A step's first dense pass, building its pair set or not (no set is
-    built when a step of dt_max = inf would outrun the skin)."""
-    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False, first=True,
-                       dt_max=0.0 if build else math.inf)
+    """A step's first dense pass, building its pair set whatever the
+    block's size and share, or building none."""
+    with _blocks_kept(0 if build else math.inf):
+        return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
+                           first=True)
 
 
 def _share(pairs, n):
@@ -148,9 +150,8 @@ def _stage_row(name, kernel=KERNEL, n=STAGE_N):
     pairs = _pair_set(state, domain, kernel)
     on_set = _median_us(lambda: _stage(state, domain, kernel, pairs))
     dense = _median_us(lambda: _stage(state, domain, kernel))
-    with _every_block_kept():
-        build = (_median_us(lambda: _first_pass(state, domain, kernel))
-                 - _median_us(lambda: _first_pass(state, domain, kernel, build=False)))
+    build = (_median_us(lambda: _first_pass(state, domain, kernel))
+             - _median_us(lambda: _first_pass(state, domain, kernel, build=False)))
     print(f"{name:7s} {n:6d} {kernel.r0:6.2f} {_share(pairs, n):7.1%} {on_set:9.1f} "
           f"{dense:9.1f} {on_set / dense:7.2f} {build:9.1f}", flush=True)
 
