@@ -5,12 +5,24 @@ The single force law is the weighted form
     a_i = sum_{j != i} m_j phi(|x_i - x_j|) (v_j - v_i),
 
 which reduces to the uniform mean-field form when every weight is 1/N, so
-discrete and weighted runs share one code path bit for bit.  The stepper is
-classic RK4 with a step controller that respects kernel stiffness, plus an
-approach limiter and a minimum-separation guard that only engage for
-singular kernels.  The integrator also accumulates the dissipation integral
-(and its square root) as extra quadrature state so energy-balance residuals
-inherit the scheme's order.
+discrete and weighted runs share one code path bit for bit.  The default
+stepper is classic RK4 with a step controller that respects kernel
+stiffness, plus an approach limiter and a minimum-separation guard that only
+engage for singular kernels.  The integrator also accumulates the
+dissipation integral (and its square root) as extra quadrature state so
+energy-balance residuals inherit the scheme's order.
+
+The second method, ``StepperConfig(method="strang_exponential")``, is Strang
+splitting (McLachlan & Quispel, *Splitting methods*, Acta Numerica 2002):
+the positions drift by dt/2, the velocity flow at those frozen positions,
+which is linear, is solved exactly through ``eigh`` of its symmetrised
+(N, N) operator, and the positions drift by dt/2 again (``_split_attempt``).
+That flow is unconditionally stable, so dt has no stiffness limit: only
+dt_max, the approach limit and the observer cap bound it.  Momentum is kept,
+V2 never increases at any dt, and diss2 is the exact integral of I2 along
+the velocity flow.  The scheme is second order.  It steps flocks of at most
+one row block, so it forms no (N, N) array outside one; the singular circle
+scenarios, whose RK4 steps are all stiffness-limited, step by it.
 
 The pair field of a step (kernel, accelerations, dissipation rate and
 stiffness row sums) has one algorithm for every kernel and every N: blocks
@@ -24,10 +36,10 @@ the separation guard and the StiffnessError pair) is a blocked row-major
 argmin, so a step forms no (N, N) array.
 
 Under a singular kernel the end-of-step guard is the next step's first
-evaluation ("first same as last"): ``_attempt`` evaluates the pair field at
-the wrapped end position with the guard as its contact floor, and the
-returned state carries that evaluation, keyed on its x, v and m, which are
-read-only, and on the kernel and domain.  The next ``step`` under an equal
+evaluation ("first same as last"), under either method: ``_finished``
+evaluates the pair field at the wrapped end position with the guard as its
+contact floor, and the returned state carries that evaluation, keyed on its
+x, v and m, which are read-only, and on the kernel and domain.  The next ``step`` under an equal
 kernel and domain takes it off the state instead of evaluating again, so a
 stored state keeps nothing extra once it has been stepped.
 
@@ -164,35 +176,55 @@ def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, first, pairs):
 _GUARD = 1e-9
 
 
+# The stepping methods: adaptive RK4, the default and the reference, and
+# Strang splitting of the position drift and the exact velocity flow
+# (_split_attempt), which steps flocks of at most one row block.
+_RK4 = "rk4_adaptive"
+_SPLIT = "strang_exponential"
+_SPLIT_MAX_N = diagnostics._RECORD_BLOCK
+
+
 @dataclass(frozen=True)
 class StepperConfig:
-    """Adaptive RK4 stepping parameters: the largest step and the safety
-    factor of the approach and stiffness limits."""
+    """Adaptive stepping parameters: the largest step, the safety factor of
+    the approach and stiffness limits, and the method.
+
+    ``"rk4_adaptive"`` (the default) is classic RK4 under dt_max, the
+    approach limit and the stiffness limit.  ``"strang_exponential"`` drifts
+    the positions by dt/2, solves the velocity flow at those frozen
+    positions exactly and drifts by dt/2 again; that flow is unconditionally
+    stable, so only dt_max and the approach limit bound dt.  It steps flocks
+    of at most ``diagnostics._RECORD_BLOCK`` agents.  ``to_dict`` names the
+    method only when it is not the default, so an RK4 config keeps its hash.
+    """
 
     dt_max: float
     safety: float = 0.4
+    method: str = _RK4
 
     def __post_init__(self):
         if not 0 < self.dt_max < math.inf:  # fails on nan
             raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0 < self.safety <= 1:
             raise ValueError("safety must lie in (0, 1]")
+        if self.method not in (_RK4, _SPLIT):
+            raise ValueError(f"unknown method {self.method!r}; known: {_RK4}, {_SPLIT}")
 
     def to_dict(self) -> dict:
-        return {"dt_max": self.dt_max, "safety": self.safety}
+        d = {"dt_max": self.dt_max, "safety": self.safety}
+        if self.method != _RK4:
+            d["method"] = self.method
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepperConfig":
-        # older configs name the method and carry an unset d_guard; adaptive
-        # RK4 and the fixed guard are the only choices
+        # older configs carry an unset d_guard; the guard is fixed
         check_keys(d, ("safety", "method", "d_guard"), "stepper", required=("dt_max",))
-        method = d.get("method", "rk4_adaptive")
-        if method != "rk4_adaptive":
-            raise ValueError(f"unknown method {method!r}")
         if d.get("d_guard") is not None:
             raise ValueError(f"the separation guard is fixed at {_GUARD}, got {d['d_guard']!r}")
         return cls(dt_max=number("dt_max", d["dt_max"]),
-                   safety=number("safety", d.get("safety", 0.4)))
+                   safety=number("safety", d.get("safety", 0.4)),
+                   method=string("method", d.get("method", _RK4)))
 
 
 def _block_nearest(dist, a):
@@ -404,16 +436,32 @@ def _first_evaluation(state, kernel, domain, singular):
 
 def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None,
          *, _singular=None) -> FlockState:
-    """One accepted adaptive step; never steps past dt_cap when given.
+    """One accepted adaptive step of ``cfg.method``; never steps past
+    dt_cap when given, which must be positive.
 
     Rejects and halves whenever a stage (or the result) drives a pair to or
     below the separation guard under a singular kernel; raises
     StiffnessError once dt underflows, and ValueError when the result is not
-    finite.  ``_singular`` is the kernel's class when the caller has it;
-    None classifies here.
+    finite or the method cannot step a flock this large.  ``_singular`` is
+    the kernel's class when the caller has it; None classifies here.
     """
+    if dt_cap is not None and not dt_cap > 0.0:  # fails on nan
+        raise ValueError(f"dt_cap must be positive, got {dt_cap!r}")
     singular = kernels._is_singular(kernel) if _singular is None else _singular
-    a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular)
+    if cfg.method == _RK4:
+        a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular)
+        attempt = functools.partial(_attempt, state, (a0, i2a), pairs, kernel, domain, singular)
+    else:
+        if state.n > _SPLIT_MAX_N:
+            raise ValueError(f"{cfg.method} steps at most {_SPLIT_MAX_N} agents, got {state.n}")
+        # the exact velocity flow has no stiffness limit, and without a
+        # guard nothing reads the first evaluation
+        stiff, speed2, dmin, pairs = 0.0, 0.0, math.inf, None
+        if singular:
+            speed2, dmin = _first_evaluation(state, kernel, domain, singular)[3:5]
+        else:
+            state._first = None  # a pair set some RK4 step left
+        attempt = functools.partial(_split_attempt, state, kernel, domain, singular)
     dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
         dt = min(dt, float(dt_cap))
@@ -423,7 +471,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
             dmin, pair = _nearest_pair(domain, state.x)
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = _attempt(state, (a0, i2a), pairs, kernel, domain, dt, singular)
+            result = attempt(dt)
         except CollisionError:
             dt *= 0.5
             continue
@@ -434,7 +482,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
                     state.diss2_root + d2r, kernel, domain, last, pairs)
 
 
-def _attempt(state, first, pairs, kernel, domain, dt, singular):
+def _attempt(state, first, pairs, kernel, domain, singular, dt):
     x0, v0, m = state.x, state.v, state.m
     t = state.t
 
@@ -452,17 +500,72 @@ def _attempt(state, first, pairs, kernel, domain, dt, singular):
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
-    if not (np.isfinite(x1).all() and np.isfinite(v1).all()):
-        raise ValueError("positions and velocities must be finite")
-    x1 = domain.wrap(x1)
-    # the end-of-step position is the one no stage has guarded; under a
-    # singular kernel its guard is the next step's first evaluation
-    last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
-            if singular else None)
+    x1, last = _finished(x1, v1, m, kernel, domain, t + dt, singular)
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
+    return x1, v1, d2, d2r, last
+
+
+def _finished(x1, v1, m, kernel, domain, t1, singular):
+    """The wrapped end position of a step and, under a singular kernel, its
+    guard: the end position is the one no stage has guarded, and its
+    evaluation is the next step's first."""
+    if not (np.isfinite(x1).all() and np.isfinite(v1).all()):
+        raise ValueError("positions and velocities must be finite")
+    x1 = domain.wrap(x1)
+    last = (_pair_field(x1, v1, m, kernel, domain, t1, singular, _GUARD, first=True)
+            if singular else None)
+    return x1, last
+
+
+def _split_attempt(state, kernel, domain, singular, dt):
+    """One Strang step of dt for a flock of one row block.
+
+    The positions drift by dt/2 with v0 and are wrapped.  At those frozen
+    positions the velocity flow v' = -L v, L = D - phi M, is linear: with
+    u = sqrt(m) (v - vbar), vbar the mean velocity the flow keeps, it is
+    u' = -S u for the symmetric positive semi-definite S_ij =
+    -sqrt(m_i) phi_ij sqrt(m_j), S_ii = sum_j phi_ij m_j, and eigh(S) = Q
+    diag(lam) Q^T solves it exactly: with w = Q^T u0, v1 = vbar + M^-1/2 Q
+    e^(-dt lam) w.  The positions then drift by dt/2 with v1.
+
+    Along that flow I2(s) = 4 u^T S u = 4 sum_k lam_k |w_k|^2 e^(-2 lam_k s),
+    so diss2 gains its exact integral 2 sum_k |w_k|^2 (1 - e^(-2 lam_k dt)),
+    which is V2's drop for unit total mass, and diss2_root gains Simpson's
+    rule on sqrt(I2) at s = 0, dt/2 and dt.  Under a singular kernel the
+    guard holds at the midpoint positions and at the end, as at RK4's
+    stages.
+    """
+    x0, v0, m = state.x, state.v, state.m
+    h = 0.5 * dt
+    xh = domain.wrap(x0 + h * v0)
+    dist = geometry.pair_square_sums(domain, xh, xh)
+    np.sqrt(dist, out=dist)
+    if singular:  # makes the i = j distances inf, where a singular phi is 0
+        near, pair = _block_nearest(dist, 0)
+        if near <= _GUARD:
+            raise CollisionError(pair, state.t, near)
+    phi = kernels._evaluate_raw(kernel, dist)
+    np.fill_diagonal(phi, 0.0)
+    root = np.sqrt(m)[:, None]
+    s = phi * root.T
+    s *= -root
+    np.fill_diagonal(s, phi @ m)
+    lam, q = np.linalg.eigh(s)
+    np.maximum(lam, 0.0, out=lam)
+    vbar = (m @ v0) / m.sum()
+    w = q.T @ (root * (v0 - vbar))
+    decay = np.exp(-dt * lam)
+    v1 = vbar + (q @ (decay[:, None] * w)) / root
+    x1, last = _finished(xh + h * v1, v1, m, kernel, domain, state.t + dt, singular)
+
+    w2 = np.einsum("kd,kd->k", w, w)
+    d2 = 2.0 * float(w2 @ -np.expm1(-2.0 * dt * lam))
+    rate = lam * w2  # I2(s) / 4 = rate @ e^(-2 lam s)
+    roots = [2.0 * math.sqrt(float(val)) for val in (rate.sum(), rate @ decay, rate @ decay**2)]
+    d2r = (dt / 6.0) * (roots[0] + 4.0 * roots[1] + roots[2])
     return x1, v1, d2, d2r, last
 
 
@@ -484,6 +587,8 @@ class ObserverSchedule:
             raise ValueError("geometric schedule needs finite t_first > 0 and factor > 1")
 
     def times(self, t0: float, horizon: float) -> list:
+        if not (math.isfinite(t0) and math.isfinite(horizon)):  # neither kind would end
+            raise ValueError(f"state time {t0} and horizon {horizon} must be finite")
         if horizon < t0:
             raise ValueError(f"horizon {horizon} precedes state time {t0}")
         if horizon == t0:
@@ -575,6 +680,7 @@ def integrate(
         raise ValueError(
             f"state dimension {state.dim} does not match domain dimension {domain.dim}"
         )
+    targets = observers.times(state.t, horizon)
     cur = state.copy()
     cur.x = domain.wrap(cur.x)
     traj = Trajectory()
@@ -602,7 +708,7 @@ def integrate(
         traj.states.append(s)
 
     record_now(cur)
-    for target in observers.times(cur.t, horizon):
+    for target in targets:
         while cur.t < target:
             try:
                 cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t, _singular=singular)

@@ -1,4 +1,5 @@
-"""Dense (N, N) forms of the record's pair columns: an oracle for the tests.
+"""Dense (N, N) forms of the record's pair columns and of one RK4 step: an
+oracle for the tests.
 
 flocklab sums every pair column over row blocks (``diagnostics._pair_columns``)
 and ``good_set``'s forward dissipation over the same blocks.  Here each
@@ -6,8 +7,12 @@ column is formed as one whole (N, N) summand S, from plain numpy forms
 (``np.mod`` on the circle, the Euclidean corrector on every pair, the kernel
 on every pair), and reduced as m @ (S @ m), the expression a record of one
 block uses.  So a record of at most 64 agents equals these bit for bit, and
-a larger one differs only in summation order.  Nothing in flocklab imports
-this module.
+a larger one differs only in summation order.
+
+``propose_dt`` and ``rk4_step`` restate the adaptive RK4 step from the force
+law a_i = sum_j m_j phi(|x_i - x_j|) (v_j - v_i) on dense arrays, with the
+circle's minimal image through ``np.mod``: no row windows, pair set, carried
+evaluation or guard retry.  Nothing in flocklab imports this module.
 """
 
 import math
@@ -16,6 +21,7 @@ import numpy as np
 
 from flocklab import geometry, kernels
 from flocklab.diagnostics import LyapunovVariant
+from flocklab.dynamics import FlockState
 from flocklab.errors import CollisionError
 from flocklab.geometry import TWO_PI, VELOCITY_SPACE
 
@@ -162,3 +168,59 @@ def forward_dissipation(trajectory, kernel, domain, T: float) -> np.ndarray:
     weights[:-1] += 0.5 * dt
     weights[1:] += 0.5 * dt
     return weights @ g
+
+
+def _distances(domain, x) -> np.ndarray:
+    """(N, N) distances |x_i - x_j|, through the seam on the circle."""
+    diff = x[:, None, :] - x[None, :, :]
+    if domain.periodic:
+        diff = np.mod(diff + math.pi, TWO_PI) - math.pi
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _field(x, v, m, kernel, domain, t):
+    """The accelerations a_i = sum_j m_j phi_ij (v_j - v_i) and
+    I2 = 2 sum m_i m_j phi_ij |v_i - v_j|^2."""
+    phi = pair_phi(kernel, _distances(domain, x), t)
+    rel = v[None, :, :] - v[:, None, :]
+    acc = np.sum((phi * m)[:, :, None] * rel, axis=1)
+    return acc, 2.0 * _pair_sum(m, phi * np.sum(rel * rel, axis=-1))
+
+
+def propose_dt(state, kernel, domain, cfg) -> float:
+    """The smallest of dt_max, the stiffness limit safety / max_i sum_j
+    phi_ij (m_i + m_j) and, under a singular kernel, the approach limit
+    safety * dmin / max |v_i - v_j|."""
+    m = state.m
+    dist = _distances(domain, state.x)
+    phi = pair_phi(kernel, dist, state.t)  # makes the diagonal of dist inf
+    dt = cfg.dt_max
+    umax = float(np.max(pair_distances(VELOCITY_SPACE, state.v)))
+    if kernels._is_singular(kernel) and umax > 0.0:
+        dt = min(dt, cfg.safety * float(np.min(dist)) / umax)
+    stiff = float(np.max(np.sum(phi * (m[:, None] + m[None, :]), axis=1)))
+    if stiff > 0.0:
+        dt = min(dt, cfg.safety / stiff)
+    return dt
+
+
+def rk4_step(state, kernel, domain, dt):
+    """One classic RK4 step of dt of positions, velocities and the
+    dissipation integrals (the weights 1/6, 1/3, 1/3, 1/6 on I2 and on
+    sqrt(I2)), the positions wrapped onto [0, 2 pi) on the circle."""
+    x0, v0, m, t = state.x, state.v, state.m, state.t
+    h = 0.5 * dt
+    a0, i2a = _field(x0, v0, m, kernel, domain, t)
+    xb, vb = x0 + h * v0, v0 + h * a0
+    ab, i2b = _field(xb, vb, m, kernel, domain, t)
+    xc, vc = x0 + h * vb, v0 + h * ab
+    ac, i2c = _field(xc, vc, m, kernel, domain, t)
+    xd, vd = x0 + dt * vc, v0 + dt * ac
+    ad, i2d = _field(xd, vd, m, kernel, domain, t)
+    x1 = x0 + dt * (v0 + 2.0 * vb + 2.0 * vc + vd) / 6.0
+    v1 = v0 + dt * (a0 + 2.0 * ab + 2.0 * ac + ad) / 6.0
+    rates = np.array([i2a, i2b, i2c, i2d])
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * dt / 6.0
+    return FlockState(t + dt, np.mod(x1, TWO_PI) if domain.periodic else x1, v1, m,
+                      state.diss2 + weights @ rates,
+                      state.diss2_root + weights @ np.sqrt(np.maximum(rates, 0.0)))

@@ -34,6 +34,15 @@ from flocklab.harness import scenario, scenario_names
 
 FLAT = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.0, r0=1.0)
 PLATEAU = KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=2.0, beta=1.0, r0=2.0)
+RK4, SPLIT = "rk4_adaptive", "strang_exponential"
+
+
+def _config(name, method=RK4, **overrides):
+    """The library scenario ``name`` stepped by ``method``.  The library
+    steps its singular circles by splitting; the RK4 mechanics are tested on
+    them under an explicit RK4 stepper."""
+    cfg = scenario(name, **overrides)
+    return dataclasses.replace(cfg, stepper=dataclasses.replace(cfg.stepper, method=method))
 
 
 def pair_state(x0=0.5, v0=-2.0):
@@ -102,7 +111,7 @@ def test_a_run_classifies_its_kernel_once(monkeypatch, name, horizon):
     calls = []
     classify = kernels.classify
     monkeypatch.setattr(kernels, "classify", lambda spec: calls.append(spec) or classify(spec))
-    cfg = scenario(name, horizon=horizon)
+    cfg = _config(name, horizon=horizon)
     del calls[:]
     traj = cfg.run(record_steps=True)
     assert len(traj.states) > 3 and calls == [cfg.kernel]
@@ -178,10 +187,11 @@ def test_step_dissipation_is_galilean_invariant():
     kern = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.5)
     st = initial_state(dom, 16, seed=5, params={"box": 1.0, "sigma": 1e-3})
     boosted = FlockState(0.0, st.x, st.v + 1e3, st.m)
-    a = step(st, kern, dom, StepperConfig(dt_max=0.05))
-    b = step(boosted, kern, dom, StepperConfig(dt_max=0.05))
-    assert a.t == b.t
-    assert abs(b.diss2 - a.diss2) <= 1e-9 * a.diss2
+    for method in (RK4, SPLIT):  # the split keeps the mean velocity aside
+        a = step(st, kern, dom, StepperConfig(dt_max=0.05, method=method))
+        b = step(boosted, kern, dom, StepperConfig(dt_max=0.05, method=method))
+        assert a.t == b.t
+        assert abs(b.diss2 - a.diss2) <= 1e-9 * a.diss2
 
 
 def test_stepper_dissipation_matches_the_records():
@@ -284,9 +294,10 @@ def test_smooth_pair_steps_through_coincidence():
 # ---------------------------------------------------------------------------
 # the end-of-step evaluation carried to the next step
 
-def _library_step(name):
-    """The library scenario's config and its initial state after one step."""
-    cfg = scenario(name)
+def _library_step(name, method=RK4):
+    """The library scenario's config under ``method`` and its initial state
+    after one step."""
+    cfg = _config(name, method)
     return cfg, step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper)
 
 
@@ -296,13 +307,15 @@ def _assert_same_state(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-@pytest.mark.parametrize("name, evaluated", [("torus-singular-beta2.5", True),
-                                             ("torus-local-ensemble", False)])
-def test_a_carried_evaluation_steps_as_a_fresh_copy(name, evaluated):
+@pytest.mark.parametrize("name, method, evaluated", [
+    pytest.param("torus-singular-beta2.5", RK4, True, id="torus-singular-beta2.5-True"),
+    pytest.param("torus-singular-beta2.5", SPLIT, True, id="torus-singular-beta2.5-split-True"),
+    pytest.param("torus-local-ensemble", RK4, False, id="torus-local-ensemble-False")])
+def test_a_carried_evaluation_steps_as_a_fresh_copy(name, method, evaluated):
     # under a singular kernel the end-of-step guard is the next step's first
-    # evaluation; a smooth kernel has no guard, and under a compact one the
-    # state carries its pair set instead
-    cfg, state = _library_step(name)
+    # evaluation, by either method; a smooth kernel has no guard, and under a
+    # compact one the state carries its pair set instead
+    cfg, state = _library_step(name, method)
     x, v, m, kernel, domain, evaluation, pairs = state._first
     assert x is state.x and v is state.v and m is state.m
     assert kernel == cfg.kernel and domain == cfg.domain
@@ -311,7 +324,7 @@ def test_a_carried_evaluation_steps_as_a_fresh_copy(name, evaluated):
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper), fresh)
     assert state._first is None
     # a state given new velocities is evaluated again, not read off the old
-    cfg, state = _library_step(name)
+    cfg, state = _library_step(name, method)
     state.v = 0.5 * state.v
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper),
                        step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper))
@@ -331,18 +344,20 @@ def test_a_carry_is_dropped_under_another_kernel_or_domain(name):
 
 
 def test_stored_states_drop_the_carried_evaluation():
-    cfg = scenario("torus-singular-beta2.5", horizon=0.05)
-    traj = cfg.run(record_steps=True)
-    assert traj.error is None and len(traj.states) > 3
-    assert all(s._first is None for s in traj.states[:-1])
-    assert traj.final_state._first is not None
+    for method, horizon in ((RK4, 0.05), (SPLIT, 0.3)):
+        cfg = _config("torus-singular-beta2.5", method, horizon=horizon)
+        traj = cfg.run(record_steps=True)
+        assert traj.error is None and len(traj.states) > 3
+        assert all(s._first is None for s in traj.states[:-1])
+        assert traj.final_state._first is not None
 
 
 def test_step_results_are_read_only():
-    state = _library_step("torus-singular-beta2.5")[1]
-    for name in ("x", "v", "m"):
-        with pytest.raises(ValueError):
-            getattr(state, name)[0] = 0.0
+    for method in (RK4, SPLIT):
+        state = _library_step("torus-singular-beta2.5", method)[1]
+        for name in ("x", "v", "m"):
+            with pytest.raises(ValueError):
+                getattr(state, name)[0] = 0.0
     # the caller's state keeps its own writable arrays
     cfg = scenario("torus-local-ensemble")
     start = cfg.build()
@@ -371,22 +386,221 @@ def test_a_singular_step_makes_four_distance_passes(monkeypatch):
     assert sum(d is cfg.domain for d in passes) == 5
 
 
-@pytest.mark.parametrize("name", ["torus-singular-beta2.5", "euclid-classical-smooth"])
-def test_a_non_finite_step_raises_value_error(monkeypatch, name):
-    cfg = scenario(name, horizon=1.0)
-    pair_field = dynamics._pair_field
+@pytest.mark.parametrize("name, method", [
+    pytest.param("torus-singular-beta2.5", RK4, id="torus-singular-beta2.5"),
+    pytest.param("torus-singular-beta2.5", SPLIT, id="torus-singular-beta2.5-split"),
+    pytest.param("euclid-classical-smooth", RK4, id="euclid-classical-smooth")])
+def test_a_non_finite_step_raises_value_error(monkeypatch, name, method):
+    cfg = _config(name, method, horizon=1.0)
+    if method == RK4:
+        pair_field = dynamics._pair_field
 
-    def poisoned(*args, **kwargs):
-        acc, *rest = pair_field(*args, **kwargs)
-        acc = acc.copy()
-        acc[0, 0] = math.nan
-        return (acc, *rest)
+        def poisoned(*args, **kwargs):
+            acc, *rest = pair_field(*args, **kwargs)
+            acc = acc.copy()
+            acc[0, 0] = math.nan
+            return (acc, *rest)
 
-    monkeypatch.setattr(dynamics, "_pair_field", poisoned)
+        monkeypatch.setattr(dynamics, "_pair_field", poisoned)
+    else:  # the split reads no accelerations, but the kernel at the midpoint
+        evaluate = kernels._evaluate_raw
+
+        def poisoned(*args):
+            phi = evaluate(*args).copy()
+            phi.reshape(-1)[1] = math.nan
+            return phi
+
+        monkeypatch.setattr(kernels, "_evaluate_raw", poisoned)
     with pytest.raises(ValueError, match="positions and velocities must be finite"):
         step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper)
     with pytest.raises(ValueError, match="positions and velocities must be finite"):
         cfg.run()
+
+
+# ---------------------------------------------------------------------------
+# the dense RK4 oracle
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_rk4_steps_match_the_dense_oracle(name):
+    # every library scenario under RK4, the singular circles included: 20
+    # steps, each at the oracle's dt and equal to its dense step within
+    # 1e-12 relative (positions through the seam on the circle)
+    cfg = _config(name)
+    state = cfg.build()
+    for _ in range(20):
+        dt = dense.propose_dt(state, cfg.kernel, cfg.domain, cfg.stepper)
+        after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
+        ref = dense.rk4_step(state, cfg.kernel, cfg.domain, dt)
+        assert after.t - state.t == pytest.approx(dt, rel=1e-12, abs=0.0)
+        moved = displacement(cfg.domain, after.x, ref.x)
+        assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(ref.x))
+        assert _rel(after.v, ref.v) <= 1e-12
+        assert after.diss2 == pytest.approx(ref.diss2, rel=1e-12, abs=0.0)
+        assert after.diss2_root == pytest.approx(ref.diss2_root, rel=1e-12, abs=0.0)
+        state = after
+
+
+# ---------------------------------------------------------------------------
+# the split stepper: positions drift by dt/2, the velocity flow at the
+# frozen positions is solved exactly, and the positions drift by dt/2
+
+SINGULAR_CIRCLES = ["torus-singular-beta2", "torus-singular-beta2.5", "torus-singular-beta3"]
+
+
+def test_the_singular_circles_step_by_splitting():
+    for name in SINGULAR_CIRCLES:
+        assert scenario(name).stepper == StepperConfig(dt_max=0.1, method=SPLIT)
+
+
+def test_a_split_step_makes_two_distance_passes(monkeypatch):
+    # the midpoint positions and the end-of-step guard, which the next step
+    # reuses; a state that carries nothing is evaluated first
+    cfg, state = _library_step("torus-singular-beta2.5", SPLIT)
+    passes = []
+    square_sums = geometry.pair_square_sums
+
+    def counted(domain, *args):
+        passes.append(domain)
+        return square_sums(domain, *args)
+
+    monkeypatch.setattr(geometry, "pair_square_sums", counted)
+    speed2, dmin = state._first[5][3:5]
+    dt = dynamics._propose_dt(cfg.stepper, 0.0, speed2, dmin, True)
+    after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
+    assert after.t == state.t + dt  # the approach limit, not the stiffness one
+    assert sum(d is cfg.domain for d in passes) == 2
+    passes.clear()
+    step(after.copy(), cfg.kernel, cfg.domain, cfg.stepper)
+    assert sum(d is cfg.domain for d in passes) == 3
+
+
+@pytest.mark.parametrize("name", SINGULAR_CIRCLES + ["lagrangian-torus-weighted",
+                                                     "euclid-classical-smooth"])
+def test_split_steps_keep_momentum(name):
+    # the mean velocity is kept aside, and the exponential acts on the rest
+    cfg = _config(name, SPLIT, horizon=5.0)
+    traj = cfg.run(record_steps=True)
+    assert traj.error is None
+    p0 = momentum(traj.states[0])
+    drift = max(np.max(np.abs(momentum(s) - p0)) for s in traj.states)
+    assert drift <= 1e-14 * np.max(np.abs(traj.states[0].v))
+
+
+@pytest.mark.parametrize("name", SINGULAR_CIRCLES + ["lagrangian-torus-weighted",
+                                                     "euclid-classical-smooth"])
+def test_split_steps_never_increase_the_variations(name):
+    # at any dt: e^(-dt L) is an averaging operator with nonnegative
+    # entries that keeps the weighted mean, so V1, V2 and V4 do not grow;
+    # the records' own round-off is below 1e-13 of the value
+    cfg = dataclasses.replace(scenario(name, horizon=50.0),
+                              stepper=StepperConfig(dt_max=10.0, safety=1.0, method=SPLIT),
+                              observers=ObserverSchedule("linear", spacing=10.0))
+    traj = cfg.run(record_steps=True)
+    assert traj.error is None
+    for col in ("V1", "V2", "V4"):
+        vp = traj.column(col)
+        assert np.all(np.diff(vp) <= 1e-13 * vp[:-1]), col
+    if not kernels._is_singular(cfg.kernel):
+        assert np.all(np.diff(traj.t()) == 10.0)  # no stiffness limit
+
+
+@pytest.mark.parametrize("name", SINGULAR_CIRCLES)
+def test_split_dissipation_is_the_v2_drop(name):
+    # diss2 integrates I2 exactly along the frozen-position flow, and with
+    # unit total mass that is V2's drop
+    traj = scenario(name, horizon=20.0).run(record_steps=True)
+    v2, i2_int = traj.column("V2"), traj.column("I2_int")
+    assert np.max(np.abs(v2[0] - v2 - i2_int)) <= 1e-12 * v2[0]
+
+
+def test_split_steps_solve_a_position_free_flow_exactly():
+    # under the plateau the mirrored pair's velocity flow v' = -2v does not
+    # read the positions, so the split solves it exactly: v and diss2, the
+    # closed form 2 v0^2 (1 - e^(-4t)), to round-off; the positions are the
+    # trapezoid rule on those velocities, and diss2_root is Simpson's rule
+    # on sqrt(I2) = sqrt(8) |v0| e^(-2t), off by about 16 dt^4 / 180
+    dt = 0.02
+    traj = integrate(pair_state(), PLATEAU, euclidean(1),
+                     StepperConfig(dt_max=dt, safety=1.0, method=SPLIT), 1.0,
+                     ObserverSchedule("linear", spacing=0.1), record_steps=True)
+    q = math.exp(-2.0 * dt)
+    for k, s in enumerate(traj.states):
+        assert s.t == pytest.approx(k * dt, rel=1e-12, abs=0.0)
+        trapezoid = 0.5 - dt * (1.0 + q) * (1.0 - q**k) / (1.0 - q)
+        assert s.x[0, 0] == pytest.approx(trapezoid, rel=0.0, abs=1e-14)
+        assert s.v[0, 0] == pytest.approx(-2.0 * math.exp(-2.0 * s.t), rel=1e-13)
+        assert s.diss2 == pytest.approx(8.0 * -math.expm1(-4.0 * s.t), rel=1e-13, abs=1e-300)
+        root = math.sqrt(8.0) * -math.expm1(-2.0 * s.t)
+        assert s.diss2_root == pytest.approx(root, rel=5e-8, abs=1e-300)
+
+
+def test_split_steps_converge_at_second_order():
+    # slow enough that the approach limit stays above every dt, so each
+    # step is dt; successive differences shrink fourfold per halving
+    cfg = scenario("torus-singular-beta2.5")
+    start = cfg.build()
+    start.v *= 0.1
+    finals = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        traj = integrate(start, cfg.kernel, cfg.domain,
+                         StepperConfig(dt_max=dt, safety=1.0, method=SPLIT), 0.5,
+                         ObserverSchedule("linear", spacing=0.5), record_steps=True)
+        assert len(traj.states) == round(0.5 / dt) + 1
+        finals.append(traj.final_state)
+    gaps = [max(np.max(np.abs(displacement(cfg.domain, a.x, b.x))), np.max(np.abs(a.v - b.v)))
+            for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert all(1.9 < order < 2.1 for order in orders), orders
+
+
+# The split runs' records against RK4's to t = 2, relative to V2(0), |C(0)|
+# and max |G|: the worst over seeds 0-7 of the three singular circles was
+# 5.5e-4, 9.7e-4 and 1.2e-3, of the order of RK4's own energy-identity
+# residual on these runs; each bound is twice that.
+SPLIT_AGREEMENT = {"V2": 1.1e-3, "C": 2e-3, "G": 2.5e-3}
+
+
+@pytest.mark.parametrize("name", SINGULAR_CIRCLES)
+def test_split_records_agree_with_rk4(name):
+    split = scenario(name, horizon=2.0).run()
+    rk4 = _config(name, horizon=2.0).run()
+    assert split.error is None and rk4.error is None
+    assert split.t().tobytes() == rk4.t().tobytes()
+    scales = {"V2": rk4.column("V2")[0], "C": abs(rk4.column("C")[0]),
+              "G": np.max(np.abs(rk4.column("G")))}
+    for col, tol in SPLIT_AGREEMENT.items():
+        assert np.max(np.abs(split.column(col) - rk4.column(col))) <= tol * scales[col], col
+
+
+def test_a_weak_singular_collision_under_splitting_ends_in_a_typed_error():
+    traj = _config("two-agent-weak-singular-collision", SPLIT).run()
+    assert isinstance(traj.error, (CollisionError, StiffnessError))
+    assert traj.error.distance <= 1e-6 and traj.error.t < 1.0
+    assert traj.states[-1].t == pytest.approx(traj.error.t)
+    assert all(np.isfinite(s.x).all() and np.isfinite(s.v).all() for s in traj.states)
+    assert all(math.isfinite(r.V2) for r in traj.records)
+
+
+def test_splitting_refuses_a_flock_of_several_blocks():
+    # eigh of the whole (N, N) operator is not formed past one row block
+    n = dynamics._SPLIT_MAX_N + 1
+    cfg = StepperConfig(dt_max=0.1, method=SPLIT)
+    state = initial_state(circle(), n, kind="lattice_circle", seed=0)
+    with pytest.raises(ValueError, match="at most 64 agents"):
+        step(state, SINGULAR, circle(), cfg)
+    library = scenario("torus-singular-beta2.5")
+    with pytest.raises(ValueError, match="at most 64 agents"):
+        dataclasses.replace(library, n=n)
+    assert dataclasses.replace(library, n=n - 1).n == n - 1
+
+
+@pytest.mark.parametrize("cap", [0.0, -0.1, math.nan])
+def test_step_refuses_a_cap_that_is_not_positive(cap):
+    # a caller's error, not a stiffness failure
+    cfg = scenario("euclid-classical-smooth")
+    with pytest.raises(ValueError, match="dt_cap must be positive"):
+        step(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper, dt_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +917,21 @@ def test_schedule_rejects_bad_parameters(kwargs):
         ObserverSchedule.from_dict(kwargs)
 
 
+@pytest.mark.parametrize("t0, horizon", [(0.0, math.nan), (0.0, math.inf),
+                                        (math.nan, 1.0), (-math.inf, 1.0)])
+@pytest.mark.parametrize("sched", [ObserverSchedule("linear", spacing=0.5),
+                                   ObserverSchedule("geometric", t_first=0.5, factor=1.3)],
+                         ids=["linear", "geometric"])
+def test_a_non_finite_horizon_is_refused(sched, t0, horizon):
+    # a linear schedule would append without end and a geometric one return
+    # [nan]; integrate refuses it before its first step
+    with pytest.raises(ValueError, match="must be finite"):
+        sched.times(t0, horizon)
+    st = FlockState(t0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(st, FLAT, euclidean(1), StepperConfig(dt_max=0.1), horizon, sched)
+
+
 def test_schedule_roundtrip():
     for sched in (ObserverSchedule("linear", spacing=0.5),
                   ObserverSchedule("geometric", t_first=0.5, factor=1.3)):
@@ -851,6 +1080,15 @@ def test_stepper_config_reads_configs_that_name_the_method():
     cfg = StepperConfig.from_dict({"dt_max": 0.1, "method": "rk4_adaptive"})
     assert cfg == StepperConfig(dt_max=0.1)
     assert "method" not in cfg.to_dict()
+
+
+def test_stepper_config_names_only_the_split_method():
+    # an RK4 config serialises as before, so its hash is unchanged
+    split = StepperConfig(dt_max=0.1, method=SPLIT)
+    assert split.to_dict() == {"dt_max": 0.1, "safety": 0.4, "method": SPLIT}
+    assert StepperConfig.from_dict(split.to_dict()) == split
+    with pytest.raises(ValueError, match="unknown method"):
+        StepperConfig(dt_max=0.1, method="rk45")
 
 
 def test_stepper_config_reads_configs_with_an_unset_guard():
