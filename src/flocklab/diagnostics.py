@@ -628,7 +628,9 @@ def _records(states, kernel, domain, lyapunov_config, singular) -> list:
     compute_record forms for its state alone, bit for bit.  A coincident
     pair under a singular kernel raises the CollisionError of the first
     state holding one.  ``singular`` is the kernel's class, found here when
-    None."""
+    None.  An empty list of states has an empty list of records."""
+    if not states:
+        return []
     if singular is None:
         singular = kernels._is_singular(kernel)
     cfg = lyapunov_config
@@ -664,19 +666,19 @@ def _speed_powers(speed):
     yield 4, np.power(speed, 4, out=power)
 
 
-def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None) -> dict:
+def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
     """The record's pair columns V_p, I_p, G, G3, C, D, dmin and vdiam of
     each state of a stack: x and v of shape (K, N, d) at the K times t, with
     the weights m of shape (N,) that the states share, each column of shape
     (K,), or math.nan where the kernel, domain or N does not define it.
 
-    Each is summed over blocks of ``block`` rows i against the columns j from
-    the block's first row on: every summand is exactly symmetric in (i, j)
-    and 0 at i = j, so the square block on the diagonal counts once and the
-    columns past it twice.  Each block is one pass over the whole stack, and
-    each summand is reduced as m_rows @ (S @ w) for each state before the
-    next is formed.  ``singular`` is the kernel's class, found here when
-    None.
+    Each is summed over blocks of ``_RECORD_BLOCK`` rows i against the
+    columns j from the block's first row on: every summand is exactly
+    symmetric in (i, j) and 0 at i = j, so the square block on the diagonal
+    counts once and the columns past it twice.  Each block is one pass over
+    the whole stack, and each summand is reduced as m_rows @ (S @ w) for
+    each state before the next is formed.  ``singular`` is the kernel's
+    class, found here when None.
     """
     stack, n = x.shape[:2]
     if singular is None:
@@ -685,8 +687,8 @@ def _pair_columns(x, v, m, kernel, domain, t, block=_RECORD_BLOCK, singular=None
     cols = {"G3": math.nan, "C": math.nan}
     sums = collections.defaultdict(float)
     diameter, dmin, vdiam = np.zeros(stack), np.full(stack, math.inf), np.zeros(stack)
-    for a in range(0, n, block):
-        b = min(a + block, n)
+    for a in range(0, n, _RECORD_BLOCK):
+        b = min(a + _RECORD_BLOCK, n)
         speed = geometry.pair_square_sums(VELOCITY_SPACE, v[:, a:b], v[:, a:])
         np.sqrt(speed, out=speed)
         dist, reach, near, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)

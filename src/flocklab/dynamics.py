@@ -59,9 +59,11 @@ set.  Singular kernels, kernels of full support and flocks of several
 blocks carry no set, nor does a block that stays dense.
 
 ``integrate`` classifies the kernel once and hands the class to each
-``step`` and record.  It records the initial state at once and every later
-recorded state in chunks of stacked states (``diagnostics._records``), each
-record bit for bit the one its state gives alone.
+``step`` and record.  It records the initial state at once, then only
+steps, keeping each later recorded state; after the last step, or the
+failed one, it records them all in one ``diagnostics._records`` call, in
+chunks of stacked states, each record bit for bit the one its state gives
+alone.
 
 Initial data comes from one table of kind -> generator: ``check_initial``
 checks settings against it without drawing, ``initial_state`` dispatches on it.
@@ -119,6 +121,8 @@ class FlockState:
 
     def __post_init__(self):
         self.t = float(self.t)
+        if not math.isfinite(self.t):  # a step from it would give t = nan
+            raise ValueError(f"state time {self.t} must be finite")
         self.x = np.array(self.x, dtype=float)
         if self.x.ndim == 1:
             self.x = self.x[:, None]
@@ -669,12 +673,12 @@ def integrate(
     hit exactly).
 
     The initial state is recorded at once, so a coincident pair under a
-    singular kernel raises before any step.  The later recorded states are
-    queued and recorded in chunks of stacked states
-    (``diagnostics._records``): when a chunk is full, before the error
-    record and at the end of the run.  The records and states keep their
-    order, and each record is the one ``compute_record`` forms for its
-    state alone, bit for bit.
+    singular kernel raises before any step.  The loop only steps and keeps
+    the later recorded states; they are recorded after it, in one
+    ``diagnostics._records`` call, which forms them in chunks of stacked
+    states, each record the one ``compute_record`` forms for its state
+    alone, bit for bit.  Under a singular kernel every stepped state has
+    passed the end-of-step guard, so its record cannot raise.
     """
     if state.dim != domain.dim:
         raise ValueError(
@@ -687,47 +691,25 @@ def integrate(
     singular = kernels._is_singular(kernel)
 
     # a recorded state is never changed afterwards, so it is kept, not copied
-    chunk = diagnostics._chunk_states(cur.n)
-    queued = []
-
-    def flush():
-        if queued:
-            traj.records.extend(diagnostics._records(queued, kernel, domain, lyapunov_config,
-                                                     singular))
-            traj.states.extend(queued)
-            queued.clear()
-
-    def record(s):
-        queued.append(s)
-        if len(queued) == chunk:
-            flush()
-
-    def record_now(s):
-        traj.records.append(diagnostics.compute_record(s, kernel, domain, lyapunov_config,
-                                                       _singular=singular))
-        traj.states.append(s)
-
-    record_now(cur)
-    for target in targets:
-        while cur.t < target:
-            try:
+    traj.records.append(diagnostics.compute_record(cur, kernel, domain, lyapunov_config,
+                                                   _singular=singular))
+    traj.states.append(cur)
+    try:
+        for target in targets:
+            while cur.t < target:
                 cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t, _singular=singular)
-            except (CollisionError, StiffnessError) as err:
-                traj.error = err
-                flush()
-                if traj.states[-1] is not cur:
-                    try:
-                        record_now(cur)
-                    except CollisionError:
-                        traj.states.append(cur)
-                return traj
-            if target - cur.t < 1e-12 * max(1.0, abs(target)):
-                cur.t = target
-            if record_steps:
-                record(cur)
-        if not record_steps:
-            record(cur)
-    flush()
+                if target - cur.t < 1e-12 * max(1.0, abs(target)):
+                    cur.t = target
+                if record_steps:
+                    traj.states.append(cur)
+            if not record_steps:
+                traj.states.append(cur)
+    except (CollisionError, StiffnessError) as err:
+        traj.error = err
+        if traj.states[-1] is not cur:
+            traj.states.append(cur)
+    traj.records.extend(diagnostics._records(traj.states[1:], kernel, domain, lyapunov_config,
+                                             singular))
     return traj
 
 

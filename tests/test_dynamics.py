@@ -228,17 +228,24 @@ def test_inbound_pair_under_integrable_singularity_collides():
     assert traj.states[-1].t == pytest.approx(traj.error.t)
 
 
+def _meeting_pair_run(record_steps, spacing):
+    """The kernel and the run of a pair under a singular kernel too weak to
+    turn it, which meets at t = 0.5."""
+    kernel = KernelSpec(KernelKind.SINGULAR_POWER, lam=1e-9, beta=0.5)
+    state = FlockState(0.0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
+    return kernel, integrate(state, kernel, euclidean(1), StepperConfig(dt_max=0.1), 2.0,
+                             ObserverSchedule("linear", spacing=spacing),
+                             record_steps=record_steps)
+
+
 @pytest.mark.parametrize("record_steps, spacing, count", [(False, 1.0, 2), (False, 0.1, 6),
                                                            (True, 1.0, 49)])
 def test_a_failed_run_records_its_last_state_once(record_steps, spacing, count):
     # the pair meets at t = 0.5 and the step underflows there; the state the
-    # failed step started from is recorded once, after the queued records of
-    # the observer times before it, whether a step recorded it already or
-    # not, and every record is the one its state gives alone
-    kernel = KernelSpec(KernelKind.SINGULAR_POWER, lam=1e-9, beta=0.5)
-    state = FlockState(0.0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
-    traj = integrate(state, kernel, euclidean(1), StepperConfig(dt_max=0.1), 2.0,
-                     ObserverSchedule("linear", spacing=spacing), record_steps=record_steps)
+    # failed step started from is recorded once, after the records of the
+    # observer times before it, whether a step recorded it already or not,
+    # and every record is the one its state gives alone
+    kernel, traj = _meeting_pair_run(record_steps, spacing)
     assert isinstance(traj.error, StiffnessError)
     assert traj.error.t == pytest.approx(0.5) and traj.states[-1].t == traj.error.t
     assert len(traj.records) == len(traj.states) == count
@@ -247,6 +254,24 @@ def test_a_failed_run_records_its_last_state_once(record_steps, spacing, count):
     alone = [diagnostics.compute_record(s, kernel, euclidean(1)) for s in traj.states]
     assert (np.array([r.to_row() for r in traj.records]).tobytes()
             == np.array([r.to_row() for r in alone]).tobytes())
+
+
+@pytest.mark.parametrize("run", ["rk4", "split", "failed"])
+def test_every_stored_state_of_a_singular_run_is_clear_of_the_guard(run):
+    # every state after the initial one passed the end-of-step guard, so its
+    # record, formed after the run, cannot raise CollisionError (distance 0),
+    # and the last state of a failed run is no exception
+    if run == "failed":
+        traj = _meeting_pair_run(True, 1.0)[1]
+        assert isinstance(traj.error, StiffnessError)
+        domain = euclidean(1)
+    else:
+        cfg = _config("torus-singular-beta2.5", RK4 if run == "rk4" else SPLIT, horizon=0.5)
+        traj, domain = cfg.run(record_steps=True), cfg.domain
+        assert traj.error is None and len(traj.states) > 10
+    for s, rec in zip(traj.states, traj.records, strict=True):
+        dmin = dense.nearest_pair(dense.pair_distances(domain, s.x))[0]
+        assert dmin == rec.dmin > dynamics._GUARD, s.t
 
 
 def test_slow_pair_under_strong_singularity_stalls():
@@ -924,9 +949,14 @@ def test_schedule_rejects_bad_parameters(kwargs):
                          ids=["linear", "geometric"])
 def test_a_non_finite_horizon_is_refused(sched, t0, horizon):
     # a linear schedule would append without end and a geometric one return
-    # [nan]; integrate refuses it before its first step
+    # [nan]; integrate refuses a non-finite horizon before its first step,
+    # and no state holds a non-finite time
     with pytest.raises(ValueError, match="must be finite"):
         sched.times(t0, horizon)
+    if not math.isfinite(t0):
+        with pytest.raises(ValueError, match="must be finite"):
+            FlockState(t0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
+        return
     st = FlockState(t0, [[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
     with pytest.raises(ValueError, match="must be finite"):
         integrate(st, FLAT, euclidean(1), StepperConfig(dt_max=0.1), horizon, sched)

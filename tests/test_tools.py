@@ -32,14 +32,17 @@ def _load(path):
 @pytest.fixture(scope="module")
 def dump():
     """A small dump in the format of ``compare_runs.py dump``: one run, one
-    run with searched constants, the multi-block runs and every initial
-    state."""
+    run with searched constants, one run that records every step and ends
+    in an error, the multi-block runs and every initial state."""
     tool = _load(COMPARE_RUNS)
     runs = {
         "two-agent-smooth-collision": tool._run(
             scenario("two-agent-smooth-collision", horizon=1.0), False),
         "torus-singular-beta2/steps": tool._run(
             scenario("torus-singular-beta2", horizon=0.02), True),
+        "two-agent-weak-singular-collision/steps": tool._run(
+            scenario("two-agent-weak-singular-collision",
+                     horizon=tool.STEP_HORIZONS["two-agent-weak-singular-collision"]), True),
     }
     for name in tool.BLOCK_RUNS:
         runs[name] = tool._run(tool._block_config(name), False)
@@ -67,14 +70,24 @@ def test_compare_runs_dump_searches_every_variant():
     # variants; four steps of each scenario the older dumps lacked write
     # their searched (a, b, c)
     tool = _load(COMPARE_RUNS)
-    variants = {scenario(name).lyapunov.variant for name in tool.STEP_HORIZONS}
-    assert variants == set(diagnostics.LyapunovVariant)
+    functionals = [scenario(name).lyapunov for name in tool.STEP_HORIZONS]
+    assert {cfg.variant for cfg in functionals if cfg is not None} == set(
+        diagnostics.LyapunovVariant)
     for name in ("torus-local-ensemble", "euclid-classical-smooth", "euclid-annular-fat-tail"):
         cfg = scenario(name)
         run = tool._run(scenario(name, horizon=4 * cfg.stepper.dt_max), True)
         assert len(run["records"]) >= 5 and run["error"] is None, name
         constants = [float.fromhex(h) for h in run["constants"]]
         assert len(constants) == 3 and min(constants) > 0.0, name
+
+
+def test_compare_runs_dump_records_every_step_of_a_failed_run(dump):
+    # the run with no functional searches no constants, and its records
+    # cover every stored state up to the state the failed step started from
+    run = dump["runs"]["two-agent-weak-singular-collision/steps"]
+    assert run["error"]["type"] == "StiffnessError" and "constants" not in run
+    assert len(run["records"]) == len(run["states"]) > 2
+    assert run["records"][-1][0] == run["states"][-1]["t"][0] == run["error"]["t"][0]
 
 
 def _nudge(hexes, k=0):
@@ -92,6 +105,11 @@ def _record(d):
 def _block_record(d):
     run = d["runs"]["blocks-plane-192"]
     run["records"][0] = _nudge(run["records"][0], run["columns"].index("G3"))
+
+
+def _failed_state(d):
+    run = d["runs"]["two-agent-weak-singular-collision/steps"]
+    run["states"][-1]["x"] = _nudge(run["states"][-1]["x"])
 
 
 def _config(d):
@@ -133,11 +151,13 @@ def test_compare_runs_diff_exits_0_on_equal_dumps(tmp_path, dump):
 @pytest.mark.parametrize("change, verdict", [
     (_record, "runs: some differ"),
     (_block_record, "runs: some differ"),
+    (_failed_state, "runs: some differ"),
     (_config, "configs: some differ"),
     (_constants, "constants: some differ"),
     (_initial, "initial states: some differ"),
     (_missing, "runs: some differ"),
-], ids=["record", "block-record", "config", "constants", "initial-state", "missing-run"])
+], ids=["record", "block-record", "failed-state", "config", "constants", "initial-state",
+        "missing-run"])
 def test_compare_runs_diff_exits_1_on_any_difference(tmp_path, dump, change, verdict):
     # a script can gate on the exit code: one changed float is enough
     changed = copy.deepcopy(dump)

@@ -3,20 +3,22 @@
     PYTHONPATH=<checkout>/src python3 tools/compare_runs.py dump OUT.json
     PYTHONPATH=src python3 tools/compare_runs.py diff A.json B.json
 
-``dump`` runs all 13 library scenarios at the short horizons below, and six
+``dump`` runs all 13 library scenarios at the short horizons below, and seven
 of them again with a record after every step (``STEP_HORIZONS``): the three
 ``torus-singular-*`` scenarios and one scenario of each other Lyapunov
-variant, so the constant search runs on all five variants.
+variant, so the constant search runs on all five variants, and
+``two-agent-weak-singular-collision``, a run that records every step and
+ends in an error.
 The library flocks are at most 64 agents, one row block, so it also runs
 two flocks shaped like perfbench's ``large-n`` at smaller N (``BLOCK_RUNS``):
 several record blocks, and the stepper's sorted column windows.
 It writes each run's canonical config JSON, every record, every stored
 state (``t``, ``x``, ``v``, ``diss2``, ``diss2_root``) and the run's error
-(type, pair, distance, t), and for the record-every-step runs the (a, b, c)
-that ``lyapunov_constant_search`` returns.  It also writes the x, v and m
-of ``initial_state`` for every initial-data kind at two seeds.  Each float
-is stored as its exact hex form, so two checkouts can be compared without
-round-off.
+(type, pair, distance, t), and for the record-every-step runs with a
+Lyapunov functional the (a, b, c) that ``lyapunov_constant_search``
+returns.  It also writes the x, v and m of ``initial_state`` for every
+initial-data kind at two seeds.  Each float is stored as its exact hex
+form, so two checkouts can be compared without round-off.
 
 ``diff`` prints one line per run: whether its records, states and error
 are bitwise equal, and the largest relative difference
@@ -57,8 +59,9 @@ HORIZONS = {
     "vacuum-gap-torus": 200.0,
 }
 # horizon of each run that records every step and searches the Lyapunov
-# constants, with the variant it searches
+# constants, with the variant it searches, or that has no functional
 STEP_HORIZONS = {
+    "two-agent-weak-singular-collision": 10.0,  # none: ends in a StiffnessError
     "torus-singular-beta2": 0.5,  # circle_ii
     "torus-singular-beta2.5": 0.5,  # circle_iii
     "torus-singular-beta3": 0.5,  # circle_iii
@@ -122,7 +125,7 @@ def _run(cfg, record_steps):
             "distance": _hex(err.distance), "t": _hex(err.t),
         },
     }
-    if record_steps:
+    if record_steps and cfg.lyapunov is not None:
         n_eff = 1.0 / float(np.max(traj.states[0].m))
         best = lyapunov_constant_search(traj.records, cfg.lyapunov.variant, n_eff)
         run["constants"] = _hex([best.a, best.b, best.c])

@@ -93,15 +93,23 @@ def _setup(name, n):
     return domain, initial_state(domain, n, kind="uniform_gaussian", seed=0)
 
 
+@contextlib.contextmanager
+def _rows_of(block):
+    """Row blocks of ``block`` rows for the stepper and the record, or of
+    ``diagnostics._RECORD_BLOCK`` rows when block is None."""
+    saved = diagnostics._RECORD_BLOCK
+    diagnostics._RECORD_BLOCK = block or saved
+    try:
+        yield
+    finally:
+        diagnostics._RECORD_BLOCK = saved
+
+
 def _force(state, domain, block=None):
     """Accelerations and I2 of one evaluation on the stepper's row blocks, or
     on blocks of ``block`` rows (block = N: the one-block reference)."""
-    stepper_block = diagnostics._RECORD_BLOCK
-    diagnostics._RECORD_BLOCK = block or stepper_block
-    try:
+    with _rows_of(block):
         return _pair_field(state.x, state.v, state.m, KERNEL, domain, state.t, False)[:2]
-    finally:
-        diagnostics._RECORD_BLOCK = stepper_block
 
 
 @contextlib.contextmanager
@@ -171,10 +179,12 @@ def _stage_tables():
         _stage_row("circle", KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=r0))
 
 
-def _record(state, domain, block=diagnostics._RECORD_BLOCK):
-    """The pair columns of one state, a stack of one."""
-    return diagnostics._pair_columns(state.x[None], state.v[None], state.m, KERNEL, domain,
-                                     [state.t], block)
+def _record(state, domain, block=None):
+    """The pair columns of one state, a stack of one, on the record's row
+    blocks, or on blocks of ``block`` rows."""
+    with _rows_of(block):
+        return diagnostics._pair_columns(state.x[None], state.v[None], state.m, KERNEL, domain,
+                                         [state.t])
 
 
 def _stepped_states(name, count):
