@@ -22,6 +22,21 @@ for bit.  A block with no pair beyond the support radius, as under a kernel
 of full support, evaluates the kernel on the whole block instead.  A record
 reads nothing of the stepper's pair field.
 
+Each pair quantity of a block is formed once.  On the circle a block forms
+one chart difference x_j - x_i and one velocity difference v_i - v_j per
+pair (``_circle_pairs``) and derives the rest from them: the distances
+(folded once to the minimal image) and through them D, dmin, the kernel's
+support and C; the speeds; and the corrector's directed arcs.  In the plane
+the distances and speeds are the roots of ``pair_square_sums``.  One record
+call makes its work arrays once (``_block_buffers``: four float arrays and
+one bool, each as large as the first and largest block), and every block
+works in C-contiguous views of their fronts shaped (K, rows, cols), so its
+diagonal fills and flat scatters index them as whole blocks.  Each block
+refills its scatter targets with zeros in place, the I_p summands' and the
+Euclidean correctors', and folds, powers and collision summands are written
+over the views, so a block allocates only its small support indices and
+kernel values.
+
 The records of the states of one run are formed in chunks (``_records``):
 the states of a chunk, which share their weights, are stacked as (K, N, d)
 and each row block is one pass over the whole stack, so its numpy calls are
@@ -128,10 +143,13 @@ def _stacks(states):
                [float(getattr(s, "t", 0.0)) for s in chunk], chunk)
 
 
-def _block_kernel(kernel, domain, x, a, b, t, singular):
+def _block_kernel(kernel, domain, x, a, b, t, singular, dist=None, mask=None):
     """The distances of a row block of each state of a stack, rows a:b of
     x[k] against the rows from a on, and the kernel on them: (dist, reach,
-    dmin, phi, inside), with reach and dmin of shape (K,).
+    dmin, phi, inside), with reach and dmin of shape (K,).  ``dist`` is the
+    block's distances when the caller has formed them (they are changed),
+    and formed here when None; ``mask``, a bool array of its shape, is
+    scratch for the support test (made where None).
 
     ``dist`` has inf at i = j, ``reach`` is each state's largest entry
     before that and ``dmin`` its smallest pair distance.  Under a singular
@@ -148,8 +166,9 @@ def _block_kernel(kernel, domain, x, a, b, t, singular):
     every summand it multiplies is 0 there.
     """
     n = x.shape[1]
-    dist = geometry.pair_square_sums(domain, x[:, a:b], x[:, a:])
-    np.sqrt(dist, out=dist)
+    if dist is None:
+        dist = geometry.pair_square_sums(domain, x[:, a:b], x[:, a:])
+        np.sqrt(dist, out=dist)
     reach = dist.max(axis=(1, 2))
     _fill_diagonal(dist, math.inf)
     near = dist.min(axis=(1, 2))
@@ -162,7 +181,7 @@ def _block_kernel(kernel, domain, x, a, b, t, singular):
     radius = kernels.support_radius(kernel)
     if reach.max() < radius:
         return dist, reach, near, kernels._evaluate_raw(kernel, dist), None
-    inside = np.flatnonzero(dist < radius)
+    inside = np.flatnonzero(np.less(dist, radius, out=mask))
     return dist, reach, near, kernels._evaluate_raw(kernel, dist.take(inside)), inside
 
 
@@ -224,11 +243,12 @@ def _corrector_columns(state, r0, domain) -> dict:
                          singular=False)
 
 
-def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
+def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers, out=None):
     """Summands |v_ij|^power psi(d_ij) chi(|x_ij|) of the Euclidean corrector
     for each power, rows i of (xr[k], vr[k]) against columns j of (xc[k],
     vc[k]) for each state k of a stack, from their pair distances and speeds
-    (K, rows, cols), yielded one at a time.
+    (K, rows, cols), yielded one at a time, each read before the next is
+    made: each is written into ``out``, refilled with zeros, when given.
 
     chi, and with it each summand, is exactly 0 at and beyond 2*r0, so the
     summands are formed only on the pairs closer than that and are 0
@@ -245,26 +265,81 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers):
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist.take(near), r0)
     for power in powers:
-        summand = np.zeros_like(dist)
+        summand = np.empty_like(dist) if out is None else out
+        summand.fill(0.0)
         summand.reshape(-1)[near] = speed**power * psi * chi
         yield summand
 
 
-def _circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
-    """Summand |v_i - v_j| psi(d_ij) of the circle corrector, rows i of the
-    chart positions and velocities (xr, vr) against columns j of (xc, vc),
-    of one state or of each state of a stack (K, rows) against (K, cols)."""
-    vdiff = vr[..., :, None] - vc[..., None, :]
-    # chart difference, not minimal image; xc - xr is -(xr - xc) bit for bit
-    arc = xc[..., None, :] - xr[..., :, None]
-    arc *= np.sign(vdiff)
-    # psi_periodic of the arcs mod 2*pi, formed in place on them
-    arc = geometry._mod_two_pi(arc)
+# In binary floating point the square root of the rounded square y * y is
+# |y| bit for bit while y * y is a normal float: 2^-511 <= |y| < 2^512.
+# Floats of magnitude at least 2^-458 are multiples of 2^-510, and so is the
+# difference of two of them; a difference of floats below 2^510 is below
+# 2^511.  So where every nonzero entry of an array lies in [2^-458, 2^510),
+# each difference y of two entries has |y| = sqrt(y * y), and so does its
+# minimal image on the circle: 2*pi - |y| for |y| past pi, and fmod's
+# remainder for |y| past 2*pi, are multiples of 2^-51 when nonzero.
+_ROOT_RANGE = (2.0**-458, 2.0**510)
+
+
+def _plain_roots(values) -> bool:
+    """Whether |y| is sqrt(y * y) bit for bit for every difference y of two
+    entries of ``values`` (see _ROOT_RANGE); false on a nan."""
+    mags = np.abs(values)
+    low = np.min(mags, where=mags > 0.0, initial=math.inf)
+    return bool(low >= _ROOT_RANGE[0] and mags.max(initial=0.0) < _ROOT_RANGE[1])
+
+
+def _circle_pairs(x, v, a, b, plain, dist, speed, arc, work):
+    """The pair quantities of a circle record's row block, rows a:b of each
+    state of a stack of chart positions and velocities x and v (K, N)
+    against the rows from a on, from one chart difference dx = x_j - x_i and
+    one velocity difference dv = v_i - v_j per pair, each written into its
+    block view: ``dist`` the distance min(|dx|, 2*pi - |dx|), ``speed`` |dv|
+    and ``arc`` dx sign(dv), the corrector's directed arc before its fold;
+    ``work`` is scratch.
+
+    Returns (speed, moments): the speeds the corrector reads and those the
+    V_p and I_p read, sqrt(dv^2) as ``pair_square_sums`` forms them, and
+    dist must be sqrt(dx^2) likewise.  Where ``plain`` holds for x and v
+    (_plain_roots) the magnitudes are those roots bit for bit, and moments
+    is speed itself; otherwise dist is squared and rooted in place, and
+    moments is a new array.
+    """
+    # xc - xr is -(xr - xc) bit for bit, so |dx| is the magnitude of either
+    np.subtract(x[:, None, a:], x[:, a:b, None], out=arc)
+    geometry._folded(arc, dist, work)
+    np.subtract(v[:, a:b, None], v[:, None, a:], out=speed)
+    arc *= np.sign(speed, out=work)
+    np.abs(speed, out=speed)
+    if plain:
+        return speed, speed
+    np.sqrt(np.square(dist, out=dist), out=dist)
+    return speed, np.sqrt(np.square(speed))
+
+
+def _circle_summand(arc, speed, r0, work=None, mask=None) -> np.ndarray:
+    """Summand |v_i - v_j| psi(d_ij) of the circle corrector, in place on the
+    directed arcs arc = (x_j - x_i) sign(v_i - v_j) of chart positions, from
+    the speeds |v_i - v_j|: d_ij is arc mod 2*pi, the contracting arc.
+    ``work`` and ``mask``, float and bool arrays of arc's shape, are scratch
+    for the folds (made where None)."""
+    geometry._mod_two_pi(arc, work, mask)
     arc += r0
-    psi = geometry._psi_periodic_shifted(arc, r0)
-    np.abs(vdiff, out=vdiff)
-    vdiff *= psi
-    return vdiff
+    psi = geometry._psi_periodic_shifted(arc, r0, work, mask)
+    psi *= speed
+    return psi
+
+
+def _euclidean_pairs(domain, x, v, a, b, dist, speed, work):
+    """The distances and speeds of a Euclidean record's row block, rows a:b
+    of each state of a stack x and v (K, N, d) against the rows from a on,
+    written into the block views ``dist`` and ``speed`` (``work`` is
+    scratch), the square roots of ``pair_square_sums``."""
+    for values, space, out in ((v, VELOCITY_SPACE, speed), (x, domain, dist)):
+        geometry._paired_square_sums(space, values[:, a:b, None, :], values[:, None, a:, :],
+                                     out, work)
+        np.sqrt(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +732,26 @@ def _records(states, kernel, domain, lyapunov_config, singular) -> list:
     return records
 
 
-def _speed_powers(speed):
+def _speed_powers(speed, out):
     """(p, speed**p) for p = 1, 2 and 4, each read before the next is made:
-    speed**4 is written over speed**2."""
+    speed**2 and then speed**4 are written into ``out``."""
     yield 1, speed
-    power = speed**2
-    yield 2, power
-    yield 4, np.power(speed, 4, out=power)
+    yield 2, np.square(speed, out=out)
+    yield 4, np.power(speed, 4, out=out)
+
+
+def _block_buffers(stack: int, n: int) -> list:
+    """The work arrays of one _pair_columns call, flat and each as large as
+    its first and largest block, (stack, min(n, _RECORD_BLOCK), n): four
+    float arrays and one bool."""
+    size = stack * min(n, _RECORD_BLOCK) * n
+    return [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool)]
+
+
+def _views(buffers, shape) -> list:
+    """A C-contiguous view of the given shape on the front of each buffer."""
+    size = math.prod(shape)
+    return [buf[:size].reshape(shape) for buf in buffers]
 
 
 def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
@@ -677,8 +765,9 @@ def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
     symmetric in (i, j) and 0 at i = j, so the square block on the diagonal
     counts once and the columns past it twice.  Each block is one pass over
     the whole stack, and each summand is reduced as m_rows @ (S @ w) for
-    each state before the next is formed.  ``singular`` is the kernel's
-    class, found here when None.
+    each state before the next is formed.  Every block works in views of the
+    work arrays made once per call (_block_buffers).  ``singular`` is the
+    kernel's class, found here when None.
     """
     stack, n = x.shape[:2]
     if singular is None:
@@ -687,33 +776,39 @@ def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
     cols = {"G3": math.nan, "C": math.nan}
     sums = collections.defaultdict(float)
     diameter, dmin, vdiam = np.zeros(stack), np.full(stack, math.inf), np.zeros(stack)
+    buffers = _block_buffers(stack, n)
+    plain = domain.periodic and _plain_roots(x) and _plain_roots(v)
     for a in range(0, n, _RECORD_BLOCK):
         b = min(a + _RECORD_BLOCK, n)
-        speed = geometry.pair_square_sums(VELOCITY_SPACE, v[:, a:b], v[:, a:])
-        np.sqrt(speed, out=speed)
-        dist, reach, near, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular)
+        dist, speed, spare, scratch, mask = _views(buffers, (stack, b - a, n - a))
+        if domain.periodic:  # spare holds the arcs; dist is spent once phi and C are formed
+            speed, moments = _circle_pairs(x[..., 0], v[..., 0], a, b, plain, dist, speed,
+                                           spare, scratch)
+            power = dist
+        else:  # the Euclidean correctors read dist last
+            _euclidean_pairs(domain, x, v, a, b, dist, speed, scratch)
+            moments, power = speed, spare
+        _, reach, near, phi, inside = _block_kernel(kernel, domain, x, a, b, t, singular, dist,
+                                                    mask)
         diameter = np.maximum(diameter, reach)
-        vdiam = np.maximum(vdiam, speed.max(axis=(1, 2)))
+        vdiam = np.maximum(vdiam, moments.max(axis=(1, 2)))
         dmin = np.minimum(dmin, near)
         m_rows, w = m[a:b], np.concatenate((m[a:b], 2.0 * m[b:]))
-        if collision:  # formed in place on dist, which only the Euclidean correctors read later
-            sums["C"] += _pair_sum(m_rows, _collision_summand(
-                dist if domain.periodic else dist.copy(), kernel.beta, kernel.r0), w)
-        if domain.periodic:
-            del dist  # the circle corrector reads neither dist nor, after I_p, speed
-        dissipated = None
-        for p, power in _speed_powers(speed):
-            sums[f"V{p}"] += _pair_sum(m_rows, power, w)
-            dissipated = _on_support(power, phi, inside, dissipated)
+        if collision:  # formed in place on dist, or on a copy where dist is read later
+            if power is not dist:
+                power[...] = dist
+            sums["C"] += _pair_sum(m_rows, _collision_summand(power, kernel.beta, kernel.r0), w)
+        if inside is not None:
+            scratch.fill(0.0)
+        for p, values in _speed_powers(moments, power):
+            sums[f"V{p}"] += _pair_sum(m_rows, values, w)
+            dissipated = _on_support(values, phi, inside, scratch)
             sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
-        del power, phi, dissipated  # not alive while the correctors are built
         if domain.periodic:
-            del speed
-            summands = [_circle_summand(x[:, a:b, 0], x[:, a:, 0], v[:, a:b, 0], v[:, a:, 0],
-                                        kernel.r0)]
+            summands = [_circle_summand(spare, speed, kernel.r0, scratch, mask)]
         else:
             summands = _euclidean_summands(x[:, a:b], x[:, a:], v[:, a:b], v[:, a:], dist, speed,
-                                           kernel.r0, (1, 3))
+                                           kernel.r0, (1, 3), scratch)
         for name, summand in zip(("G", "G3"), summands):
             sums[name] += _pair_sum(m_rows, summand, w)
 

@@ -36,12 +36,15 @@ the separation guard and the StiffnessError pair) is a blocked row-major
 argmin, so a step forms no (N, N) array.
 
 Under a singular kernel the end-of-step guard is the next step's first
-evaluation ("first same as last"), under either method: ``_finished``
-evaluates the pair field at the wrapped end position with the guard as its
-contact floor, and the returned state carries that evaluation, keyed on its
-x, v and m, which are read-only, and on the kernel and domain.  The next ``step`` under an equal
-kernel and domain takes it off the state instead of evaluating again, so a
-stored state keeps nothing extra once it has been stepped.
+evaluation ("first same as last"), under either method: a step evaluates
+its wrapped end position (``_finished``) with the guard as its contact
+floor, and the returned state carries that evaluation, keyed on its x, v
+and m, which are read-only, and on the kernel, domain and method.  Under
+RK4 the evaluation is the whole pair field; a split step reads only the
+nearest pair and the largest squared relative speed, so under splitting
+it is only those (``_approach``).  The next ``step`` under an equal
+kernel, domain and method takes it off the state instead of evaluating
+again, so a stored state keeps nothing extra once it has been stepped.
 
 A smooth kernel has no guard.  Under one of compact support the carry of a
 one-block flock holds a pair set instead (a Verlet list with a skin): the
@@ -115,8 +118,8 @@ class FlockState:
     m: np.ndarray
     diss2: float = 0.0
     diss2_root: float = 0.0
-    # (x, v, m, kernel, domain, evaluation, pairs) that step leaves for the
-    # next step; see _stepped
+    # (x, v, m, kernel, domain, method, evaluation, pairs) that step leaves
+    # for the next step; see _stepped
     _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -155,13 +158,14 @@ class FlockState:
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
 
 
-def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, first, pairs):
+def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs):
     """A step's result from the arrays the step has just made, without
     ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
-    x, v and m are made read-only, so ``first``, the evaluation at them or
-    None, cannot go stale; the next step reads it, and ``pairs``, the pair
-    set of this step's first pass or None, only while the state still holds
-    these arrays and steps under an equal kernel and domain."""
+    x, v and m are made read-only, so ``first``, the evaluation at them of
+    ``method`` or None, cannot go stale; the next step reads it, and
+    ``pairs``, the pair set of this step's first pass or None, only while
+    the state still holds these arrays and steps under an equal kernel,
+    domain and method."""
     if m.flags.writeable:  # the caller's weights; every later state shares the copy
         m = m.copy()
     for arr in (x, v, m):
@@ -170,7 +174,7 @@ def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, first, pairs):
     state.t, state.x, state.v, state.m = t, x, v, m
     state.diss2, state.diss2_root = diss2, diss2_root
     state._first = (None if first is None and pairs is None
-                    else (x, v, m, kernel, domain, first, pairs))
+                    else (x, v, m, kernel, domain, method, first, pairs))
     return state
 
 
@@ -422,20 +426,27 @@ def _propose_dt(cfg: StepperConfig, stiff: float, speed2: float, dmin: float,
     return dt
 
 
-def _first_evaluation(state, kernel, domain, singular):
-    """The step's first evaluation: the one the previous step left on the
-    state, taken off it, when the state still holds the arrays it was made
-    at and steps under an equal kernel and domain; otherwise a new one,
-    handed the pair set the previous step left."""
+def _carried(state, kernel, domain, method):
+    """(evaluation, pairs) the previous step left on the state, taken off
+    it: those of a state that still holds the arrays they were made at and
+    steps under an equal kernel, domain and method, else (None, None)."""
     carried, state._first = state._first, None
-    pairs = None
     if (carried is not None and carried[0] is state.x and carried[1] is state.v
-            and carried[2] is state.m and carried[3:5] == (kernel, domain)):
-        evaluation, pairs = carried[5:]
-        if evaluation is not None:
-            return evaluation
-    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, singular,
-                       first=True, pairs=pairs)
+            and carried[2] is state.m and carried[3:6] == (kernel, domain, method)):
+        return carried[6:]
+    return None, None
+
+
+def _approach(x, v, domain, t, floor):
+    """(speed2, dmin) of a flock of one row block under a singular kernel,
+    the largest squared relative speed and the smallest distance, as
+    ``_pair_field`` with ``first`` forms them; a pair at or below ``floor``
+    raises CollisionError naming the first such pair in row-major order."""
+    dist = geometry.pair_square_sums(domain, x, x)
+    near, pair = _block_nearest(np.sqrt(dist, out=dist), 0)
+    if near <= floor:
+        raise CollisionError(pair, t, near)
+    return float(geometry.pair_square_sums(geometry.VELOCITY_SPACE, v, v).max()), near
 
 
 def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConfig, dt_cap=None,
@@ -452,19 +463,21 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     if dt_cap is not None and not dt_cap > 0.0:  # fails on nan
         raise ValueError(f"dt_cap must be positive, got {dt_cap!r}")
     singular = kernels._is_singular(kernel) if _singular is None else _singular
+    evaluation, pairs = _carried(state, kernel, domain, cfg.method)
     if cfg.method == _RK4:
-        a0, i2a, stiff, speed2, dmin, pairs = _first_evaluation(state, kernel, domain, singular)
+        if evaluation is None:
+            evaluation = _pair_field(state.x, state.v, state.m, kernel, domain, state.t,
+                                     singular, first=True, pairs=pairs)
+        a0, i2a, stiff, speed2, dmin, pairs = evaluation
         attempt = functools.partial(_attempt, state, (a0, i2a), pairs, kernel, domain, singular)
     else:
         if state.n > _SPLIT_MAX_N:
             raise ValueError(f"{cfg.method} steps at most {_SPLIT_MAX_N} agents, got {state.n}")
         # the exact velocity flow has no stiffness limit, and without a
         # guard nothing reads the first evaluation
-        stiff, speed2, dmin, pairs = 0.0, 0.0, math.inf, None
+        stiff, speed2, dmin = 0.0, 0.0, math.inf
         if singular:
-            speed2, dmin = _first_evaluation(state, kernel, domain, singular)[3:5]
-        else:
-            state._first = None  # a pair set some RK4 step left
+            speed2, dmin = evaluation or _approach(state.x, state.v, domain, state.t, 0.0)
         attempt = functools.partial(_split_attempt, state, kernel, domain, singular)
     dt = _propose_dt(cfg, stiff, speed2, dmin, singular)
     if dt_cap is not None:
@@ -483,7 +496,7 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
 
     x1, v1, d2, d2r, last = result
     return _stepped(state.t + dt, x1, v1, state.m, state.diss2 + d2,
-                    state.diss2_root + d2r, kernel, domain, last, pairs)
+                    state.diss2_root + d2r, kernel, domain, cfg.method, last, pairs)
 
 
 def _attempt(state, first, pairs, kernel, domain, singular, dt):
@@ -504,7 +517,9 @@ def _attempt(state, first, pairs, kernel, domain, singular, dt):
 
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
-    x1, last = _finished(x1, v1, m, kernel, domain, t + dt, singular)
+    x1 = _finished(x1, v1, domain)
+    last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
+            if singular else None)
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
@@ -512,16 +527,13 @@ def _attempt(state, first, pairs, kernel, domain, singular, dt):
     return x1, v1, d2, d2r, last
 
 
-def _finished(x1, v1, m, kernel, domain, t1, singular):
-    """The wrapped end position of a step and, under a singular kernel, its
-    guard: the end position is the one no stage has guarded, and its
-    evaluation is the next step's first."""
+def _finished(x1, v1, domain):
+    """The wrapped end position of a step, whose result must be finite.
+    Under a singular kernel the caller then guards it, the position no stage
+    has guarded, by the evaluation the next step takes as its first."""
     if not (np.isfinite(x1).all() and np.isfinite(v1).all()):
         raise ValueError("positions and velocities must be finite")
-    x1 = domain.wrap(x1)
-    last = (_pair_field(x1, v1, m, kernel, domain, t1, singular, _GUARD, first=True)
-            if singular else None)
-    return x1, last
+    return domain.wrap(x1)
 
 
 def _split_attempt(state, kernel, domain, singular, dt):
@@ -563,7 +575,8 @@ def _split_attempt(state, kernel, domain, singular, dt):
     w = q.T @ (root * (v0 - vbar))
     decay = np.exp(-dt * lam)
     v1 = vbar + (q @ (decay[:, None] * w)) / root
-    x1, last = _finished(xh + h * v1, v1, m, kernel, domain, state.t + dt, singular)
+    x1 = _finished(xh + h * v1, v1, domain)
+    last = _approach(x1, v1, domain, state.t + dt, _GUARD) if singular else None
 
     w2 = np.einsum("kd,kd->k", w, w)
     d2 = 2.0 * float(w2 @ -np.expm1(-2.0 * dt * lam))

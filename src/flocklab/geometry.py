@@ -1,18 +1,21 @@
 """Ambient domains (Euclidean space, unit-speed circle) and auxiliary profiles.
 
 The circle has circumference 2*pi and positions are kept on the chart
-[0, 2*pi).  Displacements use the minimal image with the seam convention
-that a separation of exactly pi maps to +pi.  The image is exactly
-antisymmetric off the seam, so pair distances are exactly symmetric.
-``displacement`` is the only minimal-image code in the package.  Every
-pair magnitude of the stepper and of the diagnostics, |x_i - x_j| and
-|v_i - v_j| alike, is built by ``pair_square_sums`` one component at a
-time, for a block of rows against a block of columns (of one state, or of
-each state of a stack of states), so no (N, N, d) array is formed.
-``_row_windows`` gives the stepper its row blocks and, under a kernel of
-compact support, the column window of each.  The auxiliary cutoff and
-weight profiles (chi, psi) are the piecewise-linear shapes used by the
-corrector functionals.
+[0, 2*pi).  ``displacement`` gives the signed minimal image, with the seam
+convention that a separation of exactly pi maps to +pi; it is exactly
+antisymmetric off the seam.  The package forms no signed image itself:
+``displacement`` is the oracle of the tests and the tools.  A pair
+distance needs only the image's magnitude, min(|a - b|, 2*pi - |a - b|)
+(``_folded``), which equals |displacement| bit for bit, so pair distances
+are exactly symmetric.  Every pair magnitude of the stepper and of the
+diagnostics, |x_i - x_j| and |v_i - v_j| alike, is built by
+``pair_square_sums`` one component at a time, for a block of rows against
+a block of columns (of one state, or of each state of a stack of states),
+so no (N, N, d) array is formed; the records' circle blocks fold their one
+chart difference with ``_folded`` directly.  ``_row_windows`` gives the
+stepper its row blocks and, under a kernel of compact support, the column
+window of each.  The auxiliary cutoff and weight profiles (chi, psi) are
+the piecewise-linear shapes used by the corrector functionals.
 """
 
 import math
@@ -99,13 +102,9 @@ def displacement(domain: Domain, x_i, x_j):
     wrapped = np.atleast_1d(diff)
     if wrapped.size and not -TWO_PI < wrapped.min() <= wrapped.max() < TWO_PI:
         np.fmod(wrapped, TWO_PI, out=wrapped)
-    wrapped += -TWO_PI * _periods(wrapped > math.pi, wrapped <= -math.pi)
+    periods = (wrapped > math.pi).view(np.int8) - (wrapped <= -math.pi).view(np.int8)
+    wrapped += -TWO_PI * periods
     return float(wrapped[0]) if np.ndim(diff) == 0 else wrapped
-
-
-def _periods(up, down) -> np.ndarray:
-    """up - down of two boolean arrays as int8: -1, 0 or +1 at each entry."""
-    return up.view(np.int8) - down.view(np.int8)
 
 
 # velocities differ plainly on every domain; displacement reads only ``periodic``
@@ -118,28 +117,52 @@ def pair_square_sums(domain: Domain, a, b) -> np.ndarray:
     against a stack (K, M, d), each pair of arrays of the stack, as
     (K, N, M).
 
-    Differences come from ``displacement`` on ``domain`` (``VELOCITY_SPACE``
-    for velocities), added one component at a time as ``np.linalg.norm``
-    adds them, so rows a[r0:r1] against b[c0:c1] are the same block of the
-    whole (N, M) array bit for bit, and each array of a stack is the one
-    its own pair gives.
+    On the circle each square is that of the minimal image's magnitude
+    (``_folded``), |``displacement``| bit for bit; velocities
+    (``VELOCITY_SPACE``) and Euclidean positions differ plainly.  The
+    squares are added one component at a time as ``np.linalg.norm`` adds
+    them, so rows a[r0:r1] against b[c0:c1] are the same block of the whole
+    (N, M) array bit for bit, and each array of a stack is the one its own
+    pair gives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return _paired_square_sums(domain, a[..., :, None, :], b[..., None, :, :])
 
 
-def _paired_square_sums(domain: Domain, a, b) -> np.ndarray:
+def _paired_square_sums(domain: Domain, a, b, out=None, work=None) -> np.ndarray:
     """Sums over the last axis of (a - b)^2, a and b broadcast against each
     other: row k of the (P, d) array a against row k of b, as (P,).  Each
     entry is the one ``pair_square_sums`` forms for the same two rows, bit
-    for bit."""
+    for bit.  The sums are written into ``out`` and the squares past the
+    first component into ``work`` (on the circle, one dimensional, the
+    fold's), each of the broadcast shape, when given; otherwise made here."""
     sums = None
     for k in range(a.shape[-1]):
-        sq = displacement(domain, a[..., k], b[..., k])
+        sq = np.subtract(a[..., k], b[..., k], out=out if sums is None else work)
+        if domain.periodic:
+            _folded(sq, sq, work)
         sq *= sq
         sums = sq if sums is None else np.add(sums, sq, out=sums)
     return sums
+
+
+def _folded(diff: np.ndarray, out=None, work=None) -> np.ndarray:
+    """The circle distance min(|diff|, 2*pi - |diff|) of each chart
+    difference in the float array diff, into ``out`` (diff itself may be
+    given), with ``work`` (made here when None) for 2*pi - |diff|.
+
+    It is |displacement| bit for bit: below pi it is |diff|; from pi to
+    2*pi, 2*pi - |diff| and displacement's diff -+ 2*pi are both exact
+    (Sterbenz's lemma) and of one magnitude.  |diff| at or past 2*pi, as
+    unwrapped stage positions give, is first reduced by fmod, which is exact
+    and odd, so fmod(|diff|) is |fmod(diff)|; inside (-2*pi, 2*pi), where
+    differences of chart positions lie, fmod is the identity and skipped.
+    """
+    out = np.abs(diff, out=out)
+    if out.size and not out.max() < TWO_PI:
+        np.fmod(out, TWO_PI, out=out)
+    return np.minimum(out, np.subtract(TWO_PI, out, out=work), out=out)
 
 
 def _row_windows(domain: Domain, x, radius: float, block: int):
@@ -207,34 +230,49 @@ def psi_periodic(x, r0: float):
     return float(y[0]) if np.ndim(x) == 0 else y
 
 
-def _psi_periodic_shifted(y: np.ndarray, r0: float) -> np.ndarray:
-    """psi_periodic(x) from the float array y = x + r0, in place on y."""
+def _psi_periodic_shifted(y: np.ndarray, r0: float, work=None, mask=None) -> np.ndarray:
+    """psi_periodic(x) from the float array y = x + r0, in place on y, with
+    ``work`` and ``mask`` (float and bool arrays of y's shape, made here when
+    None) for the fold and the far arc's slope."""
     if not 0 < r0 < math.pi:
         raise DomainMismatchError("need 0 < r0 < pi on the circle")
     # reduce to one period starting at -r0: y in [-r0, 2*pi - r0)
-    _mod_two_pi(y)
+    _mod_two_pi(y, work, mask)
     y -= r0
-    # (r0 - y) times -slope is (y - r0) times slope bit for bit
-    factor = np.where(y <= r0, 1.0, -(r0 / (math.pi - r0)))
+    # psi is r0 - y on the near arc (y <= r0), where it is >= 0 and (y - r0)
+    # times the slope is <= 0, and that product on the far arc, where the
+    # signs swap: the larger of the two is psi on both, and at y = r0 both
+    # are +0.0.  (y - r0) times slope is (r0 - y) times -slope bit for bit
+    far = np.subtract(y, r0, out=work)
+    far *= r0 / (math.pi - r0)
     np.subtract(r0, y, out=y)
-    y *= factor
-    return y
+    return np.maximum(y, far, out=y)
 
 
-def _mod_two_pi(z: np.ndarray) -> np.ndarray:
+def _mod_two_pi(z: np.ndarray, work=None, mask=None) -> np.ndarray:
     """z mod 2*pi in [0, 2*pi], in place on the float array z, equal to
-    np.mod(z, 2*pi) bit for bit.
+    np.mod(z, 2*pi) bit for bit; ``work`` and ``mask`` are float and bool
+    arrays of z's shape for the folds, made here when None.
 
     np.mod is fmod plus 2*pi on a negative remainder, and +0.0 for a zero
     one; adding 2*pi or +0.0 does both, at a fraction of np.mod's cost.
     fmod is exact: z itself inside (-2*pi, 2*pi) and z - 2*pi, a subtraction
     exact by Sterbenz's lemma, on [2*pi, 4*pi).  Chart differences and arcs
-    plus r0 lie inside (-2*pi, 4*pi); there the slow fmod is skipped and both
-    shifts are one addition of -1, 0 or +1 periods.
+    plus r0 lie inside (-2*pi, 4*pi); there the slow fmod is skipped, and
+    each entry takes at most one of the two folds, each 2*pi times a mask
+    (+0.0 off it): -2*pi from 2*pi on, then +2*pi below 0, each made only
+    where some entry needs it (the second also where some entry is a zero,
+    which may be -0.0).
     """
-    if z.size and -TWO_PI < z.min() <= z.max() < 2.0 * TWO_PI:
-        z += TWO_PI * _periods(z < 0.0, z >= TWO_PI)
+    if not z.size:
+        return z
+    low, high = z.min(), z.max()
+    if -TWO_PI < low and high < 2.0 * TWO_PI:
+        if high >= TWO_PI:
+            z -= np.multiply(np.greater_equal(z, TWO_PI, out=mask), TWO_PI, out=work)
     else:
         np.fmod(z, TWO_PI, out=z)
-        z += TWO_PI * (z < 0.0)
+        low = -math.inf
+    if low <= 0.0:
+        z += np.multiply(np.less(z, 0.0, out=mask), TWO_PI, out=work)
     return z

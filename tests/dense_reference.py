@@ -5,9 +5,10 @@ flocklab sums every pair column over row blocks (``diagnostics._pair_columns``)
 and ``good_set``'s forward dissipation over the same blocks.  Here each
 column is formed as one whole (N, N) summand S, from plain numpy forms
 (``np.mod`` on the circle, the Euclidean corrector on every pair, the kernel
-on every pair), and reduced as m @ (S @ m), the expression a record of one
-block uses.  So a record of at most 64 agents equals these bit for bit, and
-a larger one differs only in summation order.
+on every pair), and reduced in the order a record reduces it
+(``record_sum``): over row blocks of 64 rows against the columns from the
+block's first row on, m @ (S @ m) for a flock of one block.  So a record
+equals these bit for bit at every N.
 
 ``propose_dt`` and ``rk4_step`` restate the adaptive RK4 step from the force
 law a_i = sum_j m_j phi(|x_i - x_j|) (v_j - v_i) on dense arrays, with the
@@ -59,16 +60,34 @@ def _pair_sum(m, summand) -> float:
     return float(m @ (summand @ m))
 
 
+# a record reduces each summand over row blocks of this many rows
+RECORD_BLOCK = 64
+
+
+def record_sum(m, summand) -> float:
+    """sum_{i,j} m_i S_ij m_j of a symmetric (N, N) summand S, reduced as a
+    record reduces it: rows a:b of each block of RECORD_BLOCK rows against
+    the columns from a on, m[a:b] @ (S[a:b, a:] @ w) with w = m[a:b], then
+    2 m[b:], as the square block on the diagonal counts once and the columns
+    past it twice; the blocks' sums are added in order."""
+    total = 0.0
+    for a in range(0, len(m), RECORD_BLOCK):
+        b = min(a + RECORD_BLOCK, len(m))
+        w = np.concatenate((m[a:b], 2.0 * m[b:]))
+        total += float(m[a:b] @ (np.ascontiguousarray(summand[a:b, a:]) @ w))
+    return total
+
+
 def variation(state, p: float) -> float:
     """Weighted p-th variation sum_{i,j} m_i m_j |v_i - v_j|^p."""
-    return _pair_sum(state.m, pair_distances(VELOCITY_SPACE, state.v) ** p)
+    return record_sum(state.m, pair_distances(VELOCITY_SPACE, state.v) ** p)
 
 
 def dissipation(state, kernel, domain, p: float) -> float:
     """Kernel-weighted moment p * sum_{i,j} m_i m_j |v_i - v_j|^p phi(|x_i - x_j|)."""
     speed = pair_distances(VELOCITY_SPACE, state.v)
     phi = pair_phi(kernel, pair_distances(domain, state.x), state.t)
-    return p * _pair_sum(state.m, speed**p * phi)
+    return p * record_sum(state.m, speed**p * phi)
 
 
 def euclidean_summand(xr, xc, vr, vc, dist, speed, r0, power) -> np.ndarray:
@@ -85,7 +104,7 @@ def corrector_euclidean(state, r0: float, power: int) -> float:
     x, v = state.x, state.v
     dist = pair_distances(geometry.euclidean(x.shape[1]), x)
     speed = pair_distances(VELOCITY_SPACE, v)
-    return _pair_sum(state.m, euclidean_summand(x, x, v, v, dist, speed, r0, power))
+    return record_sum(state.m, euclidean_summand(x, x, v, v, dist, speed, r0, power))
 
 
 def psi_periodic(x, r0: float):
@@ -103,7 +122,7 @@ def circle_summand(xr, xc, vr, vc, r0) -> np.ndarray:
 
 def corrector_circle(state, r0: float) -> float:
     x, v = state.x[:, 0], state.v[:, 0]
-    return _pair_sum(state.m, circle_summand(x, x, v, v, r0))
+    return record_sum(state.m, circle_summand(x, x, v, v, r0))
 
 
 def collision_potential(state, domain, beta: float, r0: float) -> float:
@@ -115,7 +134,7 @@ def collision_potential(state, domain, beta: float, r0: float) -> float:
     capped = np.minimum(dist, r0)
     vals = np.log(capped) if beta == 2.0 else capped ** (2.0 - beta)
     np.fill_diagonal(vals, 0.0)
-    return _pair_sum(state.m, vals)
+    return record_sum(state.m, vals)
 
 
 def lyapunov(state, kernel, domain, config) -> float:

@@ -517,7 +517,7 @@ def test_blocked_record_matches_the_dense_reference(domain, n):
     rec = compute_record(state, LOCAL, domain, cfg)
     ref = dense.columns(state, LOCAL, domain, cfg)
     for name, want in ref.items():
-        assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert getattr(rec, name) == want, name
     assert math.isnan(rec.C) and math.isnan(rec.G3) == domain.periodic
     assert ref["V1"] > 0.0 and ref["I2"] > 0.0 and ref["G"] > 0.0
 
@@ -533,7 +533,7 @@ def test_blocked_record_with_a_block_wholly_inside_the_support(domain):
     cfg = _record_config(domain)
     rec = compute_record(state, LOCAL, domain, cfg)
     for name, want in dense.columns(state, LOCAL, domain, cfg).items():
-        assert getattr(rec, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert getattr(rec, name) == want, name
 
 
 def test_record_of_one_block_equals_the_public_diagnostics():
@@ -574,10 +574,8 @@ def test_blocked_record_names_the_first_coincident_pair():
 def test_blocked_record_collision_potential():
     state = _lattice(256)
     rec = compute_record(state, SINGULAR, circle())
-    want = dense.collision_potential(state, circle(), SINGULAR.beta, SINGULAR.r0)
-    assert rec.C == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert rec.I2 == pytest.approx(dense.dissipation(state, SINGULAR, circle(), 2),
-                                   rel=1e-12, abs=0.0)
+    assert rec.C == dense.collision_potential(state, circle(), SINGULAR.beta, SINGULAR.r0)
+    assert rec.I2 == dense.dissipation(state, SINGULAR, circle(), 2)
 
 
 def test_blocked_record_peak_memory():
@@ -673,6 +671,76 @@ def test_a_chunk_names_the_collision_of_its_first_colliding_state(monkeypatch, n
     monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS", len(states) * n * n)
     np.testing.assert_array_equal(good_set(Trajectory(states=states), LOCAL, circle(), 0.0,
                                            1.0).F, one)
+
+
+STACK_N = 150  # three row blocks, the last of 22 rows
+CLASSICAL = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.5, beta=1.5, r0=1.0)
+
+
+def _stack_states(domain):
+    """Four states of STACK_N agents sharing their weights, at times 0,
+    0.25, 0.5 and 0.75: state 0's velocities are so small that their
+    differences' squares underflow, state 2's are all equal, and on the
+    circle state 3's positions lie off the chart, up to two periods away."""
+    m = initial_state(domain, STACK_N, seed=7, weight_mode="random").m
+    states = [FlockState(0.25 * k, st.x, st.v, m)
+              for k, st in enumerate(initial_state(domain, STACK_N, seed=70 + k)
+                                     for k in range(4))]
+    states[0].v *= 1e-160
+    states[2].v[:] = states[2].v[0]
+    if domain.periodic:
+        periods = np.random.default_rng(3).integers(-2, 3, size=(STACK_N, 1))
+        states[3].x += TWO_PI * periods
+    return states
+
+
+@pytest.mark.parametrize("kernel", [LOCAL, SINGULAR, CLASSICAL],
+                         ids=["local", "singular", "classical"])
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_a_stack_of_three_states_over_three_blocks(monkeypatch, domain, kernel):
+    # chunks of three stacked states over three blocks, the last partial,
+    # in the work arrays of one call: every record is the dense oracle's and
+    # the one its state gives alone, bit for bit.  The first chunk holds the
+    # state whose squared speed differences underflow, so on the circle it
+    # forms every speed and distance as the root of its square, while the
+    # states alone form them as magnitudes
+    states = _stack_states(domain)
+    cfg = _record_config(domain)
+    monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS",
+                        3 * diagnostics._RECORD_BLOCK * STACK_N)
+    assert diagnostics._chunk_states(STACK_N) == 3
+    chunked = diagnostics._records(states, kernel, domain, cfg, None)
+    alone = [compute_record(s, kernel, domain, cfg) for s in states]
+    np.testing.assert_array_equal(_rows(chunked), _rows(alone))
+    for state, rec in zip(states, chunked):
+        for name, want in dense.columns(state, kernel, domain, cfg).items():
+            assert getattr(rec, name) == want, name
+    # one velocity: no pair contributes, and G is +0.0
+    assert chunked[2].G == 0.0 and math.copysign(1.0, chunked[2].G) == 1.0
+    assert chunked[2].V2 == 0.0 and chunked[2].I2 == 0.0 and chunked[1].G > 0.0
+    assert all(math.isfinite(r.C) for r in chunked) == (kernel is SINGULAR)
+    if domain.periodic:
+        v = states[0].v[:, 0]
+        dv = v[:, None] - v[None, :]
+        assert not diagnostics._plain_roots(v) and (np.sqrt(dv * dv) != np.abs(dv)).any()
+        assert diagnostics._plain_roots(states[3].x) and np.ptp(states[3].x) > 2.0 * TWO_PI
+
+
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_a_stack_names_a_coincident_pair_in_its_last_block(monkeypatch, domain):
+    # the second state of the chunk has a coincident pair in the third block
+    # of rows: the chunk raises what that state raises alone
+    states = _stack_states(domain)[1:]
+    states[1].x[145] = states[1].x[131]
+    assert dense.nearest_pair(dense.pair_distances(domain, states[1].x))[1] == (131, 145)
+    monkeypatch.setattr(diagnostics, "_RECORD_ELEMENTS",
+                        3 * diagnostics._RECORD_BLOCK * STACK_N)
+    with pytest.raises(CollisionError) as chunk:
+        diagnostics._records(states, SINGULAR, domain, None, None)
+    with pytest.raises(CollisionError) as alone:
+        compute_record(states[1], SINGULAR, domain)
+    assert chunk.value.pair == alone.value.pair == (131, 145)
+    assert chunk.value.t == alone.value.t == states[1].t and chunk.value.distance == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -338,12 +338,12 @@ def _assert_same_state(a, b):
     pytest.param("torus-local-ensemble", RK4, False, id="torus-local-ensemble-False")])
 def test_a_carried_evaluation_steps_as_a_fresh_copy(name, method, evaluated):
     # under a singular kernel the end-of-step guard is the next step's first
-    # evaluation, by either method; a smooth kernel has no guard, and under a
-    # compact one the state carries its pair set instead
+    # evaluation, by either method, keyed on the method; a smooth kernel has
+    # no guard, and under a compact one the state carries its pair set instead
     cfg, state = _library_step(name, method)
-    x, v, m, kernel, domain, evaluation, pairs = state._first
+    x, v, m, kernel, domain, keyed, evaluation, pairs = state._first
     assert x is state.x and v is state.v and m is state.m
-    assert kernel == cfg.kernel and domain == cfg.domain
+    assert kernel == cfg.kernel and domain == cfg.domain and keyed == method
     assert (evaluation is not None) == evaluated and (pairs is None) == evaluated
     fresh = step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper)
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper), fresh)
@@ -366,6 +366,37 @@ def test_a_carry_is_dropped_under_another_kernel_or_domain(name):
         state = _library_step(name)[1]
         _assert_same_state(step(state, kernel, domain, cfg.stepper),
                            step(state.copy(), kernel, domain, cfg.stepper))
+
+
+def test_a_carry_is_dropped_under_another_method():
+    # a split step carries only what a split step reads, the nearest pair
+    # and the largest squared speed, and an RK4 step the whole pair field:
+    # a state steps under the other method as its fresh copy does
+    for made, other in ((SPLIT, RK4), (RK4, SPLIT)):
+        cfg, state = _library_step("torus-singular-beta2.5", made)
+        stepper = dataclasses.replace(cfg.stepper, method=other)
+        _assert_same_state(step(state, cfg.kernel, cfg.domain, stepper),
+                           step(state.copy(), cfg.kernel, cfg.domain, stepper))
+        assert state._first is None
+
+
+def test_a_split_carry_is_the_pair_fields_approach():
+    # the split's end-of-step guard forms the pair field's nearest pair and
+    # largest squared speed bit for bit, and trips where the field trips
+    cfg, state = _library_step("torus-singular-beta2.5", SPLIT)
+    full = dynamics._pair_field(state.x, state.v, state.m, cfg.kernel, cfg.domain, state.t,
+                                True, dynamics._GUARD, first=True)
+    assert state._first[6] == full[3:5]
+    x = state.x.copy()
+    x[5] = x[2] + 0.5 * dynamics._GUARD
+    with pytest.raises(CollisionError) as light:
+        dynamics._approach(x, state.v, cfg.domain, 1.5, dynamics._GUARD)
+    with pytest.raises(CollisionError) as field:
+        dynamics._pair_field(x, state.v, state.m, cfg.kernel, cfg.domain, 1.5, True,
+                             dynamics._GUARD, first=True)
+    assert (light.value.pair, light.value.t, light.value.distance) == (
+        field.value.pair, field.value.t, field.value.distance)
+    assert light.value.pair == (2, 5)
 
 
 def test_stored_states_drop_the_carried_evaluation():
@@ -401,7 +432,7 @@ def test_a_singular_step_makes_four_distance_passes(monkeypatch):
         return square_sums(domain, *args)
 
     monkeypatch.setattr(geometry, "pair_square_sums", counted)
-    stiff, speed2, dmin = state._first[5][2:5]
+    stiff, speed2, dmin = state._first[6][2:5]
     dt = dynamics._propose_dt(cfg.stepper, stiff, speed2, dmin, True)
     after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
     assert after.t == state.t + dt  # accepted as proposed, not retried
@@ -490,7 +521,7 @@ def test_a_split_step_makes_two_distance_passes(monkeypatch):
         return square_sums(domain, *args)
 
     monkeypatch.setattr(geometry, "pair_square_sums", counted)
-    speed2, dmin = state._first[5][3:5]
+    speed2, dmin = state._first[6]  # a split step reads nothing else
     dt = dynamics._propose_dt(cfg.stepper, 0.0, speed2, dmin, True)
     after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
     assert after.t == state.t + dt  # the approach limit, not the stiffness one
@@ -640,7 +671,7 @@ def _dense_step(monkeypatch, *args):
 
 
 def _carried_pairs(state):
-    return None if state._first is None else state._first[6]
+    return None if state._first is None else state._first[7]
 
 
 @pytest.mark.parametrize("name, carries", [("torus-local-ensemble", True),

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from flocklab.diagnostics import _circle_summand
+from flocklab.diagnostics import _circle_pairs, _circle_summand
 from flocklab.errors import DomainMismatchError
 from flocklab.geometry import (
+    _folded,
     _mod_two_pi,
     _row_windows,
     TWO_PI,
@@ -293,6 +294,16 @@ def test_psi_periodic_is_the_np_mod_form(x, r0):
     assert isinstance(psi_periodic(float(x[0]), r0), float)
 
 
+def _record_summand(x, v, a, r0):
+    """The circle corrector's summand of rows a: against the columns from a
+    on, formed as a record's block forms it: from one chart difference and
+    one velocity difference per pair, in block views of fresh arrays."""
+    shape = (1, len(x) - a, len(x) - a)
+    dist, speed, arc, work = (np.empty(shape) for _ in range(4))
+    speed, _ = _circle_pairs(x[None], v[None], a, len(x), False, dist, speed, arc, work)
+    return _circle_summand(arc, speed, r0, work, np.empty(shape, dtype=bool))[0]
+
+
 @BITWISE
 @given(x=positions, data=st.data(), r0=st.sampled_from([0.1, 0.5]))
 def test_circle_summand_is_the_np_mod_form(x, data, r0):
@@ -300,10 +311,10 @@ def test_circle_summand_is_the_np_mod_form(x, data, r0):
     # of exactly +-pi and equal velocities
     x = np.array(x)
     v = np.array(data.draw(st.lists(velocities, min_size=len(x), max_size=len(x))))
-    _assert_bitwise(_circle_summand(x, x, v, v, r0), dense.circle_summand(x, x, v, v, r0))
-    k = len(x) // 2  # rows against a block of columns, as a record forms it
-    _assert_bitwise(_circle_summand(x[k:], x, v[k:], v, r0),
-                    dense.circle_summand(x[k:], x, v[k:], v, r0))
+    _assert_bitwise(_record_summand(x, v, 0, r0), dense.circle_summand(x, x, v, v, r0))
+    k = len(x) // 2  # rows against the columns from the first row on, as a record's block
+    _assert_bitwise(_record_summand(x, v, k, r0),
+                    dense.circle_summand(x[k:], x[k:], v[k:], v[k:], r0))
 
 
 def test_circle_summand_covers_the_exact_cases():
@@ -311,7 +322,7 @@ def test_circle_summand_covers_the_exact_cases():
     x = np.array([0.375, 0.375 + math.pi, 0.0, -0.0, TWO_PI, -TWO_PI, 7.0])
     v = np.array([1.0, -1.0, 1.0, 1.0, 0.0, -0.0, 0.5])
     assert (x[1] - x[0]) == math.pi and (x[0] - x[1]) == -math.pi
-    _assert_bitwise(_circle_summand(x, x, v, v, 0.5), dense.circle_summand(x, x, v, v, 0.5))
+    _assert_bitwise(_record_summand(x, v, 0, 0.5), dense.circle_summand(x, x, v, v, 0.5))
 
 
 @BITWISE
@@ -319,6 +330,44 @@ def test_circle_summand_covers_the_exact_cases():
 def test_displacement_skips_fmod_only_where_it_is_the_identity(a, b):
     a, b = np.array(a)[:, None], np.array(b)[None, :]
     _assert_bitwise(displacement(circle(), a, b), _displacement_reference(a, b))
+
+
+# chart positions, the special positions (exactly +-pi apart, 0 against
+# 2*pi - ulp, -0.0) and unwrapped ones, whose differences reach past 2*pi
+fold_positions = st.lists(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                                    st.sampled_from(SPECIAL_POSITIONS),
+                                    st.floats(-30.0, 30.0, allow_subnormal=False)),
+                          min_size=1, max_size=10)
+
+
+def _assert_folds_to_the_minimal_image(a, b):
+    """pair_square_sums of rows a against rows b, (N, 1) against (M, 1) or
+    (K, N, 1) against (K, M, 1), and the folded chart differences, are
+    displacement's squares and magnitudes bit for bit."""
+    image = displacement(circle(), a[..., :, None, 0], b[..., None, :, 0])
+    _assert_bitwise(pair_square_sums(circle(), a, b), image**2)
+    _assert_bitwise(_folded(b[..., None, :, 0] - a[..., :, None, 0]), np.abs(image))
+
+
+@BITWISE
+@given(a=fold_positions, b=fold_positions)
+def test_the_folded_distance_is_the_minimal_image(a, b):
+    a, b = np.array(a)[:, None], np.array(b)[:, None]
+    _assert_folds_to_the_minimal_image(a, b)
+    # each pair of arrays of (K, N, 1) stacks
+    _assert_folds_to_the_minimal_image(np.stack([a, a[::-1], a + TWO_PI]),
+                                       np.stack([b, -b, b[::-1]]))
+
+
+def test_the_folded_distance_covers_the_exact_cases():
+    x = np.array([0.375, 0.375 + math.pi, 0.0, -0.0, np.nextafter(TWO_PI, 0.0), TWO_PI,
+                  -TWO_PI, 7.0, -9.5, 3.0 * TWO_PI + 0.1])[:, None]
+    assert x[1, 0] - x[0, 0] == math.pi and x[0, 0] - x[1, 0] == -math.pi
+    assert np.abs(x[:, None, 0] - x[None, :, 0]).max() >= TWO_PI  # the fmod path
+    _assert_folds_to_the_minimal_image(x, x)
+    _assert_folds_to_the_minimal_image(np.stack([x, x[::-1], x - TWO_PI]),
+                                       np.stack([x, x, -x]))
+    assert pair_square_sums(circle(), x[2:4], x[4:5]).tolist() == [[(TWO_PI - x[4, 0]) ** 2]] * 2
 
 
 @pytest.mark.parametrize("top", [np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0),

@@ -45,24 +45,34 @@ def dump():
                      horizon=tool.STEP_HORIZONS["two-agent-weak-singular-collision"]), True),
     }
     for name in tool.BLOCK_RUNS:
-        runs[name] = tool._run(tool._block_config(name), False)
+        runs[name] = tool._block_run(name)
     return {"runs": runs, "initial": tool._initial_states()}
 
 
 def test_compare_runs_dump_covers_several_blocks(dump):
-    # the multi-block runs span several record blocks and step on the
-    # stepper's sorted column windows, which no library flock reaches
+    # the local multi-block runs span several record blocks and step on the
+    # stepper's sorted column windows, which no library flock reaches; the
+    # singular circle records every step in chunks of two stacked states
+    # over two blocks, with the collision potential
     tool = _load(COMPARE_RUNS)
-    for name in tool.BLOCK_RUNS:
+    block = diagnostics._RECORD_BLOCK
+    for name, (*_, record_steps) in tool.BLOCK_RUNS.items():
         cfg = tool._block_config(name)
-        block = diagnostics._RECORD_BLOCK
+        run = dump["runs"][name]
+        times = [float.fromhex(rec[0]) for rec in run["records"]]
+        assert run["error"] is None and json.loads(run["config"])["n"] == cfg.n
+        if record_steps:
+            assert block < cfg.n <= 2 * block and diagnostics._chunk_states(cfg.n) == 2
+            assert len(times) > 4 and times[0] == 0.0 and times[-1] == tool.BLOCK_HORIZON
+            column = run["columns"].index("C")
+            assert all(math.isfinite(float.fromhex(rec[column])) for rec in run["records"])
+            assert "constants" in run
+            continue
         assert cfg.n > 2 * block
         index, windows = geometry._row_windows(cfg.domain, cfg.build().x, cfg.kernel.r0, block)
         assert index is not None and any(c1 - c0 < cfg.n for *_, c0, c1 in windows)
-        run = dump["runs"][name]
-        times = [float.fromhex(rec[0]) for rec in run["records"]]
-        assert times == [0.0, tool.BLOCK_HORIZON] and run["error"] is None
-        assert json.loads(run["config"])["n"] == cfg.n
+        assert times == [0.0, tool.BLOCK_HORIZON]
+    assert any(record_steps for *_, record_steps in tool.BLOCK_RUNS.values())
 
 
 def test_compare_runs_dump_searches_every_variant():
@@ -190,9 +200,10 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
 
 
 def test_pair_field_timing_record_split(capsys):
-    # the split profiles the record itself: its parts add up to the record
+    # the split profiles the record itself: its parts add up to the record,
+    # and the helper that forms each block's pair quantities is timed
     tool = _load(PAIR_FIELD_TIMING)
-    for name in ("circle", "plane"):
+    for name, pairs in (("circle", "_circle_pairs"), ("plane", "_euclidean_pairs")):
         domain, state = tool._setup(name, 130)
         split = tool._record_split(state, domain)
         helpers = [fn.__name__ for fn in tool._split_helpers(domain)]
@@ -202,11 +213,23 @@ def test_pair_field_timing_record_split(capsys):
         assert all(s >= 0.0 for s in parts) and split["record"] > 0.0
         assert math.isclose(sum(parts), split["record"])
         assert split["_pair_sum"] > 0.0 and split[helpers[2]] > 0.0
+        assert helpers[0] == pairs and split[pairs] > 0.0
     tool._split_table("circle", 130, budget_s=0.0)
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows[1:]] == [
-        "pair_square_sums", "_evaluate_raw", "_circle_summand", "_pair_sum",
+        "_circle_pairs", "_evaluate_raw", "_circle_summand", "_pair_sum",
         "_collision_summand", "rest", "record"]
+
+
+def test_pair_field_timing_counts_page_faults(capsys):
+    # a record row ends with its minor page faults per call
+    tool = _load(PAIR_FIELD_TIMING)
+    domain, state = tool._setup("circle", 130)
+    faults = tool._faults(lambda: tool._record(state, domain), calls=2)
+    assert faults >= 0.0
+    tool._row("record", "circle", 130, (1.0, 0.5), faults=faults)
+    cells = capsys.readouterr().out.split()
+    assert cells[:3] == ["record", "circle", "130"] and float(cells[-1]) == round(faults)
 
 
 def test_pair_field_timing_chunk_sweep(monkeypatch, capsys):

@@ -10,8 +10,11 @@ variant, so the constant search runs on all five variants, and
 ``two-agent-weak-singular-collision``, a run that records every step and
 ends in an error.
 The library flocks are at most 64 agents, one row block, so it also runs
-two flocks shaped like perfbench's ``large-n`` at smaller N (``BLOCK_RUNS``):
-several record blocks, and the stepper's sorted column windows.
+three multi-block flocks (``BLOCK_RUNS``): two shaped like perfbench's
+``large-n`` at smaller N, several record blocks and the stepper's sorted
+column windows, and a singular circle of 96 agents with a record after
+every step, whose records are formed in chunks of two stacked states over
+two row blocks, with the collision potential C.
 It writes each run's canonical config JSON, every record, every stored
 state (``t``, ``x``, ``v``, ``diss2``, ``diss2_root``) and the run's error
 (type, pair, distance, t), and for the record-every-step runs with a
@@ -69,12 +72,20 @@ STEP_HORIZONS = {
     "euclid-classical-smooth": 5.0,  # euclidean_v4
     "euclid-annular-fat-tail": 20.0,  # euclidean_v2
 }
-# (domain, N, initial-data params, Lyapunov variant) of each multi-block run:
-# uniform_gaussian under local_mollified with r0 = 0.1, five steps of 0.01
-# with records at the start and the end
+# (domain, N, initial data, kernel, Lyapunov variant, record_steps) of each
+# multi-block run, stepped by RK4 with dt_max = 0.01 to BLOCK_HORIZON: the
+# local flocks take five steps with records at the start and the end; the
+# singular circle's steps are stiffness-limited, each recorded
+_LOCAL = {"kind": "local_mollified", "lam": 1.0, "r0": 0.1}
 BLOCK_RUNS = {
-    "blocks-circle-256": ("circle", 256, {"sigma": 1.0}, "circle_i"),
-    "blocks-plane-192": ("euclidean2", 192, {"box": 1.0, "sigma": 1.0}, "euclidean_v4"),
+    "blocks-circle-256": ("circle", 256, {"kind": "uniform_gaussian", "params": {"sigma": 1.0}},
+                          _LOCAL, "circle_i", False),
+    "blocks-plane-192": ("euclidean2", 192,
+                         {"kind": "uniform_gaussian", "params": {"box": 1.0, "sigma": 1.0}},
+                         _LOCAL, "euclidean_v4", False),
+    "blocks-singular-circle-96": (
+        "circle", 96, {"kind": "lattice_circle", "params": {"jitter": 0.02, "sigma": 0.5}},
+        {"kind": "singular_power", "lam": 1.0, "beta": 2.5, "r0": 1.0}, "circle_iii", True),
 }
 BLOCK_HORIZON = 0.05
 INITIAL_SEEDS = (0, 1)
@@ -143,17 +154,22 @@ def _block_config(name):
     from flocklab.diagnostics import LyapunovConfig
     from flocklab.dynamics import ObserverSchedule, StepperConfig
     from flocklab.harness import ScenarioConfig
-    from flocklab.kernels import KernelKind, KernelSpec
+    from flocklab.kernels import KernelSpec
 
-    domain, n, params, variant = BLOCK_RUNS[name]
-    kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
+    domain, n, initial, kernel, variant, _ = BLOCK_RUNS[name]
+    kernel = KernelSpec(**kernel)
     return ScenarioConfig(
         name=name, domain=_domain(domain), kernel=kernel, n=n, mode="discrete",
-        initial={"kind": "uniform_gaussian", "seed": 0, "params": params},
+        initial={"seed": 0, **initial},
         stepper=StepperConfig(dt_max=0.01), horizon=BLOCK_HORIZON,
         observers=ObserverSchedule("linear", spacing=BLOCK_HORIZON),
         lyapunov=LyapunovConfig.defaults(variant, kernel),
     )
+
+
+def _block_run(name):
+    """The dump of one of BLOCK_RUNS."""
+    return _run(_block_config(name), BLOCK_RUNS[name][-1])
 
 
 def _initial_states():
@@ -177,7 +193,7 @@ def dump(path):
         if name in STEP_HORIZONS:
             runs[name + "/steps"] = _run(scenario(name, horizon=STEP_HORIZONS[name]), True)
     for name in BLOCK_RUNS:
-        runs[name] = _run(_block_config(name), False)
+        runs[name] = _block_run(name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"runs": runs, "initial": _initial_states()}, fh)
 

@@ -14,19 +14,24 @@ kernel with r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the
 circle, and in the plane on the unit box.  Each force row prints the median
 µs per call of the row blocks and of the reference (``-`` where the
 reference is not timed), and the tracemalloc peak of one call in MB; each
-record row the same of the one record algorithm.  The reference is not run
-past N = 2048, where its (N, N) arrays take most of the memory.  The next
+record row the same of the one record algorithm, and the minor page faults
+per record call (``resource.getrusage``'s ``ru_minflt``, the mean over a
+few calls after a warm-up call): the pages a call touches afresh, which a
+record's per-block temporaries multiply.  The reference is not run past
+N = 2048, where its (N, N) arrays take most of the memory.  The next
 table times the record at N = 2048 for several block sizes, the table the
 block size is read off.  The last profiles one circle record at N = 2048
 with cProfile and splits it by the helpers of ``diagnostics._pair_columns``:
-``pair_square_sums`` forms the squared relative speeds and distances,
-``_evaluate_raw`` the kernel phi, ``_circle_summand`` the corrector's
-summand, ``_pair_sum`` every reduction m_rows @ (S @ w) and
-``_collision_summand`` the collision potential's (not called under this
-kernel); ``rest`` is the time in ``_pair_columns`` itself and in its
-block helpers ``_block_kernel`` and ``_on_support`` (the square roots,
-masks, powers and scatters).  Each row is the median ms and share
-of the record; the profiler adds its own small cost to each call.
+``_circle_pairs`` forms each pair's one chart difference and one velocity
+difference and from them the distances, speeds and directed arcs (in the
+plane ``_euclidean_pairs`` the distances and speeds), ``_evaluate_raw``
+the kernel phi, ``_circle_summand`` the corrector's summand (in the plane
+``_euclidean_summands``), ``_pair_sum`` every reduction m_rows @ (S @ w)
+and ``_collision_summand`` the collision potential's (not called under
+this kernel); ``rest`` is the time in ``_pair_columns`` itself and in its
+block helpers ``_block_kernel`` and ``_on_support`` (the support masks,
+powers and scatters).  Each row is the median ms and share of the record;
+the profiler adds its own small cost to each call.
 
 The chunk sweep times the records of the states of one run, formed in
 chunks of stacked states (``diagnostics._records``), against the number of
@@ -58,14 +63,16 @@ saves what the build costs.  The set is built here at every size and share.
 
 import contextlib
 import cProfile
+import functools
 import math
 import pstats
+import resource
 import statistics
 import sys
 import time
 import tracemalloc
 
-from flocklab import diagnostics, dynamics, geometry, kernels
+from flocklab import diagnostics, dynamics, kernels
 from flocklab.dynamics import _pair_field, initial_state
 from flocklab.geometry import circle, euclidean
 from flocklab.harness import scenario
@@ -234,8 +241,11 @@ def _chunk_table():
 def _split_helpers(domain):
     """The helpers of diagnostics._pair_columns that form its summands and
     reduce them, on the circle or in the plane."""
-    corrector = diagnostics._circle_summand if domain.periodic else diagnostics._euclidean_summands
-    return (geometry.pair_square_sums, kernels._evaluate_raw, corrector, diagnostics._pair_sum,
+    if domain.periodic:
+        pairs, corrector = diagnostics._circle_pairs, diagnostics._circle_summand
+    else:
+        pairs, corrector = diagnostics._euclidean_pairs, diagnostics._euclidean_summands
+    return (pairs, kernels._evaluate_raw, corrector, diagnostics._pair_sum,
             diagnostics._collision_summand)
 
 
@@ -292,14 +302,26 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
+def _faults(fn, calls=5):
+    """Mean minor page faults of one call over ``calls`` calls, after one
+    warm-up call."""
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
 def _cells(fn):
     return _median_us(fn), _peak_mb(fn)
 
 
-def _row(label, name, n, *cells):
-    """One table row: the µs of each cell, then the MB of each."""
+def _row(label, name, n, *cells, faults=None):
+    """One table row: the µs of each cell, then the MB of each, then the
+    page faults per call when given."""
     print(f"{label:7s} {name:7s} {n:6d} " + " ".join(_fmt(us, 11, 0) for us, _ in cells)
-          + " " + " ".join(_fmt(mb, 9, 1) for _, mb in cells), flush=True)
+          + " " + " ".join(_fmt(mb, 9, 1) for _, mb in cells)
+          + ("" if faults is None else " " + _fmt(faults, 9, 0)), flush=True)
 
 
 def main():
@@ -310,10 +332,11 @@ def main():
         _row("force", name, n, _cells(lambda: _force(state, domain)),
              _cells(lambda: _force(state, domain, n)) if reference else ("-", "-"))
     print()
-    print(f"{'':7s} {'domain':7s} {'N':>6s} {'us':>11s} {'MB':>9s}")
+    print(f"{'':7s} {'domain':7s} {'N':>6s} {'us':>11s} {'MB':>9s} {'faults':>9s}")
     for name, n in RECORD_CASES:
         domain, state = _setup(name, n)
-        _row("record", name, n, _cells(lambda: _record(state, domain)))
+        record = functools.partial(_record, state, domain)
+        _row("record", name, n, _cells(record), faults=_faults(record))
     print(f"stepper and record blocks of {diagnostics._RECORD_BLOCK} rows")
     print()
     print(f"{'domain':7s} {'N':>6s} " + " ".join(f"{f'block {b} us':>13s}" for b in BLOCKS))
