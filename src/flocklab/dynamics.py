@@ -25,15 +25,19 @@ one row block, so it forms no (N, N) array outside one; the singular circle
 scenarios, whose RK4 steps are all stiffness-limited, step by it.
 
 The pair field of a step (kernel, accelerations, dissipation rate and
-stiffness row sums) has one algorithm for every kernel and every N: blocks
-of ``diagnostics._RECORD_BLOCK`` rows, each formed densely against the
-columns it can reach (``geometry._row_windows``).  Under a kernel of
-compact support the agents are sorted along axis 0 and a block reaches the
-window within the support radius of its keys; otherwise, and for a flock of
-at most one block, a block is whole rows in the agents' order, so a library
-flock is the dense (N, N) arithmetic.  The nearest pair (the approach limit,
-the separation guard and the StiffnessError pair) is a blocked row-major
-argmin, so a step forms no (N, N) array.
+stiffness row sums) has two forms.  A flock of one row block
+(``diagnostics._RECORD_BLOCK`` agents) under a kernel of compact support
+is summed on a list of pairs i < j: each pair's terms are formed with the
+velocity difference taken first, and ``np.bincount`` sums each agent's in
+the list's row-major order (``_pair_sums``).  Every other flock is formed
+on blocks of ``diagnostics._RECORD_BLOCK`` rows, each dense against the
+columns it can reach (``geometry._row_windows``): under a kernel of compact
+support the agents are sorted along axis 0 and a block reaches the window
+within the support radius of its keys; otherwise a block is whole rows in
+the agents' order, so a flock of one block is the dense (N, N) arithmetic.
+The nearest pair (the approach limit, the separation guard and the
+StiffnessError pair) is a blocked row-major argmin, so a step forms no
+(N, N) array outside one block.
 
 Under a singular kernel the end-of-step guard is the next step's first
 evaluation ("first same as last"), under either method: a step evaluates
@@ -48,18 +52,18 @@ again, so a stored state keeps nothing extra once it has been stepped.
 
 A smooth kernel has no guard.  Under one of compact support the carry of a
 one-block flock holds a pair set instead (a Verlet list with a skin): the
-step's first dense pass also keeps the pairs closer than (1 + ``_SKIN``)
-times the support radius, and a copy of its positions, when the block has
-at least ``_PAIR_MIN_ENTRIES`` entries and the pairs are at most
-``_PAIR_SHARE`` of them.  The later stages, and the first evaluations of the
-steps that follow, form the block's terms on those pairs alone and scatter
-them into a block of zeros, so every result is the dense one bit for bit.
-The one validity test is Verlet's displacement test, made by ``_pair_field``
-at each evaluation: a set is used at positions x while no agent lies further
-than half the skin, less a round-off room, from where the set was built.
-Otherwise that evaluation is dense, and a step's first pass builds a new
-set.  Singular kernels, kernels of full support and flocks of several
-blocks carry no set, nor does a block that stays dense.
+step's first evaluation lists the pairs closer than (1 + ``_SKIN``) times
+the support radius, and keeps them with a copy of its positions.  The
+later stages, and the first evaluations of the steps that follow, sum on
+that list instead of their own.  The one validity test is Verlet's
+displacement test, made by ``_pair_field`` at each evaluation: a set is
+used at positions x while no agent lies further than half the skin, less a
+round-off room, from where the set was built.  Otherwise that evaluation
+lists the pairs of its own dense distance pass, and a step's first pass
+builds a new set.  A pair beyond the support adds an exact +-0 to each
+per-agent sum, so every list gives the same result bit for bit, and a step
+from a state equals a step from its ``copy()``.  Singular kernels, kernels
+of full support and flocks of several blocks carry no set.
 
 ``integrate`` classifies the kernel once and hands the class to each
 ``step`` and record.  It records the initial state at once, then only
@@ -255,37 +259,31 @@ def _nearest_pair(domain: Domain, x):
     return near
 
 
-# Under a kernel of compact support the first dense pass of a one-block
-# flock's step keeps the pairs closer than (1 + _SKIN) times the support
-# radius: the pair set.  The block keeps them only when they are at most
-# _PAIR_SHARE of its entries and it has at least _PAIR_MIN_ENTRIES, where
-# one stage on them saves what building them costs; otherwise it stays
-# dense.  Both are read off tools/pair_field_timing.py: in the share sweep at
-# N = 64 a build adds about 30 us to the first pass, and a stage saves about
-# 40 us at a share of 13% and 30 us at 18%; in the size sweep a stage saves
-# 10-24 us up to N = 24, 22-31 us against a 27-34 us build at N = 32 and
-# 47-50 us against 34-44 us at N = 48.
+# Under a kernel of compact support a one-block flock's step keeps the
+# pairs closer than (1 + _SKIN) times the support radius of its first pass:
+# the pair set.  In tools/pair_field_timing.py's size and share sweeps a
+# stage on the set is faster than one without at every N from 2 to 64 and
+# every share up to 57%, and building it adds 1-15 us to a first pass, so
+# every such step keeps one.
 _SKIN = 0.5
-_PAIR_SHARE = 0.15
-_PAIR_MIN_ENTRIES = 2048
 
 
 class _PairSet:
     """The pairs of a one-block flock that may lie within the support radius.
 
-    Built by a step's first dense pass: the block's candidates, the pairs
-    closer than (1 + _SKIN) times the radius at the positions x, i = j
-    excepted (see _candidates), and a copy of x.  By the triangle inequality
-    (the minimal image's too) the set holds every pair within the radius at
-    positions that move no agent further than half the skin from x, less a
-    round-off ``room`` of 1e-12 (1 + max |x|).  Measured on the raw
-    coordinates, an agent that crossed the circle's seam reads as 2 pi away.
+    Built by a step's first pass: the candidates, the pairs i < j closer
+    than (1 + _SKIN) times the radius at the positions x (see _candidates),
+    and a copy of x.  By the triangle inequality (the minimal image's too)
+    the set holds every pair within the radius at positions that move no
+    agent further than half the skin from x, less a round-off ``room`` of
+    1e-12 (1 + max |x|).  Measured on the raw coordinates, an agent that
+    crossed the circle's seam reads as 2 pi away.
     """
 
-    __slots__ = ("block", "x", "room")
+    __slots__ = ("pairs", "x", "room")
 
-    def __init__(self, block, half_skin, x):
-        self.block, self.x = block, x.copy()
+    def __init__(self, pairs, half_skin, x):
+        self.pairs, self.x = pairs, x.copy()
         self.room = half_skin - 1e-12 * (1.0 + float(np.max(np.abs(x))))
 
     def holds(self, x) -> bool:
@@ -296,49 +294,30 @@ class _PairSet:
 
 
 def _candidates(dist, reach, m):
-    """The candidates of a one-block flock's (N, N) distances, the pairs
-    closer than reach off the diagonal, when they are at most _PAIR_SHARE of
-    the block: their flat positions in it, rows i and columns j, and the
-    weight terms m_j, m_i m_j and m_j + m_i the block forms for them.  None
-    otherwise."""
-    near = dist < reach
-    diagnostics._fill_diagonal(near, False)
-    flat = np.flatnonzero(near)
-    if flat.size > _PAIR_SHARE * near.size:
-        return None
-    rows, cols = np.divmod(flat, near.shape[1])
-    mi, mj = m[rows], m[cols]
-    return flat, rows, cols, mj, mi * mj, mj + mi
-
-
-def _scatter(shape, flat, values):
-    """A block of zeros with ``values`` at its flat positions ``flat``."""
-    out = np.zeros(shape)
-    out.reshape(-1)[flat] = values
-    return out
+    """The pairs i < j of a one-block flock's (N, N) distances closer than
+    reach, in row-major order: rows i, columns j, m_i and m_j."""
+    i, j = np.nonzero(dist < reach)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    return i, j, m[i], m[j]
 
 
 def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular: bool,
                 floor: float = 0.0, first: bool = False, pairs=None, rate: bool = True):
     """Accelerations and the dissipation rate I2 of one force evaluation.
 
-    Each row block of geometry._row_windows is formed densely against its
-    column window and adds its rows' w @ v - v * rowsum(w), w = phi m_j, and
-    its share of I2 = 2 sum m_i m_j phi |v_i - v_j|^2.  Returns (acc, I2,
-    stiff, speed2, dmin, pairs).  With ``first``, stiff is the largest row
-    sum of phi (m_i + m_j) and, under a singular kernel, whose blocks are
-    whole rows, speed2 and dmin are the largest squared relative speed and
-    the smallest distance; otherwise these are 0, 0 and inf.  Without
-    ``rate`` I2 is not formed and reads 0.
+    Returns (acc, I2, stiff, speed2, dmin, pairs).  With ``first``, stiff is
+    the largest row sum of phi (m_i + m_j) and, under a singular kernel,
+    whose blocks are whole rows, speed2 and dmin are the largest squared
+    relative speed and the smallest distance; otherwise these are 0, 0 and
+    inf.  Without ``rate`` I2 is not formed and reads 0.
 
-    ``pairs``, a _PairSet, is used only while it holds at x: then the one
-    block forms the distances, phi, w, the I2 summands and the stiffness
-    terms on its candidates alone, each scattered into a block of zeros, and
-    reduces them as the dense block, so every result is the dense one bit
-    for bit.  Otherwise the block is dense.  The returned pairs are the set
-    in use: that one, or with ``first`` under a compact kernel that is not
-    singular a set built from this dense pass, or None.  A set is built only
-    for a flock of one block of at least _PAIR_MIN_ENTRIES entries.
+    A flock of one block under a kernel of compact support is summed on its
+    pairs (``_pair_sums``); ``pairs``, a _PairSet, and the returned pairs
+    are its.  Otherwise each row block of geometry._row_windows is formed
+    densely against its column window and adds its rows' w @ v - v *
+    rowsum(w), w = phi m_j, and its share of I2 = 2 sum m_i m_j phi |v_i -
+    v_j|^2, and the returned pairs are None.
 
     Under a singular kernel a pair at or below ``floor`` raises
     CollisionError naming the nearest pair of the rows so far.  With floor 0,
@@ -347,62 +326,81 @@ def _pair_field(x, v, m, kernel: KernelSpec, domain: Domain, t: float, singular:
     trips it is retried whatever the pair.
     """
     radius = kernels.support_radius(kernel)
+    if radius < math.inf and not singular and x.shape[0] <= diagnostics._RECORD_BLOCK:
+        return _pair_sums(x, v, m, kernel, domain, radius, first, pairs, rate)
     index, windows = geometry._row_windows(domain, x, radius, diagnostics._RECORD_BLOCK)
-    if pairs is not None and not pairs.holds(x):
-        pairs = None
-    build = (first and pairs is None and not singular and radius < math.inf
-             and len(windows) == 1 and x.shape[0] ** 2 >= _PAIR_MIN_ENTRIES)
-    built = None
     acc = np.empty_like(v)
     if index is not None:
         x, v, m = x[index], v[index], m[index]
     i2 = stiff = speed2 = 0.0
     near = (math.inf, (0, 0))
     for r0, r1, c0, c1 in windows:
-        # the terms are formed on rows i against columns j, the whole block,
-        # or on the pairs (i[k], j[k]) of its candidates alone
-        block = None if pairs is None else pairs.block
-        if block is None:
-            i, j = slice(r0, r1), slice(c0, c1)
-            square_sums, form = geometry.pair_square_sums, _dense
-            mj = m[j]
-            mm = mplus = None  # formed below as m_i m_j and m_j + m_i if needed
-        else:
-            flat, i, j, mj, mm, mplus = block
-            square_sums = geometry._paired_square_sums
-            form = functools.partial(_scatter, (r1 - r0, c1 - c0), flat)
-        dist = square_sums(domain, x[i], x[j])
+        i, j = slice(r0, r1), slice(c0, c1)
+        dist = geometry.pair_square_sums(domain, x[i], x[j])
         np.sqrt(dist, out=dist)
         if singular:  # makes the i = j distances inf, where a singular phi is 0
             near = min(near, _block_nearest(dist, r0))
             if near[0] <= floor:
                 raise CollisionError(near[1], t, near[0])
-        if build:
-            built = _candidates(dist, radius * (1.0 + _SKIN), m)
         phi = kernels._evaluate_raw(kernel, dist)
-        if block is None and not singular:
+        if not singular:
             diagnostics._fill_diagonal(phi, 0.0, r0 - c0)
-        w = form(phi * mj)
-        acc[slice(r0, r1) if index is None else index[r0:r1]] = (
-            w @ v[c0:c1] - v[r0:r1] * w.sum(axis=1, keepdims=True))
+        mj = m[j]
+        w = phi * mj
+        acc[i if index is None else index[r0:r1]] = (
+            w @ v[j] - v[i] * w.sum(axis=1, keepdims=True))
         if rate:
-            speed = square_sums(geometry.VELOCITY_SPACE, v[i], v[j])
-            if mm is None:
-                mm = m[i, None] * mj
-            i2 += float(form(mm * phi * speed).sum())
+            speed = geometry.pair_square_sums(geometry.VELOCITY_SPACE, v[i], v[j])
+            i2 += float((m[i, None] * mj * phi * speed).sum())
         if first:
-            if mplus is None:
-                mplus = mj + m[i, None]
-            stiff = max(stiff, float(form(phi * mplus).sum(axis=1).max()))
+            stiff = max(stiff, float((phi * (mj + m[i, None])).sum(axis=1).max()))
             if singular:
                 speed2 = max(speed2, float(speed.max()))
-    if built is not None:
-        pairs = _PairSet(built, 0.5 * _SKIN * radius, x)
-    return acc, 2.0 * i2, stiff, speed2, near[0], pairs
+    return acc, 2.0 * i2, stiff, speed2, near[0], None
 
 
-def _dense(block):
-    return block
+def _pair_sums(x, v, m, kernel, domain, radius, first, pairs, rate):
+    """``_pair_field`` of a flock of one block under a kernel of compact
+    support, summed on a list of pairs i < j in row-major order.
+
+    Each pair's terms are formed with the difference first, f = phi (v_j -
+    v_i), and each agent's are summed in the list's order by ``np.bincount``:
+    a_i = sum of m_j f over its pairs as i less the sum of m_i f over its
+    pairs as j; I2 = 4 sum m_i m_j phi |v_j - v_i|^2, summed per agent and
+    then over the agents; stiff the largest sum per agent, as i and as j, of
+    phi (m_i + m_j).  A pair beyond the support adds an exact +-0 to each
+    sequential sum, so every result is the same bit for bit whatever extra
+    pairs the list holds.
+
+    The list is ``pairs``' while it holds at x; otherwise the candidates of a
+    dense distance pass, closer than the radius, or with ``first`` closer
+    than (1 + _SKIN) times it, kept as the returned set.
+    """
+    n = x.shape[0]
+    if pairs is not None and pairs.holds(x):
+        i, j, mi, mj = pairs.pairs
+        dist = np.sqrt(geometry._paired_square_sums(domain, x[i], x[j]))
+    else:
+        dist = geometry.pair_square_sums(domain, x, x)
+        np.sqrt(dist, out=dist)
+        i, j, mi, mj = listed = _candidates(dist, radius * (1.0 + _SKIN) if first else radius, m)
+        dist = dist[i, j]
+        pairs = _PairSet(listed, 0.5 * _SKIN * radius, x) if first else None
+    phi = kernels._evaluate_raw(kernel, dist)
+    acc = np.empty_like(v)
+    for k in range(v.shape[1]):
+        dv = v[j, k] - v[i, k]
+        f = phi * dv
+        acc[:, k] = np.bincount(i, f * mj, n) - np.bincount(j, f * mi, n)
+        if rate:
+            speed = dv * dv if k == 0 else speed + dv * dv
+    i2 = stiff = 0.0
+    if rate:
+        i2 = 4.0 * float(np.bincount(i, mi * mj * phi * speed, n).sum())
+    if first:
+        terms = phi * (mi + mj)
+        stiff = float((np.bincount(i, terms, n) + np.bincount(j, terms, n)).max())
+    return acc, i2, stiff, 0.0, math.inf, pairs
 
 
 def rhs(state: FlockState, kernel: KernelSpec, domain: Domain) -> np.ndarray:

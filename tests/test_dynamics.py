@@ -477,24 +477,50 @@ def test_a_non_finite_step_raises_value_error(monkeypatch, name, method):
 # the dense RK4 oracle
 
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_rk4_steps_match_the_dense_oracle(name):
-    # every library scenario under RK4, the singular circles included: 20
-    # steps, each at the oracle's dt and equal to its dense step within
-    # 1e-12 relative (positions through the seam on the circle)
-    cfg = _config(name)
-    state = cfg.build()
-    for _ in range(20):
-        dt = dense.propose_dt(state, cfg.kernel, cfg.domain, cfg.stepper)
-        after = step(state, cfg.kernel, cfg.domain, cfg.stepper)
-        ref = dense.rk4_step(state, cfg.kernel, cfg.domain, dt)
+def _assert_steps_match_the_oracle(state, kernel, domain, cfg, count):
+    """``count`` steps from state, each at the oracle's dt and equal to its
+    dense step within 1e-12 relative (positions through the seam on the
+    circle); returns the last."""
+    for _ in range(count):
+        dt = dense.propose_dt(state, kernel, domain, cfg)
+        after = step(state, kernel, domain, cfg)
+        ref = dense.rk4_step(state, kernel, domain, dt)
         assert after.t - state.t == pytest.approx(dt, rel=1e-12, abs=0.0)
-        moved = displacement(cfg.domain, after.x, ref.x)
+        moved = displacement(domain, after.x, ref.x)
         assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(ref.x))
         assert _rel(after.v, ref.v) <= 1e-12
         assert after.diss2 == pytest.approx(ref.diss2, rel=1e-12, abs=0.0)
         assert after.diss2_root == pytest.approx(ref.diss2_root, rel=1e-12, abs=0.0)
         state = after
+    return state
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_rk4_steps_match_the_dense_oracle(name):
+    # every library scenario under RK4, the singular circles included: 20 steps
+    cfg = _config(name)
+    _assert_steps_match_the_oracle(cfg.build(), cfg.kernel, cfg.domain, cfg.stepper, 20)
+
+
+@pytest.mark.parametrize("name", ["torus-local-ensemble", "vacuum-gap-torus",
+                                  "lagrangian-torus-weighted", "parallel-lines-R2",
+                                  "circle-256", "plane-256"])
+def test_compact_flocks_match_the_dense_oracle_for_50_steps(name):
+    # the one-block library flocks under a compact kernel sum on their pairs
+    # and carry a pair set from step 1; the flocks of 256 step on sorted
+    # windows of dense blocks.  No run is bit for bit with the oracle, which
+    # sums dense rows and weights the stages as dt (...) / 6: each stays
+    # within 5e-16 relative
+    if name.endswith("-256"):
+        domain = circle() if name.startswith("circle") else euclidean(2)
+        state = initial_state(domain, 256, seed=2, weight_mode="random")
+        kernel, cfg = LOCAL, StepperConfig(dt_max=0.01)
+    else:
+        setup = scenario(name)
+        state, kernel, domain, cfg = setup.build(), setup.kernel, setup.domain, setup.stepper
+    first = _assert_steps_match_the_oracle(state, kernel, domain, cfg, 1)
+    assert (_carried_pairs(first) is None) == (state.n > diagnostics._RECORD_BLOCK)
+    _assert_steps_match_the_oracle(first, kernel, domain, cfg, 49)
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +690,10 @@ def test_step_refuses_a_cap_that_is_not_positive(cap):
 
 
 def _dense_step(monkeypatch, *args):
-    """The step with no block keeping its pairs: the dense pair field."""
+    """The step that uses no pair set: each evaluation sums on the pairs of
+    its own dense distance pass."""
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_PAIR_SHARE", -1.0)
+        patch.setattr(dynamics._PairSet, "holds", lambda self, x: False)
         return step(*args)
 
 
@@ -675,15 +702,15 @@ def _carried_pairs(state):
 
 
 @pytest.mark.parametrize("name, carries", [("torus-local-ensemble", True),
-                                           ("parallel-lines-R2", False),
-                                           ("lagrangian-torus-weighted", False),
-                                           ("vacuum-gap-torus", False),
+                                           ("parallel-lines-R2", True),
+                                           ("lagrangian-torus-weighted", True),
+                                           ("vacuum-gap-torus", True),
                                            ("euclid-classical-smooth", False),
                                            ("torus-singular-beta2.5", False)])
 def test_only_a_compact_kernel_with_few_pairs_carries_a_pair_set(name, carries):
-    # full support and singular kernels stay dense, and so do blocks too
-    # small to repay a set (2 x 2 here) and blocks whose candidates are not a
-    # small share of them (23% and 18% here)
+    # full support and singular kernels stay dense; every one-block flock
+    # under a compact kernel carries a set, whatever its size (2 agents
+    # here) or its pairs' share (about 23% and 18% here)
     cfg, state = _library_step(name)
     assert (_carried_pairs(state) is not None) == carries
 
@@ -700,7 +727,7 @@ def test_a_flock_of_several_blocks_carries_no_pair_set():
 def test_a_flock_too_fast_for_its_skin_steps_as_the_dense_field(monkeypatch):
     # a step of dt_max at the fastest agent's speed moves it near or past
     # half the skin, so a set is built and then dropped at a stage, or at
-    # the next first pass; each step matches the dense field
+    # the next first pass; each step matches the step that uses no set
     cfg = scenario("torus-local-ensemble")
     start = cfg.build()
     half_skin = 0.5 * dynamics._SKIN * cfg.kernel.r0
@@ -717,7 +744,7 @@ def test_a_flock_too_fast_for_its_skin_steps_as_the_dense_field(monkeypatch):
 def test_an_expired_pair_set_is_rebuilt(monkeypatch):
     # each agent moves a tenth of the skin per step, so a set lasts a few
     # steps, and the first pass that finds an agent past half the skin
-    # builds the next; each step matches the dense field
+    # builds the next; each step matches the step that uses no set
     domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, TWO_PI, size=(48, 1))
@@ -737,7 +764,7 @@ def test_an_expired_pair_set_is_rebuilt(monkeypatch):
 def test_an_agent_crossing_the_seam_rebuilds_the_pair_set(monkeypatch):
     # moves are measured on the wrapped positions, so an agent that crossed
     # the seam reads as 2 pi away and the next first pass builds a new set,
-    # which the slow flock then keeps; each step matches the dense field
+    # which the slow flock then keeps; each step matches the step that uses no set
     domain, kernel = circle(), KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
     x = np.random.default_rng(5).uniform(0.0, TWO_PI, size=(48, 1))
     x[0, 0] = TWO_PI - 1e-6
@@ -801,7 +828,6 @@ def test_a_pair_set_leaves_room_for_round_off(monkeypatch):
     kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=r0, moll_width=0.0)
     state = dense = FlockState(0.0, [[a], [b]], [[u], [-u]], [0.5, 0.5])
     cfg = StepperConfig(dt_max=1.0)
-    monkeypatch.setattr(dynamics, "_PAIR_MIN_ENTRIES", 0)  # a set at N = 2
     for _ in range(2):
         state = step(state, kernel, euclidean(1), cfg)
         dense = _dense_step(monkeypatch, dense, kernel, euclidean(1), cfg)
@@ -851,6 +877,24 @@ def _assert_blocks_match_the_reference(monkeypatch, domain, kernel, n):
 def test_neighbour_pair_field_matches_the_dense_reference(monkeypatch, domain, n):
     # past one block the local kernel's rows are sorted and take windows
     assert _assert_blocks_match_the_reference(monkeypatch, domain, LOCAL, n).t > 1.0
+
+
+@pytest.mark.parametrize("c", [1.0, 100.0])
+@pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
+def test_rhs_of_an_aligned_flock_is_the_exact_sum(domain, c):
+    # velocities c + 1e-10 xi: a dense block's w @ v - v * rowsum(w) loses
+    # the differences to cancellation (1.1e-6 and 6.9e-7 of max|a| on the
+    # circle and in the plane at c = 1, 9.8e-5 and 6.2e-5 at c = 100), while
+    # a sum of m_j phi_ij (v_j - v_i), each difference taken first, keeps
+    # them; the reference is a row-wise math.fsum of those terms
+    st = initial_state(domain, 64, seed=3)
+    st.v = c + 1e-10 * np.random.default_rng(7).normal(size=st.v.shape)
+    acc = rhs(st, LOCAL, domain)
+    phi = dense.pair_phi(LOCAL, dense.pair_distances(domain, st.x), 0.0)
+    terms = st.m[None, :, None] * phi[:, :, None] * (st.v[None, :, :] - st.v[:, None, :])
+    ref = np.array([[math.fsum(row[:, k]) for k in range(domain.dim)] for row in terms])
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(acc - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])
@@ -916,7 +960,7 @@ def test_row_windows_need_compact_support_and_a_second_block(domain):
 
 def test_library_runs_stay_on_the_dense_reference():
     # a library flock is one block of whole rows in the agents' order: the
-    # dense (N, N) arithmetic
+    # pair sums under a compact kernel, the dense (N, N) arithmetic otherwise
     for name in scenario_names():
         cfg = scenario(name)
         st = cfg.build()

@@ -9,7 +9,8 @@ antisymmetric.  Each pair column of a record equals the dense oracle's
 1e-11 of the velocity scale for momentum and 1e-9 relative for the
 variations and the record columns.  A compact-kernel flock steps on its
 carried pair set exactly as it steps from a copy, which carries nothing,
-and as it steps with every block dense.
+and as it steps using no set, and a one-block flock's field is the same
+bit for bit on every list of pairs that holds those within the support.
 """
 
 import contextlib
@@ -215,16 +216,15 @@ def test_minimal_image_is_antisymmetric(x):
 
 
 @contextlib.contextmanager
-def _pair_share(share, min_entries=dynamics._PAIR_MIN_ENTRIES):
-    """A block keeps its pairs up to this share and from ``min_entries`` on:
-    1.0 and 0 keep every one-block flock's, a negative share none, so the
-    step is the dense pair field."""
-    saved = dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES
-    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = share, min_entries
+def _no_pair_set():
+    """No pair set is used: each evaluation sums on the pairs of its own
+    dense distance pass."""
+    holds = dynamics._PairSet.holds
+    dynamics._PairSet.holds = lambda self, x: False
     try:
         yield
     finally:
-        dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = saved
+        dynamics._PairSet.holds = holds
 
 
 def _same_state(a, b):
@@ -258,21 +258,77 @@ def compact_flocks(draw):
 
 
 @settings(PROPERTY, max_examples=30)
-@given(flock=compact_flocks(), share=st.sampled_from([None, 1.0]))
-def test_a_carried_pair_set_steps_as_a_copy_and_as_the_dense_field(flock, share):
+@given(flock=compact_flocks())
+def test_a_carried_pair_set_steps_as_a_copy_and_as_the_dense_field(flock):
     # a set is used while no agent lies past half the skin from where it
     # was built: at a twentieth of the skin per step it lasts many steps, at
     # 0.3 a few, at 0.45 the second step's stages pass its bound, and at 2
-    # skins a set is built and then dropped at a stage
+    # skins a set is built and then dropped at a stage; the step that uses
+    # no set sums on each evaluation's own pairs, or on dense blocks
     domain, kernel, cfg, x, v, m = flock
-    kept = (dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES) if share is None else (share, 0)
-    with _pair_share(*kept):
-        for skins in (0.05, 0.3, 0.45, 2.0):
-            state = dense = FlockState(0.0, x, skins * v, m)
-            for _ in range(5):
-                fresh = step(state.copy(), kernel, domain, cfg)
-                carried = step(state, kernel, domain, cfg)
-                with _pair_share(-1.0):
-                    dense = step(dense, kernel, domain, cfg)
-                assert _same_state(carried, fresh) and _same_state(carried, dense), skins
-                state = carried
+    for skins in (0.05, 0.3, 0.45, 2.0):
+        state = dense = FlockState(0.0, x, skins * v, m)
+        for _ in range(5):
+            fresh = step(state.copy(), kernel, domain, cfg)
+            carried = step(state, kernel, domain, cfg)
+            with _no_pair_set():
+                dense = step(dense, kernel, domain, cfg)
+            assert _same_state(carried, fresh) and _same_state(carried, dense), skins
+            state = carried
+
+
+@st.composite
+def one_block_flocks(draw):
+    """A local-kernel flock of one block at the positions of an evaluation,
+    on the circle or in the plane, the smooth kernel or its step form: agent
+    1 lies exactly r0 from agent 0, agents may share a velocity, and on the
+    circle agents may lie whole turns off the chart, as unwrapped stage
+    positions do.  With two moves that keep every agent within a quarter of
+    the skin."""
+    domain = draw(st.sampled_from((circle(), euclidean(2))))
+    n, dim = draw(st.integers(2, 64)), domain.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, TWO_PI if domain.periodic else draw(st.floats(0.5, 4.0)), size=(n, dim))
+    if domain.periodic and draw(st.booleans()):
+        x += TWO_PI * rng.integers(-1, 2, size=(n, 1))
+    x[1] = x[0]
+    x[1, 0] = x[0, 0] + draw(st.floats(0.05, 0.6))
+    r0 = float(x[1, 0] - x[0, 0])  # the distance the pair field forms, exactly
+    kernel = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=draw(st.floats(0.5, 2.0)), r0=r0,
+                        moll_width=draw(st.sampled_from([None, 0.0])))
+    v = rng.normal(0.0, 1.0, size=(n, dim))
+    if draw(st.booleans()):
+        v[:draw(st.integers(2, n))] = v[0]
+    m = rng.uniform(0.5, 1.5, size=n)
+    quarter = 0.25 * dynamics._SKIN * r0 / math.sqrt(dim)
+    moves = [rng.uniform(-quarter, quarter, size=x.shape) for _ in range(2)]
+    return domain, kernel, x, v, m / m.sum(), moves
+
+
+@PROPERTY
+@given(flock=one_block_flocks())
+def test_every_pair_list_sums_to_the_same_field(flock):
+    # a pair beyond the support adds an exact +-0 to each agent's sum, so
+    # the field is the same bit for bit on a set built where it is
+    # evaluated, on one built at positions moved within half the skin, on
+    # no set (the pairs of the evaluation's own distance pass, within the
+    # radius, or within the skin's reach on a first pass) and on every pair
+    domain, kernel, x, v, m, moves = flock
+    n = x.shape[0]
+
+    def field(first, pairs=None):
+        return dynamics._pair_field(x, v, m, kernel, domain, 0.0, False, first=first,
+                                    pairs=pairs)
+
+    sets = [dynamics._pair_field(x - move, v, m, kernel, domain, 0.0, False, first=True)[5]
+            for move in [np.zeros_like(x), *moves]]
+    sets.append(dynamics._PairSet(dynamics._candidates(np.zeros((n, n)), math.inf, m),
+                                  math.inf, x))
+    assert all(pairs.holds(x) for pairs in sets)
+    assert sets[-1].pairs[0].size == n * (n - 1) // 2
+    first = [field(True, pairs) for pairs in [None, *sets]]
+    stages = [field(False, pairs) for pairs in [None, *sets]]
+    acc, i2, stiff = first[0][:3]
+    for out in first + stages:
+        assert out[0].tobytes() == acc.tobytes() and out[1] == i2
+    assert all(out[2] == stiff for out in first)

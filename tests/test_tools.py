@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from flocklab import diagnostics, geometry
 from flocklab.harness import scenario
 
@@ -141,14 +142,14 @@ def _missing(d):
     del d["runs"]["two-agent-smooth-collision"]
 
 
-def _diff(tmp_path, a, b):
+def _diff(tmp_path, a, b, *options):
     paths = []
     for name, content in (("a.json", a), ("b.json", b)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(content))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, str(COMPARE_RUNS), "diff", *map(str, paths)],
+    return subprocess.run([sys.executable, str(COMPARE_RUNS), "diff", *map(str, paths), *options],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -271,35 +272,39 @@ def test_ab_timing_of_one_checkout_against_itself():
 
 
 def test_pair_field_timing_stage_tables(monkeypatch, capsys):
-    # a stage on the pair set is the dense stage bit for bit; the size
-    # sweep's N rise across the fewest entries that keep their pairs, and
-    # the share sweep's shares across the share at which blocks stay dense
+    # a stage on the pair set is the stage without one bit for bit, and it
+    # and the dense block are the dense oracle's within 1e-12; a first pass
+    # that builds none keeps none, and the module is restored after it; the
+    # share sweep's shares rise
     tool = _load(PAIR_FIELD_TIMING)
     monkeypatch.setattr(tool, "BUDGET_S", 0.0)
-    share, min_entries = tool.dynamics._PAIR_SHARE, tool.dynamics._PAIR_MIN_ENTRIES
+    skin, pair_set = tool.dynamics._SKIN, tool.dynamics._PairSet
     for name, n in (("circle", tool.STAGE_N), ("plane", tool.STAGE_N), ("circle", 2)):
         domain, state = tool._setup(name, n)
         pairs = tool._pair_set(state, domain)
-        # restored after the build
-        assert (tool.dynamics._PAIR_SHARE, tool.dynamics._PAIR_MIN_ENTRIES) == (share, min_entries)
-        on_set, dense = tool._stage(state, domain, pairs=pairs), tool._stage(state, domain)
-        assert on_set[0].tobytes() == dense[0].tobytes() and on_set[1] == dense[1]
-        assert 0.0 <= tool._share(pairs, n) < share
+        on_set, listed = tool._stage(state, domain, pairs=pairs), tool._stage(state, domain)
+        assert on_set[0].tobytes() == listed[0].tobytes() and on_set[1] == listed[1]
+        acc, i2 = dense._field(state.x, state.v, state.m, tool.KERNEL, domain, state.t)
+        for stage in (on_set, tool._block_stage(state, domain)):
+            assert np.max(np.abs(stage[0] - acc)) <= 1e-12 * np.max(np.abs(acc))
+            assert stage[1] == pytest.approx(i2, rel=1e-12)
+        assert tool.kernels.support_radius(tool.KERNEL) == tool.KERNEL.r0  # restored
+        assert 0.0 <= tool._share(pairs, n) < 0.1
+        assert tool._first_pass(state, domain, build=False)[5] is None
+        assert (tool.dynamics._SKIN, tool.dynamics._PairSet) == (skin, pair_set)
     tool._stage_tables()
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows[1:3]] == ["circle", "plane"]
     assert rows[3].startswith("size sweep")
     sizes = rows[4:4 + len(tool.STAGE_SIZES)]
     assert [int(row.split()[1]) for row in sizes] == list(tool.STAGE_SIZES)
-    assert tool.STAGE_SIZES[0] ** 2 < min_entries <= tool.STAGE_SIZES[-1] ** 2
     assert rows[4 + len(sizes)].startswith("share sweep")
     sweep = rows[5 + len(sizes):]
     assert len(sweep) == len(tool.SHARE_RADII)
     shares = [float(row.split()[3].rstrip("%")) / 100.0 for row in sweep]
-    assert shares == sorted(shares) and shares[0] < share < shares[-1]
-    assert all(len(row.split()) == 8 for row in rows[1:3] + sizes + sweep)
-    assert all(float(row.split()[4]) > 0.0 and float(row.split()[5]) > 0.0
-               for row in sizes + sweep)
+    assert shares == sorted(shares) and shares[-1] > 0.5
+    assert all(len(row.split()) == 9 for row in rows[1:3] + sizes + sweep)
+    assert all(float(cell) > 0.0 for row in sizes + sweep for cell in row.split()[4:7])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -375,3 +380,38 @@ def test_perfbench_selftest_passes():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1] == "selftest: 0 failure(s)"
+
+
+@pytest.mark.parametrize("rtol, code", [("1e-8", 0), ("1e-10", 1), ("0", 1)])
+def test_compare_runs_diff_passes_a_run_within_rtol(tmp_path, dump, rtol, code):
+    # one record entry of one run and one velocity of another moved by 1e-9
+    # of their values: within 1e-8 both pass, and within 1e-10 or bitwise
+    # (rtol 0, the default) they do not; every line still says which runs
+    # are bitwise equal
+    changed = copy.deepcopy(dump)
+    record = changed["runs"]["two-agent-smooth-collision"]["records"][-1]
+    k = next(k for k, h in enumerate(record) if abs(float.fromhex(h)) > 0.1)
+    record[k] = (float.fromhex(record[k]) * (1.0 + 1e-9)).hex()
+    state = changed["runs"]["blocks-circle-256"]["states"][-1]
+    state["v"][3] = (float.fromhex(state["v"][3]) * (1.0 - 1e-9)).hex()
+    out = _diff(tmp_path, dump, changed, "--rtol", rtol)
+    assert out.returncode == code, out.stdout + out.stderr
+    lines = {line.split()[0]: line for line in out.stdout.splitlines()}
+    assert " differs " in lines["two-agent-smooth-collision"]
+    assert " differs " in lines["blocks-circle-256"]
+    assert " bitwise equal " in lines["blocks-plane-192"]
+    assert lines["runs:"].startswith("runs: all within" if code == 0 else "runs: some differ")
+
+
+def test_compare_runs_diff_still_needs_equal_configs_within_rtol(tmp_path, dump):
+    changed = copy.deepcopy(dump)
+    _config(changed)
+    out = _diff(tmp_path, dump, changed, "--rtol", "1e-12")
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "configs: some differ" in out.stdout and "runs: all within" in out.stdout
+
+
+@pytest.mark.parametrize("rtol", ["-1e-12", "nan", "tight"])
+def test_compare_runs_diff_refuses_a_bad_rtol(tmp_path, dump, rtol):
+    out = _diff(tmp_path, dump, dump, "--rtol", rtol)
+    assert out.returncode == 1 and "--rtol must be" in out.stderr

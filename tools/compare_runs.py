@@ -1,7 +1,7 @@
 """Dump the library scenarios bit for bit, and compare two dumps.
 
     PYTHONPATH=<checkout>/src python3 tools/compare_runs.py dump OUT.json
-    PYTHONPATH=src python3 tools/compare_runs.py diff A.json B.json
+    PYTHONPATH=src python3 tools/compare_runs.py diff A.json B.json [--rtol R]
 
 ``dump`` runs all 13 library scenarios at the short horizons below, and seven
 of them again with a record after every step (``STEP_HORIZONS``): the three
@@ -34,7 +34,11 @@ Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
 not read as 2*pi.  One more line per initial state says whether x, v and m
 are bitwise equal.  ``diff`` exits 1 when any run, config, constant or
-initial state differs or is missing from one dump, and 0 otherwise.
+initial state differs or is missing from one dump, and 0 otherwise.  With
+``--rtol R`` a run that differs passes when its largest difference, over
+its records, x, v and the rest, is at most R; the lines still say which
+runs are bitwise equal, and configs, constants and initial states must
+still be equal.
 """
 
 import json
@@ -260,7 +264,7 @@ def _split(run):
     return {k: v for k, v in run.items() if k not in ("config", "constants")}
 
 
-def diff(path_a, path_b):
+def diff(path_a, path_b, rtol=0.0):
     with open(path_a, encoding="utf-8") as fh:
         dump_a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
@@ -275,9 +279,9 @@ def diff(path_a, path_b):
             continue
         ra, rb = runs_a[name], runs_b[name]
         equal = _split(ra) == _split(rb)
-        same["runs"] &= equal
         verdict = "bitwise equal" if equal else "differs"
         worst, column = _compare(ra, rb)
+        same["runs"] &= equal or (rtol > 0.0 and max(worst.values()) <= rtol)
         line = (f"{name:42s} {verdict:14s}"
                 + "".join(f" {key} {value:.1e}" for key, value in worst.items())
                 + ("" if column is None else f" ({column})"))
@@ -301,15 +305,23 @@ def diff(path_a, path_b):
         print(f"initial/{name:34s} {'bitwise equal' if equal else 'differs':14s}"
               + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
     for what, equal in same.items():
-        print(f"{what}: {'all bitwise equal' if equal else 'some differ'}")
+        agree = "all within" if what == "runs" and rtol > 0.0 else "all bitwise equal"
+        print(f"{what}: {agree if equal else 'some differ'}"
+              + (f" rtol {rtol:.1e}" if what == "runs" and rtol > 0.0 else ""))
     return all(same.values())
 
 
 def main(argv):
     if len(argv) == 2 and argv[0] == "dump":
         dump(argv[1])
-    elif len(argv) == 3 and argv[0] == "diff":
-        if not diff(argv[1], argv[2]):
+    elif len(argv) in (3, 5) and argv[0] == "diff" and argv[3:4] in ([], ["--rtol"]):
+        try:
+            rtol = float(argv[4]) if len(argv) == 5 else 0.0
+        except ValueError:
+            sys.exit(f"--rtol must be a number, got {argv[4]!r}")
+        if not 0.0 <= rtol < math.inf:
+            sys.exit(f"--rtol must be non-negative and finite, got {argv[4]}")
+        if not diff(argv[1], argv[2], rtol):
             sys.exit(1)
     else:
         sys.exit(__doc__)

@@ -6,10 +6,10 @@ one-block reference, and the diagnostics record.
 One force evaluation is what each RK4 stage computes: the pair kernel, the
 squared relative speeds, the accelerations and the dissipation rate I2.
 The stepper sums it over row blocks of ``diagnostics._RECORD_BLOCK`` agents,
-each against its column window; the reference is one block of N rows, the
-dense (N, N) arithmetic.  A record's pair columns are V_p, I_p, the
-correctors, D, dmin and vdiam, each summed over row blocks of the same size
-at every N.  The state is ``uniform_gaussian`` under the local mollified
+each against its column window; the reference is one block of N rows,
+summed on the pairs of one dense (N, N) distance pass.  A record's pair
+columns are V_p, I_p, the correctors, D, dmin and vdiam, each summed over
+row blocks of the same size at every N.  The state is ``uniform_gaussian`` under the local mollified
 kernel with r0 = 0.1, the kernel of perfbench's ``large-n`` workload: on the
 circle, and in the plane on the unit box.  Each force row prints the median
 µs per call of the row blocks and of the reference (``-`` where the
@@ -45,20 +45,22 @@ holds, is read off it: past a few states per chunk the µs per state level
 off while the peak keeps growing with the chunk.
 
 The last three tables time one RK4 stage of a one-block flock, as every
-library flock is: on the pair set a step's first dense pass builds (the
-pairs closer than (1 + ``dynamics._SKIN``) times r0, scattered into the
-block) against the dense block.  Each row prints the candidates' share of
-the block, the median µs of each stage, their ratio, and the µs that
-building the set adds to a step's first dense pass.  The first table is at
-N = 64 on the circle and in the plane at r0 = 0.1; the second, the size
-sweep, on the circle at r0 = 0.1 from N = 2 to 64; the third, the share
-sweep, on the circle at N = 64 for r0 from 0.05 to 1.2.
-``dynamics._PAIR_MIN_ENTRIES``, the fewest entries (N^2) of a block that
-keeps its pairs, is read off the size sweep: below it a stage on the set
-saves next to nothing, while a step on the set adds its displacement tests
-and its builds.  ``dynamics._PAIR_SHARE``, the share above which a block
-stays dense, is read off the share sweep: up to it one stage on the set
-saves what the build costs.  The set is built here at every size and share.
+library flock is.  Such a flock is summed on a list of pairs i < j by
+``np.bincount`` (``dynamics._pair_sums``): on the pair set a step's first
+pass builds (the pairs closer than (1 + ``dynamics._SKIN``) times r0), or,
+without a set, on the candidates of the stage's own dense distance pass.
+Each row prints the set's share of the pairs i < j, the median µs of a
+stage on the set, of a stage without one and of the dense block that
+flocks of several blocks and kernels of full support are formed on (the
+same flock, its kernel's support taken as unbounded), the ratio of the
+first two, and the µs that building the set adds to a step's first pass.
+The first table is at N = 64 on the circle and in the plane at r0 = 0.1;
+the second, the size sweep, on the circle at r0 = 0.1 from N = 2 to 64;
+the third, the share sweep, on the circle at N = 64 for r0 from 0.05 to
+1.2.  A carried set pays where a stage on it is faster than one without
+by more than the build costs over the few stages a set lasts; the sweeps
+show it at every size and share, so every step's first pass of such a
+flock builds one.
 """
 
 import contextlib
@@ -120,68 +122,82 @@ def _force(state, domain, block=None):
 
 
 @contextlib.contextmanager
-def _blocks_kept(min_entries=0):
-    """The pair set is built whatever the block's share, for a block of at
-    least ``min_entries`` entries: by default of any size, at inf none."""
-    saved = dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES
-    dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = 1.0, min_entries
+def _no_build():
+    """A first pass lists the pairs within the radius and keeps no set."""
+    saved = dynamics._SKIN, dynamics._PairSet
+    dynamics._SKIN, dynamics._PairSet = 0.0, lambda *args: None
     try:
         yield
     finally:
-        dynamics._PAIR_SHARE, dynamics._PAIR_MIN_ENTRIES = saved
+        dynamics._SKIN, dynamics._PairSet = saved
 
 
 def _pair_set(state, domain, kernel=KERNEL):
-    """The pair set a step's first dense pass builds at the state, the block
-    kept whatever its size and share."""
-    with _blocks_kept():
-        return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
-                           first=True)[5]
+    """The pair set a step's first pass builds at the state."""
+    return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False, first=True)[5]
 
 
 def _stage(state, domain, kernel=KERNEL, pairs=None):
-    """Accelerations and I2 of one RK4 stage: dense, or on the pair set."""
+    """Accelerations and I2 of one RK4 stage: on the pair set, or without
+    one on the pairs of its own dense distance pass."""
     return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
                        pairs=pairs)[:2]
 
 
 def _first_pass(state, domain, kernel=KERNEL, build=True):
-    """A step's first dense pass, building its pair set whatever the
-    block's size and share, or building none."""
-    with _blocks_kept(0 if build else math.inf):
+    """A step's first pass, building its pair set or building none."""
+    with contextlib.nullcontext() if build else _no_build():
         return _pair_field(state.x, state.v, state.m, kernel, domain, state.t, False,
                            first=True)
 
 
 def _share(pairs, n):
-    """The candidates' share of the entries of a set's (n, n) block."""
-    return pairs.block[0].size / n**2
+    """The candidates' share of the n (n - 1) / 2 pairs i < j."""
+    return 2 * pairs.pairs[0].size / (n * (n - 1))
+
+
+@contextlib.contextmanager
+def _full_support():
+    """Every kernel's support taken as unbounded, so a one-block flock is
+    formed on the dense block, as a kernel of full support is."""
+    saved = kernels.support_radius
+    kernels.support_radius = lambda kernel: math.inf
+    try:
+        yield
+    finally:
+        kernels.support_radius = saved
+
+
+def _block_stage(state, domain, kernel=KERNEL):
+    """Accelerations and I2 of one RK4 stage on the dense block."""
+    with _full_support():
+        return _stage(state, domain, kernel)
 
 
 def _stage_row(name, kernel=KERNEL, n=STAGE_N):
-    """One row: the share, the µs of a stage on the pair set and of a dense
-    stage, their ratio, and the µs building the set adds to a first pass."""
+    """One row: the share, the µs of a stage on the pair set, without one
+    and on the dense block, the ratio of the first two, and the µs building
+    the set adds to a first pass."""
     domain, state = _setup(name, n)
     pairs = _pair_set(state, domain, kernel)
     on_set = _median_us(lambda: _stage(state, domain, kernel, pairs))
-    dense = _median_us(lambda: _stage(state, domain, kernel))
+    listed = _median_us(lambda: _stage(state, domain, kernel))
+    block = _median_us(lambda: _block_stage(state, domain, kernel))
     build = (_median_us(lambda: _first_pass(state, domain, kernel))
              - _median_us(lambda: _first_pass(state, domain, kernel, build=False)))
     print(f"{name:7s} {n:6d} {kernel.r0:6.2f} {_share(pairs, n):7.1%} {on_set:9.1f} "
-          f"{dense:9.1f} {on_set / dense:7.2f} {build:9.1f}", flush=True)
+          f"{listed:9.1f} {block:9.1f} {on_set / listed:7.2f} {build:9.1f}", flush=True)
 
 
 def _stage_tables():
-    print(f"{'domain':7s} {'N':>6s} {'r0':>6s} {'share':>7s} {'set us':>9s} {'dense us':>9s} "
-          f"{'ratio':>7s} {'build us':>9s}")
+    print(f"{'domain':7s} {'N':>6s} {'r0':>6s} {'share':>7s} {'set us':>9s} {'pairs us':>9s} "
+          f"{'block us':>9s} {'ratio':>7s} {'build us':>9s}")
     for name in ("circle", "plane"):
         _stage_row(name)
-    print(f"size sweep, circle, r0 = {KERNEL.r0}; blocks keep their pairs from "
-          f"{dynamics._PAIR_MIN_ENTRIES} entries on")
+    print(f"size sweep, circle, r0 = {KERNEL.r0}")
     for n in STAGE_SIZES:
         _stage_row("circle", n=n)
-    print(f"share sweep, circle, N = {STAGE_N}; blocks keep their pairs at a share of at most "
-          f"{dynamics._PAIR_SHARE:.0%}")
+    print(f"share sweep, circle, N = {STAGE_N}")
     for r0 in SHARE_RADII:
         _stage_row("circle", KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=r0))
 
