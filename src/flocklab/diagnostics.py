@@ -26,8 +26,13 @@ Each pair quantity of a block is formed once.  On the circle a block forms
 one chart difference x_j - x_i and one velocity difference v_i - v_j per
 pair (``_circle_pairs``) and derives the rest from them: the distances
 (folded once to the minimal image) and through them D, dmin, the kernel's
-support and C; the speeds; and the corrector's directed arcs.  In the plane
-the distances and speeds are the roots of ``pair_square_sums``.  One record
+support and C; the speeds; and the corrector's directed arcs.  The folds
+scan no block: every chart difference of a chunk lies within
++-fl(max x - min x), one bound taken per call, and a bound looser than a
+block's own range only makes folds that are the identity there.  In the
+plane the distances and speeds are the roots of ``pair_square_sums``, and
+the correctors gather each near pair's coordinates by its flat row and
+column, one ``take`` per operand and component.  One record
 call makes its work arrays once (``_block_buffers``: four float arrays and
 one bool, each as large as the first and largest block), and every block
 works in C-contiguous views of their fronts shaped (K, rows, cols), so its
@@ -69,7 +74,7 @@ from .errors import (
     check_keys,
     number,
 )
-from .geometry import VELOCITY_SPACE, Domain
+from .geometry import TWO_PI, VELOCITY_SPACE, Domain
 from .kernels import KernelSpec
 
 __all__ = [
@@ -254,13 +259,19 @@ def _euclidean_summands(xr, xc, vr, vc, dist, speed, r0, powers, out=None):
     summands are formed only on the pairs closer than that and are 0
     elsewhere.  One directed-distance pass, shared by the powers, sums
     -(x_ik - x_jk)(v_ik - v_jk) / |v_ij| one component k at a time; pairs
-    with equal velocities give 0."""
+    with equal velocities give 0.  Each near pair's coordinates are taken
+    from one component's (K, rows) or (K, cols) array, flat, by the flat
+    row s * rows + i and column s * cols + j of its flat index in the
+    block, one gather per operand."""
     near = np.flatnonzero(dist < 2.0 * r0)
-    s, i, j = np.unravel_index(near, dist.shape)
+    rows, cols = dist.shape[1:]
+    row, j = np.divmod(near, cols)
+    col = row // rows * cols + j
     speed = speed.take(near)
     directed = np.zeros_like(speed)
     for k in range(xr.shape[2]):
-        directed -= (xr[s, i, k] - xc[s, j, k]) * (vr[s, i, k] - vc[s, j, k])
+        directed -= ((xr[..., k].take(row) - xc[..., k].take(col))
+                     * (vr[..., k].take(row) - vc[..., k].take(col)))
     np.divide(directed, speed, out=directed, where=speed > 0.0)
     psi = geometry.psi_euclidean(directed, r0)
     chi = geometry.chi(dist.take(near), r0)
@@ -290,14 +301,15 @@ def _plain_roots(values) -> bool:
     return bool(low >= _ROOT_RANGE[0] and mags.max(initial=0.0) < _ROOT_RANGE[1])
 
 
-def _circle_pairs(x, v, a, b, plain, dist, speed, arc, work):
+def _circle_pairs(x, v, a, b, plain, dist, speed, arc, work, bound=None):
     """The pair quantities of a circle record's row block, rows a:b of each
     state of a stack of chart positions and velocities x and v (K, N)
     against the rows from a on, from one chart difference dx = x_j - x_i and
     one velocity difference dv = v_i - v_j per pair, each written into its
     block view: ``dist`` the distance min(|dx|, 2*pi - |dx|), ``speed`` |dv|
     and ``arc`` dx sign(dv), the corrector's directed arc before its fold;
-    ``work`` is scratch.
+    ``work`` is scratch.  ``bound``, when given, is at least every |dx|, and
+    the fold reads it in place of scanning (geometry._folded).
 
     Returns (speed, moments): the speeds the corrector reads and those the
     V_p and I_p read, sqrt(dv^2) as ``pair_square_sums`` forms them, and
@@ -308,7 +320,7 @@ def _circle_pairs(x, v, a, b, plain, dist, speed, arc, work):
     """
     # xc - xr is -(xr - xc) bit for bit, so |dx| is the magnitude of either
     np.subtract(x[:, None, a:], x[:, a:b, None], out=arc)
-    geometry._folded(arc, dist, work)
+    geometry._folded(arc, dist, work, bound)
     np.subtract(v[:, a:b, None], v[:, None, a:], out=speed)
     arc *= np.sign(speed, out=work)
     np.abs(speed, out=speed)
@@ -318,15 +330,21 @@ def _circle_pairs(x, v, a, b, plain, dist, speed, arc, work):
     return speed, np.sqrt(np.square(speed))
 
 
-def _circle_summand(arc, speed, r0, work=None, mask=None) -> np.ndarray:
+def _circle_summand(arc, speed, r0, work=None, mask=None, bound=None) -> np.ndarray:
     """Summand |v_i - v_j| psi(d_ij) of the circle corrector, in place on the
     directed arcs arc = (x_j - x_i) sign(v_i - v_j) of chart positions, from
     the speeds |v_i - v_j|: d_ij is arc mod 2*pi, the contracting arc.
     ``work`` and ``mask``, float and bool arrays of arc's shape, are scratch
-    for the folds (made where None)."""
-    geometry._mod_two_pi(arc, work, mask)
+    for the folds (made where None).
+
+    Each of the two folds (geometry._mod_two_pi) scans its input's range,
+    unless ``bound``, at least every |arc|, is given: then the first reads
+    (-bound, bound), and the second, whose input is the first's result in
+    [0, 2*pi] plus r0, reads (r0, 2*pi + r0), bit for bit the same."""
+    geometry._mod_two_pi(arc, work, mask, None if bound is None else (-bound, bound))
     arc += r0
-    psi = geometry._psi_periodic_shifted(arc, r0, work, mask)
+    psi = geometry._psi_periodic_shifted(arc, r0, work, mask,
+                                         None if bound is None else (r0, TWO_PI + r0))
     psi *= speed
     return psi
 
@@ -778,12 +796,15 @@ def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
     diameter, dmin, vdiam = np.zeros(stack), np.full(stack, math.inf), np.zeros(stack)
     buffers = _block_buffers(stack, n)
     plain = domain.periodic and _plain_roots(x) and _plain_roots(v)
+    # every chart difference x_j - x_i of the stack is within +-fl(max x - min x),
+    # as rounding is monotone: one bound for every block's folds
+    bound = x.max() - x.min() if domain.periodic else None
     for a in range(0, n, _RECORD_BLOCK):
         b = min(a + _RECORD_BLOCK, n)
         dist, speed, spare, scratch, mask = _views(buffers, (stack, b - a, n - a))
         if domain.periodic:  # spare holds the arcs; dist is spent once phi and C are formed
             speed, moments = _circle_pairs(x[..., 0], v[..., 0], a, b, plain, dist, speed,
-                                           spare, scratch)
+                                           spare, scratch, bound)
             power = dist
         else:  # the Euclidean correctors read dist last
             _euclidean_pairs(domain, x, v, a, b, dist, speed, scratch)
@@ -805,7 +826,7 @@ def _pair_columns(x, v, m, kernel, domain, t, singular=None) -> dict:
             dissipated = _on_support(values, phi, inside, scratch)
             sums[f"I{p}"] += p * _pair_sum(m_rows, dissipated, w)
         if domain.periodic:
-            summands = [_circle_summand(spare, speed, kernel.r0, scratch, mask)]
+            summands = [_circle_summand(spare, speed, kernel.r0, scratch, mask, bound)]
         else:
             summands = _euclidean_summands(x[:, a:b], x[:, a:], v[:, a:b], v[:, a:], dist, speed,
                                            kernel.r0, (1, 3), scratch)

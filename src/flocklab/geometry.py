@@ -147,7 +147,7 @@ def _paired_square_sums(domain: Domain, a, b, out=None, work=None) -> np.ndarray
     return sums
 
 
-def _folded(diff: np.ndarray, out=None, work=None) -> np.ndarray:
+def _folded(diff: np.ndarray, out=None, work=None, bound=None) -> np.ndarray:
     """The circle distance min(|diff|, 2*pi - |diff|) of each chart
     difference in the float array diff, into ``out`` (diff itself may be
     given), with ``work`` (made here when None) for 2*pi - |diff|.
@@ -158,9 +158,12 @@ def _folded(diff: np.ndarray, out=None, work=None) -> np.ndarray:
     unwrapped stage positions give, is first reduced by fmod, which is exact
     and odd, so fmod(|diff|) is |fmod(diff)|; inside (-2*pi, 2*pi), where
     differences of chart positions lie, fmod is the identity and skipped.
+    Whether to skip it reads the largest |diff|, or ``bound`` when the
+    caller knows one at least as large: a looser bound only applies fmod
+    where it is the identity, so the result is the same bit for bit.
     """
     out = np.abs(diff, out=out)
-    if out.size and not out.max() < TWO_PI:
+    if out.size and not (out.max() if bound is None else bound) < TWO_PI:
         np.fmod(out, TWO_PI, out=out)
     return np.minimum(out, np.subtract(TWO_PI, out, out=work), out=out)
 
@@ -230,14 +233,16 @@ def psi_periodic(x, r0: float):
     return float(y[0]) if np.ndim(x) == 0 else y
 
 
-def _psi_periodic_shifted(y: np.ndarray, r0: float, work=None, mask=None) -> np.ndarray:
+def _psi_periodic_shifted(y: np.ndarray, r0: float, work=None, mask=None,
+                          bounds=None) -> np.ndarray:
     """psi_periodic(x) from the float array y = x + r0, in place on y, with
     ``work`` and ``mask`` (float and bool arrays of y's shape, made here when
-    None) for the fold and the far arc's slope."""
+    None) for the fold and the far arc's slope; ``bounds`` is passed to the
+    fold (see _mod_two_pi)."""
     if not 0 < r0 < math.pi:
         raise DomainMismatchError("need 0 < r0 < pi on the circle")
     # reduce to one period starting at -r0: y in [-r0, 2*pi - r0)
-    _mod_two_pi(y, work, mask)
+    _mod_two_pi(y, work, mask, bounds)
     y -= r0
     # psi is r0 - y on the near arc (y <= r0), where it is >= 0 and (y - r0)
     # times the slope is <= 0, and that product on the far arc, where the
@@ -249,7 +254,7 @@ def _psi_periodic_shifted(y: np.ndarray, r0: float, work=None, mask=None) -> np.
     return np.maximum(y, far, out=y)
 
 
-def _mod_two_pi(z: np.ndarray, work=None, mask=None) -> np.ndarray:
+def _mod_two_pi(z: np.ndarray, work=None, mask=None, bounds=None) -> np.ndarray:
     """z mod 2*pi in [0, 2*pi], in place on the float array z, equal to
     np.mod(z, 2*pi) bit for bit; ``work`` and ``mask`` are float and bool
     arrays of z's shape for the folds, made here when None.
@@ -263,10 +268,18 @@ def _mod_two_pi(z: np.ndarray, work=None, mask=None) -> np.ndarray:
     (+0.0 off it): -2*pi from 2*pi on, then +2*pi below 0, each made only
     where some entry needs it (the second also where some entry is a zero,
     which may be -0.0).
+
+    Which of these to make reads z's smallest and largest entries, or
+    ``bounds``, a (low, high) pair the caller knows to hold every entry,
+    which saves the two scans.  A looser pair only makes steps that are
+    the identity on their inputs: fmod inside (-2*pi, 2*pi), and on
+    [2*pi, 4*pi) the same exact z - 2*pi as the first fold; subtracting
+    +0.0 (a mask with no entry set); and adding +0.0 to entries that are
+    all +0.0 or positive.  So the result is the same bit for bit.
     """
     if not z.size:
         return z
-    low, high = z.min(), z.max()
+    low, high = (z.min(), z.max()) if bounds is None else bounds
     if -TWO_PI < low and high < 2.0 * TWO_PI:
         if high >= TWO_PI:
             z -= np.multiply(np.greater_equal(z, TWO_PI, out=mask), TWO_PI, out=work)

@@ -536,6 +536,24 @@ def test_blocked_record_with_a_block_wholly_inside_the_support(domain):
         assert getattr(rec, name) == want, name
 
 
+@pytest.mark.parametrize("periods", [(-1, 1), (-3, 2), (0, 5)], ids=["one", "negative", "far"])
+@pytest.mark.parametrize("n", [64, 130])
+def test_blocked_record_of_an_off_chart_state_matches_the_dense_reference(n, periods):
+    # positions shifted by 2*pi k, k drawn per agent: the range bound a
+    # record passes its folds spans several periods, and every column is
+    # the dense oracle's, which reduces through np.mod, bit for bit
+    state = _blocked_case(circle(), n)
+    k = np.random.default_rng(n).integers(periods[0], periods[1], endpoint=True, size=n)
+    x = state.x + TWO_PI * k[:, None]
+    assert (x.min() < 0.0) == (periods[0] < 0) and x.max() - x.min() >= TWO_PI
+    shifted = FlockState(state.t, x, state.v, state.m)
+    cfg = _record_config(circle())
+    rec = compute_record(shifted, LOCAL, circle(), cfg)
+    for name, want in dense.columns(shifted, LOCAL, circle(), cfg).items():
+        assert getattr(rec, name) == want, name
+    assert rec.G > 0.0 and rec.I2 > 0.0
+
+
 def test_record_of_one_block_equals_the_public_diagnostics():
     # a record sums every column, I_p included, over its own row blocks; a
     # state of one block equals the dense oracle bit for bit, and so do the

@@ -294,27 +294,82 @@ def test_psi_periodic_is_the_np_mod_form(x, r0):
     assert isinstance(psi_periodic(float(x[0]), r0), float)
 
 
-def _record_summand(x, v, a, r0):
+def _record_summand(x, v, a, r0, bound=None):
     """The circle corrector's summand of rows a: against the columns from a
     on, formed as a record's block forms it: from one chart difference and
-    one velocity difference per pair, in block views of fresh arrays."""
+    one velocity difference per pair, in block views of fresh arrays, the
+    folds scanning their inputs or reading ``bound``."""
     shape = (1, len(x) - a, len(x) - a)
     dist, speed, arc, work = (np.empty(shape) for _ in range(4))
-    speed, _ = _circle_pairs(x[None], v[None], a, len(x), False, dist, speed, arc, work)
-    return _circle_summand(arc, speed, r0, work, np.empty(shape, dtype=bool))[0]
+    speed, _ = _circle_pairs(x[None], v[None], a, len(x), False, dist, speed, arc, work, bound)
+    return _circle_summand(arc, speed, r0, work, np.empty(shape, dtype=bool), bound)[0]
 
 
 @BITWISE
 @given(x=positions, data=st.data(), r0=st.sampled_from([0.1, 0.5]))
 def test_circle_summand_is_the_np_mod_form(x, data, r0):
     # unwrapped and negative positions, +-0.0, multiples of 2*pi, differences
-    # of exactly +-pi and equal velocities
+    # of exactly +-pi and equal velocities; the folds scan, or read the
+    # positions' range as a record passes it
     x = np.array(x)
     v = np.array(data.draw(st.lists(velocities, min_size=len(x), max_size=len(x))))
-    _assert_bitwise(_record_summand(x, v, 0, r0), dense.circle_summand(x, x, v, v, r0))
     k = len(x) // 2  # rows against the columns from the first row on, as a record's block
-    _assert_bitwise(_record_summand(x, v, k, r0),
-                    dense.circle_summand(x[k:], x[k:], v[k:], v[k:], r0))
+    for bound in (None, x.max() - x.min()):
+        _assert_bitwise(_record_summand(x, v, 0, r0, bound),
+                        dense.circle_summand(x, x, v, v, r0))
+        _assert_bitwise(_record_summand(x, v, k, r0, bound),
+                        dense.circle_summand(x[k:], x[k:], v[k:], v[k:], r0))
+
+
+# the special positions and tiny negatives, whose differences with +-0.0 and
+# with 2*pi sit on either side of each fold's threshold
+BOUND_POSITIONS = SPECIAL_POSITIONS + [-5e-324, -1e-300, -1e-17, np.nextafter(-TWO_PI, 0.0)]
+bound_positions = st.lists(st.one_of(st.sampled_from(BOUND_POSITIONS),
+                                     st.floats(0.0, TWO_PI, exclude_max=True),
+                                     st.floats(-30.0, 30.0, allow_subnormal=False)),
+                           min_size=1, max_size=12)
+# how much looser than the range a caller's bound may be
+slack = st.sampled_from([0.0, 5e-324, 1e-12, 1.0, TWO_PI, 30.0, math.inf])
+
+
+@BITWISE
+@given(x=bound_positions, loose=slack)
+def test_the_fold_given_a_range_bound_is_its_scanning_form(x, loose):
+    # every chart difference lies within +-fl(max x - min x), and that bound,
+    # or any looser one, folds each difference as the scan of |diff| does
+    x = np.array(x)
+    diff = x[None, :] - x[:, None]
+    bound = x.max() - x.min()
+    assert np.abs(diff).max() <= bound
+    for given_bound in (bound, bound + loose):
+        _assert_bitwise(_folded(diff, bound=given_bound), _folded(diff))
+
+
+@BITWISE
+@given(z=bound_positions, low=slack, high=slack)
+def test_mod_two_pi_given_bounds_is_its_scanning_form(z, low, high):
+    # a (low, high) pair that holds every entry, exact or looser on either
+    # side, makes only folds that are the identity where the scan skips them
+    z = np.array(z)
+    bounds = (z.min() - low, z.max() + high)
+    _assert_bitwise(_mod_two_pi(z.copy(), bounds=bounds), _mod_two_pi(z.copy()))
+    _assert_bitwise(_mod_two_pi(z.copy(), bounds=bounds), np.mod(z, TWO_PI))
+
+
+def test_range_bounds_cover_the_exact_cases():
+    # each fold that a loose bound makes in place of a skipped one: fmod on
+    # entries inside (-2*pi, 4*pi), -2*pi on none, +2*pi on +0.0 and positives
+    z = np.array([0.0, 5e-324, 1e-300, math.pi, np.nextafter(TWO_PI, 0.0)])
+    for bounds in ((0.0, TWO_PI), (-1.0, 2.0 * TWO_PI), (-math.inf, math.inf)):
+        _assert_bitwise(_mod_two_pi(z.copy(), bounds=bounds), z)
+    z = np.array([-0.0, TWO_PI, 2.0 * TWO_PI - 1.0, -5e-324, -TWO_PI + 1.0])
+    for bounds in ((z.min(), z.max()), (-TWO_PI, 2.0 * TWO_PI), (-math.inf, math.inf)):
+        _assert_bitwise(_mod_two_pi(z.copy(), bounds=bounds), np.mod(z, TWO_PI))
+    # and fmod on |diff| below 2*pi, where the scan skips it
+    below = np.nextafter(TWO_PI, 0.0)
+    diff = np.array([-0.0, 0.0, below, -below, math.pi, -5e-324])
+    for bound in (below, TWO_PI, 7.0, math.inf):
+        _assert_bitwise(_folded(diff, bound=bound), np.abs(displacement(circle(), diff, 0.0)))
 
 
 def test_circle_summand_covers_the_exact_cases():

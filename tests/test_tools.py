@@ -178,6 +178,28 @@ def test_compare_runs_diff_exits_1_on_any_difference(tmp_path, dump, change, ver
     assert verdict in out.stdout
 
 
+def test_compare_runs_diff_names_every_record_column_that_differs(tmp_path, dump):
+    # V4 of one record moved by 1e-9 of its value and I4 of another by one
+    # ulp: the run's line names the worst, and the line under it names both
+    # with their scores, the worst first; a run that is equal has no such line
+    changed = copy.deepcopy(dump)
+    run = changed["runs"]["blocks-circle-256"]
+    v4, i4 = run["columns"].index("V4"), run["columns"].index("I4")
+    first, last = run["records"][0], run["records"][-1]
+    first[v4] = (float.fromhex(first[v4]) * (1.0 + 1e-9)).hex()
+    run["records"][-1] = _nudge(last, i4)
+    out = _diff(tmp_path, dump, changed)
+    assert out.returncode == 1, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("blocks-circle-256"))
+    assert lines[k].split(" records ")[1].split()[:2] == ["1.0e-09", "x"]
+    assert lines[k].endswith(" config equal") and " (V4) " in lines[k]
+    name, score, rest = lines[k + 1].split(None, 2)
+    assert (name, score) == ("columns", "V4") and rest.startswith("1.0e-09, I4 ")
+    assert 0.0 < float(rest.split()[-1]) < 1e-15
+    assert not any(line.startswith("    columns") for line in lines[:k] + lines[k + 2:])
+
+
 def test_pair_field_timing_helpers_run(monkeypatch, capsys):
     # each helper once at N = 128, so a renamed name the tool reaches fails here
     tool = _load(PAIR_FIELD_TIMING)
@@ -269,6 +291,39 @@ def test_ab_timing_of_one_checkout_against_itself():
     assert all(float(value) > 0.0 for row in sides.values() for value in row[:3])
     assert sum(int(row[3]) for row in sides.values()) <= 2
     assert lines[-1] == "records bitwise equal: yes"
+
+
+@pytest.mark.parametrize("flock", ["circle:96", "plane:96"])
+def test_ab_timing_of_one_record_of_one_checkout_against_itself(flock):
+    # single records of a large-n shaped flock, in milliseconds: every pair
+    # is timed, no column differs, and the records are bitwise equal
+    out = subprocess.run([sys.executable, str(AB_TIMING), str(ROOT / "src"), str(ROOT / "src"),
+                          "--record", flock, "--pairs", "2"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == f"record {flock}, 2 pairs"
+    assert lines[1].split() == ["side", "median_ms", "q1_ms", "q3_ms", "faster"]
+    sides = {row.split()[0]: row.split()[1:] for row in lines[2:4]}
+    assert list(sides) == ["parent", "change"]
+    assert all(float(value) > 0.0 for row in sides.values() for value in row[:3])
+    assert sum(int(row[3]) for row in sides.values()) <= 2
+    assert lines[-2:] == ["columns that differ: none", "records bitwise equal: yes"]
+
+
+def test_ab_timing_names_the_record_columns_that_differ():
+    # a column moved in its last bit is named with its relative difference;
+    # a nan on both sides is equal
+    tool = _load(AB_TIMING)
+    rows = [[1.0.hex(), math.nan.hex(), 3.0.hex()],
+            [1.0.hex(), math.nan.hex(), np.nextafter(3.0, 4.0).hex()]]
+    assert tool._differing_columns(rows, ["V2", "C", "V4"]) == {
+        "V4": pytest.approx(2.0**-52 * 2 / 3, rel=1e-6)}
+    for bad in ("torus:96", "circle:1", "plane:", "plane:1e3"):
+        with pytest.raises(SystemExit):
+            tool._parse(["a", "b", "--record", bad])
+    with pytest.raises(SystemExit):
+        tool._parse(["a", "b", "--record", "circle:96", "--scenario", "x"])
 
 
 def test_pair_field_timing_stage_tables(monkeypatch, capsys):

@@ -29,7 +29,9 @@ are bitwise equal, and the largest relative difference
 occurs, the positions x, the velocities v and the other state and error
 fields (a different error type or pair, and an inf or nan in place of
 another value, read as inf), then whether the
-config JSON and the searched constants are equal.
+config JSON and the searched constants are equal.  Under a run whose
+record columns differ, an indented line names every such column with its
+largest relative difference, the worst first.
 Circle positions are compared through ``geometry.displacement``, as an
 absolute difference, so a round-off step across the seam at 0 = 2*pi does
 not read as 2*pi.  One more line per initial state says whether x, v and m
@@ -222,25 +224,37 @@ def _rel(a, b):
     return float(rel[k]), int(where[k])
 
 
+def _column_scores(ra, rb):
+    """The largest relative difference of each record column that differs
+    between two runs' records, by name, the worst first; {None: inf} when
+    the records do not have one shape."""
+    a = np.array([_floats(row) for row in ra["records"]])
+    b = np.array([_floats(row) for row in rb["records"]])
+    if a.shape != b.shape:
+        return {None: math.inf}
+    if not a.size:
+        return {}
+    scores = {name: _rel(a[:, k], b[:, k])[0] for k, name in enumerate(ra["columns"])}
+    return dict(sorted(((name, score) for name, score in scores.items() if score > 0.0),
+                       key=lambda item: -item[1]))
+
+
 def _compare(ra, rb):
     """Largest relative difference of the records, x, v and the rest of two
-    runs, and the record column of the largest record difference."""
+    runs, and the largest relative difference of each record column that
+    differs (_column_scores)."""
     from flocklab.geometry import circle, displacement
 
     worst = dict.fromkeys(("records", "x", "v", "other"), 0.0)
     if (len(ra["records"]) != len(rb["records"]) or len(ra["states"]) != len(rb["states"])
             or (ra["error"] is None) != (rb["error"] is None)):
-        return dict.fromkeys(worst, math.inf), None
-    column = None
+        return dict.fromkeys(worst, math.inf), {None: math.inf}
 
     def note(key, value):
         worst[key] = max(worst[key], value)
 
-    for a, b in zip(ra["records"], rb["records"]):
-        value, k = _rel(_floats(a), _floats(b))
-        if value > worst["records"]:
-            worst["records"] = value
-            column = None if k is None else ra["columns"][k]
+    columns = _column_scores(ra, rb)
+    note("records", max(columns.values(), default=0.0))
     for sa, sb in zip(ra["states"], rb["states"]):
         note("v", _rel(_floats(sa["v"]), _floats(sb["v"]))[0])
         for key in ("t", "diss2", "diss2_root"):
@@ -256,7 +270,7 @@ def _compare(ra, rb):
             note("other", math.inf)
         for key in ("distance", "t"):
             note("other", _rel(_floats(ea[key]), _floats(eb[key]))[0])
-    return worst, column
+    return worst, columns
 
 
 def _split(run):
@@ -280,7 +294,8 @@ def diff(path_a, path_b, rtol=0.0):
         ra, rb = runs_a[name], runs_b[name]
         equal = _split(ra) == _split(rb)
         verdict = "bitwise equal" if equal else "differs"
-        worst, column = _compare(ra, rb)
+        worst, columns = _compare(ra, rb)
+        column = next(iter(columns), None)
         same["runs"] &= equal or (rtol > 0.0 and max(worst.values()) <= rtol)
         line = (f"{name:42s} {verdict:14s}"
                 + "".join(f" {key} {value:.1e}" for key, value in worst.items())
@@ -292,6 +307,8 @@ def diff(path_a, path_b, rtol=0.0):
             same["constants"] &= equal
             line += " constants " + ("equal" if equal else "differ")
         print(line)
+        if column is not None:
+            print("    columns " + ", ".join(f"{key} {value:.1e}" for key, value in columns.items()))
     init_a, init_b = dump_a["initial"], dump_b["initial"]
     for name in sorted(set(init_a) | set(init_b)):
         if name not in init_a or name not in init_b:
