@@ -73,6 +73,41 @@ def test_variation_weighted():
     assert _columns(st, FLAT, euclidean(1)).V2 == pytest.approx(2 * 0.25 * 0.75 * 4.0)
 
 
+def _fsum_fourth_moments(state, kernel, domain):
+    """V4 and I4 as math.fsum of the pair terms m_i m_j |v_i - v_j|**4 and
+    4 m_i m_j phi_ij |v_i - v_j|**4, each term formed once through np.power
+    of the norm of the velocity difference, the sum exact."""
+    diff = state.v[:, None, :] - state.v[None, :, :]
+    fourth = np.power(np.linalg.norm(diff, axis=-1), 4)
+    terms = np.outer(state.m, state.m) * fourth
+    phi = dense.pair_phi(kernel, dense.pair_distances(domain, state.x), state.t)
+    return math.fsum(terms.ravel()), 4.0 * math.fsum((terms * phi).ravel())
+
+
+@pytest.mark.parametrize("rough", [False, True], ids=["plain", "rough"])
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 130, 256])
+@pytest.mark.parametrize("domain", [circle(), euclidean(1), euclidean(2)],
+                         ids=["circle", "line", "plane"])
+def test_fourth_moments_are_within_round_off_of_their_exact_sums(domain, n, rough):
+    # every term is positive, so a sum whose terms are each within a few
+    # units in the last place is within about n units of the exact sum, far
+    # inside 1e-14 here; a rough state holds entries outside _ROOT_RANGE, so
+    # on the circle its distances and speeds are square roots of squares
+    st = initial_state(domain, n, seed=n, weight_mode="random")
+    x, v = st.x.copy(), 3.0 * st.v
+    if rough:
+        x[0], v[-1] = 1e-300, 1e-300
+        assert not diagnostics._plain_roots(x) and not diagnostics._plain_roots(v)
+    x[1] = x[0] + 0.05  # within the local kernel's support, so I4 > 0
+    state = FlockState(0.0, domain.wrap(x), v, st.m)
+    for kernel in (LOCAL, FLAT):
+        rec = compute_record(state, kernel, domain)
+        v4, i4 = _fsum_fourth_moments(state, kernel, domain)
+        assert v4 > 0.0 and i4 > 0.0
+        assert abs(rec.V4 - v4) <= 1e-14 * v4, (kernel.kind, rec.V4 / v4 - 1.0)
+        assert abs(rec.I4 - i4) <= 1e-14 * i4, (kernel.kind, rec.I4 / i4 - 1.0)
+
+
 def test_dissipation_constant_kernel():
     # with phi == lam the kernel moment collapses to p * lam * V_p
     rec = _columns(approach_pair(), FLAT, euclidean(1))

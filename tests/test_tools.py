@@ -224,9 +224,11 @@ def test_pair_field_timing_helpers_run(monkeypatch, capsys):
 
 def test_pair_field_timing_record_split(capsys):
     # the split profiles the record itself: its parts add up to the record,
-    # and the helper that forms each block's pair quantities is timed
+    # and the helpers that form each block's pair quantities, its speed
+    # powers and its corrector summands are timed
     tool = _load(PAIR_FIELD_TIMING)
-    for name, pairs in (("circle", "_circle_pairs"), ("plane", "_euclidean_pairs")):
+    for name, pairs, corrector in (("circle", "_circle_pairs", "_circle_summand"),
+                                   ("plane", "_euclidean_pairs", "_euclidean_summands")):
         domain, state = tool._setup(name, 130)
         split = tool._record_split(state, domain)
         helpers = [fn.__name__ for fn in tool._split_helpers(domain)]
@@ -235,13 +237,14 @@ def test_pair_field_timing_record_split(capsys):
         parts = [split[part] for part in (*helpers, "rest")]
         assert all(s >= 0.0 for s in parts) and split["record"] > 0.0
         assert math.isclose(sum(parts), split["record"])
-        assert split["_pair_sum"] > 0.0 and split[helpers[2]] > 0.0
-        assert helpers[0] == pairs and split[pairs] > 0.0
-    tool._split_table("circle", 130, budget_s=0.0)
-    rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows[1:]] == [
-        "_circle_pairs", "_evaluate_raw", "_circle_summand", "_pair_sum",
-        "_collision_summand", "rest", "record"]
+        assert helpers[0] == pairs and helpers[3] == corrector
+        assert all(split[part] > 0.0 for part in (pairs, "_speed_powers", corrector, "_pair_sum"))
+    for name, corrector in (("circle", "_circle_summand"), ("plane", "_euclidean_summands")):
+        tool._split_table(name, 130, budget_s=0.0)
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows[1:]] == [
+            "_circle_pairs" if name == "circle" else "_euclidean_pairs", "_evaluate_raw",
+            "_speed_powers", corrector, "_pair_sum", "_collision_summand", "rest", "record"]
 
 
 def test_pair_field_timing_counts_page_faults(capsys):

@@ -20,18 +20,21 @@ few calls after a warm-up call): the pages a call touches afresh, which a
 record's per-block temporaries multiply.  The reference is not run past
 N = 2048, where its (N, N) arrays take most of the memory.  The next
 table times the record at N = 2048 for several block sizes, the table the
-block size is read off.  The last profiles one circle record at N = 2048
-with cProfile and splits it by the helpers of ``diagnostics._pair_columns``:
-``_circle_pairs`` forms each pair's one chart difference and one velocity
-difference and from them the distances, speeds and directed arcs (in the
-plane ``_euclidean_pairs`` the distances and speeds), ``_evaluate_raw``
-the kernel phi, ``_circle_summand`` the corrector's summand (in the plane
-``_euclidean_summands``), ``_pair_sum`` every reduction m_rows @ (S @ w)
-and ``_collision_summand`` the collision potential's (not called under
-this kernel); ``rest`` is the time in ``_pair_columns`` itself and in its
-block helpers ``_block_kernel`` and ``_on_support`` (the support masks,
-powers and scatters).  Each row is the median ms and share of the record;
-the profiler adds its own small cost to each call.
+block size is read off.  The next two profile one circle record at
+N = 2048 and one plane record at N = 1024 (the shapes of perfbench's
+``large-n``) with cProfile and split each by the helpers of
+``diagnostics._pair_columns``: ``_circle_pairs`` forms each pair's one
+chart difference and one velocity difference and from them the distances,
+speeds and directed arcs (in the plane ``_euclidean_pairs`` the distances
+and speeds), ``_evaluate_raw`` the kernel phi, ``_speed_powers`` the
+squared speeds and their squares, ``_circle_summand`` the corrector's
+summand (in the plane ``_euclidean_summands`` both correctors' summands),
+``_pair_sum`` every reduction m_rows @ (S @ w) and ``_collision_summand``
+the collision potential's (not called under this kernel); ``rest`` is the
+time in ``_pair_columns`` itself and in its block helpers ``_block_kernel``
+and ``_on_support`` (the support masks and scatters).  Each row is the
+median ms and share of the record; the profiler adds its own small cost
+to each call.
 
 The chunk sweep times the records of the states of one run, formed in
 chunks of stacked states (``diagnostics._records``), against the number of
@@ -261,8 +264,8 @@ def _split_helpers(domain):
         pairs, corrector = diagnostics._circle_pairs, diagnostics._circle_summand
     else:
         pairs, corrector = diagnostics._euclidean_pairs, diagnostics._euclidean_summands
-    return (pairs, kernels._evaluate_raw, corrector, diagnostics._pair_sum,
-            diagnostics._collision_summand)
+    return (pairs, kernels._evaluate_raw, diagnostics._speed_powers, corrector,
+            diagnostics._pair_sum, diagnostics._collision_summand)
 
 
 def _record_split(state, domain):
@@ -362,6 +365,8 @@ def main():
         print(f"{name:7s} {2048:6d} " + " ".join(_fmt(us, 13, 0) for us in cells), flush=True)
     print()
     _split_table("circle", 2048)
+    print()
+    _split_table("plane", 1024)
     print()
     _chunk_table()
     print()
