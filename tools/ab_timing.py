@@ -60,8 +60,8 @@ def _flock(spec):
     if name == "circle":
         domain, params, variant = circle(), {"sigma": 1.0}, LyapunovVariant.CIRCLE_I
     else:
-        domain, params, variant = euclidean(2), {"box": 1.0, "sigma": 1.0}, \
-            LyapunovVariant.EUCLIDEAN_V4
+        domain, params = euclidean(2), {"box": 1.0, "sigma": 1.0}
+        variant = LyapunovVariant.EUCLIDEAN_V4
     state = initial_state(domain, n, kind="uniform_gaussian", seed=0, params=params)
     return state, kernel, domain, LyapunovConfig.defaults(variant, kernel)
 

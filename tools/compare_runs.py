@@ -209,19 +209,18 @@ def _floats(hexes):
 
 
 def _rel(a, b):
-    """Largest |a - b| / max(|a|, |b|), with nan equal to nan, and its flat index;
-    a column far below 1 is scored relative to its own size, and an inf or nan
-    in place of another value scores inf, the worst."""
+    """Largest |a - b| / max(|a|, |b|), with nan equal to nan; a column far
+    below 1 is scored relative to its own size, and an inf or nan in place
+    of another value scores inf, the worst."""
     if a.shape != b.shape:
-        return math.inf, None
+        return math.inf
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
-        return 0.0, None
+        return 0.0
     where = np.flatnonzero(~same)
     rel = np.abs(a[where] - b[where]) / np.maximum(np.abs(a[where]), np.abs(b[where]))
     rel[np.isnan(rel)] = math.inf
-    k = int(np.argmax(rel))
-    return float(rel[k]), int(where[k])
+    return float(rel.max())
 
 
 def _column_scores(ra, rb):
@@ -234,7 +233,7 @@ def _column_scores(ra, rb):
         return {None: math.inf}
     if not a.size:
         return {}
-    scores = {name: _rel(a[:, k], b[:, k])[0] for k, name in enumerate(ra["columns"])}
+    scores = {name: _rel(a[:, k], b[:, k]) for k, name in enumerate(ra["columns"])}
     return dict(sorted(((name, score) for name, score in scores.items() if score > 0.0),
                        key=lambda item: -item[1]))
 
@@ -256,20 +255,20 @@ def _compare(ra, rb):
     columns = _column_scores(ra, rb)
     note("records", max(columns.values(), default=0.0))
     for sa, sb in zip(ra["states"], rb["states"]):
-        note("v", _rel(_floats(sa["v"]), _floats(sb["v"]))[0])
+        note("v", _rel(_floats(sa["v"]), _floats(sb["v"])))
         for key in ("t", "diss2", "diss2_root"):
-            note("other", _rel(_floats(sa[key]), _floats(sb[key]))[0])
+            note("other", _rel(_floats(sa[key]), _floats(sb[key])))
         xa, xb = _floats(sa["x"]), _floats(sb["x"])
         if ra["periodic"] and xa.shape == xb.shape:
             note("x", float(np.max(np.abs(displacement(circle(), xa, xb)), initial=0.0)))
         else:
-            note("x", _rel(xa, xb)[0])
+            note("x", _rel(xa, xb))
     ea, eb = ra["error"], rb["error"]
     if ea is not None:
         if ea["type"] != eb["type"] or ea["pair"] != eb["pair"]:
             note("other", math.inf)
         for key in ("distance", "t"):
-            note("other", _rel(_floats(ea[key]), _floats(eb[key]))[0])
+            note("other", _rel(_floats(ea[key]), _floats(eb[key])))
     return worst, columns
 
 
@@ -317,7 +316,7 @@ def diff(path_a, path_b, rtol=0.0):
             continue
         equal = init_a[name] == init_b[name]
         same["initial states"] &= equal
-        worst = {key: _rel(_floats(init_a[name][key]), _floats(init_b[name][key]))[0]
+        worst = {key: _rel(_floats(init_a[name][key]), _floats(init_b[name][key]))
                  for key in ("x", "v", "m")}
         print(f"initial/{name:34s} {'bitwise equal' if equal else 'differs':14s}"
               + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
