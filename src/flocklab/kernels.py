@@ -104,8 +104,12 @@ class KernelSpec:
 
 
 def _smoothstep(u):
-    """C1 ramp: 0 below 0, 3u^2-2u^3 on [0,1], 1 above."""
-    u = np.clip(u, 0.0, 1.0)
+    """C1 ramp: 0 below 0, 3u^2-2u^3 on [0,1], 1 above.  u, a temporary,
+    is clamped in place, which is faster than ``np.clip`` and gives its bits:
+    a -0.0 the clamp keeps gives +0.0 as u * u."""
+    u = np.asarray(u)
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, 1.0, out=u)
     return u * u * (3.0 - 2.0 * u)
 
 
