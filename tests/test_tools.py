@@ -473,3 +473,25 @@ def test_compare_runs_diff_still_needs_equal_configs_within_rtol(tmp_path, dump)
 def test_compare_runs_diff_refuses_a_bad_rtol(tmp_path, dump, rtol):
     out = _diff(tmp_path, dump, dump, "--rtol", rtol)
     assert out.returncode == 1 and "--rtol must be" in out.stderr
+
+
+@pytest.mark.parametrize("run", ["blocks-circle-256", "blocks-plane-192"])
+@pytest.mark.parametrize("moved, code", [(1e-14, 0), (1e-9, 1)])
+def test_compare_runs_diff_scores_dmin_against_the_domain_extent(tmp_path, dump, run, moved,
+                                                                 code):
+    # dmin, 2.2e-5 on the circle and 2.5e-3 in the plane, moved by 1e-14
+    # would read 4.5e-10 and 4e-12 against its own size; against the
+    # extent, 2 pi and the run's largest D (1.38), it reads 1.6e-15 and
+    # 7.3e-15 and passes --rtol 1e-12, while a move of 1e-9 does not
+    changed = copy.deepcopy(dump)
+    record = changed["runs"][run]["records"][0]
+    k = changed["runs"][run]["columns"].index("dmin")
+    record[k] = (float.fromhex(record[k]) + moved).hex()
+    out = _diff(tmp_path, dump, changed, "--rtol", "1e-12")
+    assert out.returncode == code, out.stdout + out.stderr
+    line = next(s for s in out.stdout.splitlines() if s.startswith(run))
+    score = float(line.split(" records ")[1].split()[0])
+    extent = 2.0 * math.pi if run.startswith("blocks-circle") else max(
+        float.fromhex(row[changed["runs"][run]["columns"].index("D")])
+        for row in dump["runs"][run]["records"])
+    assert score == pytest.approx(moved / extent, rel=0.05) and "(dmin)" in line

@@ -32,10 +32,13 @@ another value, read as inf), then whether the
 config JSON and the searched constants are equal.  Under a run whose
 record columns differ, an indented line names every such column with its
 largest relative difference, the worst first.
-Circle positions are compared through ``geometry.displacement``, as an
-absolute difference, so a round-off step across the seam at 0 = 2*pi does
-not read as 2*pi.  One more line per initial state says whether x, v and m
-are bitwise equal.  ``diff`` exits 1 when any run, config, constant or
+The positions x and the position columns D and dmin are scored against
+the domain's extent instead of their own size: 2*pi on the circle, the
+largest D of either run's records in R^d.  So a dmin of 1e-3 moved by
+1e-14 reads 1.6e-15 on the circle, not 1e-11.
+Circle positions are compared through ``geometry.displacement``, so a
+round-off step across the seam at 0 = 2*pi does not read as 2*pi.  One
+more line per initial state says whether x, v and m are bitwise equal.  ``diff`` exits 1 when any run, config, constant or
 initial state differs or is missing from one dump, and 0 otherwise.  With
 ``--rtol R`` a run that differs passes when its largest difference, over
 its records, x, v and the rest, is at most R; the lines still say which
@@ -208,32 +211,52 @@ def _floats(hexes):
     return np.array([float.fromhex(h) for h in hexes])
 
 
-def _rel(a, b):
-    """Largest |a - b| / max(|a|, |b|), with nan equal to nan; a column far
-    below 1 is scored relative to its own size, and an inf or nan in place
-    of another value scores inf, the worst."""
+def _rel(a, b, scale=None):
+    """Largest |a - b| / max(|a|, |b|), or |a - b| / scale when a scale is
+    given, with nan equal to nan; without a scale a column far below 1 is
+    scored relative to its own size, and an inf or nan in place of another
+    value scores inf, the worst."""
     if a.shape != b.shape:
         return math.inf
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
         return 0.0
     where = np.flatnonzero(~same)
-    rel = np.abs(a[where] - b[where]) / np.maximum(np.abs(a[where]), np.abs(b[where]))
+    size = np.maximum(np.abs(a[where]), np.abs(b[where])) if scale is None else scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a[where] - b[where]) / size
     rel[np.isnan(rel)] = math.inf
     return float(rel.max())
 
 
+# the record columns of distances between agents, scored against the extent
+POSITION_COLUMNS = ("D", "dmin")
+
+
+def _extent(ra, rb):
+    """The extent x, D and dmin are scored against: 2*pi on the circle, the
+    largest D of either run's records in R^d."""
+    if ra["periodic"]:
+        return 2.0 * math.pi
+    k = ra["columns"].index("D")
+    return max((float.fromhex(row[k]) for run in (ra, rb) for row in run["records"]),
+               default=0.0)
+
+
 def _column_scores(ra, rb):
     """The largest relative difference of each record column that differs
-    between two runs' records, by name, the worst first; {None: inf} when
-    the records do not have one shape."""
+    between two runs' records, by name, the worst first, the position
+    columns against the extent; {None: inf} when the records do not have
+    one shape."""
     a = np.array([_floats(row) for row in ra["records"]])
     b = np.array([_floats(row) for row in rb["records"]])
     if a.shape != b.shape:
         return {None: math.inf}
     if not a.size:
         return {}
-    scores = {name: _rel(a[:, k], b[:, k]) for k, name in enumerate(ra["columns"])}
+    extent = _extent(ra, rb)
+    scores = {name: _rel(a[:, k], b[:, k], extent if name in POSITION_COLUMNS else None)
+              for k, name in enumerate(ra["columns"])}
     return dict(sorted(((name, score) for name, score in scores.items() if score > 0.0),
                        key=lambda item: -item[1]))
 
@@ -254,15 +277,17 @@ def _compare(ra, rb):
 
     columns = _column_scores(ra, rb)
     note("records", max(columns.values(), default=0.0))
+    extent = _extent(ra, rb)
     for sa, sb in zip(ra["states"], rb["states"]):
         note("v", _rel(_floats(sa["v"]), _floats(sb["v"])))
         for key in ("t", "diss2", "diss2_root"):
             note("other", _rel(_floats(sa[key]), _floats(sb[key])))
         xa, xb = _floats(sa["x"]), _floats(sb["x"])
         if ra["periodic"] and xa.shape == xb.shape:
-            note("x", float(np.max(np.abs(displacement(circle(), xa, xb)), initial=0.0)))
+            moved = np.abs(displacement(circle(), xa, xb))
+            note("x", float(np.max(moved, initial=0.0)) / extent)
         else:
-            note("x", _rel(xa, xb))
+            note("x", _rel(xa, xb, extent))
     ea, eb = ra["error"], rb["error"]
     if ea is not None:
         if ea["type"] != eb["type"] or ea["pair"] != eb["pair"]:
