@@ -65,6 +65,16 @@ per-agent sum, so every list gives the same result bit for bit, and a step
 from a state equals a step from its ``copy()``.  Singular kernels, kernels
 of full support and flocks of several blocks carry no set.
 
+Under ``StepperConfig.tol`` an RK4 step is also limited by a local-error
+controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).  The step
+evaluates its end state y1 with ``first``, as a singular step does, and
+the embedded order-3 estimate (dt/6)(k4 - f(y1)) is measured against tol
+times the velocity spread at the step's start (``_attempt``).  A step
+whose estimate exceeds 1 is shrunk and redone from the same first
+evaluation; the accepted step carries the end evaluation, with its pair
+set, as the next step's first, and proposes the next dt, which
+``integrate`` passes back as dt_cap.
+
 ``integrate`` classifies the kernel once and hands the class to each
 ``step`` and record.  It records the initial state at once, then only
 steps, keeping each later recorded state; after the last step, or the
@@ -123,8 +133,10 @@ class FlockState:
     diss2: float = 0.0
     diss2_root: float = 0.0
     # (x, v, m, kernel, domain, method, evaluation, pairs) that step leaves
-    # for the next step; see _stepped
+    # for the next step, and the dt a step under a tolerance proposes for
+    # the next one; see _stepped
     _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _proposal: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t = float(self.t)
@@ -162,14 +174,16 @@ class FlockState:
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
 
 
-def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs):
+def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs,
+             proposal=None):
     """A step's result from the arrays the step has just made, without
     ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
     x, v and m are made read-only, so ``first``, the evaluation at them of
     ``method`` or None, cannot go stale; the next step reads it, and
     ``pairs``, the pair set of this step's first pass or None, only while
     the state still holds these arrays and steps under an equal kernel,
-    domain and method."""
+    domain and method.  ``proposal`` is the next dt the step proposes, or
+    None; no step reads it, ``integrate`` does."""
     if m.flags.writeable:  # the caller's weights; every later state shares the copy
         m = m.copy()
     for arr in (x, v, m):
@@ -179,6 +193,7 @@ def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs
     state.diss2, state.diss2_root = diss2, diss2_root
     state._first = (None if first is None and pairs is None
                     else (x, v, m, kernel, domain, method, first, pairs))
+    state._proposal = proposal
     return state
 
 
@@ -199,20 +214,27 @@ _SPLIT_MAX_N = diagnostics._RECORD_BLOCK
 @dataclass(frozen=True)
 class StepperConfig:
     """Adaptive stepping parameters: the largest step, the safety factor of
-    the approach and stiffness limits, and the method.
+    the approach and stiffness limits, the method and an optional local
+    error tolerance.
 
     ``"rk4_adaptive"`` (the default) is classic RK4 under dt_max, the
     approach limit and the stiffness limit.  ``"strang_exponential"`` drifts
     the positions by dt/2, solves the velocity flow at those frozen
     positions exactly and drifts by dt/2 again; that flow is unconditionally
     stable, so only dt_max and the approach limit bound dt.  It steps flocks
-    of at most ``diagnostics._RECORD_BLOCK`` agents.  ``to_dict`` names the
-    method only when it is not the default, so an RK4 config keeps its hash.
+    of at most ``diagnostics._RECORD_BLOCK`` agents.
+
+    ``tol`` (RK4 only) puts each step under a local-error controller: a step
+    whose embedded error estimate, relative to tol times the velocity spread,
+    exceeds 1 is shrunk and redone, and each step proposes the next dt (see
+    ``step``).  ``to_dict`` names the method and tol only when they are not
+    the defaults, so a config without them keeps its hash.
     """
 
     dt_max: float
     safety: float = 0.4
     method: str = _RK4
+    tol: float | None = None
 
     def __post_init__(self):
         if not 0 < self.dt_max < math.inf:  # fails on nan
@@ -221,22 +243,30 @@ class StepperConfig:
             raise ValueError("safety must lie in (0, 1]")
         if self.method not in (_RK4, _SPLIT):
             raise ValueError(f"unknown method {self.method!r}; known: {_RK4}, {_SPLIT}")
+        if self.tol is not None:
+            if not 0 < self.tol < math.inf:
+                raise ValueError(f"tol must be positive and finite, got {self.tol}")
+            if self.method != _RK4:
+                raise ValueError(f"tol applies to {_RK4} only, not {self.method}")
 
     def to_dict(self) -> dict:
         d = {"dt_max": self.dt_max, "safety": self.safety}
         if self.method != _RK4:
             d["method"] = self.method
+        if self.tol is not None:
+            d["tol"] = self.tol
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepperConfig":
         # older configs carry an unset d_guard; the guard is fixed
-        check_keys(d, ("safety", "method", "d_guard"), "stepper", required=("dt_max",))
+        check_keys(d, ("safety", "method", "tol", "d_guard"), "stepper", required=("dt_max",))
         if d.get("d_guard") is not None:
             raise ValueError(f"the separation guard is fixed at {_GUARD}, got {d['d_guard']!r}")
         return cls(dt_max=number("dt_max", d["dt_max"]),
                    safety=number("safety", d.get("safety", 0.4)),
-                   method=string("method", d.get("method", _RK4)))
+                   method=string("method", d.get("method", _RK4)),
+                   tol=None if d.get("tol") is None else number("tol", d["tol"]))
 
 
 def _block_nearest(dist, a):
@@ -457,17 +487,28 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
     StiffnessError once dt underflows, and ValueError when the result is not
     finite or the method cannot step a flock this large.  ``_singular`` is
     the kernel's class when the caller has it; None classifies here.
+
+    Under ``cfg.tol`` a step whose error estimate err (``_attempt``)
+    exceeds 1 shrinks dt by clamp(0.9 err^(-1/4), 0.2, 1) and redoes its
+    stages from the same first evaluation, and the result proposes dt
+    clamp(0.9 err^(-1/4), 0.2, 2) for the next step.  ``integrate`` passes
+    the proposal back as dt_cap, so a step is a function of its state, cfg
+    and dt_cap alone.
     """
     if dt_cap is not None and not dt_cap > 0.0:  # fails on nan
         raise ValueError(f"dt_cap must be positive, got {dt_cap!r}")
     singular = kernels._is_singular(kernel) if _singular is None else _singular
     evaluation, pairs = _carried(state, kernel, domain, cfg.method)
+    scale = None
     if cfg.method == _RK4:
         if evaluation is None:
             evaluation = _pair_field(state.x, state.v, state.m, kernel, domain, state.t,
                                      singular, first=True, pairs=pairs)
         a0, i2a, stiff, speed2, dmin, pairs = evaluation
-        attempt = functools.partial(_attempt, state, (a0, i2a), pairs, kernel, domain, singular)
+        if cfg.tol is not None:
+            scale = cfg.tol * float(np.ptp(state.v, axis=0).max())
+        attempt = functools.partial(_attempt, state, (a0, i2a), pairs, kernel, domain, singular,
+                                    scale)
     else:
         if state.n > _SPLIT_MAX_N:
             raise ValueError(f"{cfg.method} steps at most {_SPLIT_MAX_N} agents, got {state.n}")
@@ -486,18 +527,37 @@ def step(state: FlockState, kernel: KernelSpec, domain: Domain, cfg: StepperConf
             dmin, pair = _nearest_pair(domain, state.x)
             raise StiffnessError(pair, state.t, dmin, dt)
         try:
-            result = attempt(dt)
+            x1, v1, d2, d2r, last, err = attempt(dt)
         except CollisionError:
             dt *= 0.5
             continue
-        break
+        if err <= 1.0:
+            break
+        dt *= _dt_factor(err, 1.0)
 
-    x1, v1, d2, d2r, last = result
     return _stepped(state.t + dt, x1, v1, state.m, state.diss2 + d2,
-                    state.diss2_root + d2r, kernel, domain, cfg.method, last, pairs)
+                    state.diss2_root + d2r, kernel, domain, cfg.method, last, pairs,
+                    None if scale is None else dt * _dt_factor(err, 2.0))
 
 
-def _attempt(state, first, pairs, kernel, domain, singular, dt):
+def _dt_factor(err, most):
+    """The local-error controller's factor on dt after a step of error err:
+    0.9 err^(-1/4), within [0.2, most]."""
+    return most if err == 0.0 else min(most, max(0.2, 0.9 * err ** -0.25))
+
+
+def _attempt(state, first, pairs, kernel, domain, singular, scale, dt):
+    """One RK4 step of dt from the first evaluation ``first``, (a0, I2).
+
+    Returns (x1, v1, diss2 gain, diss2_root gain, the end evaluation or
+    None, err).  The end position is evaluated with ``first`` under a
+    singular kernel, as its guard, and under a tolerance, whose estimate
+    reads it; the next step takes it as its first evaluation.  With
+    ``scale``, tol times the velocity spread, err is the embedded order-3
+    estimate (dt/6)(k4 - f(y1)) in units of scale: the largest of |a_d -
+    a(y1)| and |v_d - v1| (a position error per unit time) times dt/6, over
+    scale; without it err is 0.
+    """
     x0, v0, m = state.x, state.v, state.m
     t = state.t
 
@@ -516,13 +576,19 @@ def _attempt(state, first, pairs, kernel, domain, singular, dt):
     x1 = x0 + (dt / 6.0) * (v0 + 2.0 * vb + 2.0 * vc + vd)
     v1 = v0 + (dt / 6.0) * (a0 + 2.0 * ab + 2.0 * ac + ad)
     x1 = _finished(x1, v1, domain)
-    last = (_pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True)
-            if singular else None)
+    last, err = None, 0.0
+    if singular or scale is not None:
+        last = _pair_field(x1, v1, m, kernel, domain, t + dt, singular, _GUARD, first=True,
+                           pairs=pairs)
+    if scale is not None:
+        gap = max(float(np.abs(ad - last[0]).max()), float(np.abs(vd - v1).max()))
+        if gap > 0.0:  # an aligned flock, of spread 0, has none
+            err = (dt / 6.0) * gap / scale
 
     d2 = (dt / 6.0) * (i2a + 2.0 * i2b + 2.0 * i2c + i2d)
     roots = [math.sqrt(max(val, 0.0)) for val in (i2a, i2b, i2c, i2d)]
     d2r = (dt / 6.0) * (roots[0] + 2.0 * roots[1] + 2.0 * roots[2] + roots[3])
-    return x1, v1, d2, d2r, last
+    return x1, v1, d2, d2r, last, err
 
 
 def _finished(x1, v1, domain):
@@ -581,7 +647,7 @@ def _split_attempt(state, kernel, domain, singular, dt):
     rate = lam * w2  # I2(s) / 4 = rate @ e^(-2 lam s)
     roots = [2.0 * math.sqrt(float(val)) for val in (rate.sum(), rate @ decay, rate @ decay**2)]
     d2r = (dt / 6.0) * (roots[0] + 4.0 * roots[1] + roots[2])
-    return x1, v1, d2, d2r, last
+    return x1, v1, d2, d2r, last, 0.0
 
 
 @dataclass(frozen=True)
@@ -705,12 +771,18 @@ def integrate(
     traj.records.append(diagnostics.compute_record(cur, kernel, domain, lyapunov_config,
                                                    _singular=singular))
     traj.states.append(cur)
+    proposal = math.inf  # under cfg.tol, the dt the last step proposed
     try:
         for target in targets:
             while cur.t < target:
-                cur = step(cur, kernel, domain, cfg, dt_cap=target - cur.t, _singular=singular)
+                cap = target - cur.t
+                cur = step(cur, kernel, domain, cfg, dt_cap=min(proposal, cap),
+                           _singular=singular)
                 if target - cur.t < 1e-12 * max(1.0, abs(target)):
                     cur.t = target
+                # a step the observer cut short, which reached it, keeps the proposal
+                if cur._proposal is not None and not (cap < proposal and cur.t == target):
+                    proposal = cur._proposal
                 if record_steps:
                     traj.states.append(cur)
             if not record_steps:

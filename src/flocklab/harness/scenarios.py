@@ -288,7 +288,7 @@ def _lib_torus_local_ensemble():
         n=64,
         mode="discrete",
         initial={"kind": "uniform_gaussian", "params": {"sigma": 0.001}},
-        stepper=StepperConfig(dt_max=0.5, safety=0.8),
+        stepper=StepperConfig(dt_max=8.0, safety=0.8, tol=1e-6),
         horizon=10000.0,
         observers=ObserverSchedule("geometric", t_first=1.0, factor=1.1),
         lyapunov=LyapunovConfig.defaults(LyapunovVariant.CIRCLE_I, kernel),

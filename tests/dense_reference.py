@@ -10,10 +10,11 @@ on every pair), and reduced in the order a record reduces it
 block's first row on, m @ (S @ m) for a flock of one block.  So a record
 equals these bit for bit at every N.
 
-``propose_dt`` and ``rk4_step`` restate the adaptive RK4 step from the force
-law a_i = sum_j m_j phi(|x_i - x_j|) (v_j - v_i) on dense arrays, with the
-circle's minimal image through ``np.mod``: no row windows, pair set, carried
-evaluation or guard retry.  Nothing in flocklab imports this module.
+``propose_dt``, ``rk4_step`` and ``controlled_step`` restate the adaptive
+RK4 step, and its local-error controller, from the force law a_i = sum_j
+m_j phi(|x_i - x_j|) (v_j - v_i) on dense arrays, with the circle's minimal
+image through ``np.mod``: no row windows, pair set, carried evaluation or
+guard retry.  Nothing in flocklab imports this module.
 """
 
 import math
@@ -233,6 +234,29 @@ def rk4_step(state, kernel, domain, dt):
     """One classic RK4 step of dt of positions, velocities and the
     dissipation integrals (the weights 1/6, 1/3, 1/3, 1/6 on I2 and on
     sqrt(I2)), the positions wrapped onto [0, 2 pi) on the circle."""
+    return _rk4(state, kernel, domain, dt)[0]
+
+
+def controlled_step(state, kernel, domain, cfg):
+    """(dt, the RK4 step of dt) under ``propose_dt`` and, with cfg.tol, the
+    local-error controller: from the proposed dt, while the embedded
+    estimate err = (dt/6) max(|a_4 - a(y1)|, |v_4 - v1|) / (tol (max v -
+    min v)) exceeds 1, dt shrinks by max(0.2, 0.9 err^(-1/4))."""
+    dt = propose_dt(state, kernel, domain, cfg)
+    while True:
+        ref, (v4, a4) = _rk4(state, kernel, domain, dt)
+        if cfg.tol is None:
+            return dt, ref
+        a1 = _field(ref.x, ref.v, ref.m, kernel, domain, ref.t)[0]
+        gap = max(np.max(np.abs(a4 - a1)), np.max(np.abs(v4 - ref.v)))
+        err = dt * gap / (6.0 * cfg.tol * np.max(np.ptp(state.v, axis=0)))
+        if err <= 1.0:
+            return dt, ref
+        dt *= max(0.2, 0.9 * err ** -0.25)
+
+
+def _rk4(state, kernel, domain, dt):
+    """rk4_step and its fourth stage's (velocity, acceleration)."""
     x0, v0, m, t = state.x, state.v, state.m, state.t
     h = 0.5 * dt
     a0, i2a = _field(x0, v0, m, kernel, domain, t)
@@ -248,4 +272,4 @@ def rk4_step(state, kernel, domain, dt):
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * dt / 6.0
     return FlockState(t + dt, np.mod(x1, TWO_PI) if domain.periodic else x1, v1, m,
                       state.diss2 + weights @ rates,
-                      state.diss2_root + weights @ np.sqrt(np.maximum(rates, 0.0)))
+                      state.diss2_root + weights @ np.sqrt(np.maximum(rates, 0.0))), (vd, ad)

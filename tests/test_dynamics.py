@@ -332,19 +332,24 @@ def _assert_same_state(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-@pytest.mark.parametrize("name, method, evaluated", [
+@pytest.mark.parametrize("name, method, guarded", [
     pytest.param("torus-singular-beta2.5", RK4, True, id="torus-singular-beta2.5-True"),
     pytest.param("torus-singular-beta2.5", SPLIT, True, id="torus-singular-beta2.5-split-True"),
     pytest.param("torus-local-ensemble", RK4, False, id="torus-local-ensemble-False")])
-def test_a_carried_evaluation_steps_as_a_fresh_copy(name, method, evaluated):
+def test_a_carried_evaluation_steps_as_a_fresh_copy(name, method, guarded):
     # under a singular kernel the end-of-step guard is the next step's first
-    # evaluation, by either method, keyed on the method; a smooth kernel has
-    # no guard, and under a compact one the state carries its pair set instead
+    # evaluation, by either method, keyed on the method; the local flock has
+    # no guard, but it steps under a tolerance, whose error estimate
+    # evaluates the end state, so it carries that evaluation and, its kernel
+    # being compact, the step's pair set too, which the end evaluation
+    # summed on while it still held
     cfg, state = _library_step(name, method)
+    assert (cfg.stepper.tol is None) == guarded
     x, v, m, kernel, domain, keyed, evaluation, pairs = state._first
     assert x is state.x and v is state.v and m is state.m
     assert kernel == cfg.kernel and domain == cfg.domain and keyed == method
-    assert (evaluation is not None) == evaluated and (pairs is None) == evaluated
+    assert evaluation is not None and (pairs is None) == guarded
+    assert guarded or evaluation[5] is pairs
     fresh = step(state.copy(), cfg.kernel, cfg.domain, cfg.stepper)
     _assert_same_state(step(state, cfg.kernel, cfg.domain, cfg.stepper), fresh)
     assert state._first is None
@@ -480,12 +485,21 @@ def test_a_non_finite_step_raises_value_error(monkeypatch, name, method):
 def _assert_steps_match_the_oracle(state, kernel, domain, cfg, count):
     """``count`` steps from state, each at the oracle's dt and equal to its
     dense step within 1e-12 relative (positions through the seam on the
-    circle); returns the last."""
+    circle); returns the last.
+
+    Under a tolerance the oracle's dt is its controller's, within 1e-10: the
+    error estimate is a difference of two accelerations about 1e-6 of their
+    size, so its round-off, and that of a dt it shrinks, is about 1e-10 of
+    it.  The step is then compared with the oracle's step of the dt it took.
+    """
     for _ in range(count):
-        dt = dense.propose_dt(state, kernel, domain, cfg)
+        dt, ref = dense.controlled_step(state, kernel, domain, cfg)
         after = step(state, kernel, domain, cfg)
-        ref = dense.rk4_step(state, kernel, domain, dt)
-        assert after.t - state.t == pytest.approx(dt, rel=1e-12, abs=0.0)
+        if cfg.tol is None:
+            assert after.t - state.t == pytest.approx(dt, rel=1e-12, abs=0.0)
+        else:
+            assert after.t - state.t == pytest.approx(dt, rel=1e-10, abs=0.0)
+            ref = dense.rk4_step(state, kernel, domain, after.t - state.t)
         moved = displacement(domain, after.x, ref.x)
         assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(ref.x))
         assert _rel(after.v, ref.v) <= 1e-12
@@ -521,6 +535,102 @@ def test_compact_flocks_match_the_dense_oracle_for_50_steps(name):
     first = _assert_steps_match_the_oracle(state, kernel, domain, cfg, 1)
     assert (_carried_pairs(first) is None) == (state.n > diagnostics._RECORD_BLOCK)
     _assert_steps_match_the_oracle(first, kernel, domain, cfg, 49)
+
+
+# ---------------------------------------------------------------------------
+# the local-error controller: under StepperConfig.tol an RK4 step is redone
+# at a smaller dt while its embedded error estimate exceeds 1, and proposes
+# the next step's dt, which integrate passes back as dt_cap
+
+
+def test_the_controlled_local_flock_stays_near_a_dt_over_4_reference():
+    # torus-local-ensemble, seed 0, to t = 20 under its tolerance against a
+    # fixed dt of 0.125, the old dt_max / 4.  Measured: V1, V2, V4, I2 and G
+    # within 1.7e-6 of the reference at every record (V4 the worst; the old
+    # fixed dt = 0.5 read 8.9e-6, I2 the worst), and the energy identity to
+    # 1.8e-8 of V2(0)
+    cfg = scenario("torus-local-ensemble", horizon=20.0)
+    fine = dataclasses.replace(cfg, stepper=StepperConfig(dt_max=0.125, safety=0.8)).run()
+    traj = cfg.run()
+    assert traj.error is None and fine.error is None
+    assert np.array_equal(traj.t(), fine.t())
+    for name in ("V1", "V2", "V4", "I2", "G"):
+        got, ref = traj.column(name), fine.column(name)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-6, name
+    v2, diss = traj.column("V2"), traj.column("I2_int")
+    assert np.max(np.abs(v2 - v2[0] + diss - diss[0])) <= 1e-7 * v2[0]
+
+
+def test_a_rejected_step_is_redone_from_its_first_evaluation(monkeypatch):
+    # a tiny tolerance rejects the first attempts; each retry shrinks dt by
+    # max(0.2, 0.9 err^(-1/4)) and starts from the same first evaluation, so
+    # the step makes one first evaluation and four per attempt (three
+    # stages and the end), and it is the untolerated RK4 step of the dt it
+    # took, bit for bit
+    cfg = scenario("torus-local-ensemble")
+    tiny = dataclasses.replace(cfg.stepper, tol=1e-12)
+    attempts, fields = [], []
+    real_attempt, real_field = dynamics._attempt, dynamics._pair_field
+
+    def attempt(*args):
+        result = real_attempt(*args)
+        attempts.append((args[1], args[-1], result[-1]))
+        return result
+
+    def pair_field(*args, **kwargs):
+        fields.append(kwargs.get("first", False))
+        return real_field(*args, **kwargs)
+
+    start = cfg.build()
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_attempt", attempt)
+        patch.setattr(dynamics, "_pair_field", pair_field)
+        after = step(start, cfg.kernel, cfg.domain, tiny, dt_cap=0.5)
+    assert len(attempts) >= 2 and attempts[0][2] > 1.0 and attempts[-1][2] <= 1.0
+    assert all(first is attempts[0][0] for first, *_ in attempts)
+    assert len(fields) == 1 + 4 * len(attempts) and fields.count(True) == 1 + len(attempts)
+    for (_, dt, err), (_, shrunk, _) in zip(attempts, attempts[1:]):
+        assert err > 1.0 and shrunk == dt * max(0.2, 0.9 * err ** -0.25)
+    _, dt, err = attempts[-1]
+    assert after.t == dt and after._proposal == dt * min(2.0, max(0.2, 0.9 * err ** -0.25))
+    plain = dataclasses.replace(tiny, tol=None)
+    _assert_same_state(after, step(start.copy(), cfg.kernel, cfg.domain, plain, dt_cap=dt))
+
+
+def test_integrate_caps_each_step_at_the_last_proposal(monkeypatch):
+    # each step's dt_cap is the smaller of the proposal and the time to the
+    # next observer; a step the observer cut short, which reached it, leaves
+    # the proposal as it was, and no proposal grows dt more than twice
+    cfg = scenario("torus-local-ensemble", horizon=20.0)
+    calls = []
+    real = dynamics.step
+
+    def spy(state, *args, dt_cap=None, **kwargs):
+        after = real(state, *args, dt_cap=dt_cap, **kwargs)
+        calls.append((state, dt_cap, after))
+        return after
+
+    monkeypatch.setattr(dynamics, "step", spy)
+    assert cfg.run().error is None
+    targets = cfg.observers.times(0.0, cfg.horizon)
+    proposal, kept = math.inf, 0
+    for state, cap, after in calls:
+        target = next(t for t in targets if t > state.t)
+        assert cap == min(proposal, target - state.t)
+        assert after._proposal <= 2.0 * (after.t - state.t) * (1.0 + 1e-12)
+        if target - state.t < proposal and after.t == target:
+            kept += 1
+        else:
+            proposal = after._proposal
+    assert kept > 0 and len(calls) > kept
+
+
+def test_the_controlled_local_flock_keeps_its_momentum():
+    cfg = scenario("torus-local-ensemble", horizon=100.0)
+    traj = cfg.run()
+    mom = traj.column("mom_0")
+    # measured: 2.7e-20, a few ulps of the momentum (5.8e-5)
+    assert np.max(np.abs(mom - mom[0])) <= 1e-15 * np.max(np.abs(traj.states[0].v))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +808,12 @@ def _dense_step(monkeypatch, *args):
 
 
 def _carried_pairs(state):
-    return None if state._first is None else state._first[7]
+    """The pair set the state's next step sums on: that of the carried
+    evaluation, or the carried set."""
+    if state._first is None:
+        return None
+    evaluation, pairs = state._first[6:]
+    return pairs if evaluation is None else evaluation[5]
 
 
 @pytest.mark.parametrize("name, carries", [("torus-local-ensemble", True),
@@ -783,17 +898,20 @@ def test_an_agent_crossing_the_seam_rebuilds_the_pair_set(monkeypatch):
 def test_a_pair_set_keeps_its_own_copy_of_the_positions(monkeypatch):
     # the caller's initial state is writable: positions written into it
     # after the step that built a set there must not change the moves the
-    # next step measures, here past half the skin, so that step builds anew
+    # next step measures, here past half the skin, so that step builds anew;
+    # without a tolerance every step of this flock sits at dt_max
     cfg = scenario("torus-local-ensemble")
+    stepper = StepperConfig(dt_max=0.5, safety=0.8)
     start = cfg.build()
     half_skin = 0.5 * dynamics._SKIN * cfg.kernel.r0
-    start.v *= 4.0 * half_skin / (cfg.stepper.dt_max * float(np.max(np.abs(start.v))))
-    after = step(start, cfg.kernel, cfg.domain, cfg.stepper)
+    start.v *= 4.0 * half_skin / (stepper.dt_max * float(np.max(np.abs(start.v))))
+    after = step(start, cfg.kernel, cfg.domain, stepper)
+    assert after.t == stepper.dt_max
     built = _carried_pairs(after)
     assert built is not None
     start.x[:] = after.x
-    dense = _dense_step(monkeypatch, after.copy(), cfg.kernel, cfg.domain, cfg.stepper)
-    again = step(after, cfg.kernel, cfg.domain, cfg.stepper)
+    dense = _dense_step(monkeypatch, after.copy(), cfg.kernel, cfg.domain, stepper)
+    again = step(after, cfg.kernel, cfg.domain, stepper)
     _assert_same_state(again, dense)
     assert _carried_pairs(again) is not built
 
@@ -1194,6 +1312,33 @@ def test_stepper_config_names_only_the_split_method():
     assert StepperConfig.from_dict(split.to_dict()) == split
     with pytest.raises(ValueError, match="unknown method"):
         StepperConfig(dt_max=0.1, method="rk45")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_stepper_config_needs_a_positive_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        StepperConfig(dt_max=0.1, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        StepperConfig.from_dict({"dt_max": 0.1, "tol": tol})
+
+
+def test_stepper_config_refuses_a_tolerance_under_splitting():
+    with pytest.raises(ValueError, match="tol applies to rk4_adaptive only"):
+        StepperConfig(dt_max=0.1, method=SPLIT, tol=1e-6)
+    with pytest.raises(ValueError, match="tol"):
+        StepperConfig.from_dict({"dt_max": 0.1, "method": SPLIT, "tol": 1e-6})
+
+
+def test_stepper_config_names_a_tolerance_only_when_set():
+    # a config without one serialises as before, so its hash is unchanged
+    plain = StepperConfig(dt_max=0.5, safety=0.8)
+    assert plain.tol is None and plain.to_dict() == {"dt_max": 0.5, "safety": 0.8}
+    assert StepperConfig.from_dict({**plain.to_dict(), "tol": None}) == plain
+    tight = StepperConfig(dt_max=8.0, safety=0.8, tol=1e-6)
+    assert tight.to_dict() == {"dt_max": 8.0, "safety": 0.8, "tol": 1e-6}
+    assert StepperConfig.from_dict(tight.to_dict()) == tight
+    with pytest.raises(ValueError, match="tol must be a number"):
+        StepperConfig.from_dict({"dt_max": 0.1, "tol": "1e-6"})
 
 
 def test_stepper_config_reads_configs_with_an_unset_guard():

@@ -183,6 +183,34 @@ def test_library_configs_roundtrip():
         assert back.config_hash() == cfg.config_hash()
 
 
+# every library scenario's config_sha from before StepperConfig.tol: a
+# config without a tolerance serialises as it did.  torus-local-ensemble
+# steps under one, so its hash moved.
+_CONFIG_SHAS = {
+    "euclid-annular-fat-tail": "031d7fdbba0b",
+    "euclid-classical-smooth": "be07b3c0533e",
+    "lagrangian-torus-weighted": "f28936a89890",
+    "parallel-lines-R2": "e7104660e98f",
+    "torus-singular-beta2": "aa71188084a2",
+    "torus-singular-beta2.5": "f8616252736f",
+    "torus-singular-beta3": "02509be5f461",
+    "two-agent-fat-tail-escape": "51072c9a9a75",
+    "two-agent-smooth-collision": "880610947674",
+    "two-agent-strong-singular-approach": "32c2df8f4f32",
+    "two-agent-weak-singular-collision": "4f95128038ff",
+    "vacuum-gap-torus": "7e26aa45f4ec",
+}
+
+
+def test_library_config_hashes_are_pinned():
+    assert sorted(_CONFIG_SHAS) == [n for n in scenario_names() if n != "torus-local-ensemble"]
+    for name, sha in _CONFIG_SHAS.items():
+        cfg = scenario(name)
+        assert cfg.stepper.tol is None and cfg.config_hash() == sha, name
+    local = scenario("torus-local-ensemble")
+    assert local.stepper.tol == 1e-6 and local.config_hash() != "4186f8ac0e97"
+
+
 def test_scenario_overrides():
     base = scenario("parallel-lines-R2")
     hot = scenario("parallel-lines-R2", seed=5, horizon=10.0)
