@@ -174,8 +174,7 @@ class FlockState:
         return FlockState(self.t, self.x, self.v, self.m, self.diss2, self.diss2_root)
 
 
-def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs,
-             proposal=None):
+def _stepped(t, x, v, m, diss2, diss2_root, kernel, domain, method, first, pairs, proposal):
     """A step's result from the arrays the step has just made, without
     ``__post_init__``'s copies and checks (``_attempt`` checks x and v).
     x, v and m are made read-only, so ``first``, the evaluation at them of

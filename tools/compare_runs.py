@@ -35,15 +35,15 @@ largest relative difference, the worst first.
 The positions x and the position columns D and dmin are scored against
 the domain's extent instead of their own size: 2*pi on the circle, the
 largest D of either run's records in R^d.  So a dmin of 1e-3 moved by
-1e-14 reads 1.6e-15 on the circle, not 1e-11.
-Circle positions are compared through ``geometry.displacement``, so a
-round-off step across the seam at 0 = 2*pi does not read as 2*pi.  One
-more line per initial state says whether x, v and m are bitwise equal.  ``diff`` exits 1 when any run, config, constant or
-initial state differs or is missing from one dump, and 0 otherwise.  With
-``--rtol R`` a run that differs passes when its largest difference, over
-its records, x, v and the rest, is at most R; the lines still say which
-runs are bitwise equal, and configs, constants and initial states must
-still be equal.
+1e-14 reads 1.6e-15 on the circle, not 1e-11.  Circle positions are
+compared through ``geometry.displacement``, so a round-off step across the
+seam at 0 = 2*pi does not read as 2*pi.  One more line per initial state
+says whether x, v and m are bitwise equal.  ``diff`` exits 1 when any run,
+config, constant or initial state differs or is missing from one dump, and
+0 otherwise.  With ``--rtol R`` a run that differs passes when its largest
+difference, over its records, x, v and the rest, is at most R; the lines
+still say which runs are bitwise equal, and configs, constants and initial
+states must still be equal.
 """
 
 import json
@@ -223,8 +223,7 @@ def _rel(a, b, scale=None):
         return 0.0
     where = np.flatnonzero(~same)
     size = np.maximum(np.abs(a[where]), np.abs(b[where])) if scale is None else scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(a[where] - b[where]) / size
+    rel = np.abs(a[where] - b[where]) / size
     rel[np.isnan(rel)] = math.inf
     return float(rel.max())
 
@@ -243,7 +242,7 @@ def _extent(ra, rb):
                default=0.0)
 
 
-def _column_scores(ra, rb):
+def _column_scores(ra, rb, extent):
     """The largest relative difference of each record column that differs
     between two runs' records, by name, the worst first, the position
     columns against the extent; {None: inf} when the records do not have
@@ -254,7 +253,6 @@ def _column_scores(ra, rb):
         return {None: math.inf}
     if not a.size:
         return {}
-    extent = _extent(ra, rb)
     scores = {name: _rel(a[:, k], b[:, k], extent if name in POSITION_COLUMNS else None)
               for k, name in enumerate(ra["columns"])}
     return dict(sorted(((name, score) for name, score in scores.items() if score > 0.0),
@@ -275,9 +273,9 @@ def _compare(ra, rb):
     def note(key, value):
         worst[key] = max(worst[key], value)
 
-    columns = _column_scores(ra, rb)
-    note("records", max(columns.values(), default=0.0))
     extent = _extent(ra, rb)
+    columns = _column_scores(ra, rb, extent)
+    note("records", max(columns.values(), default=0.0))
     for sa, sb in zip(ra["states"], rb["states"]):
         note("v", _rel(_floats(sa["v"]), _floats(sb["v"])))
         for key in ("t", "diss2", "diss2_root"):
