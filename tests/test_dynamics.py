@@ -6,8 +6,10 @@ range, where the relative dynamics is linear and exactly solvable.
 """
 
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,20 @@ from flocklab.errors import CollisionError, StiffnessError
 from flocklab.geometry import TWO_PI, circle, displacement, euclidean
 from flocklab.kernels import KernelKind, KernelSpec
 from flocklab.harness import scenario, scenario_names
+
+# tools/compare_runs.py, whose SCALES give each compared quantity its scale
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_runs", Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py")
+COMPARE = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(COMPARE)
+
+
+def _scores(a, b, domain):
+    """compare_runs' score of each state field of the states a and b, the
+    positions through the seam on the circle."""
+    scale = COMPARE.scales((a.x, b.x), (a.v, b.v))
+    return {key: COMPARE.score(key, getattr(a, key), getattr(b, key), scale, domain.periodic)
+            for key in COMPARE.STATE_FIELDS}
 
 FLAT = KernelSpec(KernelKind.CLASSICAL_CS, lam=1.0, beta=0.0, r0=1.0)
 PLATEAU = KernelSpec(KernelKind.CONSTANT_NEAR_ZERO, lam=2.0, beta=1.0, r0=2.0)
@@ -484,8 +500,8 @@ def test_a_non_finite_step_raises_value_error(monkeypatch, name, method):
 
 def _assert_steps_match_the_oracle(state, kernel, domain, cfg, count):
     """``count`` steps from state, each at the oracle's dt and equal to its
-    dense step within 1e-12 relative (positions through the seam on the
-    circle); returns the last.
+    dense step within 1e-12 of each state field's scale (``_scores``);
+    returns the last.
 
     Under a tolerance the oracle's dt is its controller's, within 1e-10: the
     error estimate is a difference of two accelerations about 1e-6 of their
@@ -500,11 +516,8 @@ def _assert_steps_match_the_oracle(state, kernel, domain, cfg, count):
         else:
             assert after.t - state.t == pytest.approx(dt, rel=1e-10, abs=0.0)
             ref = dense.rk4_step(state, kernel, domain, after.t - state.t)
-        moved = displacement(domain, after.x, ref.x)
-        assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(ref.x))
-        assert _rel(after.v, ref.v) <= 1e-12
-        assert after.diss2 == pytest.approx(ref.diss2, rel=1e-12, abs=0.0)
-        assert after.diss2_root == pytest.approx(ref.diss2_root, rel=1e-12, abs=0.0)
+        scores = _scores(after, ref, domain)
+        assert max(scores.values()) <= 1e-12, scores
         state = after
     return state
 
@@ -746,11 +759,15 @@ def test_split_steps_converge_at_second_order():
     assert all(1.9 < order < 2.1 for order in orders), orders
 
 
-# The split runs' records against RK4's to t = 2, relative to V2(0), |C(0)|
-# and max |G|: the worst over seeds 0-7 of the three singular circles was
-# 5.5e-4, 9.7e-4 and 1.2e-3, of the order of RK4's own energy-identity
-# residual on these runs; each bound is twice that.
-SPLIT_AGREEMENT = {"V2": 1.1e-3, "C": 2e-3, "G": 2.5e-3}
+# The split runs' records against RK4's to t = 2, each column against its
+# own largest |value| over both runs (compare_runs.SCALES).  The worst over
+# seeds 0-7 of the three singular circles was 5.5e-4 of V2(0), 9.7e-4 of
+# |C(0)| and 1.2e-3 of max |G|, of the order of RK4's own energy-identity
+# residual on these runs, and each bound is twice that.  The largest V2 and
+# |G| over both runs are V2(0) and RK4's max |G|, but the largest |C| is up
+# to 1.34 |C(0)| (torus-singular-beta2; 1.04 and 1.08 on the others), so
+# C's bound is 2e-3 / 1.34.
+SPLIT_AGREEMENT = {"V2": 1.1e-3, "C": 1.49e-3, "G": 2.5e-3}
 
 
 @pytest.mark.parametrize("name", SINGULAR_CIRCLES)
@@ -759,10 +776,8 @@ def test_split_records_agree_with_rk4(name):
     rk4 = _config(name, horizon=2.0).run()
     assert split.error is None and rk4.error is None
     assert split.t().tobytes() == rk4.t().tobytes()
-    scales = {"V2": rk4.column("V2")[0], "C": abs(rk4.column("C")[0]),
-              "G": np.max(np.abs(rk4.column("G")))}
     for col, tol in SPLIT_AGREEMENT.items():
-        assert np.max(np.abs(split.column(col) - rk4.column(col))) <= tol * scales[col], col
+        assert COMPARE.score(col, split.column(col), rk4.column(col)) <= tol, col
 
 
 def test_a_weak_singular_collision_under_splitting_ends_in_a_typed_error():
@@ -960,10 +975,6 @@ LOCAL = KernelSpec(KernelKind.LOCAL_MOLLIFIED, lam=1.0, r0=0.1)
 SINGULAR = KernelSpec(KernelKind.SINGULAR_POWER, lam=1.0, beta=0.5)
 
 
-def _rel(a, b):
-    return float(np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b)))
-
-
 def _paths(monkeypatch, n, fn):
     """fn() on the row blocks, then on the one-block reference (block >= n)."""
     out = [fn()]
@@ -976,17 +987,14 @@ def _paths(monkeypatch, n, fn):
 def _assert_blocks_match_the_reference(monkeypatch, domain, kernel, n):
     st = initial_state(domain, n, seed=2, weight_mode="random")
     blocks, whole = _paths(monkeypatch, n, lambda: rhs(st, kernel, domain))
-    assert _rel(blocks, whole) <= 1e-12
+    assert COMPARE.score("own", blocks, whole) <= 1e-12
     # dt_max this large leaves dt to the stiffness or approach bound, and a
     # step this long takes the stage positions around the circle and out of
     # the unit box
     cfg = StepperConfig(dt_max=100.0)
     blocks, whole = _paths(monkeypatch, n, lambda: step(st, kernel, domain, cfg))
-    assert blocks.t == pytest.approx(whole.t, rel=1e-12, abs=0.0)
-    moved = displacement(domain, blocks.x, whole.x)  # across the seam, not around the circle
-    assert np.max(np.abs(moved)) <= 1e-12 * np.max(np.abs(whole.x))
-    assert _rel(blocks.v, whole.v) <= 1e-12
-    assert blocks.diss2 == pytest.approx(whole.diss2, rel=1e-12, abs=0.0)
+    scores = _scores(blocks, whole, domain)
+    assert max(scores.values()) <= 1e-12, scores
     return whole
 
 
@@ -1012,7 +1020,7 @@ def test_rhs_of_an_aligned_flock_is_the_exact_sum(domain, c):
     terms = st.m[None, :, None] * phi[:, :, None] * (st.v[None, :, :] - st.v[:, None, :])
     ref = np.array([[math.fsum(row[:, k]) for k in range(domain.dim)] for row in terms])
     assert np.max(np.abs(ref)) > 0.0
-    assert np.max(np.abs(acc - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert COMPARE.score("own", acc, ref) <= 1e-14
 
 
 @pytest.mark.parametrize("domain", [circle(), euclidean(2)], ids=["circle", "plane"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from flocklab import diagnostics, geometry
+from flocklab import diagnostics, geometry, kernels
 from flocklab.harness import scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,7 +54,8 @@ def test_compare_runs_dump_covers_several_blocks(dump):
     # the local multi-block runs span several record blocks and step on the
     # stepper's sorted column windows, which no library flock reaches; the
     # singular circle records every step in chunks of two stacked states
-    # over two blocks, with the collision potential
+    # over two blocks, with the collision potential; the full-support plane
+    # steps on whole rows over two blocks
     tool = _load(COMPARE_RUNS)
     block = diagnostics._RECORD_BLOCK
     for name, (*_, record_steps) in tool.BLOCK_RUNS.items():
@@ -69,11 +70,18 @@ def test_compare_runs_dump_covers_several_blocks(dump):
             assert all(math.isfinite(float.fromhex(rec[column])) for rec in run["records"])
             assert "constants" in run
             continue
-        assert cfg.n > 2 * block
-        index, windows = geometry._row_windows(cfg.domain, cfg.build().x, cfg.kernel.r0, block)
-        assert index is not None and any(c1 - c0 < cfg.n for *_, c0, c1 in windows)
         assert times == [0.0, tool.BLOCK_HORIZON]
+        radius = kernels.support_radius(cfg.kernel)
+        index, windows = geometry._row_windows(cfg.domain, cfg.build().x, radius, block)
+        if radius == math.inf:
+            assert index is None and len(windows) == 2
+            assert all((c0, c1) == (0, cfg.n) for *_, c0, c1 in windows)
+            continue
+        assert cfg.n > 2 * block
+        assert index is not None and any(c1 - c0 < cfg.n for *_, c0, c1 in windows)
     assert any(record_steps for *_, record_steps in tool.BLOCK_RUNS.values())
+    assert any(kernels.support_radius(tool._block_config(name).kernel) == math.inf
+               and not record_steps for name, (*_, record_steps) in tool.BLOCK_RUNS.items())
 
 
 def test_compare_runs_dump_searches_every_variant():
@@ -315,13 +323,19 @@ def test_ab_timing_of_one_record_of_one_checkout_against_itself(flock):
 
 
 def test_ab_timing_names_the_record_columns_that_differ():
-    # a column moved in its last bit is named with its relative difference;
-    # a nan on both sides is equal
+    # a column moved in its last bit is named with its score from
+    # compare_runs' table: V4 against the larger of its two values, dmin
+    # against the larger side's largest |x| coordinate; a nan on both sides
+    # is equal
     tool = _load(AB_TIMING)
-    rows = [[1.0.hex(), math.nan.hex(), 3.0.hex()],
-            [1.0.hex(), math.nan.hex(), np.nextafter(3.0, 4.0).hex()]]
-    assert tool._differing_columns(rows, ["V2", "C", "V4"]) == {
-        "V4": pytest.approx(2.0**-52 * 2 / 3, rel=1e-6)}
+    columns = ["V2", "C", "V4", "dmin"]
+    answers = [{"columns": columns, "x": x, "v": 1.0,
+                "row": [1.0.hex(), math.nan.hex(), v4.hex(), dmin.hex()]}
+               for x, v4, dmin in ((2.0, 3.0, 0.5), (4.0, np.nextafter(3.0, 4.0),
+                                                     np.nextafter(0.5, 1.0)))]
+    assert tool._differing_columns(answers) == {
+        "V4": pytest.approx(2.0**-52 * 2 / 3, rel=1e-6),
+        "dmin": pytest.approx(2.0**-53 / 4, rel=1e-6)}
     for bad in ("torus:96", "circle:1", "plane:", "plane:1e3"):
         with pytest.raises(SystemExit):
             tool._parse(["a", "b", "--record", bad])
@@ -380,20 +394,61 @@ def test_compare_runs_diff_scores_a_lost_finite_entry_as_the_worst(tmp_path, dum
     assert f"({run['columns'][k]})" in line
 
 
-def test_compare_runs_diff_scores_a_small_entry_against_its_own_size(tmp_path, dump):
-    # an entry below 1 moved by 1e-6 of its value reads as 1e-6, not as the
-    # absolute difference
+def test_compare_runs_scales_name_every_compared_quantity(dump):
+    # the table's keys are exactly the names diff compares: the record
+    # columns in one and two dimensions, the state fields, the error's
+    # distance and t and the initial states' fields; so a new record column
+    # cannot be compared before it is given a scale
+    tool = _load(COMPARE_RUNS)
+    failed = dump["runs"]["two-agent-weak-singular-collision/steps"]
+    names = {*diagnostics.DiagnosticsRecord.column_names(1),
+             *diagnostics.DiagnosticsRecord.column_names(2),
+             *failed["states"][0], *(set(failed["error"]) - {"type", "pair"}),
+             *next(iter(dump["initial"].values()))}
+    assert set(tool.SCALES) == names
+    assert set(tool.STATE_FIELDS) == set(failed["states"][0])
+    assert set(tool.SCALES.values()) == {"x", "v", "own"}
+
+
+def _moved_diff(tmp_path, dump, run, column, move, row=-1):
+    """diff --rtol 1e-12 of the dump against a copy with one record entry of
+    a run set to move(entry, column), and that run's line."""
     changed = copy.deepcopy(dump)
-    run = changed["runs"]["two-agent-smooth-collision"]
-    record = run["records"][-1]
-    k = next(k for k, h in enumerate(record) if 0.0 < abs(float.fromhex(h)) < 0.1)
-    record[k] = (float.fromhex(record[k]) * (1.0 + 1e-6)).hex()
-    out = _diff(tmp_path, dump, changed)
+    columns = changed["runs"][run]["columns"]
+    record = changed["runs"][run]["records"][row]
+    k = columns.index(column)
+    entries = [float.fromhex(rec[k]) for rec in dump["runs"][run]["records"]]
+    record[k] = move(float.fromhex(record[k]), entries).hex()
+    out = _diff(tmp_path, dump, changed, "--rtol", "1e-12")
+    line = next(s for s in out.stdout.splitlines() if s.startswith(run))
+    return out, line, float(line.split(" records ")[1].split()[0])
+
+
+def test_compare_runs_diff_scores_a_late_entry_against_the_runs_largest(tmp_path, dump):
+    # I4 of the smooth collision falls about e^-8 by t = 1: its last entry
+    # moved by 1e-15 of the run's largest I4 reads 1e-15, where against its
+    # own size it read 3e-12 and failed --rtol 1e-12
+    out, line, score = _moved_diff(tmp_path, dump, "two-agent-smooth-collision", "I4",
+                                   lambda entry, column: entry + 1e-15 * max(column))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert score == pytest.approx(1e-15, rel=0.05) and "(I4)" in line
+
+
+def test_compare_runs_diff_scores_momentum_against_the_velocities(tmp_path, dump):
+    # the smooth collision's momentum is exactly 0: a mom_0 of 1e-17 reads
+    # 1e-17 of the largest |v|, 2, where against its own size it read 1
+    out, line, score = _moved_diff(tmp_path, dump, "two-agent-smooth-collision", "mom_0",
+                                   lambda entry, column: 1e-17)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert score == pytest.approx(0.5e-17, rel=0.05) and "(mom_0)" in line
+
+
+def test_compare_runs_diff_fails_a_V2_moved_by_1e_9_of_its_largest(tmp_path, dump):
+    # V2's largest is V2(0): a late V2 moved by 1e-9 of it reads 1e-9
+    out, line, score = _moved_diff(tmp_path, dump, "two-agent-smooth-collision", "V2",
+                                   lambda entry, column: entry + 1e-9 * column[0])
     assert out.returncode == 1, out.stdout + out.stderr
-    line = next(s for s in out.stdout.splitlines() if s.startswith("two-agent-smooth-collision"))
-    score = float(line.split(" records ")[1].split()[0])
-    assert score == pytest.approx(1e-6, rel=1e-3)
-    assert f"({run['columns'][k]})" in line
+    assert score == pytest.approx(1e-9, rel=1e-3) and "(V2)" in line
 
 
 def test_perfbench_tracer_binds_every_entry_point_and_restores_it(monkeypatch):
@@ -480,18 +535,13 @@ def test_compare_runs_diff_refuses_a_bad_rtol(tmp_path, dump, rtol):
 def test_compare_runs_diff_scores_dmin_against_the_domain_extent(tmp_path, dump, run, moved,
                                                                  code):
     # dmin, 2.2e-5 on the circle and 2.5e-3 in the plane, moved by 1e-14
-    # would read 4.5e-10 and 4e-12 against its own size; against the
-    # extent, 2 pi and the run's largest D (1.38), it reads 1.6e-15 and
-    # 7.3e-15 and passes --rtol 1e-12, while a move of 1e-9 does not
-    changed = copy.deepcopy(dump)
-    record = changed["runs"][run]["records"][0]
-    k = changed["runs"][run]["columns"].index("dmin")
-    record[k] = (float.fromhex(record[k]) + moved).hex()
-    out = _diff(tmp_path, dump, changed, "--rtol", "1e-12")
+    # would read 4.5e-10 and 4e-12 against its own size; against the x
+    # scale, the run's largest |x| coordinate (6.27 on the circle, 1.09 in
+    # the plane), it reads 1.6e-15 and 9.2e-15 and passes --rtol 1e-12,
+    # while a move of 1e-9 does not
+    out, line, score = _moved_diff(tmp_path, dump, run, "dmin",
+                                   lambda entry, column: entry + moved, row=0)
     assert out.returncode == code, out.stdout + out.stderr
-    line = next(s for s in out.stdout.splitlines() if s.startswith(run))
-    score = float(line.split(" records ")[1].split()[0])
-    extent = 2.0 * math.pi if run.startswith("blocks-circle") else max(
-        float.fromhex(row[changed["runs"][run]["columns"].index("D")])
-        for row in dump["runs"][run]["records"])
-    assert score == pytest.approx(moved / extent, rel=0.05) and "(dmin)" in line
+    largest = max(abs(float.fromhex(h)) for state in dump["runs"][run]["states"]
+                  for h in state["x"])
+    assert score == pytest.approx(moved / largest, rel=0.05) and "(dmin)" in line

@@ -29,19 +29,29 @@ flock of N agents in the shape of perfbench's ``large-n`` workload: the
 local mollified kernel with r0 = 0.1 and its Lyapunov functional (circle_i
 on the circle, euclidean_v4 in the plane on the unit box).  The table is in
 milliseconds, and after it a line names each record column whose value
-differs between the two sides, with its relative difference
-|a - b| / max(|a|, |b|), or says that none does.
+differs between the two sides, with its score from ``compare_runs.py``'s
+table of scales: |a - b| against the larger side's largest |x| coordinate
+(D, dmin) or |v| coordinate (momentum, vdiam), or against max(|a|, |b|)
+for every other column, one record being all of it there is; or says
+that none does.
 """
 
 import argparse
 import hashlib
+import importlib.util
 import json
-import math
 import os
 import statistics
 import subprocess
 import sys
 import time
+
+# compare_runs.py, whose SCALES score the record columns that differ; loaded
+# by path, so this tool imports as a script and as a module
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_runs", os.path.join(os.path.dirname(os.path.abspath(__file__)), "compare_runs.py"))
+COMPARE = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(COMPARE)
 
 SIDES = ("parent", "change")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -69,7 +79,8 @@ def _flock(spec):
 def _worker():
     """Run the scenario, or form the record, of each request line on stdin
     and answer with one line of JSON: the call's seconds and the digest of
-    its records, and for a record its row as hex floats."""
+    its records, and for a record its row as hex floats and the state's
+    largest |x| and |v| coordinate."""
     import numpy as np
     from flocklab.diagnostics import compute_record
     from flocklab.harness import scenario
@@ -99,6 +110,8 @@ def _worker():
         if request.get("record"):
             answer["row"] = [float(value).hex() for value in records[0].to_row()]
             answer["columns"] = records[0].column_names(flocks[spec][2].dim)
+            answer["x"], answer["v"] = (float(np.max(np.abs(a)))
+                                        for a in (flocks[spec][0].x, flocks[spec][0].v))
         print(json.dumps(answer), flush=True)
 
 
@@ -137,13 +150,19 @@ def _record_spec(text):
     return name, int(n)
 
 
-def _differing_columns(rows, columns):
-    """Each record column whose value differs between the two sides' rows
-    of hex floats, with its relative difference (nan equal to nan)."""
+def _differing_columns(answers):
+    """Each record column whose value differs between the two sides' record
+    answers, with its score against its scale in ``compare_runs.SCALES``
+    (nan equal to nan): the larger side's |x| or |v| coordinate, or the
+    larger of the two values."""
+    scale = COMPARE.scales([answer["x"] for answer in answers],
+                           [answer["v"] for answer in answers])
     out = {}
-    for name, a, b in zip(columns, *(map(float.fromhex, row) for row in rows)):
-        if a != b and not (math.isnan(a) and math.isnan(b)):
-            out[name] = abs(a - b) / max(abs(a), abs(b))
+    for k, name in enumerate(answers[0]["columns"]):
+        value = COMPARE.score(name, *(float.fromhex(answer["row"][k]) for answer in answers),
+                              scale)
+        if value > 0.0:
+            out[name] = value
     return out
 
 
@@ -203,8 +222,7 @@ def main(argv=None):
     ratio = medians["change"] / medians["parent"]
     print(f"change median / parent median: {ratio:.3f} ({ratio - 1.0:+.1%})")
     if args.record:
-        differ = _differing_columns([warm[name]["row"] for name in SIDES],
-                                    warm["parent"]["columns"])
+        differ = _differing_columns([warm[name] for name in SIDES])
         print("columns that differ: " + (", ".join(f"{name} {rel:.1e}"
                                                     for name, rel in differ.items()) or "none"))
     equal = digests["parent"] is not None and digests["parent"] == digests["change"]

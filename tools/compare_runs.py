@@ -3,6 +3,12 @@
     PYTHONPATH=<checkout>/src python3 tools/compare_runs.py dump OUT.json
     PYTHONPATH=src python3 tools/compare_runs.py diff A.json B.json [--rtol R]
 
+To dump an older commit with this tool, extract its sources and put them
+on the path:
+
+    git archive <sha> src | tar -x -C DIR
+    PYTHONPATH=DIR/src python3 tools/compare_runs.py dump old.json
+
 ``dump`` runs all 13 library scenarios at the short horizons below, and seven
 of them again with a record after every step (``STEP_HORIZONS``): the three
 ``torus-singular-*`` scenarios and one scenario of each other Lyapunov
@@ -10,11 +16,13 @@ variant, so the constant search runs on all five variants, and
 ``two-agent-weak-singular-collision``, a run that records every step and
 ends in an error.
 The library flocks are at most 64 agents, one row block, so it also runs
-three multi-block flocks (``BLOCK_RUNS``): two shaped like perfbench's
+four multi-block flocks (``BLOCK_RUNS``): two shaped like perfbench's
 ``large-n`` at smaller N, several record blocks and the stepper's sorted
-column windows, and a singular circle of 96 agents with a record after
-every step, whose records are formed in chunks of two stacked states over
-two row blocks, with the collision potential C.
+column windows; a singular circle of 96 agents with a record after every
+step, whose records are formed in chunks of two stacked states over two
+row blocks, with the collision potential C; and a plane flock of 96 agents
+under the full-support ``classical_cs`` kernel, stepped on whole rows over
+two row blocks.
 It writes each run's canonical config JSON, every record, every stored
 state (``t``, ``x``, ``v``, ``diss2``, ``diss2_root``) and the run's error
 (type, pair, distance, t), and for the record-every-step runs with a
@@ -24,26 +32,38 @@ initial-data kind at two seeds.  Each float is stored as its exact hex
 form, so two checkouts can be compared without round-off.
 
 ``diff`` prints one line per run: whether its records, states and error
-are bitwise equal, and the largest relative difference
-|a - b| / max(|a|, |b|) over the records, with the record column where it
-occurs, the positions x, the velocities v and the other state and error
-fields (a different error type or pair, and an inf or nan in place of
-another value, read as inf), then whether the
-config JSON and the searched constants are equal.  Under a run whose
-record columns differ, an indented line names every such column with its
-largest relative difference, the worst first.
-The positions x and the position columns D and dmin are scored against
-the domain's extent instead of their own size: 2*pi on the circle, the
-largest D of either run's records in R^d.  So a dmin of 1e-3 moved by
-1e-14 reads 1.6e-15 on the circle, not 1e-11.  Circle positions are
-compared through ``geometry.displacement``, so a round-off step across the
-seam at 0 = 2*pi does not read as 2*pi.  One more line per initial state
-says whether x, v and m are bitwise equal.  ``diff`` exits 1 when any run,
-config, constant or initial state differs or is missing from one dump, and
-0 otherwise.  With ``--rtol R`` a run that differs passes when its largest
-difference, over its records, x, v and the rest, is at most R; the lines
-still say which runs are bitwise equal, and configs, constants and initial
-states must still be equal.
+are bitwise equal, and the largest score over the records, with the record
+column where it occurs, the positions x, the velocities v and the other
+state and error fields (a different error type or pair, and an inf or nan
+in place of another value, score inf), then whether the config JSON and
+the searched constants are equal.  Under a run whose record columns
+differ, an indented line names every such column with its score, the
+worst first.
+
+A score is |a - b| against one scale per compared quantity, the table
+``SCALES``, which names every record column, state field and error field:
+  - ``x``, the largest |x| coordinate over either run's states, for x, D,
+    dmin and an error's distance: round-off in a position, and in a
+    distance between agents, grows with |x|.  It is at least D/2, and at
+    most 2*pi on the circle;
+  - ``v``, the largest |v| coordinate over either run's states, for v, the
+    momentum and vdiam;
+  - ``own``, the quantity's own largest |value| over either run, for V_p,
+    I_p, G, G3, L, C, I2_int, sqrtI2_int, t, diss2, diss2_root and an
+    error's t.  These fall by orders of magnitude as a flock aligns, so a
+    late entry is scored against the run's largest, not its own size.
+So a dmin of 1e-3 moved by 1e-14 reads about 1.6e-15 on the circle, not
+1e-11, and a late I4 moved by 1e-15 of the run's largest I4 reads 1e-15.
+A run's circle positions are compared through ``geometry.displacement``,
+so a round-off step across the seam at 0 = 2*pi does not read as 2*pi.  One
+more line per initial state says whether x, v and m are bitwise equal, with
+their scores.  ``diff`` exits 1 when any run, config, constant or
+initial state differs or is missing from one dump, and 0 otherwise.  With
+``--rtol R`` a run that differs passes when its largest score, over its
+records, x, v and the rest, is at most R; the lines still say which runs
+are bitwise equal, and configs, constants and initial states must still
+be equal.  ``tools/ab_timing.py`` and the oracle tests in
+``tests/test_dynamics.py`` score through the same table.
 """
 
 import json
@@ -83,8 +103,9 @@ STEP_HORIZONS = {
 }
 # (domain, N, initial data, kernel, Lyapunov variant, record_steps) of each
 # multi-block run, stepped by RK4 with dt_max = 0.01 to BLOCK_HORIZON: the
-# local flocks take five steps with records at the start and the end; the
-# singular circle's steps are stiffness-limited, each recorded
+# local and full-support flocks take five steps with records at the start
+# and the end; the singular circle's steps are stiffness-limited, each
+# recorded
 _LOCAL = {"kind": "local_mollified", "lam": 1.0, "r0": 0.1}
 BLOCK_RUNS = {
     "blocks-circle-256": ("circle", 256, {"kind": "uniform_gaussian", "params": {"sigma": 1.0}},
@@ -95,6 +116,10 @@ BLOCK_RUNS = {
     "blocks-singular-circle-96": (
         "circle", 96, {"kind": "lattice_circle", "params": {"jitter": 0.02, "sigma": 0.5}},
         {"kind": "singular_power", "lam": 1.0, "beta": 2.5, "r0": 1.0}, "circle_iii", True),
+    "blocks-classical-plane-96": ("euclidean2", 96,
+                                  {"kind": "uniform_gaussian", "params": {"box": 1.0, "sigma": 1.0}},
+                                  {"kind": "classical_cs", "lam": 1.0, "beta": 0.5},
+                                  "euclidean_v4", False),
 }
 BLOCK_HORIZON = 0.05
 INITIAL_SEEDS = (0, 1)
@@ -211,87 +236,112 @@ def _floats(hexes):
     return np.array([float.fromhex(h) for h in hexes])
 
 
-def _rel(a, b, scale=None):
-    """Largest |a - b| / max(|a|, |b|), or |a - b| / scale when a scale is
-    given, with nan equal to nan; without a scale a column far below 1 is
-    scored relative to its own size, and an inf or nan in place of another
-    value scores inf, the worst."""
+# the scale each compared quantity is scored against, by name: the record
+# columns (``DiagnosticsRecord.column_names`` of d = 1 and 2), the state
+# fields, the error's distance and t, and the initial states' m
+#   "x"    the largest |x| coordinate over either run's states: round-off in a
+#          position, and in a distance between agents, grows with |x|, not
+#          with the flock's width
+#   "v"    the largest |v| coordinate over either run's states
+#   "own"  the quantity's own largest |value| over either run: V_p, I_p, G
+#          and C fall by orders of magnitude as a flock aligns, so a late
+#          entry is scored against the run's largest, not against itself
+SCALES = {
+    "t": "own", "V1": "own", "V2": "own", "V4": "own", "I1": "own", "I2": "own", "I4": "own",
+    "G": "own", "G3": "own", "L": "own", "C": "own", "D": "x", "dmin": "x",
+    "mom_0": "v", "mom_1": "v", "vdiam": "v", "I2_int": "own", "sqrtI2_int": "own",
+    "x": "x", "v": "v", "diss2": "own", "diss2_root": "own", "distance": "x", "m": "own",
+}
+STATE_FIELDS = ("t", "x", "v", "diss2", "diss2_root")
+
+
+def _largest(*arrays):
+    """The largest finite |entry| of the arrays, 0.0 when they have none."""
+    finite = [np.abs(a[np.isfinite(a)]) for a in map(np.asarray, arrays)]
+    return max((float(f.max()) for f in finite if f.size), default=0.0)
+
+
+def scales(x, v):
+    """The "x" and "v" scales of SCALES: the largest |coordinate| of the
+    positions x and of the velocities v, each a sequence of arrays that
+    holds both runs' states."""
+    return {"x": _largest(*x), "v": _largest(*v)}
+
+
+def score(name, a, b, scale=None, periodic=False):
+    """The largest |a - b| of the quantity ``name`` against its scale in
+    SCALES: ``scale["x"]`` or ``scale["v"]`` (``scales``), or the largest
+    |entry| of a and b, which hold all of the quantity that either run
+    holds.  ``name`` "own" scores a quantity the table does not name, such
+    as an acceleration, against its own largest |entry|.
+
+    nan equals nan, and an inf or nan in place of another value scores inf,
+    the worst.  Positions x on the circle (``periodic``) differ by their
+    displacement, so a round-off step across the seam at 0 = 2*pi does not
+    read as 2*pi.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return math.inf
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     if same.all():
         return 0.0
-    where = np.flatnonzero(~same)
-    size = np.maximum(np.abs(a[where]), np.abs(b[where])) if scale is None else scale
-    rel = np.abs(a[where] - b[where]) / size
+    kind = "own" if name == "own" else SCALES[name]
+    size = _largest(a, b) if kind == "own" else scale[kind]
+    a, b = a[~same], b[~same]
+    if periodic and name == "x":
+        from flocklab.geometry import circle, displacement
+
+        moved = displacement(circle(), a, b)
+    else:
+        moved = a - b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(moved) / size
     rel[np.isnan(rel)] = math.inf
     return float(rel.max())
 
 
-# the record columns of distances between agents, scored against the extent
-POSITION_COLUMNS = ("D", "dmin")
-
-
-def _extent(ra, rb):
-    """The extent x, D and dmin are scored against: 2*pi on the circle, the
-    largest D of either run's records in R^d."""
-    if ra["periodic"]:
-        return 2.0 * math.pi
-    k = ra["columns"].index("D")
-    return max((float.fromhex(row[k]) for run in (ra, rb) for row in run["records"]),
-               default=0.0)
-
-
-def _column_scores(ra, rb, extent):
-    """The largest relative difference of each record column that differs
-    between two runs' records, by name, the worst first, the position
-    columns against the extent; {None: inf} when the records do not have
-    one shape."""
+def _column_scores(ra, rb, scale):
+    """The score of each record column that differs between two runs'
+    records, by name, the worst first; {None: inf} when the records do not
+    have one shape."""
     a = np.array([_floats(row) for row in ra["records"]])
     b = np.array([_floats(row) for row in rb["records"]])
     if a.shape != b.shape:
         return {None: math.inf}
     if not a.size:
         return {}
-    scores = {name: _rel(a[:, k], b[:, k], extent if name in POSITION_COLUMNS else None)
-              for k, name in enumerate(ra["columns"])}
-    return dict(sorted(((name, score) for name, score in scores.items() if score > 0.0),
+    scores = {name: score(name, a[:, k], b[:, k], scale) for k, name in enumerate(ra["columns"])}
+    return dict(sorted(((name, value) for name, value in scores.items() if value > 0.0),
                        key=lambda item: -item[1]))
 
 
-def _compare(ra, rb):
-    """Largest relative difference of the records, x, v and the rest of two
-    runs, and the largest relative difference of each record column that
-    differs (_column_scores)."""
-    from flocklab.geometry import circle, displacement
+def _states(run):
+    """Each state field of a run, stacked over its states."""
+    return {key: np.array([_floats(s[key]) for s in run["states"]]) for key in STATE_FIELDS}
 
+
+def _compare(ra, rb):
+    """The largest score of the records, x, v and the rest of two runs, and
+    the score of each record column that differs (_column_scores)."""
     worst = dict.fromkeys(("records", "x", "v", "other"), 0.0)
     if (len(ra["records"]) != len(rb["records"]) or len(ra["states"]) != len(rb["states"])
             or (ra["error"] is None) != (rb["error"] is None)):
         return dict.fromkeys(worst, math.inf), {None: math.inf}
-
-    def note(key, value):
-        worst[key] = max(worst[key], value)
-
-    extent = _extent(ra, rb)
-    columns = _column_scores(ra, rb, extent)
-    note("records", max(columns.values(), default=0.0))
-    for sa, sb in zip(ra["states"], rb["states"]):
-        note("v", _rel(_floats(sa["v"]), _floats(sb["v"])))
-        for key in ("t", "diss2", "diss2_root"):
-            note("other", _rel(_floats(sa[key]), _floats(sb[key])))
-        xa, xb = _floats(sa["x"]), _floats(sb["x"])
-        if ra["periodic"] and xa.shape == xb.shape:
-            moved = np.abs(displacement(circle(), xa, xb))
-            note("x", float(np.max(moved, initial=0.0)) / extent)
-        else:
-            note("x", _rel(xa, xb, extent))
+    sa, sb = _states(ra), _states(rb)
+    scale = scales((sa["x"], sb["x"]), (sa["v"], sb["v"]))
+    columns = _column_scores(ra, rb, scale)
+    worst["records"] = max(columns.values(), default=0.0)
+    for key in STATE_FIELDS:
+        group = key if key in ("x", "v") else "other"
+        worst[group] = max(worst[group], score(key, sa[key], sb[key], scale, ra["periodic"]))
     ea, eb = ra["error"], rb["error"]
     if ea is not None:
         if ea["type"] != eb["type"] or ea["pair"] != eb["pair"]:
-            note("other", math.inf)
+            worst["other"] = math.inf
         for key in ("distance", "t"):
-            note("other", _rel(_floats(ea[key]), _floats(eb[key])))
+            worst["other"] = max(worst["other"],
+                                 score(key, _floats(ea[key]), _floats(eb[key]), scale))
     return worst, columns
 
 
@@ -339,8 +389,10 @@ def diff(path_a, path_b, rtol=0.0):
             continue
         equal = init_a[name] == init_b[name]
         same["initial states"] &= equal
-        worst = {key: _rel(_floats(init_a[name][key]), _floats(init_b[name][key]))
-                 for key in ("x", "v", "m")}
+        a, b = ({key: _floats(init[name][key]) for key in ("x", "v", "m")}
+                for init in (init_a, init_b))
+        scale = scales((a["x"], b["x"]), (a["v"], b["v"]))
+        worst = {key: score(key, a[key], b[key], scale) for key in a}
         print(f"initial/{name:34s} {'bitwise equal' if equal else 'differs':14s}"
               + "".join(f" {key} {value:.1e}" for key, value in worst.items()))
     for what, equal in same.items():
